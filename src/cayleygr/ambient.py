@@ -15,9 +15,11 @@ classes used to cross-check the localization route.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
+from math import prod
 
+from .cayley import DIMENSION
 from .exact import IntMatrix, smith_normal_form
 from . import equivariant
 from .equivariant import labels_by_codim
@@ -96,7 +98,7 @@ def _h_sym(m, nvars=4):
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def schur_poly(shape, nvars=4):
     """Schur polynomial via the Jacobi-Trudi determinant over the h basis."""
     shape = tuple(p for p in shape if p)
@@ -217,7 +219,7 @@ class AmbientClass:
         )
 
 
-@lru_cache(maxsize=None)
+@cache
 def _lr_pair(lam, mu):
     prod = poly_mul_sym(schur_poly(lam), schur_poly(mu))
     return tuple(sorted(schur_expand(prod).items()))
@@ -281,7 +283,7 @@ def lr_coefficients_oracle(lam, mu, nu):
     return total
 
 
-@lru_cache(maxsize=None)
+@cache
 def tau1_power(m: int) -> AmbientClass:
     if m == 0:
         return AmbientClass.basis(())
@@ -297,7 +299,7 @@ def grassmannian_degree() -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def cg_class() -> AmbientClass:
     """Top Chern class of the rank-4 bundle with roots x_i + x_j + x_k.
 
@@ -309,7 +311,6 @@ def cg_class() -> AmbientClass:
     prod = {(0, 0, 0, 0): 1}
     for l in range(4):
         root = dict(e1)
-        key = tuple(-1 if i == l else 0 for i in range(4))
         # e1 - x_l: subtract the single variable monomial
         mono = tuple(1 if i == l else 0 for i in range(4))
         root[mono] = root.get(mono, 0) - 1
@@ -354,9 +355,6 @@ def _pieri_up(lam):
     return out
 
 
-_RESTRICTION = None
-
-
 def _nonneg_solutions(weights, target):
     """All non-negative integer vectors c with sum c_i * weights_i = target."""
     out = []
@@ -376,6 +374,7 @@ def _nonneg_solutions(weights, target):
     return out
 
 
+@cache
 def restriction_table():
     """Restriction of every box class of size <= 8 to the Schubert basis.
 
@@ -385,20 +384,17 @@ def restriction_table():
     rule downstairs); remaining ambiguity is resolved by pairings against
     the codimension-2 restrictions.  Uniqueness is asserted per level.
     """
-    global _RESTRICTION
-    if _RESTRICTION is not None:
-        return _RESTRICTION
     eq_degrees = equivariant.degrees()
     by_codim = labels_by_codim()
     monk = equivariant.monk_matrix()
-    out = {(): equivariant.basis_vector("0")}
-    for k in range(1, 9):
+    out = {(): equivariant.basis_vector(by_codim[0][0])}
+    for k in range(1, DIMENSION + 1):
         parts = box_partitions(size=k)
         classes = by_codim[k]
         weights = [eq_degrees[lab] for lab in classes]
         candidates = {}
         for lam in parts:
-            deg = cg_pairing(AmbientClass.basis(lam), tau1_power(8 - k))
+            deg = cg_pairing(AmbientClass.basis(lam), tau1_power(DIMENSION - k))
             candidates[lam] = _nonneg_solutions(weights, deg)
             if not candidates[lam]:
                 raise ArithmeticError(f"no candidate restriction for {partition_name(lam)}")
@@ -446,18 +442,18 @@ def restriction_table():
             # pairings against the determined codimension-2 restrictions
             filters = []
             for nu in ((1, 1), (2,)):
-                if 8 - k - 2 < 0:
+                if DIMENSION - k - 2 < 0:
                     continue
                 nu_vec = out[nu]
                 pair = {}
                 for i, lab in enumerate(classes):
                     v = equivariant.schubert_product(
                         equivariant.basis_vector(lab),
-                        equivariant.schubert_product(nu_vec, equivariant.sigma1_power(8 - k - 2)),
+                        equivariant.schubert_product(nu_vec, equivariant.sigma1_power(DIMENSION - k - 2)),
                     )
                     pair[i] = equivariant.integrate_vector(v)
                 for lam in parts:
-                    val = cg_pairing(AmbientClass.basis(lam), AmbientClass.basis(nu), tau1_power(8 - k - 2))
+                    val = cg_pairing(AmbientClass.basis(lam), AmbientClass.basis(nu), tau1_power(DIMENSION - k - 2))
                     filters.append((lam, pair, val))
             solutions = [
                 s
@@ -470,7 +466,6 @@ def restriction_table():
         (solution,) = solutions
         for lam in parts:
             out[lam] = equivariant.SchubertVector(dict(zip(classes, solution[lam])))
-    _RESTRICTION = out
     return out
 
 
@@ -480,40 +475,22 @@ def restriction_of(lam) -> "equivariant.SchubertVector":
 
 def image_index() -> int:
     """Index of the restriction image lattice, as a product over codimension."""
-    table = restriction_table()
-    by_codim = labels_by_codim()
-    total = 1
-    for k in range(9):
-        classes = by_codim[k]
-        rows = []
-        for lam in box_partitions(size=k):
-            vec = table[lam]
-            rows.append([vec[lab] for lab in classes])
-        mat = IntMatrix(rows)
-        diag, _, _ = smith_normal_form(mat)
-        nonzero = [d for d in diag if d]
-        if len(nonzero) != len(classes):
-            raise ArithmeticError(f"restriction image not of full rank in codimension {k}")
-        level = 1
-        for d in nonzero:
-            level *= d
-        total *= level
-    return total
+    return prod(image_index_profile().values())
 
 
 def image_index_profile():
+    """Index of the restriction image lattice in each codimension."""
     table = restriction_table()
     by_codim = labels_by_codim()
     out = {}
-    for k in range(9):
+    for k in range(DIMENSION + 1):
         classes = by_codim[k]
         rows = [[table[lam][lab] for lab in classes] for lam in box_partitions(size=k)]
         diag, _, _ = smith_normal_form(IntMatrix(rows))
-        level = 1
-        for d in diag:
-            if d:
-                level *= d
-        out[k] = level
+        nonzero = [d for d in diag if d]
+        if len(nonzero) != len(classes):
+            raise ArithmeticError(f"restriction image not of full rank in codimension {k}")
+        out[k] = prod(nonzero)
     return out
 
 
@@ -521,9 +498,7 @@ def image_index_profile():
 # ambient route to the tangent Chern pairings (cross-check of localization)
 # ---------------------------------------------------------------------------
 
-_CHERN_AMBIENT = None
-
-
+@cache
 def tangent_chern_ambient():
     """Graded pieces of c(Hom(T,Q)) / c(Lambda^3 T*) as ambient classes.
 
@@ -531,12 +506,9 @@ def tangent_chern_ambient():
     bundle, three for the quotient), reduced through the bi-Schur
     expansion and s_mu(quotient roots) = tau_{mu'}.
     """
-    global _CHERN_AMBIENT
-    if _CHERN_AMBIENT is not None:
-        return _CHERN_AMBIENT
     nx, ny = 4, 3
     nv = nx + ny
-    max_deg = 8
+    max_deg = DIMENSION
 
     def mono(expos):
         return tuple(expos)
@@ -593,7 +565,6 @@ def tangent_chern_ambient():
     out = {}
     for k in range(max_deg + 1):
         out[k] = _bisym_to_class(graded[k], nx, ny)
-    _CHERN_AMBIENT = out
     return out
 
 
@@ -663,20 +634,13 @@ def tangent_chern_pairings():
     computed by Littlewood-Richardson arithmetic only.
     """
     pieces = tangent_chern_ambient()
-    probes = {
-        "h": lambda k: tau1_power(8 - k),
-        "t11": lambda k: lr_multiply(AmbientClass.basis((1, 1)), tau1_power(6 - k)) if k <= 6 else None,
-        "t2": lambda k: lr_multiply(AmbientClass.basis((2,)), tau1_power(6 - k)) if k <= 6 else None,
-        "t111": lambda k: lr_multiply(AmbientClass.basis((1, 1, 1)), tau1_power(5 - k)) if k <= 5 else None,
-        "t3": lambda k: lr_multiply(AmbientClass.basis((3,)), tau1_power(5 - k)) if k <= 5 else None,
-    }
+    probes = {"h": (), "t11": (1, 1), "t2": (2,), "t111": (1, 1, 1), "t3": (3,)}
     out = {}
-    for k in range(9):
+    for k in range(DIMENSION + 1):
         row = {}
-        for name, probe in probes.items():
-            cls = probe(k)
-            if cls is None:
-                continue
-            row[name] = cg_pairing(pieces[k], cls)
+        for name, lam in probes.items():
+            power = DIMENSION - k - sum(lam)
+            if power >= 0:
+                row[name] = cg_pairing(pieces[k], lr_multiply(AmbientClass.basis(lam), tau1_power(power)))
         out[k] = row
     return out

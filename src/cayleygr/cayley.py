@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .fixtures import load_fixture
 from .weightmodel import (
     BASIS_WEIGHTS,
     INDEX_OF_WEIGHT,
-    SplitVector,
     U,
     Weight,
     omega_split,
@@ -26,6 +26,8 @@ from .weightmodel import (
 )
 
 CHAMBER = (1, 2)  # pairings <l,a>, <l,b>; makes codim(p) equal the label number
+
+DIMENSION = 8  # complex dimension; enumeration checks it against every tangent space
 
 SHORT_AND_LONG_ROOTS = frozenset(
     [Weight(1, 0), Weight(-1, 0), Weight(0, 1), Weight(0, -1), Weight(-1, -1), Weight(1, 1),
@@ -39,6 +41,7 @@ class FixedPoint:
     triple: tuple          # 3 basis indices spanning the 3-space W
     four_space: tuple      # 4 basis indices spanning U = W-perp
     codim: int
+    tangent: tuple         # the DIMENSION tangent weights, sorted
 
     @property
     def triple_weights(self):
@@ -83,18 +86,38 @@ def coordinate_member(indices) -> bool:
     return is_cg_member([U[i] for i in indices])
 
 
-_POINTS = None
+def _tangent_weights(label, four_space):
+    """Sorted tangent weights at the point whose 4-space is spanned by four_space.
+
+    Sub-quotient weights of Hom(V7/U, U) minus the four triple-sums of U;
+    this orientation reproduces the reference table (codimension = number
+    of chamber-negative weights).
+    """
+    u_weights = [BASIS_WEIGHTS[i] for i in four_space]
+    quot_weights = [BASIS_WEIGHTS[i] for i in range(7) if i not in four_space]
+    twelve = Counter()
+    for nu in u_weights:
+        for mu in quot_weights:
+            twelve[nu - mu] += 1
+    for a, b, c in combinations(u_weights, 3):
+        s = a + b + c
+        if twelve[s] <= 0:
+            raise ArithmeticError(f"tangent multiset subtraction impossible at {label}")
+        twelve[s] -= 1
+    out = tuple(sorted(twelve.elements()))
+    if len(out) != DIMENSION:
+        raise ArithmeticError(f"{len(out)} tangent weights at {label}, expected {DIMENSION}")
+    return out
 
 
+@cache
 def enumerate_fixed_points():
     """All coordinate 3-spaces whose orthogonal 4-space kills the form.
 
     Scans the 35 candidates, keeps the members, and labels them against
-    the reference table; exactly 15 must survive.
+    the reference table; exactly 15 must survive.  Sorted by (codim, label),
+    so the open cell comes first and the point last.
     """
-    global _POINTS
-    if _POINTS is not None:
-        return _POINTS
     table = load_fixture("fixed_points")["points"]
     label_by_triple = {}
     for row in table:
@@ -109,48 +132,28 @@ def enumerate_fixed_points():
         if key not in label_by_triple:
             raise ArithmeticError(f"member triple {triple} missing from the label table")
         label = label_by_triple[key]
-        points.append(FixedPoint(label=label, triple=triple, four_space=four, codim=label_codim(label)))
+        points.append(FixedPoint(label, triple, four, label_codim(label), _tangent_weights(label, four)))
     if len(points) != 15:
         raise ArithmeticError(f"expected 15 fixed points, found {len(points)}")
-    _POINTS = sorted(points, key=lambda p: (p.codim, p.label))
-    return _POINTS
+    return tuple(sorted(points, key=lambda p: (p.codim, p.label)))
+
+
+@cache
+def _points_by_label():
+    return {p.label: p for p in enumerate_fixed_points()}
 
 
 def point_by_label(label: str) -> FixedPoint:
-    for p in enumerate_fixed_points():
-        if p.label == label:
-            return p
-    raise KeyError(label)
+    return _points_by_label()[label]
 
 
 def tangent_weights(p: FixedPoint):
-    """Tangent weight multiset at a fixed point (8 weights, as a Counter).
-
-    Sub-quotient weights of Hom(V7/U, U) minus the four triple-sums of U;
-    this orientation reproduces the reference table (codimension = number
-    of chamber-negative weights).
-    """
-    u_weights = [BASIS_WEIGHTS[i] for i in p.four_space]
-    quot_weights = [BASIS_WEIGHTS[i] for i in range(7) if i not in p.four_space]
-    twelve = Counter()
-    for nu in u_weights:
-        for mu in quot_weights:
-            twelve[nu - mu] += 1
-    for a, b, c in combinations(u_weights, 3):
-        s = a + b + c
-        if twelve[s] <= 0:
-            raise ArithmeticError(f"tangent multiset subtraction impossible at {p.label}")
-        twelve[s] -= 1
-    out = Counter({w: m for w, m in twelve.items() if m})
-    assert sum(out.values()) == 8
-    return out
+    """Tangent weight multiset at a fixed point, as a Counter."""
+    return Counter(p.tangent)
 
 
 def tangent_weight_list(p: FixedPoint):
-    out = []
-    for w, m in tangent_weights(p).items():
-        out.extend([w] * m)
-    return sorted(out)
+    return list(p.tangent)
 
 
 def reference_tangent_table():
@@ -172,20 +175,20 @@ def tangent_discrepancies():
 
 def assert_generic(l) -> None:
     for p in enumerate_fixed_points():
-        for w in tangent_weights(p):
+        for w in p.tangent:
             if w.pair(l) == 0:
                 raise ValueError(f"one-parameter subgroup {l} is not generic at {p.label}")
 
 
 def codim_of_point(p: FixedPoint, l=CHAMBER) -> int:
     """Number of chamber-negative tangent weights (the attracting codim)."""
-    return sum(m for w, m in tangent_weights(p).items() if w.pair(l) < 0)
+    return sum(1 for w in p.tangent if w.pair(l) < 0)
 
 
 def betti_profile(l=CHAMBER):
     """Counts of fixed points per attracting codimension 0..8."""
     assert_generic(l)
-    counts = [0] * 9
+    counts = [0] * (DIMENSION + 1)
     for p in enumerate_fixed_points():
         counts[codim_of_point(p, l)] += 1
     assert sum(counts) == 15
@@ -194,11 +197,7 @@ def betti_profile(l=CHAMBER):
 
 def repelling_weights(p: FixedPoint, l=CHAMBER):
     """The chamber-negative tangent weights (normal to the attracting cell)."""
-    out = []
-    for w, m in tangent_weights(p).items():
-        if w.pair(l) < 0:
-            out.extend([w] * m)
-    return sorted(out)
+    return [w for w in p.tangent if w.pair(l) < 0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +251,7 @@ class GkmGraph:
         return len(seen) == len(self.vertices)
 
 
-_GRAPH = None
-
-
+@cache
 def gkm_edges() -> GkmGraph:
     """Edges join points whose 4-spaces share a 3-space.
 
@@ -263,9 +260,6 @@ def gkm_edges() -> GkmGraph:
     inside the variety at three interior parameter values (each form
     evaluation is affine in the parameter, so two would suffice).
     """
-    global _GRAPH
-    if _GRAPH is not None:
-        return _GRAPH
     points = enumerate_fixed_points()
     edges = []
     for p, q in combinations(points, 2):
@@ -287,7 +281,6 @@ def gkm_edges() -> GkmGraph:
     graph = GkmGraph(points, edges)
     if not graph.is_connected():
         raise ArithmeticError("GKM graph is disconnected")
-    _GRAPH = graph
     return graph
 
 

@@ -495,9 +495,7 @@ def render(results, fmt, chamber):
 
 def dump_classes():
     classes = equivariant.solve_all_classes()
-    doc = {
-        lab: classes[lab].to_json() for lab in sorted(classes, key=lambda l: (classes[l].codim, l))
-    }
+    doc = {lab: cls.to_json() for lab, cls in classes.items()}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -517,7 +515,7 @@ def dump_fixed_points():
 
 def dump_restriction():
     table = ambient.restriction_table()
-    labels = [p.label for p in sorted(cayley.enumerate_fixed_points(), key=lambda p: (p.codim, p.label))]
+    labels = [p.label for p in cayley.enumerate_fixed_points()]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["partition"] + labels)
@@ -542,12 +540,8 @@ def dump_degrees():
 
 def dump_mult():
     table = equivariant.multiplication_table()
-    doc = {f"{a}*{b}": _vecmap(v) for (a, b), v in sorted(table.items())}
+    doc = {f"{a}*{b}": _vec(v) for (a, b), v in sorted(table.items())}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _vecmap(v):
-    return {lab: c for lab, c in v.items()}
 
 
 DUMPS = {
@@ -570,7 +564,21 @@ def _parse_chamber(s):
         a, b = (int(x) for x in s.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError("chamber must be two integers, e.g. 1,2") from exc
+    try:
+        cayley.assert_generic((a, b))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return (a, b)
+
+
+def _parse_kmax(s):
+    try:
+        k = int(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("kmax must be an integer") from exc
+    if k < 0:
+        raise argparse.ArgumentTypeError("kmax must be non-negative")
+    return k
 
 
 def build_parser():
@@ -581,13 +589,13 @@ def build_parser():
     verify.add_argument("topic", choices=sorted(TOPICS) + ["all"])
     verify.add_argument("--format", choices=["text", "json", "csv"], default="text")
     verify.add_argument("--out", default=None)
-    verify.add_argument("--kmax", type=int, default=6)
+    verify.add_argument("--kmax", type=_parse_kmax, default=6)
     verify.add_argument("--chamber", type=_parse_chamber, default=(1, 2))
 
     dump = sub.add_parser("dump", help="write computed objects")
     dump.add_argument("what", choices=sorted(DUMPS))
     dump.add_argument("--out", default=None)
-    dump.add_argument("--kmax", type=int, default=10)
+    dump.add_argument("--kmax", type=_parse_kmax, default=10)
     return parser
 
 

@@ -15,29 +15,36 @@ are reproduced exactly and the odd ones up to one global sign.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .cayley import (
-    CHAMBER,
+    DIMENSION,
     duality_map,
     enumerate_fixed_points,
     gkm_edges,
     point_by_label,
     repelling_weights,
-    tangent_weight_list,
 )
 from .exact import HomogPoly, divide_by_linear, poly_mul, solve_rational
 from .weightmodel import Weight
 
 
+@cache
 def labels_by_codim():
     out = {}
     for p in enumerate_fixed_points():
         out.setdefault(p.codim, []).append(p.label)
-    return {k: sorted(v) for k, v in out.items()}
+    return out
 
 
-def all_labels():
-    return [p.label for p in sorted(enumerate_fixed_points(), key=lambda p: (p.codim, p.label))]
+def _base_label():
+    """The open-cell vertex, of codimension 0."""
+    return enumerate_fixed_points()[0].label
+
+
+def _point_label():
+    """The vertex of codimension DIMENSION, carrying the point class."""
+    return enumerate_fixed_points()[-1].label
 
 
 class EqClass:
@@ -74,13 +81,9 @@ class EqClass:
         }
 
 
-def omega_point_weight(label) -> Weight:
-    return point_by_label(label).omega_weight()
-
-
 def hyperplane_weight(label) -> Weight:
     """f_H(q) = omega(q) - omega(0) as an integral weight."""
-    return omega_point_weight(label) - omega_point_weight("0")
+    return point_by_label(label).omega_weight() - point_by_label(_base_label()).omega_weight()
 
 
 def fundamental_class() -> EqClass:
@@ -102,13 +105,14 @@ def normal_weight_product(label) -> HomogPoly:
 
 def euler_class_at(label) -> HomogPoly:
     out = HomogPoly.constant(1)
-    for w in tangent_weight_list(point_by_label(label)):
+    for w in point_by_label(label).tangent:
         out = poly_mul(out, w.poly())
     return out
 
 
 def point_class() -> EqClass:
-    return EqClass(8, {"8": normal_weight_product("8")})
+    top = _point_label()
+    return EqClass(DIMENSION, {top: normal_weight_product(top)})
 
 
 def check_gkm_divisibility(cls: EqClass) -> None:
@@ -140,9 +144,8 @@ def _coeff_slots(degree):
 # Directions (1, t) with t >= 3 keep every root and tangent weight nonzero.
 _EVAL_TS = tuple(range(3, 43))
 
-_PUSH_DATA = None
 
-
+@cache
 def _pushforward_eval_data():
     """Per-direction values of the Euler complements and hyperplane class.
 
@@ -151,9 +154,6 @@ def _pushforward_eval_data():
     vanishing of localization pushforwards during the class solve; the
     solved classes are re-verified symbolically afterwards.
     """
-    global _PUSH_DATA
-    if _PUSH_DATA is not None:
-        return _PUSH_DATA
     labels = [p.label for p in enumerate_fixed_points()]
     data = {}
     for t in _EVAL_TS:
@@ -162,14 +162,13 @@ def _pushforward_eval_data():
         total = Fraction(1)
         for lab in labels:
             e_val = Fraction(1)
-            for w in tangent_weight_list(point_by_label(lab)):
+            for w in point_by_label(lab).tangent:
                 e_val *= w[0] * pt[0] + w[1] * pt[1]
             assert e_val != 0
             evals[lab] = e_val
             total *= e_val
         fh = {lab: Fraction(hyperplane_weight(lab).pair((1, t))) for lab in labels}
         data[t] = {lab: (total / evals[lab], fh[lab]) for lab in labels}
-    _PUSH_DATA = data
     return data
 
 
@@ -267,7 +266,7 @@ def _solve_class(p_label, next_classes):
     # families here); these sampled conditions do, and the solved class is
     # re-verified symbolically afterwards.
     push = _pushforward_eval_data()
-    for j in range(0, 8 - k):
+    for j in range(DIMENSION - k):
         for t in _EVAL_TS:
             per_label = push[t]
             coeffs = {}
@@ -295,22 +294,18 @@ def _solve_class(p_label, next_classes):
     return EqClass(k, values), a
 
 
-_SOLUTION = None
-
-
-def solve_all_classes():
+@cache
+def _class_solve():
     """All 15 localized classes, descending from the point class.
 
-    Returns {label: EqClass}; also derives the Monk coefficients as the
-    by-product expansion f_X (f_H - f_H(p)) = sum a_i f_{Y_i}.
+    Returns ({label: EqClass}, Monk coefficients); the Monk coefficients
+    are the by-product expansion f_X (f_H - f_H(p)) = sum a_i f_{Y_i}.
     """
-    global _SOLUTION
-    if _SOLUTION is not None:
-        return _SOLUTION["classes"]
     by_codim = labels_by_codim()
-    classes = {"8": point_class()}
-    monk = {"8": {}}
-    for k in range(7, -1, -1):
+    top = _point_label()
+    classes = {top: point_class()}
+    monk = {top: {}}
+    for k in range(DIMENSION - 1, -1, -1):
         next_labels = by_codim[k + 1]
         next_classes = [classes[lab] for lab in next_labels]
         for lab in by_codim[k]:
@@ -328,22 +323,25 @@ def solve_all_classes():
         check_gkm_divisibility(cls)
         # symbolic re-verification of the sampled pushforward conditions
         data = cls
-        for j in range(8 - cls.codim):
+        for j in range(DIMENSION - cls.codim):
             if ab_integrate(data) != 0:
                 raise ArithmeticError(f"pushforward of {lab} * H^{j} does not vanish")
             data = pointwise_product(data, h)
-    if classes["0"] != fundamental_class():
+    if classes[_base_label()] != fundamental_class():
         raise ArithmeticError("the codim-0 class did not come out as the fundamental class")
     if classes["1"] != hyperplane_class():
         raise ArithmeticError("the codim-1 class did not come out as the hyperplane class")
-    _SOLUTION = {"classes": classes, "monk": monk}
-    return classes
+    return classes, monk
+
+
+def solve_all_classes():
+    """All 15 localized classes as {label: EqClass}, solved once."""
+    return _class_solve()[0]
 
 
 def monk_matrix():
     """H * sigma_p = sum over codim+1 classes, with multiplicities."""
-    solve_all_classes()
-    return {lab: dict(coeffs) for lab, coeffs in _SOLUTION["monk"].items()}
+    return {lab: dict(coeffs) for lab, coeffs in _class_solve()[1].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +361,9 @@ def pointwise_product(*classes_or_values):
     return out
 
 
-_EULER_COMPLEMENTS = None
-
-
+@cache
 def _euler_complements():
-    """E_q = product over r != q of the Euler classes, computed once."""
-    global _EULER_COMPLEMENTS
-    if _EULER_COMPLEMENTS is not None:
-        return _EULER_COMPLEMENTS
+    """E_q = product over r != q of the Euler classes."""
     labels = [p.label for p in enumerate_fixed_points()]
     total = HomogPoly.constant(1)
     for lab in labels:
@@ -378,11 +371,10 @@ def _euler_complements():
     out = {}
     for lab in labels:
         partial = total
-        for w in tangent_weight_list(point_by_label(lab)):
+        for w in point_by_label(lab).tangent:
             partial = divide_by_linear(partial, w[0], w[1])
             assert partial is not None
         out[lab] = partial
-    _EULER_COMPLEMENTS = out
     return out
 
 
@@ -402,21 +394,21 @@ def ab_integrate(values) -> Fraction:
     if len(degs) > 1:
         raise ValueError(f"mixed degrees {degs}")
     (deg,) = degs
-    if deg > 8:
-        raise ValueError("integration expects degree at most 8")
+    if deg > DIMENSION:
+        raise ValueError(f"integration expects degree at most {DIMENSION}")
     complements = _euler_complements()
-    numerator = HomogPoly.zero(112 + deg)
+    numerator = HomogPoly.zero()
     for lab in labels:
         if values[lab].is_zero():
             continue
         numerator = numerator + poly_mul(values[lab], complements[lab])
     if numerator.is_zero():
         return Fraction(0)
-    if deg < 8:
+    if deg < DIMENSION:
         raise ArithmeticError("integral of under-degree data failed to vanish")
     rem = numerator
     for lab in labels:
-        for w in tangent_weight_list(point_by_label(lab)):
+        for w in point_by_label(lab).tangent:
             rem = divide_by_linear(rem, w[0], w[1])
             if rem is None:
                 raise ArithmeticError("fixed-point sum is not a polynomial")
@@ -440,7 +432,7 @@ def expand_in_basis(values):
     (deg,) = degs
     remaining = dict(values)
     out = {}
-    for p in sorted(enumerate_fixed_points(), key=lambda p: (p.codim, p.label)):
+    for p in enumerate_fixed_points():
         if p.codim > deg:
             break
         val = remaining[p.label]
@@ -464,7 +456,6 @@ def top_expansion(values):
     full = expand_in_basis(values)
     if not full:
         return SchubertVector({})
-    degs = {v.degree for v in (values.values() if not isinstance(values, dict) else values.values())}
     coeffs = {}
     for lab, poly in full.items():
         if poly.degree == 0 and not poly.is_zero():
@@ -519,9 +510,6 @@ class SchubertVector:
     def items(self):
         return sorted(self.coeffs.items())
 
-    def codims(self):
-        return {point_by_label(lab).codim for lab in self.coeffs}
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -536,9 +524,7 @@ def basis_vector(label):
     return SchubertVector({label: 1})
 
 
-_MULT_TABLE = None
-
-
+@cache
 def multiplication_table():
     """All pairwise Schubert products as integer vectors.
 
@@ -546,11 +532,8 @@ def multiplication_table():
     above 8 are zero vectors.  Structure constants are certified integers
     and non-negative.
     """
-    global _MULT_TABLE
-    if _MULT_TABLE is not None:
-        return _MULT_TABLE
     classes = solve_all_classes()
-    labels = all_labels()
+    labels = [p.label for p in enumerate_fixed_points()]
     table = {}
     for i, la in enumerate(labels):
         for lb in labels[i:]:
@@ -562,7 +545,6 @@ def multiplication_table():
                 if point_by_label(lab).codim != point_by_label(la).codim + point_by_label(lb).codim:
                     raise ArithmeticError("top expansion produced a wrong-codimension term")
             table[tuple(sorted((la, lb)))] = vec
-    _MULT_TABLE = table
     return table
 
 
@@ -576,16 +558,17 @@ def schubert_product(u: SchubertVector, v: SchubertVector) -> SchubertVector:
 
 
 def integrate_vector(v: SchubertVector) -> int:
-    return v["8"]
+    return v[_point_label()]
 
 
+@cache
 def degrees():
     """deg sigma = integral of sigma * H^(8 - codim)."""
     classes = solve_all_classes()
     h = hyperplane_class()
     out = {}
     for p in enumerate_fixed_points():
-        data = pointwise_product(*( [classes[p.label]] + [h] * (8 - p.codim) ))
+        data = pointwise_product(*( [classes[p.label]] + [h] * (DIMENSION - p.codim) ))
         val = ab_integrate(data)
         if val.denominator != 1 or val <= 0:
             raise ArithmeticError(f"degree of {p.label} is not a positive integer: {val}")
@@ -598,10 +581,10 @@ def poincare_pairing():
     classes = solve_all_classes()
     by_codim = labels_by_codim()
     out = {}
-    for k in range(9):
+    for k in range(DIMENSION + 1):
         rows = {}
         for la in by_codim[k]:
-            for lb in by_codim[8 - k]:
+            for lb in by_codim[DIMENSION - k]:
                 val = ab_integrate(pointwise_product(classes[la], classes[lb]))
                 if val.denominator != 1:
                     raise ArithmeticError("pairing is not integral")
@@ -627,7 +610,7 @@ def verify_poincare_duality():
 
 
 def sigma1_power(n: int) -> SchubertVector:
-    out = basis_vector("0")
+    out = basis_vector(_base_label())
     for _ in range(n):
         out = schubert_product(out, basis_vector("1"))
     return out
@@ -660,8 +643,8 @@ def verify_ring_presentation():
         raise ArithmeticError("no codim-2 class satisfies both relations")
     gen = basis_vector(report["generator"])
     by_codim = labels_by_codim()
-    betti = [len(by_codim[k]) for k in range(9)]
-    for k in range(9):
+    betti = [len(by_codim[k]) for k in range(DIMENSION + 1)]
+    for k in range(DIMENSION + 1):
         vectors = []
         for b in range(k // 2 + 1):
             a = k - 2 * b

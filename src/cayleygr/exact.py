@@ -258,7 +258,6 @@ class HomogPoly:
             return "0"
         bits = []
         for (p, q), c in sorted(self.coeffs.items(), reverse=True):
-            mono = "*".join(["a"] * 0)  # placeholder, built below
             parts = []
             if p:
                 parts.append("a" if p == 1 else f"a^{p}")
@@ -279,13 +278,6 @@ def poly_mul(a: HomogPoly, b: HomogPoly) -> HomogPoly:
             k = (p1 + p2, q1 + q2)
             out[k] = out.get(k, Fraction(0)) + c1 * c2
     return HomogPoly(a.degree + b.degree, out)
-
-
-def poly_product(factors, degree_if_empty=0):
-    out = HomogPoly.constant(1)
-    for f in factors:
-        out = poly_mul(out, f)
-    return out
 
 
 def divide_by_linear(f: HomogPoly, a, b):

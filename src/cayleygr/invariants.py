@@ -9,17 +9,17 @@ series identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import factorial
 
-from .cayley import enumerate_fixed_points, tangent_weight_list
+from .cayley import DIMENSION, enumerate_fixed_points
 from .equivariant import SchubertVector, degrees, solve_all_classes, top_expansion
 from .exact import HomogPoly, binomial, poly_mul
 from .weightmodel import g2_irrep_dim, gl7_schur_dim
 
-_CHERN = None
 
-
+@cache
 def chern_classes():
     """Tangent Chern classes in the Schubert basis, k = 1..8.
 
@@ -28,17 +28,14 @@ def chern_classes():
     k-th elementary symmetric polynomial, a genuine equivariant class
     whose top expansion gives the integral Schubert coordinates.
     """
-    global _CHERN
-    if _CHERN is not None:
-        return _CHERN
     solve_all_classes()
+    points = enumerate_fixed_points()
     out = {}
-    for k in range(1, 9):
+    for k in range(1, DIMENSION + 1):
         values = {}
-        for p in enumerate_fixed_points():
-            weights = tangent_weight_list(p)
+        for p in points:
             total = HomogPoly.zero(k)
-            for combo in combinations(weights, k):
+            for combo in combinations(p.tangent, k):
                 term = HomogPoly.constant(1)
                 for w in combo:
                     term = poly_mul(term, w.poly())
@@ -47,9 +44,8 @@ def chern_classes():
         out[k] = top_expansion(values)
     if out[1] != SchubertVector({"1": 4}):
         raise ArithmeticError("the first Chern class is not 4 times the hyperplane class")
-    if out[8] != SchubertVector({"8": 15}):
+    if out[DIMENSION] != SchubertVector({points[-1].label: len(points)}):
         raise ArithmeticError("the top Chern class does not integrate to the fixed point count")
-    _CHERN = out
     return out
 
 
@@ -63,10 +59,10 @@ def dual_degree():
     chern = chern_classes()
     degs = degrees()
     coeffs = []
-    for i in range(9):
-        m = 8 - i
+    for i in range(DIMENSION + 1):
+        m = DIMENSION - i
         if m == 0:
-            val = degs["0"]
+            val = degs[enumerate_fixed_points()[0].label]
         else:
             val = sum(c * degs[lab] for lab, c in chern[m].items())
         coeffs.append((-1) ** m * val)
@@ -152,20 +148,15 @@ class HilbertData:
         return _poly_eval(self.coeffs, Fraction(k))
 
 
-_HILBERT = None
-
-
+@cache
 def hilbert_polynomial() -> HilbertData:
     """The degree-8 polynomial interpolating the Koszul section counts.
 
     Asserts equality with the closed form at k = 0..10, integrality on
     -10..10, and the leading coefficient times 8! equal to the degree 182.
     """
-    global _HILBERT
-    if _HILBERT is not None:
-        return _HILBERT
-    xs = [Fraction(k) for k in range(9)]
-    ys = [hilbert_value(k) for k in range(9)]
+    xs = [Fraction(k) for k in range(DIMENSION + 1)]
+    ys = [hilbert_value(k) for k in range(DIMENSION + 1)]
     coeffs = _poly_from_samples(xs, ys)
     for k in range(11):
         want = closed_form_value(k)
@@ -175,12 +166,10 @@ def hilbert_polynomial() -> HilbertData:
     for k in range(-10, 11):
         if _poly_eval(coeffs, Fraction(k)).denominator != 1:
             raise ArithmeticError(f"polynomial not integer-valued at {k}")
-    lead = coeffs[8] * factorial(8)
+    lead = coeffs[DIMENSION] * factorial(DIMENSION)
     if lead != 182:
         raise ArithmeticError(f"leading term gives degree {lead}, expected 182")
-    data = HilbertData(coeffs, {k: int(_poly_eval(coeffs, Fraction(k))) for k in range(11)})
-    _HILBERT = data
-    return data
+    return HilbertData(coeffs, {k: int(_poly_eval(coeffs, Fraction(k))) for k in range(11)})
 
 
 def quadric_count() -> int:

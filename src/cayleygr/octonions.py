@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 from .exact import (
@@ -81,9 +82,6 @@ class Octonion:
 
     def conjugate(self):
         return Octonion((self.coeffs[0],) + tuple(-c for c in self.coeffs[1:]))
-
-    def real_part(self):
-        return self.coeffs[0]
 
     def imaginary(self):
         return Octonion((GI_ZERO,) + self.coeffs[1:])
@@ -438,18 +436,13 @@ def null_plane_test(p: Subspace) -> bool:
 # the Lie algebra annihilating the three-form, and stabilizers
 # ---------------------------------------------------------------------------
 
-_G2_BASIS = None
-
-
+@cache
 def g2_basis():
     """Basis of {X in End(V7) : X . Omega = 0}; the dimension is 14.
 
     X acts as a derivation: (X.Omega)(u,v,w) = Omega(Xu,v,w) + Omega(u,Xv,w)
     + Omega(u,v,Xw).  Computed once as an exact rational nullspace.
     """
-    global _G2_BASIS
-    if _G2_BASIS is not None:
-        return _G2_BASIS
     omega = three_form_table()  # {(i<j<k): sign}
 
     def om(i, j, k):
@@ -483,7 +476,6 @@ def g2_basis():
         basis.append(mat)
     if len(basis) != 14:
         raise ArithmeticError(f"annihilator of the three-form has dimension {len(basis)}, expected 14")
-    _G2_BASIS = basis
     return basis
 
 

@@ -17,10 +17,8 @@ from .exact import (
     GI_ZERO,
     GaussianRational,
     HomogPoly,
-    matrix_rank,
 )
 from . import octonions
-from .octonions import Subspace
 
 
 class Weight(tuple):
@@ -154,10 +152,6 @@ def q_split(x: SplitVector, y: SplitVector) -> GaussianRational:
     return total
 
 
-def q_split_quadratic(x: SplitVector) -> GaussianRational:
-    return q_split(x, x)
-
-
 # Terms of the invariant three-form: v0^va^v-a + v0^vb^v-b + v0^vg^v-g
 # + va^vb^vg - v-a^v-b^v-g.  The sign of the last term is forced: with all
 # five coefficients +1 the derived volume constant q(x)Theta over
@@ -271,11 +265,6 @@ def model_bridge():
     if lam is None or not lam:
         raise ArithmeticError("degenerate three-form proportionality")
     return u_images, lam
-
-
-def split_subspace_image(bridge_images, indices):
-    """Octonion subspace spanned by the images of the given basis indices."""
-    return Subspace([bridge_images[i] for i in indices])
 
 
 # ---------------------------------------------------------------------------

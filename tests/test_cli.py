@@ -57,9 +57,21 @@ def test_chamber_flag(capsys):
     assert by_id["betti.profile"]["status"] == "pass"
 
 
-def test_bad_chamber_exits_2():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "betti", "--chamber", "x"],
+        ["verify", "betti", "--chamber", "1,1"],
+        ["verify", "betti", "--chamber", "0,0"],
+        ["verify", "series", "--kmax", "-1"],
+        ["verify", "hilbert", "--kmax", "-1"],
+        ["dump", "hilbert", "--kmax", "-1"],
+    ],
+    ids=["chamber-x", "chamber-1-1", "chamber-0-0", "series-kmax-neg", "hilbert-kmax-neg", "dump-kmax-neg"],
+)
+def test_bad_chamber_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "betti", "--chamber", "x"])
+        main(argv)
     assert exc.value.code == 2
 
 

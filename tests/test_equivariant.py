@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cayleygr.ambient import restriction_table
 from cayleygr.cayley import enumerate_fixed_points, gkm_edges
 from cayleygr.equivariant import (
     EqClass,
@@ -28,6 +29,8 @@ from cayleygr.equivariant import (
 )
 from cayleygr.exact import divide_by_linear
 from cayleygr.fixtures import load_fixture, parse_form
+from cayleygr.invariants import chern_classes, hilbert_polynomial
+from cayleygr.octonions import g2_basis
 
 
 def vec(d):
@@ -206,3 +209,22 @@ def test_sigma1_powers():
     assert sigma1_power(2) == vec({"2": 1, "2'": 1})
     assert sigma1_power(4) == vec({"4": 6, "4'": 11, "4''": 5})
     assert sigma1_power(8) == vec({"8": 182})
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        degrees,
+        solve_all_classes,
+        multiplication_table,
+        restriction_table,
+        chern_classes,
+        hilbert_polynomial,
+        enumerate_fixed_points,
+        gkm_edges,
+        g2_basis,
+    ],
+    ids=lambda stage: stage.__name__,
+)
+def test_stage_is_memoized(stage):
+    assert stage() is stage()
