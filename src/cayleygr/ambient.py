@@ -23,6 +23,7 @@ from .cayley import DIMENSION
 from .exact import IntMatrix, smith_normal_form
 from . import equivariant
 from .equivariant import labels_by_codim
+from .weightmodel import conjugate_partition
 
 BOX_ROWS = 4
 BOX_COLS = 3
@@ -39,11 +40,7 @@ def box_partitions(size=None):
                     lam = tuple(p for p in (a, b, c, d) if p)
                     if size is None or sum(lam) == size:
                         out.append(lam)
-    seen = []
-    for lam in out:
-        if lam not in seen:
-            seen.append(lam)
-    return sorted(seen, key=lambda l: (sum(l), l), reverse=False)
+    return sorted(out, key=lambda l: (sum(l), l))
 
 
 def partition_name(lam):
@@ -469,10 +466,6 @@ def restriction_table():
     return out
 
 
-def restriction_of(lam) -> "equivariant.SchubertVector":
-    return restriction_table()[tuple(p for p in lam if p)]
-
-
 def image_index() -> int:
     """Index of the restriction image lattice, as a product over codimension."""
     return prod(image_index_profile().values())
@@ -510,38 +503,36 @@ def tangent_chern_ambient():
     nv = nx + ny
     max_deg = DIMENSION
 
-    def mono(expos):
-        return tuple(expos)
-
-    one = {mono((0,) * nv): 1}
+    zero = (0,) * nv
+    one = {zero: 1}
 
     def mul(p, q):
-        return _poly_mul_deg(p, q, max_deg, nv)
+        return poly_mul_sym(p, q, max_deg)
 
     # c(Hom(T, Q)): roots x_i + y_j
     hom = dict(one)
     for i in range(nx):
         for j in range(ny):
-            factor = {mono((0,) * nv): 1}
+            factor = {zero: 1}
             xi = [0] * nv
             xi[i] = 1
-            factor[mono(xi)] = 1
+            factor[tuple(xi)] = 1
             yj = [0] * nv
             yj[nx + j] = 1
-            factor[mono(yj)] = 1
+            factor[tuple(yj)] = 1
             hom = mul(hom, factor)
 
     # c(Lambda^3 T*): roots x_i + x_j + x_k, then invert the series
     wedge = dict(one)
     for tri in combinations(range(nx), 3):
-        factor = {mono((0,) * nv): 1}
+        factor = {zero: 1}
         for i in tri:
             xi = [0] * nv
             xi[i] = 1
-            factor[mono(xi)] = factor.get(mono(xi), 0) + 1
+            factor[tuple(xi)] = factor.get(tuple(xi), 0) + 1
         wedge = mul(wedge, factor)
     tail = dict(wedge)
-    del tail[mono((0,) * nv)]
+    del tail[zero]
     inv = dict(one)
     power = dict(one)
     for _ in range(max_deg):
@@ -566,32 +557,6 @@ def tangent_chern_ambient():
     for k in range(max_deg + 1):
         out[k] = _bisym_to_class(graded[k], nx, ny)
     return out
-
-
-def _poly_mul_deg(p, q, max_deg, nv):
-    out = {}
-    for ma, ca in p.items():
-        da = sum(ma)
-        for mb, cb in q.items():
-            if da + sum(mb) > max_deg:
-                continue
-            key = tuple(x + y for x, y in zip(ma, mb))
-            val = out.get(key, 0) + ca * cb
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _conjugate_partition(lam):
-    if not lam:
-        return ()
-    out = [0] * lam[0]
-    for p in lam:
-        for j in range(p):
-            out[j] += 1
-    return tuple(out)
 
 
 def _bisym_to_class(p, nx, ny):
@@ -621,7 +586,7 @@ def _bisym_to_class(p, nx, ny):
                     work[key] = val
                 elif key in work:
                     del work[key]
-        term = lr_multiply(AmbientClass.basis(lam), AmbientClass.basis(_conjugate_partition(mu)))
+        term = lr_multiply(AmbientClass.basis(lam), AmbientClass.basis(conjugate_partition(mu)))
         out = out + term.scale(c)
     return out
 

@@ -216,10 +216,7 @@ class GkmEdge:
 
     def primitive(self) -> Weight:
         """The primitive direction; divisibility only sees this."""
-        from math import gcd
-
-        g = gcd(abs(self.weight[0]), abs(self.weight[1]))
-        return Weight(self.weight[0] // g, self.weight[1] // g)
+        return self.weight.primitive()
 
 
 class GkmGraph:

@@ -413,6 +413,7 @@ def run_hilbert(kmax):
 
 
 def run_series(kmax):
+    kmax = max(kmax, 1)  # series.k1 reads the row k = 1
     rows = invariants.equivariant_series_check(kmax)
     out = [check("series.identity", True, f"k = 0..{kmax}", "holds")]
     out.append(check("series.k1", rows[1][1] == 28, rows[1][1], 28))
@@ -571,6 +572,9 @@ def _parse_chamber(s):
     return (a, b)
 
 
+KMAX_LIMIT = 100  # keeps hilbert and series work bounded
+
+
 def _parse_kmax(s):
     try:
         k = int(s)
@@ -578,6 +582,8 @@ def _parse_kmax(s):
         raise argparse.ArgumentTypeError("kmax must be an integer") from exc
     if k < 0:
         raise argparse.ArgumentTypeError("kmax must be non-negative")
+    if k > KMAX_LIMIT:
+        raise argparse.ArgumentTypeError(f"kmax must be at most {KMAX_LIMIT}")
     return k
 
 
@@ -589,13 +595,13 @@ def build_parser():
     verify.add_argument("topic", choices=sorted(TOPICS) + ["all"])
     verify.add_argument("--format", choices=["text", "json", "csv"], default="text")
     verify.add_argument("--out", default=None)
-    verify.add_argument("--kmax", type=_parse_kmax, default=6)
+    verify.add_argument("--kmax", type=_parse_kmax, default=6, help=f"largest k for hilbert and series, 0 to {KMAX_LIMIT}")
     verify.add_argument("--chamber", type=_parse_chamber, default=(1, 2))
 
     dump = sub.add_parser("dump", help="write computed objects")
     dump.add_argument("what", choices=sorted(DUMPS))
     dump.add_argument("--out", default=None)
-    dump.add_argument("--kmax", type=_parse_kmax, default=10)
+    dump.add_argument("--kmax", type=_parse_kmax, default=10, help=f"largest k for hilbert, 0 to {KMAX_LIMIT}")
     return parser
 
 

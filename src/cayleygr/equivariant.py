@@ -14,6 +14,7 @@ are reproduced exactly and the odd ones up to one global sign.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -103,13 +104,6 @@ def normal_weight_product(label) -> HomogPoly:
     return out
 
 
-def euler_class_at(label) -> HomogPoly:
-    out = HomogPoly.constant(1)
-    for w in point_by_label(label).tangent:
-        out = poly_mul(out, w.poly())
-    return out
-
-
 def point_class() -> EqClass:
     top = _point_label()
     return EqClass(DIMENSION, {top: normal_weight_product(top)})
@@ -141,35 +135,30 @@ def _coeff_slots(degree):
     return [(degree - i, i) for i in range(degree + 1)]
 
 
-# Directions (1, t) with t >= 3 keep every root and tangent weight nonzero.
-_EVAL_TS = tuple(range(3, 43))
-
-
 @cache
-def _pushforward_eval_data():
-    """Per-direction values of the Euler complements and hyperplane class.
+def _localization_denominator():
+    """The lcm L of the Euler classes and the complements C_q = L / e_q.
 
-    For each sample direction returns {label: (E_q, f_H(q))} where
-    E_q = prod_{r != q} e_r evaluated at the direction.  Used to impose the
-    vanishing of localization pushforwards during the class solve; the
-    solved classes are re-verified symbolically afterwards.
+    Every tangent weight is a multiple of a root direction, so L is the
+    product of those directions, each to the largest multiplicity it has
+    at one vertex.  Returns (the linear factors of L, {label: C_q}); then
+    sum_q f(q) / e_q = (sum_q f(q) C_q) / L.
     """
-    labels = [p.label for p in enumerate_fixed_points()]
-    data = {}
-    for t in _EVAL_TS:
-        pt = (Fraction(1), Fraction(t))
-        evals = {}
-        total = Fraction(1)
-        for lab in labels:
-            e_val = Fraction(1)
-            for w in point_by_label(lab).tangent:
-                e_val *= w[0] * pt[0] + w[1] * pt[1]
-            assert e_val != 0
-            evals[lab] = e_val
-            total *= e_val
-        fh = {lab: Fraction(hyperplane_weight(lab).pair((1, t))) for lab in labels}
-        data[t] = {lab: (total / evals[lab], fh[lab]) for lab in labels}
-    return data
+    mult = Counter()
+    for p in enumerate_fixed_points():
+        mult |= Counter(max(w.primitive(), -w.primitive()) for w in p.tangent)
+    factors = tuple(sorted(mult.elements()))
+    lcm = HomogPoly.constant(1)
+    for d in factors:
+        lcm = poly_mul(lcm, d.poly())
+    complements = {}
+    for p in enumerate_fixed_points():
+        c = lcm
+        for w in p.tangent:
+            c = divide_by_linear(c, w[0], w[1])
+            assert c is not None
+        complements[p.label] = c
+    return factors, complements
 
 
 def _solve_class(p_label, next_classes):
@@ -182,6 +171,10 @@ def _solve_class(p_label, next_classes):
     carrying unknowns (values at codim <= k vertices are 0, and f_X(p) is
     pinned to the product of repelling weights).  The system must have a
     unique solution.
+
+    The edge congruences alone do not pin the scale (invariant curves come
+    in families here); the vanishing pushforwards of f_X f_H^j for
+    k + j < 8, written over the localization denominator, do.
     """
     k = point_by_label(p_label).codim
     m = len(next_classes)
@@ -261,26 +254,22 @@ def _solve_class(p_label, next_classes):
         add_equation(coeffs, const)
 
     # (iii) pushforward vanishing: sum_q f_X(q) f_H(q)^j / e_q is a
-    # polynomial of negative degree for k + j < 8, hence zero.  The edge
-    # congruences alone do not pin the scale (invariant curves come in
-    # families here); these sampled conditions do, and the solved class is
-    # re-verified symbolically afterwards.
-    push = _pushforward_eval_data()
+    # polynomial of negative degree for k + j < 8, hence zero, so every
+    # coefficient of sum_q f_X(q) f_H(q)^j C_q vanishes.
+    factors, complements = _localization_denominator()
+    weighted = {lab: complements[lab] for lab in [p_label] + support}  # f_H(q)^j C_q
     for j in range(DIMENSION - k):
-        for t in _EVAL_TS:
-            per_label = push[t]
-            coeffs = {}
-            const = Fraction(0)
-            e_p, fh_p = per_label[p_label]
-            const -= n_p.evaluate(Fraction(1), Fraction(t)) * fh_p**j * e_p
-            for lab in support:
-                e_q, fh_q = per_label[lab]
-                factor = fh_q**j * e_q
-                base = var_of[lab]
-                for jj, slot in enumerate(slots):
-                    c = factor * Fraction(t) ** slot[1]
-                    coeffs[base + jj] = coeffs.get(base + jj, Fraction(0)) + c
-            add_equation(coeffs, const)
+        per_slot = {slot: {} for slot in _coeff_slots(k + j + len(factors) - DIMENSION)}
+        for lab in support:
+            base = var_of[lab]
+            for (g0, g1), gc in weighted[lab].coeffs.items():
+                for jj, (s0, s1) in enumerate(slots):
+                    coeffs = per_slot[(s0 + g0, s1 + g1)]
+                    coeffs[base + jj] = coeffs.get(base + jj, Fraction(0)) + gc
+        const = poly_mul(n_p, weighted[p_label])
+        for slot, coeffs in per_slot.items():
+            add_equation(coeffs, -const.coeffs.get(slot, Fraction(0)))
+        weighted = {lab: poly_mul(g, f_h[lab].poly()) for lab, g in weighted.items()}
 
     sol = solve_rational(rows, rhs)
     if sol.status != "unique":
@@ -321,7 +310,7 @@ def _class_solve():
     h = hyperplane_class()
     for lab, cls in classes.items():
         check_gkm_divisibility(cls)
-        # symbolic re-verification of the sampled pushforward conditions
+        # re-verify the pushforward conditions by fixed-point integration
         data = cls
         for j in range(DIMENSION - cls.codim):
             if ab_integrate(data) != 0:
@@ -361,33 +350,16 @@ def pointwise_product(*classes_or_values):
     return out
 
 
-@cache
-def _euler_complements():
-    """E_q = product over r != q of the Euler classes."""
-    labels = [p.label for p in enumerate_fixed_points()]
-    total = HomogPoly.constant(1)
-    for lab in labels:
-        total = poly_mul(total, euler_class_at(lab))
-    out = {}
-    for lab in labels:
-        partial = total
-        for w in point_by_label(lab).tangent:
-            partial = divide_by_linear(partial, w[0], w[1])
-            assert partial is not None
-        out[lab] = partial
-    return out
-
-
 def ab_integrate(values) -> Fraction:
     """Fixed-point integration: sum of f(p) / e(p) over the vertices.
 
     The input is vertexwise data of uniform degree <= 8.  The rational
     function sum must collapse: to zero below degree 8 and to a constant
-    in degree 8; anything else raises.
+    in degree 8; anything else raises.  Vertices missing from the input
+    count as zero.
     """
     if isinstance(values, EqClass):
         values = values.values
-    labels = list(values)
     degs = {v.degree for v in values.values() if not v.is_zero()}
     if not degs:
         return Fraction(0)
@@ -396,25 +368,20 @@ def ab_integrate(values) -> Fraction:
     (deg,) = degs
     if deg > DIMENSION:
         raise ValueError(f"integration expects degree at most {DIMENSION}")
-    complements = _euler_complements()
+    factors, complements = _localization_denominator()
     numerator = HomogPoly.zero()
-    for lab in labels:
-        if values[lab].is_zero():
-            continue
-        numerator = numerator + poly_mul(values[lab], complements[lab])
+    for lab, val in values.items():
+        if not val.is_zero():
+            numerator = numerator + poly_mul(val, complements[lab])
     if numerator.is_zero():
         return Fraction(0)
     if deg < DIMENSION:
         raise ArithmeticError("integral of under-degree data failed to vanish")
-    rem = numerator
-    for lab in labels:
-        for w in point_by_label(lab).tangent:
-            rem = divide_by_linear(rem, w[0], w[1])
-            if rem is None:
-                raise ArithmeticError("fixed-point sum is not a polynomial")
-    if rem.degree != 0:
-        raise ArithmeticError("fixed-point sum is not a constant")
-    return rem.coeffs.get((0, 0), Fraction(0))
+    for d in factors:
+        numerator = divide_by_linear(numerator, d[0], d[1])
+        if numerator is None:
+            raise ArithmeticError("fixed-point sum is not a polynomial")
+    return numerator.coeffs.get((0, 0), Fraction(0))
 
 
 def expand_in_basis(values):

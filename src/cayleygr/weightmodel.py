@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .exact import (
     GI_ZERO,
@@ -61,6 +62,11 @@ class Weight(tuple):
     def poly(self) -> HomogPoly:
         return HomogPoly.linear(self[0], self[1])
 
+    def primitive(self) -> "Weight":
+        """The weight divided by the gcd of its coordinates."""
+        g = gcd(self[0], self[1])
+        return Weight(self[0] // g, self[1] // g)
+
     def __str__(self):
         return weight_str(self)
 
@@ -105,7 +111,6 @@ def parse_weight(s: str) -> Weight:
 
 # Basis order of the split 7-space: index -> weight.
 BASIS_WEIGHTS = (ZERO, ALPHA, -ALPHA, BETA, -BETA, GAMMA, -GAMMA)
-BASIS_NAMES = ("0", "a", "-a", "b", "-b", "g", "-g")
 INDEX_OF_WEIGHT = {w: i for i, w in enumerate(BASIS_WEIGHTS)}
 
 
@@ -435,7 +440,7 @@ def gl7_schur_dim(shape, n: int = 7) -> int:
         raise ValueError(f"not a partition: {shape}")
     if len(shape) > n:
         return 0
-    conj = _conjugate(shape)
+    conj = conjugate_partition(shape)
     out = Fraction(1)
     for i, row in enumerate(shape):
         for j in range(row):
@@ -445,7 +450,7 @@ def gl7_schur_dim(shape, n: int = 7) -> int:
     return int(out)
 
 
-def _conjugate(shape):
+def conjugate_partition(shape):
     if not shape:
         return ()
     out = [0] * shape[0]

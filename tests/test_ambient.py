@@ -12,7 +12,6 @@ from cayleygr.ambient import (
     lr_multiply,
     parse_partition,
     partition_name,
-    restriction_of,
     restriction_table,
     schur_expand,
     schur_poly,

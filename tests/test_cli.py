@@ -66,13 +66,27 @@ def test_chamber_flag(capsys):
         ["verify", "series", "--kmax", "-1"],
         ["verify", "hilbert", "--kmax", "-1"],
         ["dump", "hilbert", "--kmax", "-1"],
+        ["verify", "series", "--kmax", "101"],
+        ["verify", "hilbert", "--kmax", "101"],
+        ["dump", "hilbert", "--kmax", "101"],
     ],
-    ids=["chamber-x", "chamber-1-1", "chamber-0-0", "series-kmax-neg", "hilbert-kmax-neg", "dump-kmax-neg"],
+    ids=[
+        "chamber-x", "chamber-1-1", "chamber-0-0", "series-kmax-neg", "hilbert-kmax-neg", "dump-kmax-neg",
+        "series-kmax-101", "hilbert-kmax-101", "dump-kmax-101",
+    ],
 )
 def test_bad_chamber_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_series_kmax_0_checks_through_k1(capsys):
+    code, out = run_cli(capsys, "verify", "series", "--kmax", "0", "--format", "json")
+    assert code == 0
+    by_id = {r["id"]: r for r in json.loads(out)["results"]}
+    assert by_id["series.identity"]["computed"] == "k = 0..1"
+    assert by_id["series.k1"]["status"] == "pass"
 
 
 def test_verify_writes_file(tmp_path, capsys):

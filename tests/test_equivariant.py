@@ -27,7 +27,7 @@ from cayleygr.equivariant import (
     verify_poincare_duality,
     verify_ring_presentation,
 )
-from cayleygr.exact import divide_by_linear
+from cayleygr.exact import HomogPoly, divide_by_linear
 from cayleygr.fixtures import load_fixture, parse_form
 from cayleygr.invariants import chern_classes, hilbert_polynomial
 from cayleygr.octonions import g2_basis
@@ -107,6 +107,10 @@ def test_ab_integration():
     # under-degree products integrate to zero
     assert ab_integrate(pointwise_product(classes["2"], classes["3"])) == 0
     assert ab_integrate(classes["5"]) == 0
+    # one vertex's data still needs every vertex's share of the denominator
+    assert ab_integrate({"0": point_class()["8"]}) == 1
+    with pytest.raises(ArithmeticError):
+        ab_integrate({"0": HomogPoly(8, {(8, 0): 1})})
     # full complementary pairing sweep lands in the integers
     by_codim = labels_by_codim()
     for k in range(9):
