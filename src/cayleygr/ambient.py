@@ -58,24 +58,37 @@ def parse_partition(name):
 # ---------------------------------------------------------------------------
 
 
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def poly_mul_sym(p, q, max_deg=None):
+    """Product of polynomials given as {exponent tuple: coefficient}.
+
+    Terms of total degree above ``max_deg`` are dropped, and so are zero
+    coefficients.  Each monomial is packed into one integer, its exponents
+    as fixed-width binary digits (first variable most significant); the
+    digits are wide enough for every exponent of the product, so a
+    monomial product is one integer addition.
+    """
+    if not p or not q:
+        return {}
+    nvars = len(next(iter(p)))
+    top = max(max(m) for m in p) + max(max(m) for m in q)
+    width = top.bit_length()
+    shifts = [width * (nvars - 1 - i) for i in range(nvars)]
+
+    def packed(poly):
+        return [(sum(e << s for e, s in zip(m, shifts)), sum(m), c) for m, c in poly.items()]
+
+    terms = packed(q)
+    if max_deg is not None:
+        terms.sort(key=lambda t: t[1])
     out = {}
-    for ma, ca in p.items():
-        da = sum(ma)
-        for mb, cb in q.items():
-            if max_deg is not None and da + sum(mb) > max_deg:
-                continue
-            key = _mono_mul(ma, mb)
-            val = out.get(key, 0) + ca * cb
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
+    for ka, da, ca in packed(p):
+        for kb, db, cb in terms:
+            if max_deg is not None and da + db > max_deg:
+                break
+            key = ka + kb
+            out[key] = out.get(key, 0) + ca * cb
+    mask = (1 << width) - 1
+    return {tuple(key >> s & mask for s in shifts): c for key, c in out.items() if c}
 
 
 def _h_sym(m, nvars=4):

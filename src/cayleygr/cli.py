@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import ambient, cayley, equivariant, invariants, octonions, weightmodel
-from .fixtures import load_fixture, parse_form
+from .fixtures import FixtureError, load_fixture, parse_form
 
 REPORT_VERSION = "1"
 
@@ -608,6 +608,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except FixtureError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args):
     if args.command == "verify":
         if args.topic == "all":
             results = []

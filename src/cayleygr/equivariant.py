@@ -26,7 +26,7 @@ from .cayley import (
     point_by_label,
     repelling_weights,
 )
-from .exact import HomogPoly, divide_by_linear, poly_mul, solve_rational
+from .exact import HomogPoly, divide_by_linear, matrix_rank, poly_mul, solve_rational
 from .weightmodel import Weight
 
 
@@ -627,8 +627,6 @@ def verify_ring_presentation():
 
 
 def _int_rank(vectors):
-    from .exact import matrix_rank
-
     if not vectors:
         return 0
     rows = [[Fraction(c) for c in v] for v in vectors]

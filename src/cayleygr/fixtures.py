@@ -25,10 +25,17 @@ def fixtures_dir() -> Path:
     return _DEFAULT_DIR
 
 
+class FixtureError(Exception):
+    """A fixture file is missing or cannot be read: a configuration error."""
+
+
 def load_fixture(name: str):
     path = fixtures_dir() / f"{name}.json"
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FixtureError(f"cannot read fixture {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleygr.ambient import (
     AmbientClass,
@@ -12,6 +13,7 @@ from cayleygr.ambient import (
     lr_multiply,
     parse_partition,
     partition_name,
+    poly_mul_sym,
     restriction_table,
     schur_expand,
     schur_poly,
@@ -57,8 +59,6 @@ def test_lr_against_tableau_oracle():
 
 
 def test_schur_expand_roundtrip():
-    from cayleygr.ambient import poly_mul_sym
-
     p = poly_mul_sym(schur_poly((2, 1)), schur_poly((1, 1)))
     exp = schur_expand(p)
     assert all(c > 0 for c in exp.values())
@@ -145,3 +145,43 @@ def test_ambient_chern_pairings_match_localization():
     assert pairs[6]["t2"] == chern[6]["6"] == 151
     assert pairs[6]["t11"] == chern[6]["6'"] == 193
     assert pairs[8]["h"] == 15
+
+
+def _naive_mul(p, q, max_deg=None):
+    out = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            if max_deg is None or sum(ma) + sum(mb) <= max_deg:
+                key = tuple(x + y for x, y in zip(ma, mb))
+                out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+@st.composite
+def sym_poly_pairs(draw):
+    nvars = draw(st.integers(1, 7))
+    exponents = st.one_of(st.integers(0, 3), st.integers(60, 70))
+
+    def poly():
+        monos = st.tuples(*[exponents] * nvars)
+        return draw(st.dictionaries(monos, st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=6))
+
+    return poly(), poly()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sym_poly_pairs(), st.one_of(st.none(), st.integers(0, 140)))
+def test_poly_mul_sym_matches_naive_product(pair, max_deg):
+    p, q = pair
+    assert poly_mul_sym(p, q, max_deg) == _naive_mul(p, q, max_deg)
+
+
+def test_poly_mul_sym_cancellation_truncation_and_wide_exponents():
+    x, y = (1, 0), (0, 1)
+    # (x + y)(x - y): the mixed terms cancel and are dropped
+    assert poly_mul_sym({x: 1, y: 1}, {x: 1, y: -1}) == {(2, 0): 1, (0, 2): -1}
+    # truncation can drop every term
+    assert poly_mul_sym({x: 1}, {y: 1}, max_deg=1) == {}
+    assert poly_mul_sym({(64, 0): 1, (0, 0): 1}, {(64, 1): 2}) == {(128, 1): 2, (64, 1): 2}
+    assert poly_mul_sym({(0, 0): 5}, {(0, 0): 7}) == {(0, 0): 35}
+    assert poly_mul_sym({}, {x: 1}) == {}

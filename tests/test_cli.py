@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -163,3 +164,19 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "fixed-points.count" in proc.stdout
+
+
+def test_missing_fixtures_exit_2(tmp_path):
+    missing = tmp_path / "nonexistent"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleygr.cli", "verify", "degrees"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "CAYLEY_FIXTURES": str(missing)},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert str(missing) in lines[0] and ".json" in lines[0]
+    assert "No such file or directory" in lines[0]

@@ -27,6 +27,7 @@ from cayleygr.equivariant import (
     verify_poincare_duality,
     verify_ring_presentation,
 )
+from cayleygr import equivariant, exact
 from cayleygr.exact import HomogPoly, divide_by_linear
 from cayleygr.fixtures import load_fixture, parse_form
 from cayleygr.invariants import chern_classes, hilbert_polynomial
@@ -232,3 +233,17 @@ def test_sigma1_powers():
 )
 def test_stage_is_memoized(stage):
     assert stage() is stage()
+
+
+def test_class_solve_needs_no_exact_elimination(monkeypatch):
+    # every class solve is answered by the certified modular route; a
+    # fallback to Fraction elimination would make the class solve slow
+    expected = solve_all_classes()
+
+    def no_elimination(*args):
+        raise AssertionError("the class solve fell back to exact elimination")
+
+    monkeypatch.setattr(exact, "_row_reduce", no_elimination)
+    classes, _ = equivariant._class_solve.__wrapped__()
+    assert len(classes) == 15
+    assert classes == expected

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cayleygr.exact import (
     GaussianRational,
@@ -15,6 +15,8 @@ from cayleygr.exact import (
     poly_mul,
     smith_normal_form,
     solve_rational,
+    _solve_exact,
+    _solve_modular,
 )
 
 
@@ -88,6 +90,10 @@ def test_gaussian_field_ops():
     assert parse_gaussian("-2/3 i") == GaussianRational(0, Fraction(-2, 3))
 
 
+def _apply(rows, x):
+    return [sum(a * v for a, v in zip(row, x)) for row in rows]
+
+
 def test_solve_rational_unique_family_inconsistent():
     one = Fraction(1)
     sol = solve_rational([[one, 0], [0, one]], [Fraction(2), Fraction(3)])
@@ -95,9 +101,82 @@ def test_solve_rational_unique_family_inconsistent():
 
     sol = solve_rational([[one, one]], [Fraction(0)])
     assert sol.status == "family" and len(sol.kernel) == 1
+    assert _apply([[one, one]], sol.kernel[0]) == [0]
+
+    rows = [[one, 2, 0, Fraction(1, 2)], [2, 4, one, 3], [3, 6, one, Fraction(7, 2)]]
+    sol = solve_rational(rows, [Fraction(1), Fraction(5), Fraction(6)])
+    assert sol.status == "family" and len(sol.kernel) == 2
+    assert _apply(rows, sol.particular) == [1, 5, 6]
+    for k in sol.kernel:
+        assert _apply(rows, k) == [0, 0, 0]
 
     sol = solve_rational([[one], [one]], [Fraction(0), Fraction(1)])
     assert sol.status == "inconsistent"
+
+
+small_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def rational_systems(draw):
+    """Small systems A x = b: generic, rank-deficient or inconsistent."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    rows = [[draw(small_fractions) for _ in range(n)] for _ in range(m)]
+    rhs = [draw(small_fractions) for _ in range(m)]
+    kind = draw(st.sampled_from(["generic", "dependent column", "contradicting row"]))
+    if kind == "dependent column" and n > 1:
+        c = draw(small_fractions)
+        for row in rows:
+            row[-1] = c * row[0]
+    elif kind == "contradicting row":
+        rows.append(list(rows[0]))
+        rhs.append(rhs[0] + 1)
+    return rows, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_systems())
+def test_solve_rational_matches_exact_elimination(system):
+    rows, rhs = system
+    sol = solve_rational(rows, rhs)
+    ref = _solve_exact(rows, rhs)
+    assert (sol.status, sol.particular, sol.kernel) == (ref.status, ref.particular, ref.kernel)
+    if sol.status != "inconsistent":
+        assert _apply(rows, sol.particular) == rhs
+    for k in sol.kernel:
+        assert _apply(rows, k) == [0] * len(rows)
+
+
+def test_modular_route_solves_and_certifies():
+    rows = [[Fraction(1, 2), Fraction(1)], [Fraction(3), Fraction(-2, 3)], [Fraction(1), Fraction(1)]]
+    x = [Fraction(-7, 3), Fraction(5, 4)]
+    rhs = _apply(rows, x)
+    assert _solve_modular(rows, rhs) == x
+    assert solve_rational(rows, rhs).particular == x
+    # rank deficiency, inconsistency and non-rational entries are left to
+    # the exact route
+    assert _solve_modular([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [Fraction(1), Fraction(2)]) is None
+    assert _solve_modular([[Fraction(1)], [Fraction(1)]], [Fraction(0), Fraction(1)]) is None
+    assert _solve_modular([[GaussianRational(0, 1)]], [GaussianRational(1)]) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+    st.integers(2**68, 2**80),
+    st.integers(1, 9),
+)
+def test_large_solution_falls_back_to_exact(upper, others, big, den):
+    # unit upper-triangular, so the system is nonsingular; the solution's
+    # numerator is above 2^64, beyond the reconstruction bound of about 2^63
+    rows = [[Fraction(1) if i == j else Fraction(upper[i][j]) if j > i else Fraction(0) for j in range(3)] for i in range(3)]
+    x = [Fraction(big, den), *map(Fraction, others)]
+    rhs = _apply(rows, x)
+    assert _solve_modular(rows, rhs) is None
+    sol = solve_rational(rows, rhs)
+    assert sol.status == "unique" and sol.particular == x
 
 
 def test_solve_over_gaussian_rationals():
