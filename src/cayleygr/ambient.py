@@ -16,7 +16,7 @@ classes used to cross-check the localization route.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 from .cayley import DIMENSION
@@ -91,55 +91,29 @@ def poly_mul_sym(p, q, max_deg=None):
     return {tuple(key >> s & mask for s in shifts): c for key, c in out.items() if c}
 
 
-def _h_sym(m, nvars=4):
-    """Complete homogeneous symmetric polynomial of degree m."""
-    if m < 0:
-        return {}
-    out = {}
-
-    def rec(pos, remaining, expo):
-        if pos == nvars - 1:
-            out[tuple(expo + [remaining])] = 1
-            return
-        for e in range(remaining + 1):
-            rec(pos + 1, remaining - e, expo + [e])
-
-    rec(0, m, [])
-    return out
-
-
 @cache
 def schur_poly(shape, nvars=4):
-    """Schur polynomial via the Jacobi-Trudi determinant over the h basis."""
+    """Schur polynomial in nvars variables by the branching rule.
+
+    s_lam(x_1..x_n) = sum over mu interlacing lam (lam_1 >= mu_1 >= lam_2
+    >= ... >= mu_{n-1} >= lam_n) of s_mu(x_1..x_{n-1}) x_n^(|lam| - |mu|)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.5).  Every
+    coefficient is a positive Kostka number, so nothing cancels.
+    """
     shape = tuple(p for p in shape if p)
     if len(shape) > nvars:
         return {}
-    if not shape:
-        return {(0,) * nvars: 1}
-    n = len(shape)
-    # det(h_{shape_i - i + j}) by cofactor expansion on the first row
-    def minor_det(rows_shapes, cols):
-        if not rows_shapes:
-            return {(0,) * nvars: 1}
-        i, lam_i = rows_shapes[0]
-        total = {}
-        for idx, j in enumerate(cols):
-            m = lam_i - (i + 1) + (j + 1)
-            h = _h_sym(m, nvars)
-            if not h:
-                continue
-            sub = minor_det(rows_shapes[1:], cols[:idx] + cols[idx + 1 :])
-            term = poly_mul_sym(h, sub)
-            sign = 1 if idx % 2 == 0 else -1
-            for k, v in term.items():
-                val = total.get(k, 0) + sign * v
-                if val:
-                    total[k] = val
-                elif k in total:
-                    del total[k]
-        return total
-
-    return minor_det(list(enumerate(shape)), list(range(n)))
+    if nvars == 0:
+        return {(): 1}
+    padded = shape + (0,) * (nvars - len(shape))
+    size = sum(shape)
+    out = {}
+    for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(nvars - 1))):
+        last = (size - sum(mu),)
+        for mono, c in schur_poly(tuple(p for p in mu if p), nvars - 1).items():
+            key = mono + last
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 def schur_expand(p):

@@ -610,7 +610,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except FixtureError as exc:
+    except (FixtureError, OutputError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 
@@ -633,10 +633,17 @@ def _run(args):
     return 2
 
 
+class OutputError(Exception):
+    """The --out file cannot be written: a usage error."""
+
+
 def _emit(text, out):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -128,7 +128,7 @@ def check_gkm_divisibility(cls: EqClass) -> None:
 
 def _root_point(weight: Weight):
     """A point on the zero line of the linear form of the weight."""
-    return (Fraction(-weight[1]), Fraction(weight[0]))
+    return (-weight[1], weight[0])
 
 
 def _coeff_slots(degree):
@@ -199,7 +199,7 @@ def _solve_class(p_label, next_classes):
     rows, rhs = [], []
 
     def add_equation(coeff_map, const):
-        row = [Fraction(0)] * nvar
+        row = [0] * nvar
         for var, c in coeff_map.items():
             row[var] += c
         rows.append(row)
@@ -213,15 +213,15 @@ def _solve_class(p_label, next_classes):
         if lq.is_zero():
             # the product side vanishes: sum a_i f_{Y_i}(q) = 0 termwise
             for slot in _coeff_slots(k + 1):
-                coeffs = {i: g.coeffs.get(slot, Fraction(0)) for i, g in enumerate(gvals)}
-                add_equation(coeffs, Fraction(0))
+                coeffs = {i: g.coeffs.get(slot, 0) for i, g in enumerate(gvals)}
+                add_equation(coeffs, 0)
             continue
         lpoly = lq.poly()
         for slot in _coeff_slots(k + 1):
             coeffs = {}
             # product (sum_j c_j m_j) * lpoly contributes to each slot
             for j, vslot in enumerate(slots):
-                contrib = Fraction(0)
+                contrib = 0
                 for (lp1, lq1), lc in lpoly.coeffs.items():
                     tgt = (vslot[0] + lp1, vslot[1] + lq1)
                     if tgt == slot:
@@ -229,10 +229,10 @@ def _solve_class(p_label, next_classes):
                 if contrib:
                     coeffs[base + j] = contrib
             for i, g in enumerate(gvals):
-                c = g.coeffs.get(slot, Fraction(0))
+                c = g.coeffs.get(slot, 0)
                 if c:
-                    coeffs[i] = coeffs.get(i, Fraction(0)) - c
-            add_equation(coeffs, Fraction(0))
+                    coeffs[i] = coeffs.get(i, 0) - c
+            add_equation(coeffs, 0)
 
     # (ii) GKM congruences: evaluate differences at the root of the edge weight
     for e in gkm_edges().edges:
@@ -244,13 +244,13 @@ def _solve_class(p_label, next_classes):
         pt = _root_point(e.primitive())
         mono = {slot: pt[0] ** slot[0] * pt[1] ** slot[1] for slot in slots}
         coeffs = {}
-        const = Fraction(0)
+        const = 0
         for r, sign in ((ra, 1), (rb, -1)):
             if isinstance(r, HomogPoly):
                 const -= sign * r.evaluate(*pt)
             else:
                 for j, slot in enumerate(slots):
-                    coeffs[r + j] = coeffs.get(r + j, Fraction(0)) + sign * mono[slot]
+                    coeffs[r + j] = coeffs.get(r + j, 0) + sign * mono[slot]
         add_equation(coeffs, const)
 
     # (iii) pushforward vanishing: sum_q f_X(q) f_H(q)^j / e_q is a
@@ -265,10 +265,10 @@ def _solve_class(p_label, next_classes):
             for (g0, g1), gc in weighted[lab].coeffs.items():
                 for jj, (s0, s1) in enumerate(slots):
                     coeffs = per_slot[(s0 + g0, s1 + g1)]
-                    coeffs[base + jj] = coeffs.get(base + jj, Fraction(0)) + gc
+                    coeffs[base + jj] = coeffs.get(base + jj, 0) + gc
         const = poly_mul(n_p, weighted[p_label])
         for slot, coeffs in per_slot.items():
-            add_equation(coeffs, -const.coeffs.get(slot, Fraction(0)))
+            add_equation(coeffs, -const.coeffs.get(slot, 0))
         weighted = {lab: poly_mul(g, f_h[lab].poly()) for lab, g in weighted.items()}
 
     sol = solve_rational(rows, rhs)
@@ -381,7 +381,7 @@ def ab_integrate(values) -> Fraction:
         numerator = divide_by_linear(numerator, d[0], d[1])
         if numerator is None:
             raise ArithmeticError("fixed-point sum is not a polynomial")
-    return numerator.coeffs.get((0, 0), Fraction(0))
+    return Fraction(numerator.coeffs.get((0, 0), 0))
 
 
 def expand_in_basis(values):
@@ -619,15 +619,9 @@ def verify_ring_presentation():
             for _ in range(b):
                 mono = schubert_product(mono, gen)
             vectors.append([mono[lab] for lab in by_codim[k]])
-        rank = _int_rank(vectors)
+        rank = matrix_rank(vectors)
         report["ranks"][k] = {"monomials": len(vectors), "rank": rank, "betti": betti[k]}
         if rank != betti[k]:
             raise ArithmeticError(f"monomial rank {rank} differs from Betti number {betti[k]} in codim {k}")
     return report
 
-
-def _int_rank(vectors):
-    if not vectors:
-        return 0
-    rows = [[Fraction(c) for c in v] for v in vectors]
-    return matrix_rank(rows)

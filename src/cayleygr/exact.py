@@ -1,9 +1,11 @@
 """Exact scalars, binary forms and integer/rational linear algebra.
 
 Everything in this package reduces to arithmetic over three exact domains:
-the rationals (``fractions.Fraction``), the Gaussian rationals, and
-homogeneous polynomials in the two torus characters with rational
-coefficients.  All values are immutable; every function is pure.
+the rationals, the Gaussian rationals, and homogeneous polynomials in the
+two torus characters with rational coefficients.  A rational scalar is
+held as an ``int`` when it is integral and as a ``fractions.Fraction``
+otherwise (see ``scalar``); every true division goes through ``Fraction``
+and floats are rejected.  All values are immutable; every function is pure.
 """
 
 from __future__ import annotations
@@ -11,25 +13,31 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-Rational = Fraction
 
+def scalar(x):
+    """The canonical exact form of a rational: an int when integral.
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+    An ``int`` stays as it is, a ``Fraction`` with denominator 1 becomes
+    its numerator, any other ``Fraction`` is kept, and anything else (a
+    float, say) raises ``TypeError``.
+    """
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
 class GaussianRational:
-    """re + im*i with rational re, im and i^2 = -1."""
+    """re + im*i with rational re, im and i^2 = -1 (each part an exact scalar)."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        object.__setattr__(self, "re", scalar(re))
+        object.__setattr__(self, "im", scalar(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -80,7 +88,7 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        n = Fraction(other.re * other.re + other.im * other.im)
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational(
@@ -156,7 +164,8 @@ class HomogPoly:
     The third character g is never stored: it is eliminated through
     g = -a - b on input, which makes equality and divisibility canonical.
     Keys of ``coeffs`` are exponent pairs (p, q) with p + q == degree;
-    zero coefficients are dropped.
+    each coefficient is an exact scalar (see ``scalar``) and zero
+    coefficients are dropped.
     """
 
     __slots__ = ("degree", "coeffs")
@@ -166,7 +175,7 @@ class HomogPoly:
             raise ValueError("degree must be non-negative")
         clean = {}
         for (p, q), c in (coeffs or {}).items():
-            c = _as_fraction(c)
+            c = scalar(c)
             if p < 0 or q < 0 or p + q != degree:
                 raise ValueError(f"monomial ({p},{q}) is not of degree {degree}")
             if c:
@@ -183,12 +192,12 @@ class HomogPoly:
 
     @classmethod
     def constant(cls, c):
-        return cls(0, {(0, 0): _as_fraction(c)})
+        return cls(0, {(0, 0): c})
 
     @classmethod
     def linear(cls, a, b):
         """The linear form a*alpha + b*beta."""
-        return cls(1, {(1, 0): _as_fraction(a), (0, 1): _as_fraction(b)})
+        return cls(1, {(1, 0): a, (0, 1): b})
 
     def is_zero(self):
         return not self.coeffs
@@ -214,7 +223,7 @@ class HomogPoly:
             raise ValueError("cannot add forms of different degrees")
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return HomogPoly(self.degree, out)
 
     def __neg__(self):
@@ -224,7 +233,7 @@ class HomogPoly:
         return self + (-other)
 
     def scale(self, c):
-        c = _as_fraction(c)
+        c = scalar(c)
         if not c:
             return HomogPoly.zero(self.degree)
         return HomogPoly(self.degree, {k: c * v for k, v in self.coeffs.items()})
@@ -239,11 +248,11 @@ class HomogPoly:
     __rmul__ = __mul__
 
     def evaluate(self, a, b):
-        a, b = _as_fraction(a), _as_fraction(b)
-        total = Fraction(0)
+        a, b = scalar(a), scalar(b)
+        total = 0
         for (p, q), c in self.coeffs.items():
             total += c * a**p * b**q
-        return total
+        return scalar(total)
 
     def to_json(self):
         terms = [[p, q, f"{c.numerator}/{c.denominator}"] for (p, q), c in sorted(self.coeffs.items())]
@@ -277,8 +286,15 @@ def poly_mul(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     for (p1, q1), c1 in a.coeffs.items():
         for (p2, q2), c2 in b.coeffs.items():
             k = (p1 + p2, q1 + q2)
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
+            out[k] = out.get(k, 0) + c1 * c2
     return HomogPoly(a.degree + b.degree, out)
+
+
+def _exact_quotient(c, a):
+    """c / a for nonzero a, as an int when both are ints and a divides c."""
+    if type(c) is int and type(a) is int and not c % a:
+        return c // a
+    return scalar(Fraction(c) / a)
 
 
 def divide_by_linear(f: HomogPoly, a, b):
@@ -289,7 +305,7 @@ def divide_by_linear(f: HomogPoly, a, b):
     form (a binary form vanishes on that line iff the form divides it),
     after which synthetic division is exact.
     """
-    a, b = _as_fraction(a), _as_fraction(b)
+    a, b = scalar(a), scalar(b)
     if not a and not b:
         raise ZeroDivisionError("division by the zero linear form")
     if f.is_zero():
@@ -305,19 +321,19 @@ def divide_by_linear(f: HomogPoly, a, b):
     rem = dict(f.coeffs)
     if a:
         for p in range(d, 0, -1):
-            c = rem.pop((p, d - p), Fraction(0))
+            c = rem.pop((p, d - p), 0)
             if not c:
                 continue
-            t = c / a
+            t = _exact_quotient(c, a)
             out[(p - 1, d - p)] = t
             key = (p - 1, d - p + 1)
-            rem[key] = rem.get(key, Fraction(0)) - b * t
+            rem[key] = rem.get(key, 0) - b * t
     else:
         for q in range(d, 0, -1):
-            c = rem.pop((d - q, q), Fraction(0))
+            c = rem.pop((d - q, q), 0)
             if not c:
                 continue
-            out[(d - q, q - 1)] = c / b
+            out[(d - q, q - 1)] = _exact_quotient(c, b)
     assert all(v == 0 for v in rem.values()), "restriction vanished but division left a remainder"
     return HomogPoly(d - 1, out)
 
@@ -341,6 +357,8 @@ def _row_reduce(rows, ncols):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c]
+        if isinstance(inv, int):
+            inv = Fraction(inv)  # int / int would be a float
         rows[r] = [x / inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:

@@ -10,13 +10,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import factorial
 
 from .cayley import DIMENSION, enumerate_fixed_points
 from .equivariant import SchubertVector, degrees, solve_all_classes, top_expansion
 from .exact import HomogPoly, binomial, poly_mul
 from .weightmodel import g2_irrep_dim, gl7_schur_dim
+
+
+def elementary_symmetric(weights):
+    """[e_0, ..., e_n] of the linear forms of the n weights.
+
+    One factor (1 + w) at a time: e_k <- e_k + e_{k-1} w, for k from the
+    top down so that e_{k-1} is still the value before this factor.
+    """
+    e = [HomogPoly.constant(1)] + [HomogPoly.zero(k) for k in range(1, len(weights) + 1)]
+    for n, w in enumerate(weights, 1):
+        form = w.poly()
+        for k in range(n, 0, -1):
+            e[k] = e[k] + poly_mul(e[k - 1], form)
+    return e
 
 
 @cache
@@ -30,18 +43,10 @@ def chern_classes():
     """
     solve_all_classes()
     points = enumerate_fixed_points()
+    elementary = {p.label: elementary_symmetric(p.tangent) for p in points}
     out = {}
     for k in range(1, DIMENSION + 1):
-        values = {}
-        for p in points:
-            total = HomogPoly.zero(k)
-            for combo in combinations(p.tangent, k):
-                term = HomogPoly.constant(1)
-                for w in combo:
-                    term = poly_mul(term, w.poly())
-                total = total + term
-            values[p.label] = total
-        out[k] = top_expansion(values)
+        out[k] = top_expansion({lab: e[k] for lab, e in elementary.items()})
     if out[1] != SchubertVector({"1": 4}):
         raise ArithmeticError("the first Chern class is not 4 times the hyperplane class")
     if out[DIMENSION] != SchubertVector({points[-1].label: len(points)}):
@@ -201,12 +206,10 @@ def equivariant_series_check(k_max: int):
         raise ValueError("k_max must be non-negative")
     p = hilbert_polynomial()
     rows = []
+    lhs = 0
     for k in range(k_max + 1):
-        lhs = 0
-        for i in range(k + 1):
-            for j in range((k - i) // 2 + 1):
-                if i + 2 * j <= k:
-                    lhs += g2_irrep_dim(2 * i, 2 * j)
+        # the running sum gains the terms with i + 2j = k
+        lhs += sum(g2_irrep_dim(2 * (k - 2 * j), 2 * j) for j in range(k // 2 + 1))
         rhs = p.value(k)
         if lhs != rhs:
             raise ArithmeticError(f"series identity fails at k = {k}: {lhs} != {rhs}")

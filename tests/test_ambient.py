@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -185,3 +187,56 @@ def test_poly_mul_sym_cancellation_truncation_and_wide_exponents():
     assert poly_mul_sym({(64, 0): 1, (0, 0): 1}, {(64, 1): 2}) == {(128, 1): 2, (64, 1): 2}
     assert poly_mul_sym({(0, 0): 5}, {(0, 0): 7}) == {(0, 0): 35}
     assert poly_mul_sym({}, {x: 1}) == {}
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi-Trudi oracle for the branching-rule Schur polynomials
+# ---------------------------------------------------------------------------
+
+
+def _h_sym(m, nvars):
+    """Complete homogeneous symmetric polynomial h_m: every monomial of degree m."""
+    if m < 0:
+        return {}
+    return {e: 1 for e in product(range(m + 1), repeat=nvars) if sum(e) == m}
+
+
+def _jacobi_trudi(shape, nvars):
+    """det(h_{shape_i - i + j}) by cofactor expansion along the first row."""
+
+    def minor_det(rows, cols):
+        if not rows:
+            return {(0,) * nvars: 1}
+        i, lam_i = rows[0]
+        total = {}
+        for idx, j in enumerate(cols):
+            h = _h_sym(lam_i - i + j, nvars)
+            if not h:
+                continue
+            sign = -1 if idx % 2 else 1
+            for k, v in poly_mul_sym(h, minor_det(rows[1:], cols[:idx] + cols[idx + 1 :])).items():
+                total[k] = total.get(k, 0) + sign * v
+        return {k: v for k, v in total.items() if v}
+
+    return minor_det(list(enumerate(shape)), list(range(len(shape))))
+
+
+def _partitions(size, max_parts, max_part=None):
+    if size == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for first in range(min(size, max_part or size), 0, -1):
+        for rest in _partitions(size - first, max_parts - 1, first):
+            yield (first,) + rest
+
+
+def test_schur_branching_rule_against_jacobi_trudi():
+    cases = [(lam, n) for n in (3, 4) for size in range(9) for lam in _partitions(size, n)]
+    cases += [(lam, 4) for lam in box_partitions()]
+    for lam, nvars in cases:
+        assert schur_poly(lam, nvars) == _jacobi_trudi(lam, nvars), (lam, nvars)
+    # partitions with more parts than variables vanish
+    assert schur_poly((1, 1, 1, 1), 3) == {}
+    assert schur_poly((), 4) == {(0, 0, 0, 0): 1}

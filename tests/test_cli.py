@@ -180,3 +180,18 @@ def test_missing_fixtures_exit_2(tmp_path):
     assert len(lines) == 1
     assert str(missing) in lines[0] and ".json" in lines[0]
     assert "No such file or directory" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [["verify", "betti"], ["dump", "degrees"]])
+def test_unwritable_out_exits_2(tmp_path, argv):
+    target = tmp_path / "nonexistent" / "dir" / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleygr.cli", *argv, "--out", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert str(target) in lines[0] and "No such file or directory" in lines[0]

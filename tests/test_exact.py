@@ -13,6 +13,7 @@ from cayleygr.exact import (
     nullspace,
     parse_gaussian,
     poly_mul,
+    scalar,
     smith_normal_form,
     solve_rational,
     _solve_exact,
@@ -244,3 +245,127 @@ def test_homogpoly_json_roundtrip():
     f = HomogPoly(3, {(3, 0): Fraction(1, 2), (1, 2): Fraction(-5)})
     assert HomogPoly.from_json(f.to_json()) == f
     assert f.to_json() == {"degree": 3, "terms": [[1, 2, "-5/1"], [3, 0, "1/2"]]}
+
+
+# ---------------------------------------------------------------------------
+# the scalar rule: integral values are ints, the rest Fractions, no floats
+# ---------------------------------------------------------------------------
+
+
+def _is_canonical(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _walk(x):
+    """Every scalar inside nested lists."""
+    if isinstance(x, list):
+        for v in x:
+            yield from _walk(v)
+    else:
+        yield x
+
+
+def test_int_rows_stay_exact():
+    # int / int would be a float; every answer must be an int or a Fraction
+    ker = nullspace([[1, 2], [2, 4]], 2)
+    assert ker == [[-2, 1]]
+    assert matrix_rank([[1, 2], [2, 4]]) == 1
+    assert matrix_rank([[2, 1], [1, 1]]) == 2
+    unique = _solve_exact([[2, 1], [1, 1]], [3, 2])
+    assert unique.status == "unique" and unique.particular == [1, 1]
+    family = solve_rational([[1, 2], [2, 4]], [3, 6])
+    assert family.status == "family"
+    assert family.particular == [3, 0] and family.kernel == [[-2, 1]]
+    thirds = _solve_exact([[3, 0], [0, 6]], [1, 2])
+    assert thirds.particular == [Fraction(1, 3), Fraction(1, 3)]
+    for answer in (ker, unique.particular, family.particular, family.kernel, thirds.particular):
+        assert all(isinstance(x, (int, Fraction)) for x in _walk(answer)), answer
+
+
+def test_scalar_normaliser():
+    assert scalar(3) == 3 and type(scalar(3)) is int
+    assert type(scalar(Fraction(6, 2))) is int and scalar(Fraction(6, 2)) == 3
+    assert type(scalar(True)) is int
+    assert scalar(Fraction(1, 2)) == Fraction(1, 2)
+    for bad in (0.5, 1.0, "1", None, GaussianRational(1)):
+        with pytest.raises(TypeError):
+            scalar(bad)
+
+
+def test_floats_are_rejected_at_construction():
+    f = HomogPoly.linear(1, 2)
+    attempts = [
+        lambda: HomogPoly(0, {(0, 0): 1.0}),
+        lambda: HomogPoly.constant(0.5),
+        lambda: HomogPoly.linear(1.0, 2),
+        lambda: f.scale(0.5),
+        lambda: f * 2.0,
+        lambda: f.evaluate(0.5, 1),
+        lambda: divide_by_linear(f, 1.0, 2),
+        lambda: GaussianRational(1.0),
+        lambda: GaussianRational(0, 0.5),
+    ]
+    for attempt in attempts:
+        with pytest.raises(TypeError):
+            attempt()
+
+
+def test_gaussian_division_is_exact():
+    half = GaussianRational(1) / 2
+    assert half == Fraction(1, 2) and type(half.re) is Fraction and half.im == 0
+    assert GaussianRational(4) / 2 == 2 and type((GaussianRational(4) / 2).re) is int
+    assert GaussianRational(1) / GaussianRational(0, 1) == GaussianRational(0, -1)
+
+
+mixed_scalars = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+)
+
+
+@st.composite
+def mixed_polys(draw, degree):
+    return HomogPoly(degree, {(p, degree - p): draw(mixed_scalars) for p in range(degree + 1)})
+
+
+@st.composite
+def mixed_triples(draw):
+    d = draw(st.integers(0, 3))
+    return draw(mixed_polys(d)), draw(mixed_polys(d)), draw(mixed_polys(draw(st.integers(0, 3))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_triples())
+def test_homogpoly_ring_axioms_on_mixed_coefficients(triple):
+    f, g, h = triple
+    assert f + g == g + f
+    assert (f + g) + f == f + (g + f)
+    assert poly_mul(f, h) == poly_mul(h, f)
+    assert poly_mul(poly_mul(f, g), h) == poly_mul(f, poly_mul(g, h))
+    assert poly_mul(f + g, h) == poly_mul(f, h) + poly_mul(g, h)
+    assert poly_mul(f, HomogPoly.constant(1)) == f
+    assert (f - f).is_zero()
+    for poly in (f + g, poly_mul(f, h), f.scale(Fraction(2, 3)), f - g):
+        assert all(_is_canonical(c) for c in poly.coeffs.values()), poly.coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_polys(3), mixed_scalars, mixed_scalars)
+def test_divide_by_linear_roundtrip_on_mixed_coefficients(f, a, b):
+    if a == 0 and b == 0:
+        return
+    quotient = divide_by_linear(poly_mul(f, HomogPoly.linear(a, b)), a, b)
+    assert quotient == f
+    assert all(_is_canonical(c) for c in quotient.coeffs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_polys(2), mixed_scalars)
+def test_int_and_fraction_backed_values_agree(f, c):
+    as_fractions = HomogPoly(f.degree, {k: Fraction(v) for k, v in f.coeffs.items()})
+    assert as_fractions == f and hash(as_fractions) == hash(f)
+    assert as_fractions.coeffs == f.coeffs
+    z, w = GaussianRational(c, 1), GaussianRational(Fraction(c), Fraction(1))
+    assert z == w and hash(z) == hash(w)
+    assert HomogPoly.constant(c) == HomogPoly.constant(Fraction(c))
+    assert hash(HomogPoly.constant(c)) == hash(HomogPoly.constant(Fraction(c)))

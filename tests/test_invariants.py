@@ -1,14 +1,18 @@
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
 
+from cayleygr.cayley import enumerate_fixed_points
 from cayleygr.equivariant import SchubertVector, degrees
+from cayleygr.exact import HomogPoly, poly_mul
 from cayleygr.fixtures import load_fixture
 from cayleygr.invariants import (
     chern_classes,
     closed_form_value,
     dual_degree,
+    elementary_symmetric,
     equivariant_series_check,
     hilbert_polynomial,
     hilbert_value,
@@ -39,6 +43,21 @@ def test_chern_classes_against_reference():
     assert chern[6] == SchubertVector({"6": 151, "6'": 193})
     assert chern[7] == SchubertVector({"7": 90})
     assert chern[8] == SchubertVector({"8": 15})
+
+
+def test_chern_recurrence_against_subset_sum():
+    # e_k of the tangent weights as the sum over all k-subsets of products
+    for p in enumerate_fixed_points():
+        e = elementary_symmetric(p.tangent)
+        assert len(e) == len(p.tangent) + 1
+        for k in range(len(p.tangent) + 1):
+            total = HomogPoly.zero(k)
+            for combo in combinations(p.tangent, k):
+                term = HomogPoly.constant(1)
+                for w in combo:
+                    term = poly_mul(term, w.poly())
+                total = total + term
+            assert e[k] == total, (p.label, k)
 
 
 def test_euler_characteristic_is_fixed_point_count():
@@ -90,6 +109,10 @@ def test_equivariant_series():
     assert rows[1] == (1, 28, 28)
     assert g2_irrep_dim(2, 0) == 27 and 1 + 27 == 28
     assert rows[2][1] == 287
+    # the running sum against the full sum over i + 2j <= k
+    for k, lhs, rhs in equivariant_series_check(30):
+        direct = sum(g2_irrep_dim(2 * i, 2 * j) for i in range(k + 1) for j in range((k - i) // 2 + 1))
+        assert lhs == direct == rhs
     with pytest.raises(ValueError):
         equivariant_series_check(-1)
 
