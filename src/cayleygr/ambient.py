@@ -8,9 +8,15 @@ multiplication followed by Schur expansion, with a tableau-counting
 oracle in the test suite.
 
 Also computes the fundamental class of the three-form zero locus (a top
-Chern class), the restriction table onto the 15-class Schubert basis, the
-image lattice index, and ambient-side pairings of the tangent Chern
-classes used to cross-check the localization route.
+Chern class), the image lattice index, and ambient-side pairings of the
+tangent Chern classes used to cross-check the localization route.
+
+The restriction table onto the 15-class Schubert basis is read off the
+fixed points: there tau_lam localizes to the Schur polynomial s_lam in
+the weights of the tautological 4-space (Giambelli), and the engine's
+expansion in the localized basis gives its coordinates.  The degree
+pairings and the Pieri/Monk hyperplane products are checks on that
+table.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from functools import cache
 from itertools import combinations, product
 from math import prod
 
-from .cayley import DIMENSION
-from .exact import IntMatrix, smith_normal_form
+from .cayley import DIMENSION, enumerate_fixed_points
+from .exact import HomogPoly, IntMatrix, poly_mul, smith_normal_form
 from . import equivariant
-from .equivariant import labels_by_codim
-from .weightmodel import conjugate_partition
+from .equivariant import SchubertVector, labels_by_codim
+from .weightmodel import BASIS_WEIGHTS, conjugate_partition
 
 BOX_ROWS = 4
 BOX_COLS = 3
@@ -105,15 +111,20 @@ def schur_poly(shape, nvars=4):
         return {}
     if nvars == 0:
         return {(): 1}
-    padded = shape + (0,) * (nvars - len(shape))
-    size = sum(shape)
     out = {}
-    for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(nvars - 1))):
-        last = (size - sum(mu),)
-        for mono, c in schur_poly(tuple(p for p in mu if p), nvars - 1).items():
-            key = mono + last
+    for mu, last in _interlacing(shape, nvars):
+        for mono, c in schur_poly(mu, nvars - 1).items():
+            key = mono + (last,)
             out[key] = out.get(key, 0) + c
     return out
+
+
+def _interlacing(shape, nvars):
+    """Each mu interlacing the shape in nvars - 1 parts, with |shape| - |mu|."""
+    padded = shape + (0,) * (nvars - len(shape))
+    size = sum(shape)
+    for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(nvars - 1))):
+        yield tuple(p for p in mu if p), size - sum(mu)
 
 
 def schur_expand(p):
@@ -339,118 +350,74 @@ def _pieri_up(lam):
     return out
 
 
-def _nonneg_solutions(weights, target):
-    """All non-negative integer vectors c with sum c_i * weights_i = target."""
-    out = []
+def _localized_schur(point, shapes):
+    """{lam: s_lam of the tautological weights at a fixed point} for each shape.
 
-    def rec(i, remaining, acc):
-        if i == len(weights) - 1:
-            if remaining % weights[i] == 0:
-                out.append(tuple(acc + [remaining // weights[i]]))
-            return
-        w = weights[i]
-        for c in range(remaining // w + 1):
-            rec(i + 1, remaining - c * w, acc + [c])
-
-    if target < 0:
-        return []
-    rec(0, target, [])
-    return out
+    The branching rule of ``schur_poly`` on binary forms, adding one
+    weight at a time, so that each power of a weight is taken once.  The
+    shapes must include every shape contained in one of them.
+    """
+    values = {(): HomogPoly.constant(1)}
+    for nvars, i in enumerate(point.four_space, 1):
+        form = BASIS_WEIGHTS[i].poly()
+        powers = [HomogPoly.constant(1)]
+        for _ in range(BOX_COLS):
+            powers.append(poly_mul(powers[-1], form))
+        values = {
+            lam: sum(
+                (poly_mul(values[mu], powers[last]) for mu, last in _interlacing(lam, nvars)),
+                HomogPoly.zero(sum(lam)),
+            )
+            for lam in shapes
+            if len(lam) <= nvars
+        }
+    return values
 
 
 @cache
 def restriction_table():
     """Restriction of every box class of size <= 8 to the Schubert basis.
 
-    Level by level, mirroring the stated method: candidates are the
-    non-negative integer solutions of the degree pairing, pruned jointly
-    by consistency with the hyperplane product (Pieri upstairs, the Monk
-    rule downstairs); remaining ambiguity is resolved by pairings against
-    the codimension-2 restrictions.  Uniqueness is asserted per level.
+    At a fixed point q the Schubert class tau_lam localizes to the Schur
+    polynomial s_lam in the weights of the tautological 4-space of q
+    (Giambelli; Fulton, Young Tableaux, ch. 9).  The restriction of
+    tau_lam is therefore the top-degree part of the expansion of those
+    values in the localized basis; ``check_restriction`` then holds the
+    table to the degree pairings and to the hyperplane product.
     """
-    eq_degrees = equivariant.degrees()
-    by_codim = labels_by_codim()
+    shapes = [lam for lam in box_partitions() if sum(lam) <= DIMENSION]
+    values = {p.label: _localized_schur(p, shapes) for p in enumerate_fixed_points()}
+    table = {lam: equivariant.top_expansion({lab: v[lam] for lab, v in values.items()}) for lam in shapes}
+    check_restriction(table)
+    return table
+
+
+def check_restriction(table):
+    """Raise ArithmeticError unless a restriction table passes two checks.
+
+    Degree: the image of tau_lam has degree cg_pairing(tau_lam,
+    tau_1^(8 - |lam|)).  Hyperplane: for |lam| < 8, the Pieri rule
+    upstairs and the Monk rule downstairs give the same image of
+    tau_1 tau_lam.
+    """
+    degrees = equivariant.degrees()
     monk = equivariant.monk_matrix()
-    out = {(): equivariant.basis_vector(by_codim[0][0])}
-    for k in range(1, DIMENSION + 1):
-        parts = box_partitions(size=k)
-        classes = by_codim[k]
-        weights = [eq_degrees[lab] for lab in classes]
-        candidates = {}
-        for lam in parts:
-            deg = cg_pairing(AmbientClass.basis(lam), tau1_power(DIMENSION - k))
-            candidates[lam] = _nonneg_solutions(weights, deg)
-            if not candidates[lam]:
-                raise ArithmeticError(f"no candidate restriction for {partition_name(lam)}")
-        # joint pruning by the hyperplane consistency equations
-        monk_rows = []
-        for lam_prev in box_partitions(size=k - 1):
-            prev = out[lam_prev]
-            target = {}
-            for lab, c in prev.items():
-                for t, m in monk[lab].items():
-                    target[t] = target.get(t, 0) + c * m
-            monk_rows.append((_pieri_up(lam_prev), tuple(target.get(lab, 0) for lab in classes)))
-
-        def consistent(assign):
-            for ups, target in monk_rows:
-                sums = [0] * len(classes)
-                for lam in ups:
-                    for i in range(len(classes)):
-                        sums[i] += assign[lam][i]
-                if tuple(sums) != target:
-                    return False
-            return True
-
-        def joint_solutions(limit):
-            found = []
-
-            def rec(idx, assign):
-                if len(found) >= limit:
-                    return
-                if idx == len(parts):
-                    if consistent(assign):
-                        found.append(dict(assign))
-                    return
-                lam = parts[idx]
-                for cand in candidates[lam]:
-                    assign[lam] = cand
-                    rec(idx + 1, assign)
-                del assign[lam]
-
-            rec(0, {})
-            return found
-
-        solutions = joint_solutions(limit=32)
-        if len(solutions) > 1 and k >= 3:
-            # pairings against the determined codimension-2 restrictions
-            filters = []
-            for nu in ((1, 1), (2,)):
-                if DIMENSION - k - 2 < 0:
-                    continue
-                nu_vec = out[nu]
-                pair = {}
-                for i, lab in enumerate(classes):
-                    v = equivariant.schubert_product(
-                        equivariant.basis_vector(lab),
-                        equivariant.schubert_product(nu_vec, equivariant.sigma1_power(DIMENSION - k - 2)),
-                    )
-                    pair[i] = equivariant.integrate_vector(v)
-                for lam in parts:
-                    val = cg_pairing(AmbientClass.basis(lam), AmbientClass.basis(nu), tau1_power(DIMENSION - k - 2))
-                    filters.append((lam, pair, val))
-            solutions = [
-                s
-                for s in solutions
-                if all(sum(pair[i] * s[lam][i] for i in pair) == val for lam, pair, val in filters)
-            ]
-        if len(solutions) != 1:
-            names = sorted(partition_name(lam) for lam in parts)
-            raise ArithmeticError(f"restriction not uniquely determined at level {k} ({names}): {len(solutions)} solutions")
-        (solution,) = solutions
-        for lam in parts:
-            out[lam] = equivariant.SchubertVector(dict(zip(classes, solution[lam])))
-    return out
+    zero = SchubertVector({})
+    failures = []
+    for lam, image in table.items():
+        k = sum(lam)
+        name = partition_name(lam)
+        degree = sum(c * degrees[lab] for lab, c in image.items())
+        pairing = cg_pairing(AmbientClass.basis(lam), tau1_power(DIMENSION - k))
+        if degree != pairing:
+            failures.append(f"t{name} has degree {degree}, cg_pairing {pairing}")
+        if k < DIMENSION:
+            pieri = sum((table[mu] for mu in _pieri_up(lam)), zero)
+            hyperplane = sum((SchubertVector(monk[lab]).scale(c) for lab, c in image.items()), zero)
+            if pieri != hyperplane:
+                failures.append(f"t1 t{name} is {pieri} by Pieri, {hyperplane} by Monk")
+    if failures:
+        raise ArithmeticError("restriction table fails its checks: " + "; ".join(failures))
 
 
 def image_index() -> int:

@@ -411,8 +411,10 @@ def expand_in_basis(values):
             if quotient is None:
                 raise ArithmeticError(f"expansion fails: value at {p.label} not divisible by the normal weights")
         out[p.label] = quotient
-        cls = classes[p.label]
-        remaining = {lab: remaining[lab] - poly_mul(quotient, cls[lab]) for lab in remaining}
+        # a class vanishes outside its support, so only its support changes
+        for lab, value in classes[p.label].values.items():
+            if not value.is_zero():
+                remaining[lab] = remaining[lab] - poly_mul(quotient, value)
     if any(not v.is_zero() for v in remaining.values()):
         raise ArithmeticError("expansion left a nonzero remainder")
     return out

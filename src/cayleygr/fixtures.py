@@ -36,6 +36,8 @@ def load_fixture(name: str):
             return json.load(fh)
     except OSError as exc:
         raise FixtureError(f"cannot read fixture {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise FixtureError(f"malformed fixture {path}: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
 
 
 # ---------------------------------------------------------------------------

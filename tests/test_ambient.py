@@ -7,6 +7,7 @@ from cayleygr.ambient import (
     AmbientClass,
     box_partitions,
     cg_class,
+    check_restriction,
     cg_pairing,
     grassmannian_degree,
     image_index,
@@ -94,6 +95,34 @@ def test_restriction_table_against_reference():
     assert table[(2, 1)] == SchubertVector({"3": 1, "3'": 2})
     assert table[(2, 2)] == SchubertVector({"4": 1, "4'": 1, "4''": 1})
     assert table[(2, 2, 2, 2)] == SchubertVector({"8": 1})
+
+
+def test_restriction_checks_accept_the_computed_table():
+    check_restriction(restriction_table())
+
+
+def test_restriction_checks_reject_the_printed_table():
+    # the printed table, with t2 and t11 swapped, fails the degree pairings
+    table = dict(restriction_table())
+    for name, coeffs in load_fixture("restriction")["table"].items():
+        table[parse_partition(name)] = SchubertVector({k: int(v) for k, v in coeffs.items()})
+    with pytest.raises(ArithmeticError) as err:
+        check_restriction(table)
+    message = str(err.value)
+    assert "t2 has degree 100, cg_pairing 82" in message
+    assert "t11 has degree 82, cg_pairing 100" in message
+    # and Pieri upstairs disagrees with Monk downstairs from level 2 on
+    assert "t1 t2 is" in message and "t1 t11 is" in message
+
+
+def test_restriction_checks_reject_a_wrong_monk_image():
+    # s4, s4', s4'' have degrees 6, 11, 5: 2*s4' has the degree of
+    # s4 + s4' + s4'', so only the hyperplane check can catch this change
+    table = dict(restriction_table())
+    table[(2, 2)] = SchubertVector({"4'": 2})
+    with pytest.raises(ArithmeticError, match="by Pieri") as err:
+        check_restriction(table)
+    assert "degree" not in str(err.value)
 
 
 def test_restriction_is_ring_homomorphism():

@@ -1,11 +1,13 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from cayleygr.cli import main
+from cayleygr.fixtures import fixtures_dir
 
 
 def run_cli(capsys, *argv):
@@ -166,20 +168,33 @@ def test_cli_entry_point_subprocess():
     assert "fixed-points.count" in proc.stdout
 
 
-def test_missing_fixtures_exit_2(tmp_path):
+def _missing_directory(tmp_path):
     missing = tmp_path / "nonexistent"
+    return missing, ["verify", "degrees"], [str(missing), ".json", "No such file or directory"]
+
+
+def _malformed_json(tmp_path):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(fixtures_dir(), fixtures)
+    bad = fixtures / "restriction.json"
+    bad.write_text("{not json", encoding="utf-8")
+    return fixtures, ["verify", "restriction"], [str(bad), "line 1 column 2"]
+
+
+@pytest.mark.parametrize("setup", [_missing_directory, _malformed_json], ids=["missing-directory", "malformed-json"])
+def test_missing_fixtures_exit_2(tmp_path, setup):
+    directory, argv, expected = setup(tmp_path)
     proc = subprocess.run(
-        [sys.executable, "-m", "cayleygr.cli", "verify", "degrees"],
+        [sys.executable, "-m", "cayleygr.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "CAYLEY_FIXTURES": str(missing)},
+        env={**os.environ, "CAYLEY_FIXTURES": str(directory)},
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert str(missing) in lines[0] and ".json" in lines[0]
-    assert "No such file or directory" in lines[0]
+    assert all(text in lines[0] for text in expected), lines[0]
 
 
 @pytest.mark.parametrize("argv", [["verify", "betti"], ["dump", "degrees"]])

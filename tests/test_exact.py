@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,26 +220,42 @@ def test_smith_transforms_and_divisibility():
     assert abs(U.det()) == 1 and abs(V.det()) == 1
 
 
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3))
-def test_smith_diagonal_product_is_abs_det(entries):
+def _cofactor_det(a):
+    if len(a) == 1:
+        return a[0][0]
+    total = 0
+    for j in range(len(a)):
+        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
+        total += (-1) ** j * a[0][j] * _cofactor_det(minor)
+    return total
+
+
+@st.composite
+def int_matrices(draw, max_rows=5, max_cols=3):
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_smith_normal_form_on_rectangular_matrices(entries):
+    # up to 5x3, the shape of the restriction blocks in image_index_profile
     M = IntMatrix(entries)
-
-    def cofactor_det(a):
-        if len(a) == 1:
-            return a[0][0]
-        total = 0
-        for j in range(len(a)):
-            minor = [row[:j] + row[j + 1 :] for row in a[1:]]
-            total += (-1) ** j * a[0][j] * cofactor_det(minor)
-        return total
-
-    det = cofactor_det(entries)
     d, U, V = smith_normal_form(M)
-    prod = 1
-    for x in d:
-        prod *= x
-    assert prod == abs(det)
+    D = U.mul(M).mul(V)
+    assert len(d) == min(M.rows, M.cols)
+    for i in range(M.rows):
+        for j in range(M.cols):
+            assert D[i, j] == (d[i] if i == j else 0)
     assert abs(U.det()) == 1 and abs(V.det()) == 1
+    assert all(x >= 0 for x in d)
+    for a, b in zip(d, d[1:]):
+        # divisibility order; zeros, if any, come last
+        assert (b == 0) if a == 0 else (b % a == 0)
+    if M.rows == M.cols:
+        assert prod(d) == abs(_cofactor_det(entries))
 
 
 def test_homogpoly_json_roundtrip():
