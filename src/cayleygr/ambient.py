@@ -1,15 +1,18 @@
 """Classical Schubert calculus on G(4,7) and the restriction to the subvariety.
 
 The intersection ring is modelled by symmetric polynomials in the four
-Chern roots of the dual tautological bundle: the Schur polynomial s_lam
-maps to the Schubert class tau_lam, and partitions outside the 4x3 box
-die.  Littlewood-Richardson products are obtained by exact polynomial
-multiplication followed by Schur expansion, with a tableau-counting
-oracle in the test suite.
+Chern roots of the dual tautological bundle U*: the Schur polynomial
+s_lam maps to the Schubert class tau_lam, and partitions outside the 4x3
+box die.  A Littlewood-Richardson product s_lam s_mu is read off the
+antisymmetrized monomials of s_mu, with no polynomial product; the test
+suite holds it to the polynomial product and to a tableau count.
+Integrals of products are Poincare-duality pairings of box complements.
 
 Also computes the fundamental class of the three-form zero locus (a top
 Chern class), the image lattice index, and ambient-side pairings of the
-tangent Chern classes used to cross-check the localization route.
+tangent Chern classes used to cross-check the localization route.  The
+tangent Chern classes come from the tautological sequence, in the same
+four roots: c(T) = c(U*)^7 / (c(U* (x) U) c(Lambda^3 U*)).
 
 The restriction table onto the 15-class Schubert basis is read off the
 fixed points: there tau_lam localizes to the Schur polynomial s_lam in
@@ -29,11 +32,12 @@ from .cayley import DIMENSION, enumerate_fixed_points
 from .exact import HomogPoly, IntMatrix, poly_mul, smith_normal_form
 from . import equivariant
 from .equivariant import SchubertVector, labels_by_codim
-from .weightmodel import BASIS_WEIGHTS, conjugate_partition
+from .weightmodel import BASIS_WEIGHTS
 
 BOX_ROWS = 4
 BOX_COLS = 3
 TOP = (3, 3, 3, 3)
+_DELTA = (3, 2, 1, 0)  # staircase of the antisymmetrizer in four variables
 
 
 def box_partitions(size=None):
@@ -216,8 +220,26 @@ class AmbientClass:
 
 @cache
 def _lr_pair(lam, mu):
-    prod = poly_mul_sym(schur_poly(lam), schur_poly(mu))
-    return tuple(sorted(schur_expand(prod).items()))
+    """s_lam s_mu in four variables, as sorted (nu, coefficient) pairs.
+
+    Antisymmetrization: a_{lam+delta} s_mu = sum_alpha K_{mu,alpha}
+    a_{lam+delta+alpha} over the monomials x^alpha of s_mu, where
+    delta = (3, 2, 1, 0).  Each exponent lam+delta+alpha is sorted with the
+    sign of its permutation; one with a repeated entry gives zero
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3 and I.9).
+    """
+    if len(lam) > BOX_ROWS:
+        return ()
+    shifted = [p + d for p, d in zip(lam + (0,) * (BOX_ROWS - len(lam)), _DELTA)]
+    out = {}
+    for alpha, c in schur_poly(mu, BOX_ROWS).items():
+        exps = [e + a for e, a in zip(shifted, alpha)]
+        if len(set(exps)) < BOX_ROWS:
+            continue
+        inversions = sum(exps[i] < exps[j] for i, j in combinations(range(BOX_ROWS), 2))
+        nu = tuple(p for p in (e - d for e, d in zip(sorted(exps, reverse=True), _DELTA)) if p)
+        out[nu] = out.get(nu, 0) + (-c if inversions % 2 else c)
+    return tuple(sorted((nu, c) for nu, c in out.items() if c))
 
 
 def lr_multiply(a: AmbientClass, b: AmbientClass) -> AmbientClass:
@@ -230,51 +252,16 @@ def lr_multiply(a: AmbientClass, b: AmbientClass) -> AmbientClass:
     return AmbientClass(out)
 
 
-def lr_coefficients_oracle(lam, mu, nu):
-    """Littlewood-Richardson coefficient by counting lattice tableaux.
+def duality_pairing(a: AmbientClass, b: AmbientClass) -> int:
+    """Integral of a * b over G(4,7) by Poincare duality.
 
-    Fills the skew shape nu/lam with content mu subject to semistandard
-    rows/columns and the reverse lattice word condition; independent of
-    the polynomial route.
+    The integral of tau_lam tau_mu is 1 when mu is the complement of lam
+    in the 4x3 box (mu_i = 3 - lam_{5-i}), and 0 otherwise.
     """
-    lam = tuple(lam) + (0,) * (len(nu) - len(lam))
-    if any(n < l for n, l in zip(nu, lam)):
-        return 0
-    # cells in reading order: rows top to bottom, right to left, so that
-    # the lattice-word prefix condition can be checked with running counts
-    cells = []
-    for i, (n, l) in enumerate(zip(nu, lam)):
-        for j in range(n - 1, l - 1, -1):
-            cells.append((i, j))
-    fill = {}
-    counts = [0] * (len(mu) + 2)
     total = 0
-
-    def rec(k):
-        nonlocal total
-        if k == len(cells):
-            if tuple(counts[1 : len(mu) + 1]) == tuple(mu):
-                total += 1
-            return
-        i, j = cells[k]
-        lo = 1
-        if (i - 1, j) in fill:
-            lo = max(lo, fill[(i - 1, j)] + 1)
-        hi = len(mu)
-        if (i, j + 1) in fill:
-            hi = min(hi, fill[(i, j + 1)])
-        for v in range(lo, hi + 1):
-            if counts[v] + 1 > mu[v - 1]:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
-            fill[(i, j)] = v
-            counts[v] += 1
-            rec(k + 1)
-            counts[v] -= 1
-            del fill[(i, j)]
-
-    rec(0)
+    for lam, c in a.items():
+        padded = lam + (0,) * (BOX_ROWS - len(lam))
+        total += c * b[tuple(p for p in (BOX_COLS - q for q in reversed(padded)) if p)]
     return total
 
 
@@ -325,11 +312,15 @@ def cg_class() -> AmbientClass:
 
 
 def cg_pairing(*factors) -> int:
-    """Integral over the zero locus: <cg * product of ambient factors>."""
+    """Integral over the zero locus: <cg * product of ambient factors>.
+
+    All factors but the last are multiplied in; the last is paired with
+    that product by Poincare duality.
+    """
     total = cg_class()
-    for f in factors:
+    for f in factors[:-1]:
         total = lr_multiply(total, f)
-    return total.integral()
+    return duality_pairing(total, factors[-1]) if factors else total.integral()
 
 
 # ---------------------------------------------------------------------------
@@ -447,102 +438,53 @@ def image_index_profile():
 
 @cache
 def tangent_chern_ambient():
-    """Graded pieces of c(Hom(T,Q)) / c(Lambda^3 T*) as ambient classes.
+    """Graded pieces of c(T_G) / c(Lambda^3 U*) as ambient classes.
 
-    Computed with seven formal roots (four for the dual tautological
-    bundle, three for the quotient), reduced through the bi-Schur
-    expansion and s_mu(quotient roots) = tau_{mu'}.
+    The tangent bundle of G(4,7) is U* (x) Q, and tensoring the tautological
+    sequence 0 -> U -> C^7 -> Q -> 0 with U* gives
+    c(U* (x) Q) = c(U*)^7 / c(U* (x) U).  In the four Chern roots x of U*,
+
+        c(T) = prod_i (1 + x_i)^7 / (prod_{i<j} (1 - (x_i - x_j)^2)
+                                     * prod_l (1 + e1 - x_l)),
+
+    with the denominator inverted as a power series truncated at the
+    dimension.  Each graded piece is symmetric; its Schur expansion is the
+    class, and shapes outside the 4x3 box die.
     """
-    nx, ny = 4, 3
-    nv = nx + ny
-    max_deg = DIMENSION
-
-    zero = (0,) * nv
+    zero = (0,) * BOX_ROWS
     one = {zero: 1}
+    units = [tuple(int(i == j) for j in range(BOX_ROWS)) for i in range(BOX_ROWS)]
 
     def mul(p, q):
-        return poly_mul_sym(p, q, max_deg)
+        return poly_mul_sym(p, q, DIMENSION)
 
-    # c(Hom(T, Q)): roots x_i + y_j
-    hom = dict(one)
-    for i in range(nx):
-        for j in range(ny):
-            factor = {zero: 1}
-            xi = [0] * nv
-            xi[i] = 1
-            factor[tuple(xi)] = 1
-            yj = [0] * nv
-            yj[nx + j] = 1
-            factor[tuple(yj)] = 1
-            hom = mul(hom, factor)
+    dual = one
+    for x in units:
+        dual = mul(dual, {zero: 1, x: 1})
+    numerator = one
+    for _ in range(BOX_ROWS + BOX_COLS):  # c(U* (x) C^7) = c(U*)^7
+        numerator = mul(numerator, dual)
 
-    # c(Lambda^3 T*): roots x_i + x_j + x_k, then invert the series
-    wedge = dict(one)
-    for tri in combinations(range(nx), 3):
-        factor = {zero: 1}
-        for i in tri:
-            xi = [0] * nv
-            xi[i] = 1
-            factor[tuple(xi)] = factor.get(tuple(xi), 0) + 1
-        wedge = mul(wedge, factor)
-    tail = dict(wedge)
-    del tail[zero]
-    inv = dict(one)
-    power = dict(one)
-    for _ in range(max_deg):
+    denominator = one
+    for i, j in combinations(range(BOX_ROWS), 2):
+        diff = {units[i]: 1, units[j]: -1}
+        denominator = mul(denominator, {zero: 1, **{m: -c for m, c in mul(diff, diff).items()}})
+    for x in units:
+        # 1 + e1 - x_l: the triple sums of roots are the Chern roots of Lambda^3 U*
+        denominator = mul(denominator, {zero: 1, **{y: 1 for y in units if y != x}})
+
+    tail = {m: -c for m, c in denominator.items() if m != zero}
+    inverse = dict(one)
+    power = one
+    for _ in range(DIMENSION):
         power = mul(power, tail)
-        if not power:
-            break
-        sign = -1 if _ % 2 == 0 else 1
-        for k, v in power.items():
-            val = inv.get(k, 0) + sign * v
-            if val:
-                inv[k] = val
-            elif k in inv:
-                del inv[k]
-    total = mul(hom, inv)
+        for m, c in power.items():
+            inverse[m] = inverse.get(m, 0) + c
 
-    graded = {k: {} for k in range(max_deg + 1)}
-    for m, c in total.items():
-        d = sum(m)
-        if d <= max_deg:
-            graded[d][m] = c
-    out = {}
-    for k in range(max_deg + 1):
-        out[k] = _bisym_to_class(graded[k], nx, ny)
-    return out
-
-
-def _bisym_to_class(p, nx, ny):
-    """Reduce a bi-symmetric polynomial to an ambient class.
-
-    Expands in products s_lam(x) s_mu(y) by leading-term subtraction and
-    maps the y-Schur factor to the conjugate Schubert class.
-    """
-    work = dict(p)
-    out = AmbientClass({})
-    while work:
-        m = max(work)
-        c = work[m]
-        xpart = m[:nx]
-        ypart = m[nx:]
-        lam = tuple(v for v in xpart if v)
-        mu = tuple(v for v in ypart if v)
-        if tuple(sorted(xpart, reverse=True)) != xpart or tuple(sorted(ypart, reverse=True)) != ypart:
-            raise ArithmeticError(f"not bi-symmetric at {m}")
-        sx = schur_poly(lam, nx)
-        sy = schur_poly(mu, ny)
-        for mx, cx in sx.items():
-            for my, cy in sy.items():
-                key = mx + my
-                val = work.get(key, 0) - c * cx * cy
-                if val:
-                    work[key] = val
-                elif key in work:
-                    del work[key]
-        term = lr_multiply(AmbientClass.basis(lam), AmbientClass.basis(conjugate_partition(mu)))
-        out = out + term.scale(c)
-    return out
+    graded = {k: {} for k in range(DIMENSION + 1)}
+    for m, c in mul(numerator, inverse).items():
+        graded[sum(m)][m] = c
+    return {k: AmbientClass(schur_expand(p)) for k, p in graded.items()}
 
 
 def tangent_chern_pairings():
@@ -550,16 +492,19 @@ def tangent_chern_pairings():
 
     Returns {k: {"h": int, "s2": int, "s2'": int, ...}} with pairings
     against sigma_1^(8-k) and against the natural dual-basis probes, all
-    computed by Littlewood-Richardson arithmetic only.
+    computed by Littlewood-Richardson arithmetic only: cg * c_k is lifted
+    once per k and each probe is paired with it by Poincare duality.
     """
     pieces = tangent_chern_ambient()
+    cg = cg_class()
     probes = {"h": (), "t11": (1, 1), "t2": (2,), "t111": (1, 1, 1), "t3": (3,)}
     out = {}
     for k in range(DIMENSION + 1):
+        lift = lr_multiply(cg, pieces[k])
         row = {}
         for name, lam in probes.items():
             power = DIMENSION - k - sum(lam)
             if power >= 0:
-                row[name] = cg_pairing(pieces[k], lr_multiply(AmbientClass.basis(lam), tau1_power(power)))
+                row[name] = duality_pairing(lift, lr_multiply(AmbientClass.basis(lam), tau1_power(power)))
         out[k] = row
     return out

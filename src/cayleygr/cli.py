@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import ambient, cayley, equivariant, invariants, octonions, weightmodel
-from .fixtures import FixtureError, load_fixture, parse_form
+from .fixtures import FixtureError, fixture_path, load_fixture, parse_form
 
 REPORT_VERSION = "1"
 
@@ -296,14 +296,33 @@ def run_ring():
     return out
 
 
+def _printed_restriction():
+    """The printed table {partition name: {label: int}}, or FixtureError naming the bad key."""
+    fixture = load_fixture("restriction")
+    path = fixture_path("restriction")
+    table = fixture.get("table") if isinstance(fixture, dict) else None
+    if not isinstance(table, dict):
+        raise FixtureError(f"malformed fixture {path}: 'table' is not an object")
+    names = {ambient.partition_name(lam) for lam in ambient.box_partitions() if sum(lam) <= cayley.DIMENSION}
+    for name, coeffs in table.items():
+        if name not in names:
+            raise FixtureError(f"malformed fixture {path}: table key {name!r} is not a box partition of size at most {cayley.DIMENSION}")
+        if not isinstance(coeffs, dict):
+            raise FixtureError(f"malformed fixture {path}: table[{name!r}] is not an object")
+        for label, c in coeffs.items():
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise FixtureError(f"malformed fixture {path}: table[{name!r}][{label!r}] = {c!r} is not an integer")
+    return table
+
+
 def run_restriction():
+    printed = _printed_restriction()
     table = ambient.restriction_table()
-    printed = load_fixture("restriction")["table"]
     out = []
     mismatch = {}
     for name, coeffs in printed.items():
         lam = ambient.parse_partition(name)
-        want = equivariant.SchubertVector({k: int(v) for k, v in coeffs.items()})
+        want = equivariant.SchubertVector(coeffs)
         if table[lam] != want:
             mismatch[name] = (_vec(want), _vec(table[lam]))
     ok = set(mismatch) == {"2", "11"}

@@ -29,8 +29,12 @@ class FixtureError(Exception):
     """A fixture file is missing or cannot be read: a configuration error."""
 
 
+def fixture_path(name: str) -> Path:
+    return fixtures_dir() / f"{name}.json"
+
+
 def load_fixture(name: str):
-    path = fixtures_dir() / f"{name}.json"
+    path = fixture_path(name)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -38,6 +42,8 @@ def load_fixture(name: str):
         raise FixtureError(f"cannot read fixture {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(f"malformed fixture {path}: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise FixtureError(f"malformed fixture {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
 # ---------------------------------------------------------------------------

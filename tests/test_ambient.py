@@ -1,18 +1,19 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleygr.ambient import (
     AmbientClass,
+    _lr_pair,
     box_partitions,
     cg_class,
     check_restriction,
     cg_pairing,
+    duality_pairing,
     grassmannian_degree,
     image_index,
     image_index_profile,
-    lr_coefficients_oracle,
     lr_multiply,
     parse_partition,
     partition_name,
@@ -20,11 +21,13 @@ from cayleygr.ambient import (
     restriction_table,
     schur_expand,
     schur_poly,
+    tangent_chern_ambient,
     tangent_chern_pairings,
     tau1_power,
 )
 from cayleygr.equivariant import SchubertVector, schubert_product
 from cayleygr.fixtures import load_fixture
+from cayleygr.weightmodel import conjugate_partition
 
 t = AmbientClass.basis
 
@@ -49,6 +52,54 @@ def test_degree_of_the_grassmannian():
     assert tau1_power(12)[(3, 3, 3, 3)] == 462
 
 
+def lr_coefficients_oracle(lam, mu, nu):
+    """Littlewood-Richardson coefficient by counting lattice tableaux.
+
+    Fills the skew shape nu/lam with content mu subject to semistandard
+    rows/columns and the reverse lattice word condition; independent of
+    the polynomial route.
+    """
+    lam = tuple(lam) + (0,) * (len(nu) - len(lam))
+    if any(n < l for n, l in zip(nu, lam)):
+        return 0
+    # cells in reading order: rows top to bottom, right to left, so that
+    # the lattice-word prefix condition can be checked with running counts
+    cells = []
+    for i, (n, l) in enumerate(zip(nu, lam)):
+        for j in range(n - 1, l - 1, -1):
+            cells.append((i, j))
+    fill = {}
+    counts = [0] * (len(mu) + 2)
+    total = 0
+
+    def rec(k):
+        nonlocal total
+        if k == len(cells):
+            if tuple(counts[1 : len(mu) + 1]) == tuple(mu):
+                total += 1
+            return
+        i, j = cells[k]
+        lo = 1
+        if (i - 1, j) in fill:
+            lo = max(lo, fill[(i - 1, j)] + 1)
+        hi = len(mu)
+        if (i, j + 1) in fill:
+            hi = min(hi, fill[(i, j + 1)])
+        for v in range(lo, hi + 1):
+            if counts[v] + 1 > mu[v - 1]:
+                continue
+            if v > 1 and counts[v] + 1 > counts[v - 1]:
+                continue
+            fill[(i, j)] = v
+            counts[v] += 1
+            rec(k + 1)
+            counts[v] -= 1
+            del fill[(i, j)]
+
+    rec(0)
+    return total
+
+
 def test_lr_against_tableau_oracle():
     parts = box_partitions()
     small = [p for p in parts if sum(p) <= 4]
@@ -59,6 +110,28 @@ def test_lr_against_tableau_oracle():
             prod = lr_multiply(t(lam), t(mu))
             for nu in box_partitions(size=sum(lam) + sum(mu)):
                 assert prod[nu] == lr_coefficients_oracle(lam, mu, nu), (lam, mu, nu)
+
+
+def test_lr_pair_against_polynomial_product():
+    # the antisymmetrization kernel against multiplying the two Schur
+    # polynomials and Schur-expanding, on the box and a few shapes beyond it
+    shapes = box_partitions() + [(4,), (5, 1), (4, 4, 2)]
+    for lam in shapes:
+        for mu in shapes:
+            want = schur_expand(poly_mul_sym(schur_poly(lam), schur_poly(mu)))
+            assert _lr_pair(lam, mu) == tuple(sorted(want.items())), (lam, mu)
+    assert _lr_pair((1, 1, 1, 1, 1), (1,)) == ()
+
+
+def test_duality_pairing_against_lr_integral():
+    parts = box_partitions()
+    for lam in parts:
+        for mu in parts:
+            a, b = t(lam), t(mu)
+            assert duality_pairing(a, b) == lr_multiply(a, b).integral(), (lam, mu)
+    a = t((2, 1)).scale(3) + t((3, 3, 3)).scale(-2)
+    b = t((3, 3, 2, 1)).scale(5) + t((3,)).scale(7) + t((1,))
+    assert duality_pairing(a, b) == lr_multiply(a, b).integral() == 15 - 14
 
 
 def test_schur_expand_roundtrip():
@@ -176,6 +249,79 @@ def test_ambient_chern_pairings_match_localization():
     assert pairs[6]["t2"] == chern[6]["6"] == 151
     assert pairs[6]["t11"] == chern[6]["6'"] == 193
     assert pairs[8]["h"] == 15
+
+
+def _seven_root_tangent_chern():
+    """c(Hom(T,Q)) / c(Lambda^3 T*) with seven formal roots, bi-Schur reduced.
+
+    Four roots x for the dual tautological bundle and three roots y for the
+    quotient; s_lam(x) s_mu(y) is read as tau_lam tau_{mu'}.  Shares only
+    the LR product with the four-root route in the library.
+    """
+    nx, ny = 4, 3
+    nv = nx + ny
+    max_deg = 8
+    zero = (0,) * nv
+    one = {zero: 1}
+
+    def unit(i):
+        return tuple(int(i == j) for j in range(nv))
+
+    def mul(p, q):
+        return poly_mul_sym(p, q, max_deg)
+
+    hom = one
+    for i in range(nx):
+        for j in range(ny):
+            hom = mul(hom, {zero: 1, unit(i): 1, unit(nx + j): 1})
+    wedge = one
+    for tri in combinations(range(nx), 3):
+        wedge = mul(wedge, {zero: 1, **{unit(i): 1 for i in tri}})
+    tail = {k: v for k, v in wedge.items() if k != zero}
+    inv = dict(one)
+    power = one
+    for n in range(max_deg):
+        power = mul(power, tail)
+        sign = -1 if n % 2 == 0 else 1
+        for k, v in power.items():
+            inv[k] = inv.get(k, 0) + sign * v
+    graded = {k: {} for k in range(max_deg + 1)}
+    for m, c in mul(hom, inv).items():
+        graded[sum(m)][m] = c
+    return {k: _bisym_to_class(p, nx, ny) for k, p in graded.items()}
+
+
+def _bisym_to_class(p, nx, ny):
+    """Expand a bi-symmetric polynomial in s_lam(x) s_mu(y) by leading terms."""
+    work = dict(p)
+    out = AmbientClass({})
+    while work:
+        m = max(work)
+        c = work[m]
+        xpart, ypart = m[:nx], m[nx:]
+        assert tuple(sorted(xpart, reverse=True)) == xpart and tuple(sorted(ypart, reverse=True)) == ypart, m
+        lam = tuple(v for v in xpart if v)
+        mu = tuple(v for v in ypart if v)
+        for mx, cx in schur_poly(lam, nx).items():
+            for my, cy in schur_poly(mu, ny).items():
+                key = mx + my
+                val = work.get(key, 0) - c * cx * cy
+                if val:
+                    work[key] = val
+                else:
+                    work.pop(key, None)
+        out = out + lr_multiply(t(lam), t(conjugate_partition(mu))).scale(c)
+    return out
+
+
+def test_tangent_chern_ambient_against_seven_roots():
+    pieces = tangent_chern_ambient()
+    oracle = _seven_root_tangent_chern()
+    assert sorted(pieces) == sorted(oracle) == list(range(9))
+    for k in range(9):
+        assert pieces[k] == oracle[k], k
+    assert pieces[0] == t(())
+    assert pieces[1] == t((1,)).scale(4)
 
 
 def _naive_mul(p, q, max_deg=None):

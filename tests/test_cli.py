@@ -173,15 +173,34 @@ def _missing_directory(tmp_path):
     return missing, ["verify", "degrees"], [str(missing), ".json", "No such file or directory"]
 
 
-def _malformed_json(tmp_path):
-    fixtures = tmp_path / "fixtures"
-    shutil.copytree(fixtures_dir(), fixtures)
-    bad = fixtures / "restriction.json"
-    bad.write_text("{not json", encoding="utf-8")
-    return fixtures, ["verify", "restriction"], [str(bad), "line 1 column 2"]
+def _restriction_case(edit, expected):
+    """A fixture copy whose restriction.json is edit(original text), encoded as UTF-8 unless bytes."""
+
+    def setup(tmp_path):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(fixtures_dir(), fixtures)
+        bad = fixtures / "restriction.json"
+        text = edit(bad.read_text(encoding="utf-8"))
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        return fixtures, ["verify", "restriction"], [str(bad), *expected]
+
+    return setup
 
 
-@pytest.mark.parametrize("setup", [_missing_directory, _malformed_json], ids=["missing-directory", "malformed-json"])
+_malformed_json = _restriction_case(lambda text: "{not json", ["line 1 column 2"])
+_not_utf8 = _restriction_case(lambda text: b"\xff\xfe" + text.encode("utf-16-le"), ["not UTF-8"])
+_table_not_object = _restriction_case(lambda text: "[]", ["'table' is not an object"])
+_coefficient_not_integer = _restriction_case(
+    lambda text: text.replace('"21": {"3": 1, "3\'": 2}', '"21": {"3": "x", "3\'": 2}'), ["table['21']['3']", "'x' is not an integer"]
+)
+_unknown_partition = _restriction_case(lambda text: text.replace('"21":', '"12":'), ["table key '12'"])
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [_missing_directory, _malformed_json, _not_utf8, _table_not_object, _coefficient_not_integer, _unknown_partition],
+    ids=["missing-directory", "malformed-json", "not-utf8", "table-not-object", "coefficient-not-integer", "unknown-partition"],
+)
 def test_missing_fixtures_exit_2(tmp_path, setup):
     directory, argv, expected = setup(tmp_path)
     proc = subprocess.run(
