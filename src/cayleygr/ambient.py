@@ -490,7 +490,7 @@ def tangent_chern_ambient():
 def tangent_chern_pairings():
     """Ambient-side integrals of c_k of the tangent sheaf of the zero locus.
 
-    Returns {k: {"h": int, "s2": int, "s2'": int, ...}} with pairings
+    Returns {k: {"h": int, "t11": int, "t2": int, ...}} with pairings
     against sigma_1^(8-k) and against the natural dual-basis probes, all
     computed by Littlewood-Richardson arithmetic only: cg * c_k is lifted
     once per k and each probe is paired with it by Poincare duality.

@@ -26,7 +26,7 @@ def fixtures_dir() -> Path:
 
 
 class FixtureError(Exception):
-    """A fixture file is missing or cannot be read: a configuration error."""
+    """A fixture file is missing, unreadable or malformed: a configuration error."""
 
 
 def fixture_path(name: str) -> Path:

@@ -56,8 +56,8 @@ def lr_coefficients_oracle(lam, mu, nu):
     """Littlewood-Richardson coefficient by counting lattice tableaux.
 
     Fills the skew shape nu/lam with content mu subject to semistandard
-    rows/columns and the reverse lattice word condition; independent of
-    the polynomial route.
+    rows/columns and the reverse lattice word condition; shares nothing
+    with the antisymmetrization kernel of the library.
     """
     lam = tuple(lam) + (0,) * (len(nu) - len(lam))
     if any(n < l for n, l in zip(nu, lam)):
