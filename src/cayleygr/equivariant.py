@@ -5,6 +5,13 @@ the point class, then everything the localized classes determine: the
 Monk rule, fixed-point integration, degrees, the full multiplication
 table, the Poincare pairing, and the two-generator ring presentation.
 
+Each induction step is one exact linear solve built from two identities
+of binary forms: the Monk expansion of f_X (f_H - f_H(p)) over the next
+classes and the vanishing pushforwards of f_X f_H^j below the top
+degree.  The GKM edge congruences are not solved for; they are checked
+on every solved class, together with the pushforwards (re-integrated)
+and the integrality of the Monk coefficients.
+
 Conventions: tangent weights as in the reference table (chamber (1, 2)
 makes codimension = number of negative pairings); classes are normalized
 at their defining vertex by the product of the negative-pairing weights.
@@ -126,15 +133,6 @@ def check_gkm_divisibility(cls: EqClass) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _root_point(weight: Weight):
-    """A point on the zero line of the linear form of the weight."""
-    return (-weight[1], weight[0])
-
-
-def _coeff_slots(degree):
-    return [(degree - i, i) for i in range(degree + 1)]
-
-
 @cache
 def _localization_denominator():
     """The lcm L of the Euler classes and the complements C_q = L / e_q.
@@ -164,123 +162,68 @@ def _localization_denominator():
 def _solve_class(p_label, next_classes):
     """One induction step: the class of codim k from the codim-(k+1) ones.
 
-    Unknowns: the expansion coefficients a_i of f_X (f_H - f_H(p)) over the
-    next classes, plus explicit coefficient slots for f_X at every vertex of
-    codimension > k.  Equations: the defining polynomial identity at every
-    such vertex, and every GKM edge congruence with at least one endpoint
-    carrying unknowns (values at codim <= k vertices are 0, and f_X(p) is
-    pinned to the product of repelling weights).  The system must have a
-    unique solution.
+    Unknowns: the Monk coefficients a_i, as forms of degree 0, and the
+    value f_X(q), a form of degree k, at every vertex q of codimension
+    > k; f_X vanishes at the other vertices of codimension <= k and is
+    pinned at p to the product of repelling weights.  Two identities of
+    forms, each read off monomial by monomial, must pin them uniquely:
 
-    The edge congruences alone do not pin the scale (invariant curves come
-    in families here); the vanishing pushforwards of f_X f_H^j for
-    k + j < 8, written over the localization denominator, do.
+    (i)  f_X(q) (f_H(q) - f_H(p)) - sum_i a_i f_{Y_i}(q) = 0 at each q,
+         the Monk expansion over the next classes Y_i;
+    (ii) sum_q f_X(q) f_H(q)^j C_q = -n_p f_H(p)^j C_p for k + j < 8,
+         the vanishing pushforward of f_X f_H^j over the localization
+         denominator (see ``_localization_denominator``).
+
+    The GKM edge congruences are not among the equations: they follow
+    from these, and ``_class_solve`` checks them on every solved class.
     """
     k = point_by_label(p_label).codim
     m = len(next_classes)
     f_h = {q.label: hyperplane_weight(q.label) for q in enumerate_fixed_points()}
-    lp = f_h[p_label]
     n_p = normal_weight_product(p_label)
     support = [q.label for q in enumerate_fixed_points() if q.codim >= k + 1]
-    slots = _coeff_slots(k)
-
-    # unknown vector: a_0..a_{m-1}, then (k+1) coefficients per support vertex
-    nvar = m + len(support) * len(slots)
-    var_of = {lab: m + i * len(slots) for i, lab in enumerate(support)}
-
-    def value_row(lab):
-        """Rows expressing each coefficient of f_X(lab), or a constant form."""
-        if lab == p_label:
-            return n_p
-        if lab in var_of:
-            return var_of[lab]
-        return HomogPoly.zero(k)  # codim <= k, not the vertex itself
-
+    # an unknown form is (offset of its first coefficient, degree); the
+    # Monk coefficients come first, at offsets 0..m-1
+    value_unknowns = {lab: (m + n * (k + 1), k) for n, lab in enumerate(support)}
+    nvar = m + len(support) * (k + 1)
     rows, rhs = [], []
 
-    def add_equation(coeff_map, const):
-        row = [0] * nvar
-        for var, c in coeff_map.items():
-            row[var] += c
-        rows.append(row)
-        rhs.append(const)
+    def identity(terms, target):
+        """sum (unknown form) * (known form) = target, one row per monomial.
 
-    # (i) f_X(q) * (f_H(q) - f_H(p)) = sum a_i f_{Y_i}(q) at support vertices
+        Rows that read 0 = 0 are left out.
+        """
+        d = target.degree
+        eqs = {(d - s, s): [0] * nvar for s in range(d + 1)}
+        for (base, deg), form in terms:
+            for (g0, g1), gc in form.coeffs.items():
+                for s in range(deg + 1):
+                    eqs[(deg - s + g0, s + g1)][base + s] += gc
+        for mono, row in eqs.items():
+            b = target.coeffs.get(mono, 0)
+            if any(row) or b:
+                rows.append(row)
+                rhs.append(b)
+
     for lab in support:
-        lq = f_h[lab] - lp
-        base = var_of[lab]
-        gvals = [cls[lab] for cls in next_classes]
-        if lq.is_zero():
-            # the product side vanishes: sum a_i f_{Y_i}(q) = 0 termwise
-            for slot in _coeff_slots(k + 1):
-                coeffs = {i: g.coeffs.get(slot, 0) for i, g in enumerate(gvals)}
-                add_equation(coeffs, 0)
-            continue
-        lpoly = lq.poly()
-        for slot in _coeff_slots(k + 1):
-            coeffs = {}
-            # product (sum_j c_j m_j) * lpoly contributes to each slot
-            for j, vslot in enumerate(slots):
-                contrib = 0
-                for (lp1, lq1), lc in lpoly.coeffs.items():
-                    tgt = (vslot[0] + lp1, vslot[1] + lq1)
-                    if tgt == slot:
-                        contrib += lc
-                if contrib:
-                    coeffs[base + j] = contrib
-            for i, g in enumerate(gvals):
-                c = g.coeffs.get(slot, 0)
-                if c:
-                    coeffs[i] = coeffs.get(i, 0) - c
-            add_equation(coeffs, 0)
+        lq = (f_h[lab] - f_h[p_label]).poly()
+        terms = [(value_unknowns[lab], lq)]
+        terms += [((i, 0), -cls[lab]) for i, cls in enumerate(next_classes)]
+        identity(terms, HomogPoly.zero(k + 1))
 
-    # (ii) GKM congruences: evaluate differences at the root of the edge weight
-    for e in gkm_edges().edges:
-        a, b = tuple(e.labels)
-        ra = value_row(a)
-        rb = value_row(b)
-        if isinstance(ra, HomogPoly) and isinstance(rb, HomogPoly):
-            continue  # both values fixed; nothing to constrain here
-        pt = _root_point(e.primitive())
-        mono = {slot: pt[0] ** slot[0] * pt[1] ** slot[1] for slot in slots}
-        coeffs = {}
-        const = 0
-        for r, sign in ((ra, 1), (rb, -1)):
-            if isinstance(r, HomogPoly):
-                const -= sign * r.evaluate(*pt)
-            else:
-                for j, slot in enumerate(slots):
-                    coeffs[r + j] = coeffs.get(r + j, 0) + sign * mono[slot]
-        add_equation(coeffs, const)
-
-    # (iii) pushforward vanishing: sum_q f_X(q) f_H(q)^j / e_q is a
-    # polynomial of negative degree for k + j < 8, hence zero, so every
-    # coefficient of sum_q f_X(q) f_H(q)^j C_q vanishes.
-    factors, complements = _localization_denominator()
+    _, complements = _localization_denominator()
     weighted = {lab: complements[lab] for lab in [p_label] + support}  # f_H(q)^j C_q
-    for j in range(DIMENSION - k):
-        per_slot = {slot: {} for slot in _coeff_slots(k + j + len(factors) - DIMENSION)}
-        for lab in support:
-            base = var_of[lab]
-            for (g0, g1), gc in weighted[lab].coeffs.items():
-                for jj, (s0, s1) in enumerate(slots):
-                    coeffs = per_slot[(s0 + g0, s1 + g1)]
-                    coeffs[base + jj] = coeffs.get(base + jj, 0) + gc
-        const = poly_mul(n_p, weighted[p_label])
-        for slot, coeffs in per_slot.items():
-            add_equation(coeffs, -const.coeffs.get(slot, 0))
+    for _ in range(DIMENSION - k):
+        identity([(value_unknowns[lab], weighted[lab]) for lab in support], -poly_mul(n_p, weighted[p_label]))
         weighted = {lab: poly_mul(g, f_h[lab].poly()) for lab, g in weighted.items()}
 
     sol = solve_rational(rows, rhs)
     if sol.status != "unique":
         raise ArithmeticError(f"class solve at vertex {p_label} is {sol.status}")
-    a = sol.particular[:m]
     values = {p_label: n_p}
-    for lab in support:
-        base = var_of[lab]
-        coeffs = {slot: sol.particular[base + j] for j, slot in enumerate(slots)}
-        values[lab] = HomogPoly(k, coeffs)
-    return EqClass(k, values), a
+    for lab, (base, _) in value_unknowns.items():
+        values[lab] = HomogPoly(k, {(k - s, s): sol.particular[base + s] for s in range(k + 1)})
+    return EqClass(k, values), sol.particular[:m]
 
 
 @cache

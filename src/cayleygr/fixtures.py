@@ -46,6 +46,26 @@ def load_fixture(name: str):
         raise FixtureError(f"malformed fixture {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
+def fixture_object(name: str, key: str) -> dict:
+    """The entry ``key`` of the named fixture, which must be a JSON object."""
+    data = load_fixture(name)
+    entry = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(entry, dict):
+        raise FixtureError(f"malformed fixture {fixture_path(name)}: {key!r} is not an object")
+    return entry
+
+
+def int_table(name: str, table, where: str) -> dict:
+    """``table``, found at ``where`` in the named fixture, as {label: JSON integer}."""
+    path = fixture_path(name)
+    if not isinstance(table, dict):
+        raise FixtureError(f"malformed fixture {path}: {where} is not an object")
+    for label, c in table.items():
+        if type(c) is not int:
+            raise FixtureError(f"malformed fixture {path}: {where}[{label!r}] = {c!r} is not an integer")
+    return table
+
+
 # ---------------------------------------------------------------------------
 # tiny evaluator for the polynomial expressions printed in the reference
 # figures, e.g. "4g(g-b)", "2(b-g)^2", "-3bg", "b(4b-g)"

@@ -160,13 +160,13 @@ def hilbert_polynomial() -> HilbertData:
     Asserts equality with the closed form at k = 0..10, integrality on
     -10..10, and the leading coefficient times 8! equal to the degree 182.
     """
+    values = [hilbert_value(k) for k in range(11)]
     xs = [Fraction(k) for k in range(DIMENSION + 1)]
-    ys = [hilbert_value(k) for k in range(DIMENSION + 1)]
-    coeffs = _poly_from_samples(xs, ys)
-    for k in range(11):
+    coeffs = _poly_from_samples(xs, values[: DIMENSION + 1])
+    for k, value in enumerate(values):
         want = closed_form_value(k)
         got = _poly_eval(coeffs, Fraction(k))
-        if got != want or (k <= 10 and hilbert_value(k) != want):
+        if got != want or value != want:
             raise ArithmeticError(f"Koszul value and closed form disagree at {k}: {got} vs {want}")
     for k in range(-10, 11):
         if _poly_eval(coeffs, Fraction(k)).denominator != 1:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -173,18 +174,28 @@ def _missing_directory(tmp_path):
     return missing, ["verify", "degrees"], [str(missing), ".json", "No such file or directory"]
 
 
-def _restriction_case(edit, expected):
-    """A fixture copy whose restriction.json is edit(original text), encoded as UTF-8 unless bytes."""
+def _edited_fixtures(tmp_path, name, edit):
+    """A copy of the fixtures whose <name>.json is edit(original text), encoded as UTF-8 unless bytes."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(fixtures_dir(), fixtures)
+    bad = fixtures / f"{name}.json"
+    original = bad.read_text(encoding="utf-8")
+    text = edit(original)
+    assert text != original
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    return fixtures, bad
 
+
+def _fixture_case(name, topic, edit, expected):
     def setup(tmp_path):
-        fixtures = tmp_path / "fixtures"
-        shutil.copytree(fixtures_dir(), fixtures)
-        bad = fixtures / "restriction.json"
-        text = edit(bad.read_text(encoding="utf-8"))
-        bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-        return fixtures, ["verify", "restriction"], [str(bad), *expected]
+        fixtures, bad = _edited_fixtures(tmp_path, name, edit)
+        return fixtures, ["verify", topic], [str(bad), *expected]
 
     return setup
+
+
+def _restriction_case(edit, expected):
+    return _fixture_case("restriction", "restriction", edit, expected)
 
 
 _malformed_json = _restriction_case(lambda text: "{not json", ["line 1 column 2"])
@@ -194,12 +205,39 @@ _coefficient_not_integer = _restriction_case(
     lambda text: text.replace('"21": {"3": 1, "3\'": 2}', '"21": {"3": "x", "3\'": 2}'), ["table['21']['3']", "'x' is not an integer"]
 )
 _unknown_partition = _restriction_case(lambda text: text.replace('"21":', '"12":'), ["table key '12'"])
+_degrees_not_object = _fixture_case("degrees", "degrees", lambda text: '{"degrees": []}', ["'degrees' is not an object"])
+_monk_not_integer = _fixture_case(
+    "bruhat_monk", "monk", lambda text: text.replace('"2": {"3": 1,', '"2": {"3": "x",'), ["monk['2']['3']", "'x' is not an integer"]
+)
+_chern_row_not_object = _fixture_case(
+    "chern", "chern", lambda text: text.replace('"1": {"1": 4}', '"1": [1]'), ["classes['1'] is not an object"]
+)
 
 
 @pytest.mark.parametrize(
     "setup",
-    [_missing_directory, _malformed_json, _not_utf8, _table_not_object, _coefficient_not_integer, _unknown_partition],
-    ids=["missing-directory", "malformed-json", "not-utf8", "table-not-object", "coefficient-not-integer", "unknown-partition"],
+    [
+        _missing_directory,
+        _malformed_json,
+        _not_utf8,
+        _table_not_object,
+        _coefficient_not_integer,
+        _unknown_partition,
+        _degrees_not_object,
+        _monk_not_integer,
+        _chern_row_not_object,
+    ],
+    ids=[
+        "missing-directory",
+        "malformed-json",
+        "not-utf8",
+        "table-not-object",
+        "coefficient-not-integer",
+        "unknown-partition",
+        "degrees-not-object",
+        "monk-coefficient-not-integer",
+        "chern-row-not-object",
+    ],
 )
 def test_missing_fixtures_exit_2(tmp_path, setup):
     directory, argv, expected = setup(tmp_path)
@@ -229,3 +267,35 @@ def test_unwritable_out_exits_2(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert str(target) in lines[0] and "No such file or directory" in lines[0]
+
+
+def test_sigma2_figure_counts_matches(tmp_path, capsys, monkeypatch):
+    # a second wrong printed row besides 4'
+    fixtures, _ = _edited_fixtures(tmp_path, "gkm_sigma2", lambda text: text.replace('"4": "b(b-g)"', '"4": "2b(b-g)"'))
+    monkeypatch.setenv("CAYLEY_FIXTURES", str(fixtures))
+    code, out = run_cli(capsys, "verify", "classes")
+    assert code == 1
+    line = next(l for l in out.splitlines() if "classes.sigma2-figure" in l)
+    assert line.startswith("[             FAIL]")
+    assert "computed=13 of 15 match" in line
+
+
+# SHA-256 of the default reports and dumps; they are byte-identical across
+# hash seeds, and a change that alters any of them must say why
+OUTPUT_DIGESTS = {
+    ("verify", "all"): "e34395acc27519af38f840818f75f86fa88216a0c662e75a4f33f9ef1baca238",
+    ("verify", "all", "--format", "json"): "73f8d13e3dd7540ec8d82c1a865ee1c3d9fc4c474bb32c80f90f2e05e7df54f6",
+    ("dump", "classes"): "6503055d0c6f9869557443bb0c85d4edd32a300c0d69bf7eab9e525245f77d0a",
+    ("dump", "degrees"): "f36b4a25d96187b785de023a500b93d4c25826b604b86967f1f78f47c71771f4",
+    ("dump", "fixed-points"): "a6a2563d3406a7356a6dfde995aa8c1350c1ba0971fe5a36f62d994ff15b2cbc",
+    ("dump", "hilbert"): "1a0c143ff78668c8c3c2e941de86c0da09bcb3e9c0e2eaa937dc4df2060c884a",
+    ("dump", "mult"): "c8eb3d6cbbc1e58e3ffd0a6b5b180c8e13536f27c2ee403c6e46659ed4bf368c",
+    ("dump", "restriction"): "0ab46e2c1aed2507cc3672830d1d397d9746017f0e52ba6ad33dd674f42527f8",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_DIGESTS), ids=" ".join)
+def test_output_digest(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_DIGESTS[argv]

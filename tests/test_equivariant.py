@@ -247,3 +247,27 @@ def test_class_solve_needs_no_exact_elimination(monkeypatch):
     classes, _ = equivariant._class_solve.__wrapped__()
     assert len(classes) == 15
     assert classes == expected
+
+
+def test_monk_coefficients_by_expansion():
+    # a second route to the a_i of the class solve: expand sigma_p * H
+    h = hyperplane_class()
+    monk = monk_matrix()
+    classes = solve_all_classes()
+    assert len(classes) == 15
+    for lab, cls in classes.items():
+        assert top_expansion(pointwise_product(cls, h)) == vec(monk[lab]), lab
+
+
+def test_class_solve_checks_every_class(monkeypatch):
+    # the edge congruences are not solved for, so each class must be checked
+    checked = []
+
+    def record(cls):
+        checked.append(cls)
+        check_gkm_divisibility(cls)
+
+    monkeypatch.setattr(equivariant, "check_gkm_divisibility", record)
+    classes, _ = equivariant._class_solve.__wrapped__()
+    assert {lab for lab, cls in classes.items() if cls in checked} == set(classes)
+    assert len(classes) == 15
