@@ -1,10 +1,12 @@
 """The torus fixed locus of the subalgebra variety inside G(3,7).
 
-Enumerates the 15 coordinate fixed points, computes tangent weights,
-attracting-cell codimensions for a chosen one-parameter subgroup, and the
-GKM edge set.  Points are labelled by the reference table shipped as a
-fixture; the weight convention is the one under which the open cell has
-all tangent pairings positive in the chamber (1, 2).
+Enumerates the 15 coordinate fixed points (spans of vectors of the
+octonion weight basis U on which the octonion three-form vanishes),
+computes tangent weights, attracting-cell codimensions for a chosen
+one-parameter subgroup, and the GKM edge set.  Points are labelled by
+the reference table shipped as a fixture; the weight convention is the
+one under which the open cell has all tangent pairings positive in the
+chamber (1, 2).
 """
 
 from __future__ import annotations
@@ -15,15 +17,8 @@ from functools import cache
 from itertools import combinations
 
 from .fixtures import load_fixture
-from .weightmodel import (
-    BASIS_WEIGHTS,
-    INDEX_OF_WEIGHT,
-    U,
-    Weight,
-    omega_split,
-    parse_weight,
-    weight_str,
-)
+from .octonions import three_form
+from .weightmodel import BASIS_WEIGHTS, INDEX_OF_WEIGHT, U, Weight, parse_weight, weight_str
 
 CHAMBER = (1, 2)  # pairings <l,a>, <l,b>; makes codim(p) equal the label number
 
@@ -68,16 +63,16 @@ def label_codim(label: str) -> int:
 
 
 def is_cg_member(vectors) -> bool:
-    """True iff the three-form vanishes identically on the span.
+    """True iff the octonion three-form vanishes identically on the span.
 
-    The span must be 4-dimensional; by multilinearity it is enough to
-    check every basis triple.
+    The span, of imaginary octonions, must be 4-dimensional; by
+    multilinearity it is enough to check every basis triple.
     """
     vectors = list(vectors)
     if len(vectors) != 4:
         raise ValueError("membership test expects a 4-dimensional subspace")
     for a, b, c in combinations(range(4), 3):
-        if omega_split(vectors[a], vectors[b], vectors[c]):
+        if three_form(vectors[a], vectors[b], vectors[c]):
             return False
     return True
 

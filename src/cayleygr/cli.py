@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import ambient, cayley, equivariant, invariants, octonions, weightmodel
-from .fixtures import FixtureError, fixture_object, fixture_path, int_table, load_fixture, parse_form
+from .fixtures import FixtureError, fixture_entry, fixture_object, fixture_path, form_table, int_table, load_fixture, parse_form
 
 REPORT_VERSION = "1"
 
@@ -179,13 +179,11 @@ def run_gkm():
 
 
 def run_classes():
+    # solve_all_classes checks every edge congruence on every class it returns
     classes = equivariant.solve_all_classes()
-    out = []
-    for cls in classes.values():
-        equivariant.check_gkm_divisibility(cls)
-    out.append(check("classes.gkm-divisibility", True, "all 15 classes", "all 15 classes"))
-    fig1 = load_fixture("gkm_sigma1")["values"]
-    ok1 = all(classes["1"][lab] == parse_form(expr).scale(-1) for lab, expr in fig1.items())
+    out = [check("classes.gkm-divisibility", True, "all 15 classes", "all 15 classes")]
+    fig1 = form_table("gkm_sigma1", fixture_object("gkm_sigma1", "values"), "values")
+    ok1 = all(classes["1"][lab] == form.scale(-1) for lab, form in fig1.items())
     out.append(
         check(
             "classes.sigma1-figure",
@@ -195,8 +193,9 @@ def run_classes():
             note="the text normalization gives the negatives of the printed odd-codimension values",
         )
     )
-    fig2 = load_fixture("gkm_sigma2")["values"]
-    mismatch = [lab for lab, expr in fig2.items() if classes["2"][lab] != parse_form(expr)]
+    fig2 = fixture_object("gkm_sigma2", "values")
+    forms2 = form_table("gkm_sigma2", fig2, "values")
+    mismatch = [lab for lab, form in forms2.items() if classes["2"][lab] != form]
     matched = f"{len(fig2) - len(mismatch)} of {len(fig2)} match"
     out.append(check("classes.sigma2-figure", mismatch == ["4'"], matched, "15 rows"))
     if mismatch == ["4'"]:
@@ -245,18 +244,24 @@ def run_degrees():
 
 def run_mult():
     table = equivariant.multiplication_table()
-    rows = load_fixture("mult_table")["rows"]
+    rows = fixture_entry("mult_table", "rows", lambda entry: isinstance(entry, list), "a list")
+    labels = [p.label for p in cayley.enumerate_fixed_points()]
     out = []
     misprints = []
     failures = []
     for i, row in enumerate(rows):
+        # 'duplicate_of' is optional and defaults to 'left'
+        named = (row.get(k, row.get("left")) for k in ("left", "right", "duplicate_of")) if isinstance(row, dict) else [None]
+        if not all(name in labels for name in named):
+            path = fixture_path("mult_table")
+            raise FixtureError(f"malformed fixture {path}: rows[{i}] is not an object whose 'left', 'right' and 'duplicate_of' are point labels")
         left = row.get("duplicate_of", row["left"])
         if row["left"] == "4" and row["right"] == "4" and "duplicate_of" in row:
             key = ("4'", "4'")
         else:
             key = tuple(sorted((left, row["right"])))
         computed = table[key]
-        printed = equivariant.SchubertVector(int_table("mult_table", row["result"], f"rows[{i}]['result']"))
+        printed = equivariant.SchubertVector(int_table("mult_table", row.get("result"), f"rows[{i}]['result']"))
         if computed == printed:
             continue
         if "duplicate_of" in row:
@@ -382,8 +387,13 @@ def run_chern():
 
 def run_dual():
     coeffs, dprime, value = invariants.dual_degree()
-    fixture = load_fixture("dual_polynomial")
-    printed = fixture["coefficients"]
+    printed = fixture_entry(
+        "dual_polynomial",
+        "coefficients",
+        lambda c: isinstance(c, list) and len(c) == 9 and all(type(x) is int for x in c),
+        "a list of 9 integers",
+    )
+    printed_derivative = fixture_entry("dual_polynomial", "derivative_at_one", lambda d: type(d) is int, "an integer")
     out = []
     matching = [i for i in range(9) if coeffs[i] == printed[i]]
     out.append(check("dual.matching-coefficients", matching == [0, 1, 2, 3, 4, 5, 6, 8], f"{len(matching)} of 9", "8 of 9"))
@@ -399,7 +409,7 @@ def run_dual():
         discrepancy(
             "dual.derivative",
             dprime,
-            fixture["derivative_at_one"],
+            printed_derivative,
             "printed 17 is the absolute derivative of the misprinted polynomial; the corrected polynomial gives 63",
         )
     )

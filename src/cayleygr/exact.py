@@ -680,12 +680,3 @@ def smith_normal_form(M: IntMatrix):
 
     diag = [A[i][i] for i in range(min(m, n))]
     return diag, IntMatrix(U), IntMatrix(V)
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

@@ -46,13 +46,18 @@ def load_fixture(name: str):
         raise FixtureError(f"malformed fixture {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
-def fixture_object(name: str, key: str) -> dict:
-    """The entry ``key`` of the named fixture, which must be a JSON object."""
+def fixture_entry(name: str, key: str, valid, description: str):
+    """The entry ``key`` of the named fixture, which ``valid`` must accept."""
     data = load_fixture(name)
     entry = data.get(key) if isinstance(data, dict) else None
-    if not isinstance(entry, dict):
-        raise FixtureError(f"malformed fixture {fixture_path(name)}: {key!r} is not an object")
+    if not valid(entry):
+        raise FixtureError(f"malformed fixture {fixture_path(name)}: {key!r} is not {description}")
     return entry
+
+
+def fixture_object(name: str, key: str) -> dict:
+    """The entry ``key`` of the named fixture, which must be a JSON object."""
+    return fixture_entry(name, key, lambda entry: isinstance(entry, dict), "an object")
 
 
 def int_table(name: str, table, where: str) -> dict:
@@ -64,6 +69,20 @@ def int_table(name: str, table, where: str) -> dict:
         if type(c) is not int:
             raise FixtureError(f"malformed fixture {path}: {where}[{label!r}] = {c!r} is not an integer")
     return table
+
+
+def form_table(name: str, table: dict, where: str) -> dict:
+    """``table``, found at ``where`` in the named fixture, as {label: parsed form expression}."""
+    forms = {}
+    for label, expr in table.items():
+        if isinstance(expr, str):
+            try:
+                forms[label] = parse_form(expr)
+                continue
+            except ValueError:
+                pass
+        raise FixtureError(f"malformed fixture {fixture_path(name)}: {where}[{label!r}] = {expr!r} is not a form expression")
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +153,8 @@ def parse_form(expr: str) -> HomogPoly:
         base = parse_atom()
         if peek() == "^":
             pos += 1
+            if not (peek() or "").isdigit():
+                raise ValueError(f"missing exponent in {expr!r}")
             exp = int(tokens[pos])
             pos += 1
             out = HomogPoly.constant(1)
@@ -144,7 +165,7 @@ def parse_form(expr: str) -> HomogPoly:
 
     def parse_atom():
         nonlocal pos
-        tok = tokens[pos]
+        tok = peek()
         if tok == "(":
             pos += 1
             inner = parse_sum()
@@ -155,10 +176,10 @@ def parse_form(expr: str) -> HomogPoly:
         if tok in _VARS:
             pos += 1
             return _VARS[tok]
-        if tok.isdigit():
+        if tok is not None and tok.isdigit():
             pos += 1
             return HomogPoly.constant(Fraction(int(tok)))
-        raise ValueError(f"unexpected token {tok!r} in {expr!r}")
+        raise ValueError(f"unexpected {'end' if tok is None else f'token {tok!r}'} in {expr!r}")
 
     result = parse_sum()
     if pos != len(tokens):

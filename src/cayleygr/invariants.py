@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
 from .cayley import DIMENSION, enumerate_fixed_points
 from .equivariant import SchubertVector, degrees, solve_all_classes, top_expansion
-from .exact import HomogPoly, binomial, poly_mul
+from .exact import HomogPoly, poly_mul
 from .weightmodel import g2_irrep_dim, gl7_schur_dim
 
 
@@ -182,7 +182,7 @@ def quadric_count() -> int:
     p = hilbert_polynomial()
     span_dim = p.samples[1]            # 28: the span is a P^27
     assert span_dim == 28
-    return binomial(span_dim + 1, 2) - p.samples[2]
+    return comb(span_dim + 1, 2) - p.samples[2]
 
 
 def linear_forms_in_span() -> int:
@@ -193,7 +193,7 @@ def linear_forms_in_span() -> int:
 def linear_forms_in_plucker() -> int:
     """Linear forms vanishing on the variety inside P(wedge^3 V7)."""
     p = hilbert_polynomial()
-    return binomial(7, 3) - p.samples[1]
+    return comb(7, 3) - p.samples[1]
 
 
 def equivariant_series_check(k_max: int):

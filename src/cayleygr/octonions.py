@@ -193,19 +193,21 @@ def _det3(rows):
 
 
 def three_form(x: Octonion, y: Octonion, z: Octonion) -> GaussianRational:
-    """The alternating form given by the sum over the seven oriented lines."""
+    """The alternating form given by the sum over the seven oriented lines.
+
+    A line whose determinant has a zero column (a coordinate that is zero
+    in all three arguments) contributes nothing and is skipped.
+    """
     for v in (x, y, z):
         if not v.is_imaginary():
             raise ValueError("the three-form is defined on imaginary octonions")
+    xs, ys, zs = x.coeffs, y.coeffs, z.coeffs
     total = GI_ZERO
-    for i, j, k in _TABLE.lines:
-        total = total + _det3(
-            [
-                (x.coeffs[i], x.coeffs[j], x.coeffs[k]),
-                (y.coeffs[i], y.coeffs[j], y.coeffs[k]),
-                (z.coeffs[i], z.coeffs[j], z.coeffs[k]),
-            ]
-        )
+    for line in _TABLE.lines:
+        if not all(xs[c] or ys[c] or zs[c] for c in line):
+            continue
+        i, j, k = line
+        total = total + _det3([(xs[i], xs[j], xs[k]), (ys[i], ys[j], ys[k]), (zs[i], zs[j], zs[k])])
     return total
 
 

@@ -1,25 +1,20 @@
-"""Torus-adapted split model of the 7-dimensional representation.
+"""The torus weight basis of the 7-dimensional representation, and root data.
 
-The weight basis u_0, u_{+a}, u_{-a}, u_{+b}, u_{-b}, u_{+g}, u_{-g}
-diagonalizes the maximal torus; the three short characters satisfy
-a + b + g = 0 and weights are stored as integer pairs over (a, b).
-Also hosts the rank-2 root system data and the two Weyl-type dimension
-formulas (Schur functors of a 7-space, irreducible dimensions for the
-exceptional rank-2 group).
+The weight basis u_0, u_{+a}, u_{-a}, u_{+b}, u_{-b}, u_{+g}, u_{-g} is
+seven imaginary octonions of the Fano model that diagonalize the maximal
+torus; the three short characters satisfy a + b + g = 0 and weights are
+stored as integer pairs over (a, b).  Also hosts the rank-2 root system
+data and the two Weyl-type dimension formulas (Schur functors of a
+7-space, irreducible dimensions for the exceptional rank-2 group).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
-from .exact import (
-    GI_ZERO,
-    GaussianRational,
-    HomogPoly,
-)
 from . import octonions
+from .exact import HomogPoly, matrix_rank
 
 
 class Weight(tuple):
@@ -109,167 +104,41 @@ def parse_weight(s: str) -> Weight:
     raise ValueError(f"unknown weight name {s!r}")
 
 
-# Basis order of the split 7-space: index -> weight.
+# Basis order of the weight basis U below: index -> weight.
 BASIS_WEIGHTS = (ZERO, ALPHA, -ALPHA, BETA, -BETA, GAMMA, -GAMMA)
 INDEX_OF_WEIGHT = {w: i for i, w in enumerate(BASIS_WEIGHTS)}
 
 
-class SplitVector(tuple):
-    """Vector in the split model; 7 Gaussian-rational coordinates."""
+_I = octonions.I
+_E = octonions.E
 
-    __slots__ = ()
-
-    def __new__(cls, coords):
-        coords = tuple(c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coords)
-        if len(coords) != 7:
-            raise ValueError("split vectors have 7 coordinates")
-        return super().__new__(cls, coords)
-
-    @classmethod
-    def basis(cls, i):
-        return cls(tuple(GaussianRational(1 if j == i else 0) for j in range(7)))
-
-    def __add__(self, other):
-        return SplitVector(tuple(a + b for a, b in zip(self, other)))
-
-    def __sub__(self, other):
-        return SplitVector(tuple(a - b for a, b in zip(self, other)))
-
-    def __neg__(self):
-        return SplitVector(tuple(-a for a in self))
-
-    def scale(self, c):
-        return SplitVector(tuple(c * a for a in self))
-
-
-U = tuple(SplitVector.basis(i) for i in range(7))
-
-
-def q_split(x: SplitVector, y: SplitVector) -> GaussianRational:
-    """Bilinear form polarizing v0^2 + v_a v_-a + v_b v_-b + v_g v_-g.
-
-    Convention q(x, y) = (q(x+y) - q(x) - q(y)) / 2, so q(u_a, u_-a) = 1/2.
-    """
-    half = Fraction(1, 2)
-    total = x[0] * y[0]
-    for i in (1, 3, 5):
-        total = total + (x[i] * y[i + 1] + x[i + 1] * y[i]) * half
-    return total
-
-
-# Terms of the invariant three-form: v0^va^v-a + v0^vb^v-b + v0^vg^v-g
-# + va^vb^vg - v-a^v-b^v-g.  The sign of the last term is forced: with all
-# five coefficients +1 the derived volume constant q(x)Theta over
-# i(x)Om^i(x)Om^Om is +1/6 at u_0 but -1/6 at u_a + u_-a, so that form is
-# not compatible with this quadratic form; the flip is the unique repair
-# keeping the other four unit coefficients.
-_OMEGA_TERMS = (((0, 1, 2), 1), ((0, 3, 4), 1), ((0, 5, 6), 1), ((1, 3, 5), 1), ((2, 4, 6), -1))
-
-
-def omega_split(x: SplitVector, y: SplitVector, z: SplitVector) -> GaussianRational:
-    total = GI_ZERO
-    for (i, j, k), sign in _OMEGA_TERMS:
-        minor = (
-            x[i] * (y[j] * z[k] - y[k] * z[j])
-            - x[j] * (y[i] * z[k] - y[k] * z[i])
-            + x[k] * (y[i] * z[j] - y[j] * z[i])
-        )
-        total = total + (minor if sign > 0 else -minor)
-    return total
-
-
-# q(x y, w) = PRODUCT_FORM_SCALAR * omega(x, y, w); the scalar makes the
-# product extend to a composition algebra product on C + V7.
-PRODUCT_FORM_SCALAR = GaussianRational(0, Fraction(-1, 2))
-
-
-def split_product(x: SplitVector, y: SplitVector) -> SplitVector:
-    """The alternating product obtained by contracting the three-form.
-
-    Index raised with q_split; normalized so the product matches the
-    octonion product under the model bridge (weight additivity holds for
-    any normalization).
-    """
-    cov = [GI_ZERO] * 7
-    for k in range(7):
-        cov[k] = omega_split(x, y, U[k])
-    # invert the Gram matrix of q_split: diagonal block structure
-    out = [GI_ZERO] * 7
-    out[0] = cov[0]
-    for i in (1, 3, 5):
-        out[i] = cov[i + 1] * 2
-        out[i + 1] = cov[i] * 2
-    return SplitVector(out).scale(PRODUCT_FORM_SCALAR)
+# The weight basis as imaginary octonions: U[i] spans the weight line of
+# BASIS_WEIGHTS[i], so the octonion norm pairs u_w only with u_{-w}.
+U = (
+    _E[1],
+    _E[2] + _E[3].scale(_I), _E[2] - _E[3].scale(_I),
+    _E[4] - _E[7].scale(_I), _E[4] + _E[7].scale(_I),
+    -_E[5] - _E[6].scale(_I), -_E[5] + _E[6].scale(_I),
+)
 
 
 def model_bridge():
-    """Linear isomorphism from the split model onto the imaginary octonions.
+    """Check that U is a torus weight basis of the imaginary octonions; returns U.
 
-    Carries q_split to the octonion norm exactly and omega_split to a
-    nonzero scalar multiple of the Fano three-form; returns
-    (images, scalar) where images[i] is the octonion image of the i-th
-    split basis vector.
-
-    Construction: build an orthonormal frame a1..a7 of the split model
-    whose products reproduce the oriented Fano table (a1, a2 and a4 chosen
-    orthonormal, the rest generated by products), then map a_i to e_i.
-    Raises if the frame fails the table, which would signal inconsistent
-    conventions between the two models.
+    The norm pairs u_v with u_w exactly when v = -w, and Im(u_v u_w) lies
+    on the line of u_{v+w} (it vanishes when v + w is not a weight).
+    Raises ArithmeticError on a failure.
     """
-    a = [None] * 8
-    a[1] = U[0]
-    a[2] = U[1] + U[2]
-    a[3] = split_product(a[1], a[2])
-    a[4] = U[3] + U[4]
-    a[5] = split_product(a[3], a[4])
-    a[6] = split_product(a[2], a[4])
-    a[7] = -split_product(a[1], a[4])
-
-    for i in range(1, 8):
-        for j in range(i, 8):
-            want = Fraction(1) if i == j else Fraction(0)
-            if q_split(a[i], a[j]) != want:
-                raise ArithmeticError(f"bridge frame is not orthonormal at ({i},{j})")
-    for i, j, k in octonions.FANO_LINES:
-        if split_product(a[i], a[j]) != a[k]:
-            raise ArithmeticError(f"bridge frame violates the product relation ({i},{j},{k})")
-
-    # express the weight basis through the frame: solve A c = u_j columnwise
-    from .exact import solve_rational
-
-    rows = [[a[i][r] for i in range(1, 8)] for r in range(7)]
-    u_images = []
-    for j in range(7):
-        rhs = [U[j][r] for r in range(7)]
-        sol = solve_rational(rows, rhs)
-        if sol.status != "unique":
-            raise ArithmeticError("bridge frame is singular")
-        img = octonions.Octonion.zero()
-        for i in range(7):
-            img = img + octonions.E[i + 1].scale(sol.particular[i])
-        u_images.append(img)
-
-    # verify the isometry and extract the three-form proportionality scalar
-    for i in range(7):
-        for j in range(i, 7):
-            if octonions.norm_bilinear(u_images[i], u_images[j]) != q_split(U[i], U[j]):
-                raise ArithmeticError("bridge fails to carry the quadratic form")
-    lam = None
-    for t in combinations(range(7), 3):
-        split_val = omega_split(U[t[0]], U[t[1]], U[t[2]])
-        oct_val = octonions.three_form(u_images[t[0]], u_images[t[1]], u_images[t[2]])
-        if not split_val:
-            if oct_val:
-                raise ArithmeticError("bridge fails the three-form proportionality")
-            continue
-        cand = oct_val / split_val
-        if lam is None:
-            lam = cand
-        elif lam != cand:
-            raise ArithmeticError("three-form ratio is not a single scalar")
-    if lam is None or not lam:
-        raise ArithmeticError("degenerate three-form proportionality")
-    return u_images, lam
+    for i, v in enumerate(BASIS_WEIGHTS):
+        for j, w in enumerate(BASIS_WEIGHTS):
+            if bool(octonions.norm_bilinear(U[i], U[j])) != (v == -w):
+                raise ArithmeticError(f"the norm pairing of u_{v} and u_{w} is wrong")
+            k = INDEX_OF_WEIGHT.get(v + w)
+            line = [] if k is None else [U[k].coeffs]
+            product = octonions.multiply(U[i], U[j]).imaginary()
+            if matrix_rank(line + [product.coeffs]) != len(line):
+                raise ArithmeticError(f"Im(u_{v} u_{w}) is off the weight line of {v + w}")
+    return U
 
 
 # ---------------------------------------------------------------------------

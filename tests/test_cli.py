@@ -1,14 +1,17 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cayleygr.cli import main
-from cayleygr.fixtures import fixtures_dir
+from cayleygr.fixtures import fixtures_dir, parse_form
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +216,23 @@ _chern_row_not_object = _fixture_case(
     "chern", "chern", lambda text: text.replace('"1": {"1": 4}', '"1": [1]'), ["classes['1'] is not an object"]
 )
 
+_figure_not_form = _fixture_case(
+    "gkm_sigma2", "classes", lambda text: text.replace('"4": "b(b-g)"', '"4": "q"'), ["values['4']", "'q' is not a form expression"]
+)
+_dual_too_short = _fixture_case(
+    "dual_polynomial", "dual", lambda text: text.replace("344, -860, 1492, -1784, 1438, -738, 182]", "344]"), ["'coefficients' is not a list of 9 integers"]
+)
+_mult_row_not_object = _fixture_case(
+    "mult_table", "mult", lambda text: text.replace('{"left": "2",  "right": "2",  "result": {"4": 1, "4\'": 2, "4\'\'": 2}}', "[1]"), ["rows[0] is not an object"]
+)
+
+
+@pytest.mark.parametrize("expr", ["", "2+", "a^", "a^b", "(a", "a)", "q"])
+def test_parse_form_rejects_with_value_error(expr):
+    # form_table turns exactly this error into a FixtureError
+    with pytest.raises(ValueError):
+        parse_form(expr)
+
 
 @pytest.mark.parametrize(
     "setup",
@@ -226,6 +246,9 @@ _chern_row_not_object = _fixture_case(
         _degrees_not_object,
         _monk_not_integer,
         _chern_row_not_object,
+        _figure_not_form,
+        _dual_too_short,
+        _mult_row_not_object,
     ],
     ids=[
         "missing-directory",
@@ -237,6 +260,9 @@ _chern_row_not_object = _fixture_case(
         "degrees-not-object",
         "monk-coefficient-not-integer",
         "chern-row-not-object",
+        "figure-not-form",
+        "dual-coefficients-too-short",
+        "mult-row-not-object",
     ],
 )
 def test_missing_fixtures_exit_2(tmp_path, setup):
@@ -299,3 +325,17 @@ def test_output_digest(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_DIGESTS[argv]
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps engine functions by name; a rename that
+    # misses it would only break traced runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for table in (tracer.KERNELS, tracer.STAGES):
+        for short, names in table.items():
+            module = importlib.import_module(f"cayleygr.{short}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{short}.{name}"

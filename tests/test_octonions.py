@@ -103,6 +103,18 @@ def test_three_form_values():
         three_form(E[0], E[1], E[2])
 
 
+sparse_imaginary_octos = st.lists(
+    st.sampled_from([0, 0, 0, 1, -2, GaussianRational(0, 1)]), min_size=7, max_size=7
+).map(lambda cs: Octonion([0, *cs]))
+
+
+@given(sparse_imaginary_octos, sparse_imaginary_octos, sparse_imaginary_octos)
+@settings(max_examples=60, deadline=None)
+def test_three_form_is_the_product_pairing(x, y, z):
+    # sparse arguments exercise the lines skipped for a zero column
+    assert three_form(x, y, z) == norm_bilinear(multiply(x, y), z)
+
+
 def test_three_form_product_formula_agrees():
     assert three_form_from_products() == three_form_table()
 

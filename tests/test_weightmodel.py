@@ -1,17 +1,16 @@
-from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from cayleygr.exact import GaussianRational
-from cayleygr.octonions import OrbitType, Subspace, classify, norm_bilinear
+from cayleygr import weightmodel
+from cayleygr.exact import matrix_rank
+from cayleygr.octonions import OrbitType, Subspace, classify, multiply, norm_bilinear, three_form
 from cayleygr.weightmodel import (
     ALPHA,
     BETA,
     GAMMA,
-    PRODUCT_FORM_SCALAR,
+    INDEX_OF_WEIGHT,
     ROOT_SYSTEM,
-    SplitVector,
     U,
     BASIS_WEIGHTS,
     Weight,
@@ -20,10 +19,7 @@ from cayleygr.weightmodel import (
     gl7_schur_dim,
     gl7_schur_dim_tableau_oracle,
     model_bridge,
-    omega_split,
     parse_weight,
-    q_split,
-    split_product,
     weight_str,
 )
 
@@ -35,86 +31,40 @@ def test_weight_arithmetic_and_names():
     assert (ALPHA - BETA).pair((1, 2)) == -1
 
 
-def test_q_split_values():
-    one = GaussianRational(1)
-    assert q_split(U[0], U[0]) == one
-    assert q_split(U[1], U[2]) == GaussianRational(Fraction(1, 2))
-    assert q_split(U[1], U[3]) == 0
-    assert q_split(U[1], U[1]) == 0
+def test_norm_pairs_each_weight_with_its_negative():
+    # cayley._complement_four_space reads the orthogonal 4-space off this pattern
+    for i, v in enumerate(BASIS_WEIGHTS):
+        for j, w in enumerate(BASIS_WEIGHTS):
+            assert bool(norm_bilinear(U[i], U[j])) == (v == -w), (v, w)
 
 
-def test_omega_split_values():
-    assert omega_split(U[0], U[1], U[2]) == 1
-    assert omega_split(U[1], U[3], U[5]) == 1
-    assert omega_split(U[1], U[3], U[6]) == 0
-    # alternating
-    assert omega_split(U[1], U[0], U[2]) == -1
-    assert omega_split(U[0], U[0], U[2]) == 0
+def test_product_adds_weights():
+    for i, v in enumerate(BASIS_WEIGHTS):
+        for j, w in enumerate(BASIS_WEIGHTS):
+            p = multiply(U[i], U[j]).imaginary()
+            k = INDEX_OF_WEIGHT.get(v + w)
+            if k is None:
+                assert not p, (v, w)
+            else:
+                assert matrix_rank([U[k].coeffs, p.coeffs]) == 1, (v, w)
 
 
-def _weight_of_index(i):
-    return BASIS_WEIGHTS[i]
-
-
-def test_split_product_weight_additivity():
-    for i in range(7):
-        for j in range(7):
-            p = split_product(U[i], U[j])
-            nz = [k for k in range(7) if p[k]]
-            if not nz:
-                continue
-            assert len(nz) == 1
-            assert _weight_of_index(nz[0]) == _weight_of_index(i) + _weight_of_index(j)
-
-
-def test_split_product_examples():
-    p = split_product(U[1], U[2])
-    assert [k for k in range(7) if p[k]] == [0]
-    p = split_product(U[1], U[3])
-    assert [k for k in range(7) if p[k]] == [6]
-    # the span of u0, u_a, u_-a is closed under the product
-    span = (0, 1, 2)
-    for i in span:
-        for j in span:
-            p = split_product(U[i], U[j])
-            assert all(not p[k] for k in range(7) if k not in span)
-
-
-split_vectors = st.lists(
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=7, max_size=7
-).map(lambda cs: SplitVector([GaussianRational(a, b) for a, b in cs]))
-
-
-@given(split_vectors, split_vectors, split_vectors)
-@settings(max_examples=30, deadline=None)
-def test_product_is_q_compatible_with_omega(x, y, z):
-    # q(x y, z) equals the fixed multiple of omega(x, y, z), hence alternating
-    lhs = q_split(split_product(x, y), z)
-    assert lhs == PRODUCT_FORM_SCALAR * omega_split(x, y, z)
-    assert q_split(split_product(x, x), z) == 0
-    assert q_split(split_product(x, y), y) == PRODUCT_FORM_SCALAR * omega_split(x, y, y)
-
-
-@given(split_vectors, split_vectors)
-@settings(max_examples=30, deadline=None)
-def test_extended_product_is_composition(x, y):
-    # (a, x)(b, y) = (ab - q(x,y), ay + bx + xy) must multiply norms
-    a, b = GaussianRational(2, 1), GaussianRational(1, -1)
-    re = a * b - q_split(x, y)
-    im = y.scale(a) + x.scale(b) + split_product(x, y)
-    lhs = re * re + q_split(im, im)
-    rhs = (a * a + q_split(x, x)) * (b * b + q_split(y, y))
-    assert lhs == rhs
+def test_three_form_support_on_the_weight_basis():
+    support = {t for t in combinations(range(7), 3) if three_form(*(U[i] for i in t))}
+    assert support == {(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (2, 4, 6)}
 
 
 def test_model_bridge():
-    images, lam = model_bridge()
-    assert lam == GaussianRational(0, Fraction(-1, 2))
-    # q preserved: norms of images match the split Gram
-    assert norm_bilinear(images[0], images[0]) == 1
-    assert norm_bilinear(images[1], images[2]) == GaussianRational(Fraction(1, 2))
-    sub = Subspace([images[0], images[1], images[2]])
+    assert model_bridge() is U
+    sub = Subspace([U[0], U[1], U[2]])
     assert classify(sub) is OrbitType.NON_DEGENERATE
+
+
+def test_model_bridge_rejects_a_wrong_basis(monkeypatch):
+    swapped = (U[0], U[1], U[2], U[4], U[3], U[5], U[6])
+    monkeypatch.setattr(weightmodel, "U", swapped)
+    with pytest.raises(ArithmeticError):
+        model_bridge()
 
 
 def test_root_system_invariants():
