@@ -29,7 +29,7 @@ from itertools import combinations, product
 from math import prod
 
 from .cayley import DIMENSION, enumerate_fixed_points
-from .exact import HomogPoly, IntMatrix, poly_mul, smith_normal_form
+from .exact import HomogPoly, poly_mul, smith_normal_form
 from . import equivariant
 from .equivariant import SchubertVector, labels_by_codim
 from .weightmodel import BASIS_WEIGHTS
@@ -417,15 +417,18 @@ def image_index() -> int:
 
 
 def image_index_profile():
-    """Index of the restriction image lattice in each codimension."""
+    """Index of the restriction image lattice in each codimension.
+
+    In codimension k: the product of the invariant factors of the images
+    of the ambient classes of size k, which must all be nonzero.
+    """
     table = restriction_table()
     by_codim = labels_by_codim()
     out = {}
     for k in range(DIMENSION + 1):
         classes = by_codim[k]
         rows = [[table[lam][lab] for lab in classes] for lam in box_partitions(size=k)]
-        diag, _, _ = smith_normal_form(IntMatrix(rows))
-        nonzero = [d for d in diag if d]
+        nonzero = [d for d in smith_normal_form(rows) if d]
         if len(nonzero) != len(classes):
             raise ArithmeticError(f"restriction image not of full rank in codimension {k}")
         out[k] = prod(nonzero)

@@ -11,12 +11,13 @@ chamber (1, 2).
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .fixtures import load_fixture
+from .fixtures import FixtureError, fixture_entry, fixture_path
 from .octonions import three_form
 from .weightmodel import BASIS_WEIGHTS, INDEX_OF_WEIGHT, U, Weight, parse_weight, weight_str
 
@@ -105,28 +106,71 @@ def _tangent_weights(label, four_space):
     return out
 
 
+def _weight_names(names, size):
+    """The weights named by the list ``names`` of ``size`` strings, or None."""
+    if not isinstance(names, list) or len(names) != size or not all(isinstance(s, str) for s in names):
+        return None
+    try:
+        return tuple(parse_weight(s) for s in names)
+    except ValueError:
+        return None
+
+
+_POINT_KEYS = {
+    "label": "a new point label (a codimension, then primes)",
+    "triple": "3 basis weight names spanning a new 3-space",
+    "tangent": f"{DIMENSION} weight names",
+}
+
+
+@cache
+def reference_points():
+    """The printed fixed-point table, checked: {label: (triple, tangent)}.
+
+    ``triple`` is the frozenset of basis indices spanning the 3-space and
+    ``tangent`` the printed tangent weights.  Each entry of 'points' in
+    fixed_points.json must be an object whose keys meet ``_POINT_KEYS``;
+    anything else raises FixtureError naming the file and key.  Read once
+    per process.
+    """
+    rows = fixture_entry("fixed_points", "points", lambda entry: isinstance(entry, list), "a list")
+    table = {}
+    for i, row in enumerate(rows):
+        row = row if isinstance(row, dict) else {}
+        label = row.get("label")
+        indices = frozenset(INDEX_OF_WEIGHT.get(w) for w in _weight_names(row.get("triple"), 3) or ())
+        tangent = _weight_names(row.get("tangent"), DIMENSION)
+        valid = {
+            "label": isinstance(label, str) and re.fullmatch(f"[0-{DIMENSION}]'*", label) and label not in table,
+            "triple": len(indices) == 3 and None not in indices and all(indices != t for t, _ in table.values()),
+            "tangent": tangent is not None,
+        }
+        for key, ok in valid.items():
+            if not ok:
+                where = f"points[{i}][{key!r}] = {row.get(key)!r}"
+                raise FixtureError(f"malformed fixture {fixture_path('fixed_points')}: {where} is not {_POINT_KEYS[key]}")
+        table[label] = (indices, tangent)
+    return table
+
+
 @cache
 def enumerate_fixed_points():
     """All coordinate 3-spaces whose orthogonal 4-space kills the form.
 
-    Scans the 35 candidates, keeps the members, and labels them against
-    the reference table; exactly 15 must survive.  Sorted by (codim, label),
+    Scans the 35 candidates, keeps the members (exactly 15), and labels
+    them by their rows of the reference table.  Sorted by (codim, label),
     so the open cell comes first and the point last.
     """
-    table = load_fixture("fixed_points")["points"]
-    label_by_triple = {}
-    for row in table:
-        idx = frozenset(INDEX_OF_WEIGHT[parse_weight(s)] for s in row["triple"])
-        label_by_triple[idx] = row["label"]
+    label_by_triple = {triple: label for label, (triple, _) in reference_points().items()}
     points = []
     for triple in combinations(range(7), 3):
         four = _complement_four_space(triple)
         if not coordinate_member(four):
             continue
-        key = frozenset(triple)
-        if key not in label_by_triple:
-            raise ArithmeticError(f"member triple {triple} missing from the label table")
-        label = label_by_triple[key]
+        label = label_by_triple.get(frozenset(triple))
+        if label is None:
+            names = ", ".join(weight_str(BASIS_WEIGHTS[i]) for i in triple)
+            raise FixtureError(f"malformed fixture {fixture_path('fixed_points')}: 'points' has no row for the member triple ({names})")
         points.append(FixedPoint(label, triple, four, label_codim(label), _tangent_weights(label, four)))
     if len(points) != 15:
         raise ArithmeticError(f"expected 15 fixed points, found {len(points)}")
@@ -153,8 +197,7 @@ def tangent_weight_list(p: FixedPoint):
 
 def reference_tangent_table():
     """The printed tangent table, as label -> Counter of weights."""
-    table = load_fixture("fixed_points")["points"]
-    return {row["label"]: Counter(parse_weight(s) for s in row["tangent"]) for row in table}
+    return {label: Counter(tangent) for label, (_, tangent) in reference_points().items()}
 
 
 def tangent_discrepancies():

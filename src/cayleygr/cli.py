@@ -17,10 +17,9 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import factorial
 
-from . import ambient, cayley, equivariant, invariants, octonions, weightmodel
-from .fixtures import FixtureError, fixture_entry, fixture_object, fixture_path, form_table, int_table, load_fixture, parse_form
+from . import ambient, cayley, equivariant, invariants, octonions
+from .fixtures import FixtureError, fixture_entry, fixture_object, fixture_path, form_table, int_table, parse_form
 
 REPORT_VERSION = "1"
 
@@ -115,12 +114,8 @@ def run_orbits():
 
 def run_fixed_points():
     pts = cayley.enumerate_fixed_points()
-    table = load_fixture("fixed_points")["points"]
     out = [check("fixed-points.count", len(pts) == 15, len(pts), 15)]
-    want = {
-        row["label"]: frozenset(weightmodel.parse_weight(s) for s in row["triple"]) for row in table
-    }
-    ok = all(frozenset(p.triple_weights) == want[p.label] for p in pts)
+    ok = all(frozenset(p.triple) == cayley.reference_points()[p.label][0] for p in pts)
     out.append(check("fixed-points.triples", ok, "15 triples", "15 triples"))
     return out
 
@@ -178,11 +173,21 @@ def run_gkm():
     return out
 
 
+def _printed_figure(name):
+    """The 'values' of the named figure fixture and their parsed forms, or FixtureError naming the bad key."""
+    values = fixture_object(name, "values")
+    labels = {p.label for p in cayley.enumerate_fixed_points()}
+    for label in values:
+        if label not in labels:
+            raise FixtureError(f"malformed fixture {fixture_path(name)}: values key {label!r} is not a point label")
+    return values, form_table(name, values, "values")
+
+
 def run_classes():
     # solve_all_classes checks every edge congruence on every class it returns
     classes = equivariant.solve_all_classes()
     out = [check("classes.gkm-divisibility", True, "all 15 classes", "all 15 classes")]
-    fig1 = form_table("gkm_sigma1", fixture_object("gkm_sigma1", "values"), "values")
+    _, fig1 = _printed_figure("gkm_sigma1")
     ok1 = all(classes["1"][lab] == form.scale(-1) for lab, form in fig1.items())
     out.append(
         check(
@@ -193,8 +198,7 @@ def run_classes():
             note="the text normalization gives the negatives of the printed odd-codimension values",
         )
     )
-    fig2 = fixture_object("gkm_sigma2", "values")
-    forms2 = form_table("gkm_sigma2", fig2, "values")
+    fig2, forms2 = _printed_figure("gkm_sigma2")
     mismatch = [lab for lab, form in forms2.items() if classes["2"][lab] != form]
     matched = f"{len(fig2) - len(mismatch)} of {len(fig2)} match"
     out.append(check("classes.sigma2-figure", mismatch == ["4'"], matched, "15 rows"))
@@ -422,13 +426,13 @@ def run_dual():
 def run_hilbert(kmax):
     p = invariants.hilbert_polynomial()
     out = []
-    agree = all(p.value(k) == invariants.closed_form_value(k) == invariants.hilbert_value(k) for k in range(kmax + 1))
+    agree = all(invariants.closed_form_value(k) == invariants.hilbert_value(k) for k in range(kmax + 1))
     out.append(check("hilbert.koszul-vs-closed-form", agree, f"k = 0..{kmax}", "equal"))
-    out.append(check("hilbert.P1", p.samples[1] == 28, p.samples[1], 28))
-    out.append(check("hilbert.P2", p.samples[2] == 287, p.samples[2], 287, "DERIVED"))
+    out.append(check("hilbert.P1", p[1] == 28, p[1], 28))
+    out.append(check("hilbert.P2", p[2] == 287, p[2], 287, "DERIVED"))
     out.append(check("hilbert.quadrics", invariants.quadric_count() == 119, invariants.quadric_count(), 119))
-    lead = p.coeffs[8] * factorial(8)
-    out.append(check("hilbert.leading-degree", lead == 182, int(lead), 182))
+    lead = invariants.leading_degree(p)
+    out.append(check("hilbert.leading-degree", lead == 182, lead, 182))
     return out
 
 
@@ -546,12 +550,12 @@ def dump_restriction():
 
 
 def dump_hilbert(kmax):
-    p = invariants.hilbert_polynomial()
+    invariants.hilbert_polynomial()  # certifies the closed form
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "P(k)"])
     for k in range(kmax + 1):
-        writer.writerow([k, int(p.value(k))])
+        writer.writerow([k, int(invariants.closed_form_value(k))])
     return buf.getvalue()
 
 

@@ -5,7 +5,9 @@ the rationals, the Gaussian rationals, and homogeneous polynomials in the
 two torus characters with rational coefficients.  A rational scalar is
 held as an ``int`` when it is integral and as a ``fractions.Fraction``
 otherwise (see ``scalar``); every true division goes through ``Fraction``
-and floats are rejected.  All values are immutable; every function is pure.
+and floats are rejected.  Integer matrices are plain lists of rows, and
+of their Smith normal form only the invariant factors are computed.  All
+values are immutable; every function is pure.
 """
 
 from __future__ import annotations
@@ -536,147 +538,49 @@ def _solve_modular(rows, rhs):
 
 
 # ---------------------------------------------------------------------------
-# integer matrices and the Smith normal form
+# invariant factors of an integer matrix
 # ---------------------------------------------------------------------------
 
 
-class IntMatrix:
-    """Dense integer matrix with arbitrary-precision entries."""
+def smith_normal_form(rows):
+    """The invariant factors of the integer matrix given by ``rows``.
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        entries = [list(map(int, row)) for row in entries]
-        if entries and any(len(r) != len(entries[0]) for r in entries):
-            raise ValueError("ragged matrix")
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        self.entries = entries
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"IntMatrix({self.entries!r})"
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def mul(self, other):
-        assert self.cols == other.rows
-        out = [
-            [sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntMatrix(out)
-
-    def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        assert self.rows == self.cols
-        n = self.rows
-        a = [row[:] for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1] if n else 1
-
-
-def smith_normal_form(M: IntMatrix):
-    """U * M * V = D with U, V unimodular and D diagonal, d_i | d_{i+1}.
-
-    Returns (diag, U, V) where diag lists the nonnegative diagonal entries
-    of D (including zeros up to min(rows, cols)).
+    These are the diagonal entries d_1, ..., d_min(m,n) of its Smith normal
+    form: non-negative, d_i | d_(i+1), zeros last.  Unimodular row and
+    column operations reduce a copy of the matrix; the transforms are
+    not kept, because only the diagonal is read.
     """
-    A = [row[:] for row in M.entries]
-    m, n = M.rows, M.cols
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        A[dst] = [x + c * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(src, dst, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
+    A = [list(map(int, row)) for row in rows]
+    m = len(A)
+    n = len(A[0]) if A else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("ragged matrix")
     t = 0
     while t < min(m, n):
-        # find a nonzero entry with minimal absolute value in the block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        # move a nonzero entry of least absolute value to the pivot
+        nonzero = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+        if not nonzero:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    add_row(t, i, -q)
-                    if A[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    add_col(t, j, -q)
-                    if A[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        if A[t][t] < 0:
-            negate_row(t)
-        # enforce the divisibility chain: fold any non-multiple into the pivot
-        offender = None
+        _, i, j = min(nonzero)
+        A[t], A[i] = A[i], A[t]
+        for row in A:
+            row[t], row[j] = row[j], row[t]
+        # reduce the pivot column and row modulo the pivot; a remainder is a
+        # nonzero entry smaller than the pivot, which the next pass moves there
+        d = A[t][t]
         for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+            q = A[i][t] // d
+            A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+        for j in range(t + 1, n):
+            q = A[t][j] // d
+            for row in A:
+                row[j] -= q * row[t]
+        if any(A[i][t] for i in range(t + 1, m)) or any(A[t][j] for j in range(t + 1, n)):
+            continue
+        # enforce the divisibility chain: fold a row holding a non-multiple into the pivot row
+        offender = next((i for i in range(t + 1, m) if any(A[i][j] % d for j in range(t + 1, n))), None)
         if offender is not None:
-            add_row(offender, t, 1)
+            A[t] = [x + y for x, y in zip(A[t], A[offender])]
             continue
         t += 1
-
-    diag = [A[i][i] for i in range(min(m, n))]
-    return diag, IntMatrix(U), IntMatrix(V)
+    return [abs(A[i][i]) for i in range(min(m, n))]

@@ -1,16 +1,16 @@
 """Characteristic classes and numerical invariants of the eightfold.
 
 Chern classes of the tangent bundle by localization, the dual-degree
-generating polynomial, the Hilbert polynomial through the Koszul
-resolution on G(4,7), the quadric count, and the equivariant Hilbert
-series identity.
+generating polynomial, the Hilbert polynomial (a closed form, certified
+against the section counts of the Koszul resolution on G(4,7)), the
+quadric count, and the equivariant Hilbert series identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb
 
 from .cayley import DIMENSION, enumerate_fixed_points
 from .equivariant import SchubertVector, degrees, solve_all_classes, top_expansion
@@ -115,85 +115,48 @@ def closed_form_value(k) -> Fraction:
     return (k + 1) * m**2 * (k + 3) * (13 * m**4 + 7 * m**2 + 4) / 2880
 
 
-def _poly_from_samples(xs, ys):
-    """Lagrange interpolation; coefficient list, lowest degree first."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis[:]
-            shifted = [c * (-xs[j]) for c in basis[1:]] + [Fraction(0)]
-            basis = [b + s for b, s in zip(basis, shifted + [Fraction(0)] * (len(basis) - len(shifted)))]
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for d in range(len(basis)):
-            coeffs[d] += scale * basis[d]
-    return coeffs
-
-
-def _poly_eval(coeffs, x):
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-class HilbertData:
-    """Exact degree-8 polynomial with sampled values."""
-
-    def __init__(self, coeffs, samples):
-        self.coeffs = coeffs          # Fractions, constant term first
-        self.samples = samples        # {k: value}
-
-    def value(self, k):
-        return _poly_eval(self.coeffs, Fraction(k))
+def leading_degree(counts) -> int:
+    """The 8th finite difference of counts[0..8]: 8! times the leading coefficient, the degree."""
+    return sum((-1) ** (DIMENSION - k) * comb(DIMENSION, k) * counts[k] for k in range(DIMENSION + 1))
 
 
 @cache
-def hilbert_polynomial() -> HilbertData:
-    """The degree-8 polynomial interpolating the Koszul section counts.
+def hilbert_polynomial() -> dict:
+    """The Koszul section counts {k: P(k)} for k = 0..10, certified.
 
-    Asserts equality with the closed form at k = 0..10, integrality on
-    -10..10, and the leading coefficient times 8! equal to the degree 182.
+    The counts equal the closed form at k = 0..10, more points than the 9
+    that fix a polynomial of degree 8, so ``closed_form_value`` is the
+    Hilbert polynomial.  Also asserts that it is integer-valued on -10..10
+    and that its leading term gives the degree 182.
     """
-    values = [hilbert_value(k) for k in range(11)]
-    xs = [Fraction(k) for k in range(DIMENSION + 1)]
-    coeffs = _poly_from_samples(xs, values[: DIMENSION + 1])
-    for k, value in enumerate(values):
-        want = closed_form_value(k)
-        got = _poly_eval(coeffs, Fraction(k))
-        if got != want or value != want:
-            raise ArithmeticError(f"Koszul value and closed form disagree at {k}: {got} vs {want}")
+    counts = {k: hilbert_value(k) for k in range(11)}
+    for k, value in counts.items():
+        if value != closed_form_value(k):
+            raise ArithmeticError(f"Koszul value and closed form disagree at {k}: {value} vs {closed_form_value(k)}")
     for k in range(-10, 11):
-        if _poly_eval(coeffs, Fraction(k)).denominator != 1:
+        if closed_form_value(k).denominator != 1:
             raise ArithmeticError(f"polynomial not integer-valued at {k}")
-    lead = coeffs[DIMENSION] * factorial(DIMENSION)
+    lead = leading_degree(counts)
     if lead != 182:
         raise ArithmeticError(f"leading term gives degree {lead}, expected 182")
-    return HilbertData(coeffs, {k: int(_poly_eval(coeffs, Fraction(k))) for k in range(11)})
+    return counts
 
 
 def quadric_count() -> int:
     """Quadrics through the variety inside its linear span."""
     p = hilbert_polynomial()
-    span_dim = p.samples[1]            # 28: the span is a P^27
+    span_dim = p[1]            # 28: the span is a P^27
     assert span_dim == 28
-    return comb(span_dim + 1, 2) - p.samples[2]
+    return comb(span_dim + 1, 2) - p[2]
 
 
 def linear_forms_in_span() -> int:
-    p = hilbert_polynomial()
-    return p.samples[1] - 28
+    return hilbert_polynomial()[1] - 28
 
 
 def linear_forms_in_plucker() -> int:
     """Linear forms vanishing on the variety inside P(wedge^3 V7)."""
-    p = hilbert_polynomial()
-    return comb(7, 3) - p.samples[1]
+    return comb(7, 3) - hilbert_polynomial()[1]
 
 
 def equivariant_series_check(k_max: int):
@@ -204,13 +167,13 @@ def equivariant_series_check(k_max: int):
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    p = hilbert_polynomial()
+    hilbert_polynomial()  # certifies the closed form as the Hilbert polynomial
     rows = []
     lhs = 0
     for k in range(k_max + 1):
         # the running sum gains the terms with i + 2j = k
         lhs += sum(g2_irrep_dim(2 * (k - 2 * j), 2 * j) for j in range(k // 2 + 1))
-        rhs = p.value(k)
+        rhs = closed_form_value(k)
         if lhs != rhs:
             raise ArithmeticError(f"series identity fails at k = {k}: {lhs} != {rhs}")
         rows.append((k, lhs, int(rhs)))

@@ -80,9 +80,6 @@ class Octonion:
     def __bool__(self):
         return any(self.coeffs)
 
-    def conjugate(self):
-        return Octonion((self.coeffs[0],) + tuple(-c for c in self.coeffs[1:]))
-
     def imaginary(self):
         return Octonion((GI_ZERO,) + self.coeffs[1:])
 
@@ -95,9 +92,6 @@ class Octonion:
             if c:
                 bits.append(f"({format_gaussian(c)})e{i}")
         return " + ".join(bits) if bits else "0"
-
-    def to_json(self):
-        return [format_gaussian(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data):
@@ -366,9 +360,6 @@ class Subspace:
 
     def is_imaginary(self):
         return all(v.is_imaginary() for v in self.basis)
-
-    def to_json(self):
-        return [v.to_json() for v in self.basis]
 
     @classmethod
     def from_json(cls, data):

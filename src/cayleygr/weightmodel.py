@@ -25,14 +25,6 @@ class Weight(tuple):
     def __new__(cls, x, y):
         return super().__new__(cls, (int(x), int(y)))
 
-    @property
-    def x(self):
-        return self[0]
-
-    @property
-    def y(self):
-        return self[1]
-
     def __add__(self, other):
         return Weight(self[0] + other[0], self[1] + other[1])
 

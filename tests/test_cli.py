@@ -222,6 +222,15 @@ _figure_not_form = _fixture_case(
 _dual_too_short = _fixture_case(
     "dual_polynomial", "dual", lambda text: text.replace("344, -860, 1492, -1784, 1438, -738, 182]", "344]"), ["'coefficients' is not a list of 9 integers"]
 )
+_figure_not_label = _fixture_case(
+    "gkm_sigma2", "classes", lambda text: text.replace('"0": "0",', '"9": "0", "0": "0",'), ["values key '9'", "not a point label"]
+)
+_fixed_points_unknown_weight = _fixture_case(
+    "fixed_points", "degrees", lambda text: text.replace('"triple": ["a", "b", "-g"]', '"triple": ["a", "b", "q"]'), ["points[0]['triple']", "'q'"]
+)
+_fixed_points_missing_row = _fixture_case(
+    "fixed_points", "fixed-points", lambda text: text[: text.index('"points"')] + '"points": []}', ["'points' has no row for the member triple"]
+)
 _mult_row_not_object = _fixture_case(
     "mult_table", "mult", lambda text: text.replace('{"left": "2",  "right": "2",  "result": {"4": 1, "4\'": 2, "4\'\'": 2}}', "[1]"), ["rows[0] is not an object"]
 )
@@ -249,6 +258,9 @@ def test_parse_form_rejects_with_value_error(expr):
         _figure_not_form,
         _dual_too_short,
         _mult_row_not_object,
+        _figure_not_label,
+        _fixed_points_unknown_weight,
+        _fixed_points_missing_row,
     ],
     ids=[
         "missing-directory",
@@ -263,6 +275,9 @@ def test_parse_form_rejects_with_value_error(expr):
         "figure-not-form",
         "dual-coefficients-too-short",
         "mult-row-not-object",
+        "figure-not-label",
+        "fixed-points-unknown-weight",
+        "fixed-points-missing-row",
     ],
 )
 def test_missing_fixtures_exit_2(tmp_path, setup):
@@ -306,7 +321,8 @@ def test_sigma2_figure_counts_matches(tmp_path, capsys, monkeypatch):
     assert "computed=13 of 15 match" in line
 
 
-# SHA-256 of the default reports and dumps; they are byte-identical across
+# SHA-256 of the default reports and dumps, and of the largest hilbert and
+# series runs and the index report; they are byte-identical across
 # hash seeds, and a change that alters any of them must say why
 OUTPUT_DIGESTS = {
     ("verify", "all"): "e34395acc27519af38f840818f75f86fa88216a0c662e75a4f33f9ef1baca238",
@@ -317,6 +333,10 @@ OUTPUT_DIGESTS = {
     ("dump", "hilbert"): "1a0c143ff78668c8c3c2e941de86c0da09bcb3e9c0e2eaa937dc4df2060c884a",
     ("dump", "mult"): "c8eb3d6cbbc1e58e3ffd0a6b5b180c8e13536f27c2ee403c6e46659ed4bf368c",
     ("dump", "restriction"): "0ab46e2c1aed2507cc3672830d1d397d9746017f0e52ba6ad33dd674f42527f8",
+    ("dump", "hilbert", "--kmax", "100"): "78a1e0ede5b0e59efc2a1bc2ecef4928e2e8fb12a633e439cdbbbcdfca3a1cc0",
+    ("verify", "hilbert", "--kmax", "100", "--format", "json"): "149db095485c4b3b4698fb445531d3aa2b808367d148e0ad7333af047d49226e",
+    ("verify", "series", "--kmax", "100", "--format", "json"): "45ae2cdfa97d8f9a65ed34908e2d15d9a805653d4895e3451495fd50e54e43b8",
+    ("verify", "index", "--format", "json"): "adbb90b6c44480490fcd232122f13fc4a459a412c254d65cda4c40912653cd6b",
 }
 
 

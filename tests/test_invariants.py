@@ -16,6 +16,7 @@ from cayleygr.invariants import (
     equivariant_series_check,
     hilbert_polynomial,
     hilbert_value,
+    leading_degree,
     linear_forms_in_plucker,
     linear_forms_in_span,
     quadric_count,
@@ -84,14 +85,16 @@ def test_dual_degree_polynomial():
 
 def test_hilbert_polynomial():
     p = hilbert_polynomial()
-    assert p.samples[0] == 1
-    assert p.samples[1] == 28
-    assert p.samples[2] == 287
+    assert p[0] == 1
+    assert p[1] == 28
+    assert p[2] == 287
+    assert sorted(p) == list(range(11))
     for k in range(11):
-        assert p.value(k) == closed_form_value(k) == hilbert_value(k)
-    assert p.coeffs[8] * factorial(8) == 182
+        assert p[k] == closed_form_value(k) == hilbert_value(k)
+    assert leading_degree(p) == 182
+    assert leading_degree({k: k**8 for k in range(9)}) == factorial(8)
     for k in range(-10, 11):
-        assert p.value(k).denominator == 1
+        assert closed_form_value(k).denominator == 1
     with pytest.raises(ValueError):
         hilbert_value(-1)
 
@@ -127,4 +130,4 @@ def test_betti_weyl_cross_check():
             for j in range((k - i) // 2 + 1)
             if i + 2 * j <= k
         )
-        assert total == p.value(k)
+        assert total == p[k] == closed_form_value(k)
