@@ -11,7 +11,6 @@ chamber (1, 2).
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -19,16 +18,16 @@ from itertools import combinations
 
 from .fixtures import FixtureError, fixture_entry, fixture_path
 from .octonions import three_form
-from .weightmodel import BASIS_WEIGHTS, INDEX_OF_WEIGHT, U, Weight, parse_weight, weight_str
+from .weightmodel import BASIS_WEIGHTS, INDEX_OF_WEIGHT, ROOT_SYSTEM, U, Weight, parse_weight, weight_str
 
 CHAMBER = (1, 2)  # pairings <l,a>, <l,b>; makes codim(p) equal the label number
 
 DIMENSION = 8  # complex dimension; enumeration checks it against every tangent space
 
-SHORT_AND_LONG_ROOTS = frozenset(
-    [Weight(1, 0), Weight(-1, 0), Weight(0, 1), Weight(0, -1), Weight(-1, -1), Weight(1, 1),
-     Weight(1, -1), Weight(-1, 1), Weight(2, 1), Weight(-2, -1), Weight(1, 2), Weight(-1, -2)]
-)
+SHORT_AND_LONG_ROOTS = frozenset(ROOT_SYSTEM.short_roots + ROOT_SYSTEM.long_roots)
+
+# the point labels of the reference table, in (codim, label) order
+LABELS = ("0", "1", "2", "2'", "3", "3'", "4", "4'", "4''", "5", "5'", "6", "6'", "7", "8")
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def _weight_names(names, size):
 
 
 _POINT_KEYS = {
-    "label": "a new point label (a codimension, then primes)",
+    "label": f"a new point label, one of {', '.join(LABELS)}",
     "triple": "3 basis weight names spanning a new 3-space",
     "tangent": f"{DIMENSION} weight names",
 }
@@ -141,7 +140,7 @@ def reference_points():
         indices = frozenset(INDEX_OF_WEIGHT.get(w) for w in _weight_names(row.get("triple"), 3) or ())
         tangent = _weight_names(row.get("tangent"), DIMENSION)
         valid = {
-            "label": isinstance(label, str) and re.fullmatch(f"[0-{DIMENSION}]'*", label) and label not in table,
+            "label": label in LABELS and label not in table,
             "triple": len(indices) == 3 and None not in indices and all(indices != t for t, _ in table.values()),
             "tangent": tangent is not None,
         }
@@ -233,9 +232,9 @@ def betti_profile(l=CHAMBER):
     return counts
 
 
-def repelling_weights(p: FixedPoint, l=CHAMBER):
+def repelling_weights(p: FixedPoint):
     """The chamber-negative tangent weights (normal to the attracting cell)."""
-    return [w for w in p.tangent if w.pair(l) < 0]
+    return [w for w in p.tangent if w.pair(CHAMBER) < 0]
 
 
 # ---------------------------------------------------------------------------

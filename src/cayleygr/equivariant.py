@@ -5,12 +5,14 @@ the point class, then everything the localized classes determine: the
 Monk rule, fixed-point integration, degrees, the full multiplication
 table, the Poincare pairing, and the two-generator ring presentation.
 
-Each induction step is one exact linear solve built from two identities
-of binary forms: the Monk expansion of f_X (f_H - f_H(p)) over the next
-classes and the vanishing pushforwards of f_X f_H^j below the top
-degree.  The GKM edge congruences are not solved for; they are checked
-on every solved class, together with the pushforwards (re-integrated)
-and the integrality of the Monk coefficients.
+Each induction step solves for the Monk coefficients alone: the Monk
+expansion of f_X (f_H - f_H(p)) over the next classes gives every value
+of f_X by exact division, once the coefficients make each division
+exact; the vanishing pushforwards of f_X f_H^j below the top degree then
+fix them in one exact linear solve.  The GKM edge congruences are not
+solved for; they are checked on every solved class, together with the
+pushforwards (re-integrated) and the integrality of the Monk
+coefficients.
 
 Conventions: tangent weights as in the reference table (chamber (1, 2)
 makes codimension = number of negative pairings); classes are normalized
@@ -33,7 +35,7 @@ from .cayley import (
     point_by_label,
     repelling_weights,
 )
-from .exact import HomogPoly, divide_by_linear, matrix_rank, poly_mul, solve_rational
+from .exact import HomogPoly, divide_by_linear, matrix_rank, nullspace, poly_mul, solve_rational
 from .weightmodel import Weight
 
 
@@ -162,68 +164,71 @@ def _localization_denominator():
 def _solve_class(p_label, next_classes):
     """One induction step: the class of codim k from the codim-(k+1) ones.
 
-    Unknowns: the Monk coefficients a_i, as forms of degree 0, and the
-    value f_X(q), a form of degree k, at every vertex q of codimension
-    > k; f_X vanishes at the other vertices of codimension <= k and is
-    pinned at p to the product of repelling weights.  Two identities of
-    forms, each read off monomial by monomial, must pin them uniquely:
+    The only unknowns are the Monk coefficients a_i of the expansion
+    f_X (f_H - f_H(p)) = sum_i a_i f_{Y_i} over the next classes Y_i.
+    f_X is pinned at p to the product of repelling weights and vanishes
+    at the other vertices of codimension <= k.  At a vertex q of
+    codimension > k, f_H(q) - f_H(p) is nonzero (f_H separates
+    codimensions; checked here), so f_X(q) is the exact quotient of
+    sum_i a_i f_{Y_i}(q) by it.  Two stages pin the a_i:
 
-    (i)  f_X(q) (f_H(q) - f_H(p)) - sum_i a_i f_{Y_i}(q) = 0 at each q,
-         the Monk expansion over the next classes Y_i;
+    (i)  divisibility: each numerator vanishes on the zero line of
+         f_H(q) - f_H(p), one homogeneous row per q; the admissible a
+         form the kernel of these rows;
     (ii) sum_q f_X(q) f_H(q)^j C_q = -n_p f_H(p)^j C_p for k + j < 8,
          the vanishing pushforward of f_X f_H^j over the localization
-         denominator (see ``_localization_denominator``).
+         denominator (see ``_localization_denominator``), read off
+         monomial by monomial in the coordinates on that kernel and
+         solved exactly.
 
     The GKM edge congruences are not among the equations: they follow
     from these, and ``_class_solve`` checks them on every solved class.
     """
     k = point_by_label(p_label).codim
-    m = len(next_classes)
     f_h = {q.label: hyperplane_weight(q.label) for q in enumerate_fixed_points()}
     n_p = normal_weight_product(p_label)
-    support = [q.label for q in enumerate_fixed_points() if q.codim >= k + 1]
-    # an unknown form is (offset of its first coefficient, degree); the
-    # Monk coefficients come first, at offsets 0..m-1
-    value_unknowns = {lab: (m + n * (k + 1), k) for n, lab in enumerate(support)}
-    nvar = m + len(support) * (k + 1)
-    rows, rhs = [], []
-
-    def identity(terms, target):
-        """sum (unknown form) * (known form) = target, one row per monomial.
-
-        Rows that read 0 = 0 are left out.
-        """
-        d = target.degree
-        eqs = {(d - s, s): [0] * nvar for s in range(d + 1)}
-        for (base, deg), form in terms:
-            for (g0, g1), gc in form.coeffs.items():
-                for s in range(deg + 1):
-                    eqs[(deg - s + g0, s + g1)][base + s] += gc
-        for mono, row in eqs.items():
-            b = target.coeffs.get(mono, 0)
-            if any(row) or b:
-                rows.append(row)
-                rhs.append(b)
-
-    for lab in support:
-        lq = (f_h[lab] - f_h[p_label]).poly()
-        terms = [(value_unknowns[lab], lq)]
-        terms += [((i, 0), -cls[lab]) for i, cls in enumerate(next_classes)]
-        identity(terms, HomogPoly.zero(k + 1))
-
+    lines = {}
+    for q in enumerate_fixed_points():
+        if q.codim > k:
+            lines[q.label] = f_h[q.label] - f_h[p_label]
+            if lines[q.label].is_zero():
+                raise ArithmeticError(f"f_H does not separate vertex {q.label} from vertex {p_label}")
+    # (i) x*alpha + y*beta vanishes at (-y, x)
+    divisibility = [[cls[q].evaluate(-y, x) for cls in next_classes] for q, (x, y) in lines.items()]
+    kernel = nullspace(divisibility, len(next_classes))
+    quotients = []  # per kernel vector: {q: f_X(q)}
+    for v in kernel:
+        quotient = {}
+        for q, (x, y) in lines.items():
+            numerator = sum((cls[q].scale(c) for cls, c in zip(next_classes, v)), HomogPoly.zero(k + 1))
+            quotient[q] = divide_by_linear(numerator, x, y)
+            assert quotient[q] is not None
+        quotients.append(quotient)
+    # (ii) one row per monomial of each pushforward identity
     _, complements = _localization_denominator()
-    weighted = {lab: complements[lab] for lab in [p_label] + support}  # f_H(q)^j C_q
+    rows, rhs = [], []
+    weighted = {lab: complements[lab] for lab in [p_label, *lines]}  # f_H(q)^j C_q
     for _ in range(DIMENSION - k):
-        identity([(value_unknowns[lab], weighted[lab]) for lab in support], -poly_mul(n_p, weighted[p_label]))
+        target = -poly_mul(n_p, weighted[p_label])
+        sums = [sum((poly_mul(quotient[q], weighted[q]) for q in lines), HomogPoly.zero(target.degree))
+                for quotient in quotients]
+        for s in range(target.degree + 1):
+            mono = (target.degree - s, s)
+            row = [form.coeffs.get(mono, 0) for form in sums]
+            if any(row) or mono in target.coeffs:
+                rows.append(row)
+                rhs.append(target.coeffs.get(mono, 0))
         weighted = {lab: poly_mul(g, f_h[lab].poly()) for lab, g in weighted.items()}
 
     sol = solve_rational(rows, rhs)
     if sol.status != "unique":
         raise ArithmeticError(f"class solve at vertex {p_label} is {sol.status}")
+    t = sol.particular
     values = {p_label: n_p}
-    for lab, (base, _) in value_unknowns.items():
-        values[lab] = HomogPoly(k, {(k - s, s): sol.particular[base + s] for s in range(k + 1)})
-    return EqClass(k, values), sol.particular[:m]
+    for q in lines:
+        values[q] = sum((quotient[q].scale(c) for quotient, c in zip(quotients, t)), HomogPoly.zero(k))
+    monk = [sum(c * v[i] for c, v in zip(t, kernel)) for i in range(len(next_classes))]
+    return EqClass(k, values), monk
 
 
 @cache

@@ -13,7 +13,6 @@ values are immutable; every function is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
 
 
 def scalar(x):
@@ -416,23 +415,12 @@ class LinearSolution:
 
 
 def solve_rational(rows, rhs):
-    """Solve A x = b exactly; entries may be Fractions or GaussianRationals.
+    """Solve A x = b by exact Gauss-Jordan elimination over the entries' field.
 
-    Rational systems with a unique solution are solved modulo a prime and
-    certified exactly (see ``_solve_modular``); everything else, and every
-    system the modular route cannot certify, goes through exact
-    Gauss-Jordan elimination.
+    Entries may be ints, Fractions or GaussianRationals.
     """
     if len(rows) != len(rhs):
         raise ValueError("matrix/vector size mismatch")
-    particular = _solve_modular(rows, rhs)
-    if particular is not None:
-        return LinearSolution("unique", particular)
-    return _solve_exact(rows, rhs)
-
-
-def _solve_exact(rows, rhs):
-    """Solve A x = b by Gauss-Jordan elimination over the entries' field."""
     n = len(rows[0]) if rows else 0
     work = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
     pivots = _row_reduce(work, n)
@@ -445,96 +433,6 @@ def _solve_exact(rows, rhs):
     if len(pivots) < n:
         return LinearSolution("family", particular, _kernel_basis(work, pivots, n))
     return LinearSolution("unique", particular)
-
-
-# the Mersenne prime 2^127 - 1 and Wang's bound: a fraction with
-# |numerator|, denominator <= _RECON_BOUND is determined by its residue
-_MODULUS = (1 << 127) - 1
-_RECON_BOUND = isqrt(_MODULUS // 2)
-
-
-def _integer_rows(rows, rhs):
-    """Each row with its right-hand side, scaled to integers, or None.
-
-    A row is multiplied by the lcm of its denominators, which leaves the
-    equation unchanged; None when an entry is neither int nor Fraction.
-    """
-    out = []
-    for row, b in zip(rows, rhs):
-        entries = [*row, b]
-        den = 1
-        for x in entries:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-            elif not isinstance(x, int):
-                return None
-        out.append([x.numerator * (den // x.denominator) for x in entries])
-    return out
-
-
-def _reconstruct(u):
-    """Wang's rational reconstruction of the residue u, or None."""
-    r0, r1 = _MODULUS, u
-    s0, s1 = 0, 1
-    while r1 > _RECON_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > _RECON_BOUND or gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
-
-
-def _solve_modular(rows, rhs):
-    """The unique solution of a rational system, certified, or None.
-
-    Gauss-Jordan elimination modulo the prime p = 2^127 - 1 on the
-    integer-scaled rows.  Full column rank mod p means a nonzero n x n
-    minor mod p, hence over the integers, so the rational solution (if
-    any) is unique.  Each coordinate is rebuilt from its residue by
-    rational reconstruction, and the candidate is accepted only if it
-    satisfies every original equation exactly.  Returns None for
-    non-rational entries, rank deficiency mod p, inconsistency mod p, a
-    failed reconstruction or a failed certificate.
-    """
-    n = len(rows[0]) if rows else 0
-    if not n or len(rows) < n:
-        return None
-    exact_rows = _integer_rows(rows, rhs)
-    if exact_rows is None:
-        return None
-    p = _MODULUS
-    work = [[x % p for x in row] for row in exact_rows]
-    for c in range(n):
-        pivot = next((i for i in range(c, len(work)) if work[i][c]), None)
-        if pivot is None:
-            return None
-        work[c], work[pivot] = work[pivot], work[c]
-        # earlier pivot columns are already clear in the pivot row
-        inv = pow(work[c][c], -1, p)
-        tail = [x * inv % p for x in work[c][c:]]
-        work[c][c:] = tail
-        for i, row in enumerate(work):
-            f = row[c]
-            if f and i != c:
-                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
-    if any(row[n] for row in work[n:]):
-        return None
-    solution = []
-    for r in range(n):
-        x = _reconstruct(work[r][n])
-        if x is None:
-            return None
-        solution.append(x)
-    # the certificate: A x = b on every row, over the common denominator
-    den = 1
-    for x in solution:
-        den = lcm(den, x.denominator)
-    scaled = [x.numerator * (den // x.denominator) for x in solution]
-    for row in exact_rows:
-        if sum(a * y for a, y in zip(row, scaled) if a) != row[n] * den:
-            return None
-    return solution
 
 
 # ---------------------------------------------------------------------------

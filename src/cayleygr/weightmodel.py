@@ -290,12 +290,13 @@ def _poly_divmod(num, den):
 # ---------------------------------------------------------------------------
 
 
-def gl7_schur_dim(shape, n: int = 7) -> int:
-    """Dimension of the Schur functor S_shape applied to an n-space.
+def gl7_schur_dim(shape) -> int:
+    """Dimension of the Schur functor S_shape applied to a 7-space.
 
     Hook-content formula; shape is a weakly decreasing tuple of
-    non-negative integers with at most n parts.
+    non-negative integers, and more than 7 parts give 0.
     """
+    n = 7
     shape = tuple(int(p) for p in shape if p)
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)) or any(p < 0 for p in shape):
         raise ValueError(f"not a partition: {shape}")
@@ -321,8 +322,9 @@ def conjugate_partition(shape):
     return tuple(out)
 
 
-def gl7_schur_dim_tableau_oracle(shape, n: int = 7) -> int:
-    """Brute-force count of semistandard tableaux with entries <= n."""
+def gl7_schur_dim_tableau_oracle(shape) -> int:
+    """Brute-force count of semistandard tableaux with entries <= 7."""
+    n = 7
     shape = tuple(int(p) for p in shape if p)
     if len(shape) > n:
         return 0

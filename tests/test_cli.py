@@ -231,6 +231,9 @@ _fixed_points_unknown_weight = _fixture_case(
 _fixed_points_missing_row = _fixture_case(
     "fixed_points", "fixed-points", lambda text: text[: text.index('"points"')] + '"points": []}', ["'points' has no row for the member triple"]
 )
+_fixed_points_renamed_label = _fixture_case(
+    "fixed_points", "gkm", lambda text: text.replace("\"4''\"", "\"4'''\""), ["['label'] = \"4'''\"", "not a new point label"]
+)
 _mult_row_not_object = _fixture_case(
     "mult_table", "mult", lambda text: text.replace('{"left": "2",  "right": "2",  "result": {"4": 1, "4\'": 2, "4\'\'": 2}}', "[1]"), ["rows[0] is not an object"]
 )
@@ -261,6 +264,7 @@ def test_parse_form_rejects_with_value_error(expr):
         _figure_not_label,
         _fixed_points_unknown_weight,
         _fixed_points_missing_row,
+        _fixed_points_renamed_label,
     ],
     ids=[
         "missing-directory",
@@ -278,34 +282,39 @@ def test_parse_form_rejects_with_value_error(expr):
         "figure-not-label",
         "fixed-points-unknown-weight",
         "fixed-points-missing-row",
+        "fixed-points-renamed-label",
     ],
 )
-def test_missing_fixtures_exit_2(tmp_path, setup):
+def test_missing_fixtures_exit_2(tmp_path, capsys, monkeypatch, setup):
     directory, argv, expected = setup(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cayleygr.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "CAYLEY_FIXTURES": str(directory)},
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
+    if Path(expected[0]).name == "fixed_points.json":
+        # every stage caches the point labels, so an edited table needs a fresh process
+        proc = subprocess.run(
+            [sys.executable, "-m", "cayleygr.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "CAYLEY_FIXTURES": str(directory)},
+        )
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        monkeypatch.setenv("CAYLEY_FIXTURES", str(directory))
+        code = main(argv)
+        out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
     assert len(lines) == 1
     assert all(text in lines[0] for text in expected), lines[0]
 
 
 @pytest.mark.parametrize("argv", [["verify", "betti"], ["dump", "degrees"]])
-def test_unwritable_out_exits_2(tmp_path, argv):
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     target = tmp_path / "nonexistent" / "dir" / "x.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "cayleygr.cli", *argv, "--out", str(target)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
+    code = main([*argv, "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
     assert len(lines) == 1
     assert str(target) in lines[0] and "No such file or directory" in lines[0]
 

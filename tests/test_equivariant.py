@@ -235,18 +235,29 @@ def test_stage_is_memoized(stage):
     assert stage() is stage()
 
 
-def test_class_solve_needs_no_exact_elimination(monkeypatch):
-    # every class solve is answered by the certified modular route; a
-    # fallback to Fraction elimination would make the class solve slow
-    expected = solve_all_classes()
+def test_class_solve_is_one_small_solve_per_vertex(monkeypatch):
+    # the only unknowns are the Monk coefficients: one exact solve for
+    # each vertex below the point, in at most three unknowns
+    calls = []
 
-    def no_elimination(*args):
-        raise AssertionError("the class solve fell back to exact elimination")
+    def record(rows, rhs):
+        calls.append((len(rows), len(rows[0]) if rows else 0))
+        return exact.solve_rational(rows, rhs)
 
-    monkeypatch.setattr(exact, "_row_reduce", no_elimination)
+    monkeypatch.setattr(equivariant, "solve_rational", record)
     classes, _ = equivariant._class_solve.__wrapped__()
-    assert len(classes) == 15
-    assert classes == expected
+    assert classes == solve_all_classes()
+    assert len(calls) == 14
+    assert all(unknowns <= 3 for _, unknowns in calls)
+    assert sum(rows * unknowns for rows, unknowns in calls) <= 1000
+
+
+def test_class_solve_needs_separating_hyperplane_weight(monkeypatch):
+    # the values are quotients by f_H(q) - f_H(p), so f_H must separate codimensions
+    original = equivariant.hyperplane_weight
+    monkeypatch.setattr(equivariant, "hyperplane_weight", lambda label: original("7" if label == "8" else label))
+    with pytest.raises(ArithmeticError, match="vertex 8 from vertex 7"):
+        equivariant._class_solve.__wrapped__()
 
 
 def test_monk_coefficients_by_expansion():

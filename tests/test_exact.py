@@ -17,8 +17,6 @@ from cayleygr.exact import (
     scalar,
     smith_normal_form,
     solve_rational,
-    _solve_exact,
-    _solve_modular,
 )
 
 
@@ -142,25 +140,15 @@ def rational_systems(draw):
 def test_solve_rational_matches_exact_elimination(system):
     rows, rhs = system
     sol = solve_rational(rows, rhs)
-    ref = _solve_exact(rows, rhs)
-    assert (sol.status, sol.particular, sol.kernel) == (ref.status, ref.particular, ref.kernel)
+    n = len(rows[0])
+    rank = matrix_rank(rows)
+    augmented = matrix_rank([[*row, b] for row, b in zip(rows, rhs)])
+    assert sol.status == ("inconsistent" if augmented > rank else "unique" if rank == n else "family")
     if sol.status != "inconsistent":
+        assert len(sol.kernel) == n - rank
         assert _apply(rows, sol.particular) == rhs
     for k in sol.kernel:
         assert _apply(rows, k) == [0] * len(rows)
-
-
-def test_modular_route_solves_and_certifies():
-    rows = [[Fraction(1, 2), Fraction(1)], [Fraction(3), Fraction(-2, 3)], [Fraction(1), Fraction(1)]]
-    x = [Fraction(-7, 3), Fraction(5, 4)]
-    rhs = _apply(rows, x)
-    assert _solve_modular(rows, rhs) == x
-    assert solve_rational(rows, rhs).particular == x
-    # rank deficiency, inconsistency and non-rational entries are left to
-    # the exact route
-    assert _solve_modular([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [Fraction(1), Fraction(2)]) is None
-    assert _solve_modular([[Fraction(1)], [Fraction(1)]], [Fraction(0), Fraction(1)]) is None
-    assert _solve_modular([[GaussianRational(0, 1)]], [GaussianRational(1)]) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,13 +158,12 @@ def test_modular_route_solves_and_certifies():
     st.integers(2**68, 2**80),
     st.integers(1, 9),
 )
-def test_large_solution_falls_back_to_exact(upper, others, big, den):
+def test_large_solution_is_exact(upper, others, big, den):
     # unit upper-triangular, so the system is nonsingular; the solution's
-    # numerator is above 2^64, beyond the reconstruction bound of about 2^63
+    # numerator is above 2^64, and no entry may lose precision
     rows = [[Fraction(1) if i == j else Fraction(upper[i][j]) if j > i else Fraction(0) for j in range(3)] for i in range(3)]
     x = [Fraction(big, den), *map(Fraction, others)]
     rhs = _apply(rows, x)
-    assert _solve_modular(rows, rhs) is None
     sol = solve_rational(rows, rhs)
     assert sol.status == "unique" and sol.particular == x
 
@@ -280,12 +267,12 @@ def test_int_rows_stay_exact():
     assert ker == [[-2, 1]]
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     assert matrix_rank([[2, 1], [1, 1]]) == 2
-    unique = _solve_exact([[2, 1], [1, 1]], [3, 2])
+    unique = solve_rational([[2, 1], [1, 1]], [3, 2])
     assert unique.status == "unique" and unique.particular == [1, 1]
     family = solve_rational([[1, 2], [2, 4]], [3, 6])
     assert family.status == "family"
     assert family.particular == [3, 0] and family.kernel == [[-2, 1]]
-    thirds = _solve_exact([[3, 0], [0, 6]], [1, 2])
+    thirds = solve_rational([[3, 0], [0, 6]], [1, 2])
     assert thirds.particular == [Fraction(1, 3), Fraction(1, 3)]
     for answer in (ker, unique.particular, family.particular, family.kernel, thirds.particular):
         assert all(isinstance(x, (int, Fraction)) for x in _walk(answer)), answer
