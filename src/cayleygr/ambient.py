@@ -272,10 +272,6 @@ def tau1_power(m: int) -> AmbientClass:
     return lr_multiply(tau1_power(m - 1), AmbientClass.basis((1,)))
 
 
-def grassmannian_degree() -> int:
-    return tau1_power(12).integral()
-
-
 # ---------------------------------------------------------------------------
 # the fundamental class of the three-form zero locus
 # ---------------------------------------------------------------------------

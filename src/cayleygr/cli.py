@@ -255,7 +255,7 @@ def run_mult():
     failures = []
     for i, row in enumerate(rows):
         # 'duplicate_of' is optional and defaults to 'left'
-        named = (row.get(k, row.get("left")) for k in ("left", "right", "duplicate_of")) if isinstance(row, dict) else [None]
+        named = (row.get("left"), row.get("right"), row.get("duplicate_of", row.get("left"))) if isinstance(row, dict) else [None]
         if not all(name in labels for name in named):
             path = fixture_path("mult_table")
             raise FixtureError(f"malformed fixture {path}: rows[{i}] is not an object whose 'left', 'right' and 'duplicate_of' are point labels")

@@ -8,11 +8,11 @@ table, the Poincare pairing, and the two-generator ring presentation.
 Each induction step solves for the Monk coefficients alone: the Monk
 expansion of f_X (f_H - f_H(p)) over the next classes gives every value
 of f_X by exact division, once the coefficients make each division
-exact; the vanishing pushforwards of f_X f_H^j below the top degree then
-fix them in one exact linear solve.  The GKM edge congruences are not
-solved for; they are checked on every solved class, together with the
-pushforwards (re-integrated) and the integrality of the Monk
-coefficients.
+exact; the vanishing pushforward of f_X then fixes them in one exact
+linear solve.  The GKM edge congruences are not solved for; they are
+checked on every solved class, together with the pushforwards of
+f_X f_H^j below the top degree (re-integrated) and the integrality of
+the Monk coefficients.
 
 Conventions: tangent weights as in the reference table (chamber (1, 2)
 makes codimension = number of negative pairings); classes are normalized
@@ -29,7 +29,6 @@ from functools import cache
 
 from .cayley import (
     DIMENSION,
-    duality_map,
     enumerate_fixed_points,
     gkm_edges,
     point_by_label,
@@ -175,14 +174,16 @@ def _solve_class(p_label, next_classes):
     (i)  divisibility: each numerator vanishes on the zero line of
          f_H(q) - f_H(p), one homogeneous row per q; the admissible a
          form the kernel of these rows;
-    (ii) sum_q f_X(q) f_H(q)^j C_q = -n_p f_H(p)^j C_p for k + j < 8,
-         the vanishing pushforward of f_X f_H^j over the localization
-         denominator (see ``_localization_denominator``), read off
-         monomial by monomial in the coordinates on that kernel and
-         solved exactly.
+    (ii) sum_q f_X(q) C_q = -n_p C_p, the vanishing pushforward of f_X
+         over the localization denominator (see
+         ``_localization_denominator``), read off monomial by monomial
+         in the coordinates on that kernel and solved exactly.  On CG
+         this one identity pins the kernel; a step it leaves open
+         raises ``ArithmeticError``.
 
-    The GKM edge congruences are not among the equations: they follow
-    from these, and ``_class_solve`` checks them on every solved class.
+    The GKM edge congruences and the pushforwards of f_X f_H^j for
+    j > 0 are not among the equations: they follow from these, and
+    ``_class_solve`` checks them on every solved class.
     """
     k = point_by_label(p_label).codim
     f_h = {q.label: hyperplane_weight(q.label) for q in enumerate_fixed_points()}
@@ -204,22 +205,18 @@ def _solve_class(p_label, next_classes):
             quotient[q] = divide_by_linear(numerator, x, y)
             assert quotient[q] is not None
         quotients.append(quotient)
-    # (ii) one row per monomial of each pushforward identity
+    # (ii) one row per monomial of the pushforward identity
     _, complements = _localization_denominator()
+    target = -poly_mul(n_p, complements[p_label])
+    sums = [sum((poly_mul(quotient[q], complements[q]) for q in lines), HomogPoly.zero(target.degree))
+            for quotient in quotients]
     rows, rhs = [], []
-    weighted = {lab: complements[lab] for lab in [p_label, *lines]}  # f_H(q)^j C_q
-    for _ in range(DIMENSION - k):
-        target = -poly_mul(n_p, weighted[p_label])
-        sums = [sum((poly_mul(quotient[q], weighted[q]) for q in lines), HomogPoly.zero(target.degree))
-                for quotient in quotients]
-        for s in range(target.degree + 1):
-            mono = (target.degree - s, s)
-            row = [form.coeffs.get(mono, 0) for form in sums]
-            if any(row) or mono in target.coeffs:
-                rows.append(row)
-                rhs.append(target.coeffs.get(mono, 0))
-        weighted = {lab: poly_mul(g, f_h[lab].poly()) for lab, g in weighted.items()}
-
+    for s in range(target.degree + 1):
+        mono = (target.degree - s, s)
+        row = [form.coeffs.get(mono, 0) for form in sums]
+        if any(row) or mono in target.coeffs:
+            rows.append(row)
+            rhs.append(target.coeffs.get(mono, 0))
     sol = solve_rational(rows, rhs)
     if sol.status != "unique":
         raise ArithmeticError(f"class solve at vertex {p_label} is {sol.status}")
@@ -508,17 +505,6 @@ def poincare_pairing():
                 rows[(la, lb)] = int(val)
         out[k] = rows
     return out
-
-
-def verify_poincare_duality():
-    dual = duality_map()
-    pairing = poincare_pairing()
-    for k, rows in pairing.items():
-        for (la, lb), v in rows.items():
-            expected = 1 if dual[la] == lb else 0
-            if v != expected:
-                raise ArithmeticError(f"pairing <{la},{lb}> = {v}, expected {expected}")
-    return dual
 
 
 # ---------------------------------------------------------------------------

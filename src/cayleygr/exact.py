@@ -103,9 +103,6 @@ class GaussianRational:
             return NotImplemented
         return other / self
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -258,11 +255,6 @@ class HomogPoly:
     def to_json(self):
         terms = [[p, q, f"{c.numerator}/{c.denominator}"] for (p, q), c in sorted(self.coeffs.items())]
         return {"degree": self.degree, "terms": terms}
-
-    @classmethod
-    def from_json(cls, data):
-        coeffs = {(p, q): Fraction(c) for p, q, c in data["terms"]}
-        return cls(data["degree"], coeffs)
 
     def __repr__(self):
         if self.is_zero():

@@ -150,15 +150,6 @@ def quadric_count() -> int:
     return comb(span_dim + 1, 2) - p[2]
 
 
-def linear_forms_in_span() -> int:
-    return hilbert_polynomial()[1] - 28
-
-
-def linear_forms_in_plucker() -> int:
-    """Linear forms vanishing on the variety inside P(wedge^3 V7)."""
-    return comb(7, 3) - hilbert_polynomial()[1]
-
-
 def equivariant_series_check(k_max: int):
     """Section dimensions as sums of irreducible dimensions.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .exact import (
     GI_I,
@@ -21,7 +21,6 @@ from .exact import (
     format_gaussian,
     matrix_rank,
     nullspace,
-    parse_gaussian,
 )
 
 # Oriented lines (i, j, k) with e_i e_j = e_k; covers each pair once.
@@ -92,10 +91,6 @@ class Octonion:
             if c:
                 bits.append(f"({format_gaussian(c)})e{i}")
         return " + ".join(bits) if bits else "0"
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(parse_gaussian(s) for s in data))
 
 
 E = tuple(Octonion.basis(i) for i in range(8))
@@ -203,24 +198,6 @@ def three_form(x: Octonion, y: Octonion, z: Octonion) -> GaussianRational:
         i, j, k = line
         total = total + _det3([(xs[i], xs[j], xs[k]), (ys[i], ys[j], ys[k]), (zs[i], zs[j], zs[k])])
     return total
-
-
-def three_form_from_products():
-    """The same form assembled as (1/6) sum_ij e_i ^ e_j ^ (e_i e_j).
-
-    Returns a dict {(i<j<k): coefficient}; used as a cross-check of the table.
-    """
-    acc = {}
-    for i in range(1, 8):
-        for j in range(1, 8):
-            if i == j:
-                continue
-            k, s = _TABLE.table[i][j]
-            idx = (i, j, k)
-            perm = tuple(sorted(idx))
-            sign = _permutation_sign(idx)
-            acc[perm] = acc.get(perm, Fraction(0)) + Fraction(s * sign, 6)
-    return {key: c for key, c in acc.items() if c}
 
 
 def three_form_table():
@@ -360,10 +337,6 @@ class Subspace:
 
     def is_imaginary(self):
         return all(v.is_imaginary() for v in self.basis)
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([Octonion.from_json(row) for row in data])
 
 
 def model_h0():
@@ -553,59 +526,3 @@ def stratum_membership(w: Subspace, datum, which: str) -> bool:
         pairing = [[norm_bilinear(x, n) for n in datum.basis] for x in w.basis]
         return 3 - matrix_rank(pairing) >= 2
     raise ValueError(f"unknown stratum {which!r}")
-
-
-# ---------------------------------------------------------------------------
-# signed-permutation symmetries of the table (used by invariance tests)
-# ---------------------------------------------------------------------------
-
-
-def signed_automorphisms(limit=12):
-    """Signed permutations of e1..e7 commuting with the product.
-
-    Searches collineations of the line set and solves for compatible signs;
-    stops after ``limit`` nontrivial symmetries.
-    """
-    line_sets = {frozenset(line) for line in FANO_LINES}
-    found = []
-    for perm in permutations(range(1, 8)):
-        if all(frozenset(perm[v - 1] for v in line) in line_sets for line in FANO_LINES):
-            for bits in range(128):
-                signs = [1 if not (bits >> t) & 1 else -1 for t in range(7)]
-                if _is_automorphism(perm, signs):
-                    found.append((perm, tuple(signs)))
-                    break
-        if len(found) > limit:
-            break
-    return found
-
-
-def _is_automorphism(perm, signs):
-    def phi(i):
-        return perm[i - 1], signs[i - 1]
-
-    table = _TABLE.table
-    for i in range(1, 8):
-        for j in range(1, 8):
-            if i == j:
-                continue
-            k, s = table[i][j]
-            pi, si = phi(i)
-            pj, sj = phi(j)
-            pk, sk = phi(k)
-            k2, s2 = table[pi][pj]
-            if k2 != pk or si * sj * s2 != s * sk:
-                return False
-    return True
-
-
-def apply_signed_automorphism(auto, x: Octonion) -> Octonion:
-    perm, signs = auto
-    out = [GI_ZERO] * 8
-    out[0] = x.coeffs[0]
-    for i in range(1, 8):
-        c = x.coeffs[i]
-        if c:
-            target = perm[i - 1]
-            out[target] = out[target] + (c if signs[i - 1] > 0 else -c)
-    return Octonion(out)

@@ -320,36 +320,3 @@ def conjugate_partition(shape):
         for j in range(row):
             out[j] += 1
     return tuple(out)
-
-
-def gl7_schur_dim_tableau_oracle(shape) -> int:
-    """Brute-force count of semistandard tableaux with entries <= 7."""
-    n = 7
-    shape = tuple(int(p) for p in shape if p)
-    if len(shape) > n:
-        return 0
-    if not shape:
-        return 1
-    rows = len(shape)
-    count = 0
-    tableau = [[0] * shape[i] for i in range(rows)]
-    cells = [(i, j) for i in range(rows) for j in range(shape[i])]
-
-    def fill(k):
-        nonlocal count
-        if k == len(cells):
-            count += 1
-            return
-        i, j = cells[k]
-        lo = 1
-        if j > 0:
-            lo = max(lo, tableau[i][j - 1])
-        if i > 0:
-            lo = max(lo, tableau[i - 1][j] + 1)
-        for v in range(lo, n + 1):
-            tableau[i][j] = v
-            fill(k + 1)
-        tableau[i][j] = 0
-
-    fill(0)
-    return count

@@ -11,7 +11,6 @@ from cayleygr.ambient import (
     check_restriction,
     cg_pairing,
     duality_pairing,
-    grassmannian_degree,
     image_index,
     image_index_profile,
     lr_multiply,
@@ -48,7 +47,7 @@ def test_pieri_examples():
 
 def test_degree_of_the_grassmannian():
     # hook-length formula: 12! 0!1!2!3! / (3!4!5!6!) = 462
-    assert grassmannian_degree() == 462
+    assert tau1_power(12).integral() == 462
     assert tau1_power(12)[(3, 3, 3, 3)] == 462
 
 

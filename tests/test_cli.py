@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import importlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -116,11 +118,7 @@ def test_dump_classes_schema(tmp_path, capsys):
         assert len(record["values"]) == 15
         for poly in record["values"].values():
             assert set(poly) == {"degree", "terms"}
-    # round-trip one polynomial
-    from cayleygr.exact import HomogPoly
-
-    poly = HomogPoly.from_json(doc["2"]["values"]["8"])
-    assert poly.degree == 2
+    assert doc["2"]["values"]["8"]["degree"] == 2
 
 
 def test_dump_restriction_csv(capsys):
@@ -237,6 +235,9 @@ _fixed_points_renamed_label = _fixture_case(
 _mult_row_not_object = _fixture_case(
     "mult_table", "mult", lambda text: text.replace('{"left": "2",  "right": "2",  "result": {"4": 1, "4\'": 2, "4\'\'": 2}}', "[1]"), ["rows[0] is not an object"]
 )
+_mult_row_without_right = _fixture_case(
+    "mult_table", "mult", lambda text: text.replace('{"left": "2",  "right": "2",', '{"left": "2",', 1), ["rows[0] is not an object"]
+)
 
 
 @pytest.mark.parametrize("expr", ["", "2+", "a^", "a^b", "(a", "a)", "q"])
@@ -261,6 +262,7 @@ def test_parse_form_rejects_with_value_error(expr):
         _figure_not_form,
         _dual_too_short,
         _mult_row_not_object,
+        _mult_row_without_right,
         _figure_not_label,
         _fixed_points_unknown_weight,
         _fixed_points_missing_row,
@@ -279,6 +281,7 @@ def test_parse_form_rejects_with_value_error(expr):
         "figure-not-form",
         "dual-coefficients-too-short",
         "mult-row-not-object",
+        "mult-row-without-right",
         "figure-not-label",
         "fixed-points-unknown-weight",
         "fixed-points-missing-row",
@@ -368,3 +371,48 @@ def test_traced_names_resolve():
             module = importlib.import_module(f"cayleygr.{short}")
             for name in names:
                 assert callable(getattr(module, name, None)), f"{short}.{name}"
+
+
+def _identifiers(node, skip=None):
+    """Names, attributes and imported names under node, outside skip."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _identifiers(child, skip)
+
+
+def test_src_names_are_reached():
+    # every public top-level function or class in src/ is reached by the
+    # engine, the CLI or the benchmark; a helper that only tests call
+    # lives beside its test
+    unreached_by_design = {
+        # the Weyl-character route to g2_irrep_dim, for the planned
+        # holomorphic Lefschetz check of the series identity
+        "weightmodel.g2_irrep_dim_character_oracle",
+        # the inverse of format_gaussian, which reads the vectors of
+        # model_subalgebras.json
+        "exact.parse_gaussian",
+    }
+    root = Path(__file__).resolve().parents[1]
+    perfbench = "\n".join(path.read_text(encoding="utf-8") for path in sorted((root / "perfbench").glob("*.py")))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in (root / "src" / "cayleygr").glob("*.py")}
+    used = {module: set(_identifiers(tree)) for module, tree in trees.items()}
+    unreached = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            reached = (
+                any(node.name in names for other, names in used.items() if other != module)
+                or node.name in set(_identifiers(tree, skip=node))
+                or re.search(rf"\b{node.name}\b", perfbench)
+            )
+            if not reached:
+                unreached.add(f"{module}.{node.name}")
+    assert unreached == unreached_by_design

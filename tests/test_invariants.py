@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -17,8 +17,6 @@ from cayleygr.invariants import (
     hilbert_polynomial,
     hilbert_value,
     leading_degree,
-    linear_forms_in_plucker,
-    linear_forms_in_span,
     quadric_count,
 )
 from cayleygr.weightmodel import g2_irrep_dim
@@ -102,8 +100,8 @@ def test_hilbert_polynomial():
 def test_quadric_and_linear_form_counts():
     assert quadric_count() == 119
     assert 406 - 287 == 119
-    assert linear_forms_in_span() == 0
-    assert linear_forms_in_plucker() == 7   # the 7-dimensional summand of the cube
+    # linear forms vanishing on the variety: the 7-dimensional summand of the cube
+    assert comb(7, 3) - hilbert_polynomial()[1] == 7
 
 
 def test_equivariant_series():

@@ -1,17 +1,18 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleygr.exact import GaussianRational
+from cayleygr.exact import GI_ZERO, GaussianRational, parse_gaussian
 from cayleygr.octonions import (
     E,
+    FANO_LINES,
     I,
     FanoTable,
     Octonion,
     OrbitType,
     Subspace,
-    apply_signed_automorphism,
     classify,
     g2_basis,
     g2_stabilizer_dim,
@@ -25,14 +26,14 @@ from cayleygr.octonions import (
     norm,
     norm_bilinear,
     null_plane_test,
-    signed_automorphisms,
     stratum_membership,
     three_form,
-    three_form_from_products,
     three_form_table,
     volume_identity_constant,
+    _permutation_sign,
 )
 
+TABLE = FanoTable().table
 X = E[1] + E[2].scale(I)  # e1 + i e2, isotropic
 Y = E[6] + E[7].scale(I)  # e6 + i e7
 
@@ -113,6 +114,24 @@ sparse_imaginary_octos = st.lists(
 def test_three_form_is_the_product_pairing(x, y, z):
     # sparse arguments exercise the lines skipped for a zero column
     assert three_form(x, y, z) == norm_bilinear(multiply(x, y), z)
+
+
+def three_form_from_products():
+    """The three-form assembled as (1/6) sum_ij e_i ^ e_j ^ (e_i e_j).
+
+    Returns a dict {(i<j<k): coefficient}, the format of three_form_table.
+    """
+    acc = {}
+    for i in range(1, 8):
+        for j in range(1, 8):
+            if i == j:
+                continue
+            k, s = TABLE[i][j]
+            idx = (i, j, k)
+            perm = tuple(sorted(idx))
+            sign = _permutation_sign(idx)
+            acc[perm] = acc.get(perm, Fraction(0)) + Fraction(s * sign, 6)
+    return {key: c for key, c in acc.items() if c}
 
 
 def test_three_form_product_formula_agrees():
@@ -205,6 +224,56 @@ def test_stratum_membership():
         stratum_membership(h0, X, "X9")
 
 
+def signed_automorphisms(limit=12):
+    """Signed permutations of e1..e7 commuting with the product.
+
+    Searches collineations of the line set and solves for compatible signs;
+    stops after ``limit`` nontrivial symmetries.
+    """
+    line_sets = {frozenset(line) for line in FANO_LINES}
+    found = []
+    for perm in permutations(range(1, 8)):
+        if all(frozenset(perm[v - 1] for v in line) in line_sets for line in FANO_LINES):
+            for bits in range(128):
+                signs = [1 if not (bits >> t) & 1 else -1 for t in range(7)]
+                if _is_automorphism(perm, signs):
+                    found.append((perm, tuple(signs)))
+                    break
+        if len(found) > limit:
+            break
+    return found
+
+
+def _is_automorphism(perm, signs):
+    def phi(i):
+        return perm[i - 1], signs[i - 1]
+
+    for i in range(1, 8):
+        for j in range(1, 8):
+            if i == j:
+                continue
+            k, s = TABLE[i][j]
+            pi, si = phi(i)
+            pj, sj = phi(j)
+            pk, sk = phi(k)
+            k2, s2 = TABLE[pi][pj]
+            if k2 != pk or si * sj * s2 != s * sk:
+                return False
+    return True
+
+
+def apply_signed_automorphism(auto, x: Octonion) -> Octonion:
+    perm, signs = auto
+    out = [GI_ZERO] * 8
+    out[0] = x.coeffs[0]
+    for i in range(1, 8):
+        c = x.coeffs[i]
+        if c:
+            target = perm[i - 1]
+            out[target] = out[target] + (c if signs[i - 1] > 0 else -c)
+    return Octonion(out)
+
+
 def test_classify_invariant_under_table_symmetries():
     autos = signed_automorphisms(limit=8)
     assert len(autos) >= 4
@@ -225,6 +294,6 @@ def test_model_subalgebra_fixture_round_trip():
     doc = load_fixture("model_subalgebras")["subalgebras"]
     builders = {"h0": model_h0, "h1": model_h1, "h2": model_h2}
     for name, row in doc.items():
-        sub = Subspace.from_json(row["basis"])
+        sub = Subspace([Octonion([parse_gaussian(s) for s in vector]) for vector in row["basis"]])
         assert sub.basis == builders[name]().basis
         assert classify(sub).value == row["type"]

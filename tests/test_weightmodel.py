@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from cayleygr import weightmodel
+from cayleygr.ambient import schur_poly
 from cayleygr.exact import matrix_rank
 from cayleygr.octonions import OrbitType, Subspace, classify, multiply, norm_bilinear, three_form
 from cayleygr.weightmodel import (
@@ -17,7 +18,6 @@ from cayleygr.weightmodel import (
     g2_irrep_dim,
     g2_irrep_dim_character_oracle,
     gl7_schur_dim,
-    gl7_schur_dim_tableau_oracle,
     model_bridge,
     parse_weight,
     weight_str,
@@ -89,7 +89,7 @@ def test_gl7_schur_dims():
         gl7_schur_dim((1, 2))
 
 
-def test_gl7_schur_dim_against_tableau_oracle():
+def test_gl7_schur_dim_against_branching_rule():
     shapes = []
     for a in range(4):
         for b in range(a + 1):
@@ -97,7 +97,8 @@ def test_gl7_schur_dim_against_tableau_oracle():
                 for d in range(c + 1):
                     shapes.append(tuple(p for p in (a, b, c, d) if p))
     for shape in set(shapes):
-        assert gl7_schur_dim(shape) == gl7_schur_dim_tableau_oracle(shape), shape
+        # the branching rule counts the same semistandard tableaux, entries <= 7
+        assert gl7_schur_dim(shape) == sum(schur_poly(shape, 7).values()), shape
 
 
 def test_g2_irrep_dims():
