@@ -3,24 +3,25 @@
 Enumerates the 15 coordinate fixed points (spans of vectors of the
 octonion weight basis U on which the octonion three-form vanishes),
 computes tangent weights, attracting-cell codimensions for a chosen
-one-parameter subgroup, and the GKM edge set.  Points are labelled by
-the reference table shipped as a fixture; the weight convention is the
-one under which the open cell has all tangent pairings positive in the
-chamber (1, 2).
+one-parameter subgroup, and the GKM edge set.  A point's codimension is
+the number of its tangent weights negative on the chamber (1, 2), in
+which the open cell has all tangent pairings positive.  The reference
+table shipped as a fixture labels the points; a label is read for
+nothing else, and ``verify betti`` checks the number it prints.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 
 from .fixtures import FixtureError, fixture_entry, fixture_path
 from .octonions import three_form
 from .weightmodel import BASIS_WEIGHTS, INDEX_OF_WEIGHT, ROOT_SYSTEM, U, Weight, parse_weight, weight_str
 
-CHAMBER = (1, 2)  # pairings <l,a>, <l,b>; makes codim(p) equal the label number
+CHAMBER = (1, 2)  # pairings <l,a>, <l,b>; fixes codim(p) and the Schubert basis
 
 DIMENSION = 8  # complex dimension; enumeration checks it against every tangent space
 
@@ -35,8 +36,12 @@ class FixedPoint:
     label: str
     triple: tuple          # 3 basis indices spanning the 3-space W
     four_space: tuple      # 4 basis indices spanning U = W-perp
-    codim: int
     tangent: tuple         # the DIMENSION tangent weights, sorted
+
+    @cached_property
+    def codim(self) -> int:
+        """The attracting-cell codimension in the chamber CHAMBER."""
+        return codim_of_point(self)
 
     @property
     def triple_weights(self):
@@ -56,10 +61,6 @@ class FixedPoint:
 def _complement_four_space(triple):
     negated = {INDEX_OF_WEIGHT[-BASIS_WEIGHTS[i]] for i in triple}
     return tuple(i for i in range(7) if i not in negated)
-
-
-def label_codim(label: str) -> int:
-    return int(label.rstrip("'"))
 
 
 def is_cg_member(vectors) -> bool:
@@ -170,7 +171,7 @@ def enumerate_fixed_points():
         if label is None:
             names = ", ".join(weight_str(BASIS_WEIGHTS[i]) for i in triple)
             raise FixtureError(f"malformed fixture {fixture_path('fixed_points')}: 'points' has no row for the member triple ({names})")
-        points.append(FixedPoint(label, triple, four, label_codim(label), _tangent_weights(label, four)))
+        points.append(FixedPoint(label, triple, four, _tangent_weights(label, four)))
     if len(points) != 15:
         raise ArithmeticError(f"expected 15 fixed points, found {len(points)}")
     return tuple(sorted(points, key=lambda p: (p.codim, p.label)))
@@ -260,28 +261,18 @@ class GkmGraph:
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
-        self._incident = {}
-        for e in edges:
-            for lab in e.labels:
-                self._incident.setdefault(lab, []).append(e)
-
-    def incident(self, label):
-        return tuple(self._incident.get(label, ()))
-
-    def neighbors(self, label):
-        return tuple(e.other(label) for e in self.incident(label))
 
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
         seen = {self.vertices[0].label}
-        frontier = [self.vertices[0].label]
-        while frontier:
-            lab = frontier.pop()
-            for nxt in self.neighbors(lab):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+        grown = True
+        while grown:
+            grown = False
+            for e in self.edges:
+                if len(e.labels & seen) == 1:
+                    seen |= e.labels
+                    grown = True
         return len(seen) == len(self.vertices)
 
 

@@ -12,11 +12,17 @@ exact; the vanishing pushforward of f_X then fixes them in one exact
 linear solve.  The GKM edge congruences are not solved for; they are
 checked on every solved class, together with the pushforwards of
 f_X f_H^j below the top degree (re-integrated) and the integrality of
-the Monk coefficients.
+the Monk coefficients; the same re-check integrates the top pushforward
+of f_X f_H^(8-k), the degree of the class.
 
-Conventions: tangent weights as in the reference table (chamber (1, 2)
-makes codimension = number of negative pairings); classes are normalized
-at their defining vertex by the product of the negative-pairing weights.
+A class is a vertex map {label: form}: a form at every fixed point,
+zero values included, all of the class's degree.  A point's codimension
+is the number of its tangent weights negative on the chamber (1, 2)
+(``cayley.FixedPoint.codim``); the labels only name the points.
+
+Conventions: tangent weights as in the reference table; classes are
+normalized at their defining vertex by the product of the negative-pairing
+weights.
 Under these conventions the printed even-codimension localization figures
 are reproduced exactly and the odd ones up to one global sign.
 """
@@ -56,38 +62,18 @@ def _point_label():
     return enumerate_fixed_points()[-1].label
 
 
-class EqClass:
-    """Equivariant class in localized form: label -> form of one degree."""
+def _hyperplane_label():
+    """The one vertex of codimension 1, carrying the hyperplane class."""
+    (label,) = labels_by_codim()[1]
+    return label
 
-    __slots__ = ("codim", "values")
 
-    def __init__(self, codim, values):
-        vals = {}
-        for lab, poly in values.items():
-            if not isinstance(poly, HomogPoly):
-                raise TypeError("localized values must be forms")
-            if not poly.is_zero() and poly.degree != codim:
-                raise ValueError(f"value at {lab} has degree {poly.degree}, expected {codim}")
-            vals[lab] = poly
-        for p in enumerate_fixed_points():
-            vals.setdefault(p.label, HomogPoly.zero(codim))
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EqClass is immutable")
-
-    def __getitem__(self, label):
-        return self.values[label]
-
-    def __eq__(self, other):
-        return isinstance(other, EqClass) and self.codim == other.codim and self.values == other.values
-
-    def to_json(self):
-        return {
-            "codim": self.codim,
-            "values": {lab: self.values[lab].to_json() for lab in sorted(self.values)},
-        }
+def _degree(values) -> int:
+    """The one degree of the forms in a vertex map; ValueError on mixed degrees."""
+    degs = {v.degree for v in values.values()}
+    if len(degs) != 1:
+        raise ValueError(f"vertex data of mixed degrees {sorted(degs)}")
+    return degs.pop()
 
 
 def hyperplane_weight(label) -> Weight:
@@ -95,13 +81,13 @@ def hyperplane_weight(label) -> Weight:
     return point_by_label(label).omega_weight() - point_by_label(_base_label()).omega_weight()
 
 
-def fundamental_class() -> EqClass:
+def fundamental_class():
     one = HomogPoly.constant(1)
-    return EqClass(0, {p.label: one for p in enumerate_fixed_points()})
+    return {p.label: one for p in enumerate_fixed_points()}
 
 
-def hyperplane_class() -> EqClass:
-    return EqClass(1, {p.label: hyperplane_weight(p.label).poly() for p in enumerate_fixed_points()})
+def hyperplane_class():
+    return {p.label: hyperplane_weight(p.label).poly() for p in enumerate_fixed_points()}
 
 
 def normal_weight_product(label) -> HomogPoly:
@@ -112,12 +98,12 @@ def normal_weight_product(label) -> HomogPoly:
     return out
 
 
-def point_class() -> EqClass:
+def point_class():
     top = _point_label()
-    return EqClass(DIMENSION, {top: normal_weight_product(top)})
+    return {p.label: HomogPoly.zero(DIMENSION) for p in enumerate_fixed_points()} | {top: normal_weight_product(top)}
 
 
-def check_gkm_divisibility(cls: EqClass) -> None:
+def check_gkm_divisibility(cls) -> None:
     """All edge congruences: value differences divisible by the direction."""
     for e in gkm_edges().edges:
         a, b = tuple(e.labels)
@@ -221,19 +207,21 @@ def _solve_class(p_label, next_classes):
     if sol.status != "unique":
         raise ArithmeticError(f"class solve at vertex {p_label} is {sol.status}")
     t = sol.particular
-    values = {p_label: n_p}
+    values = {q.label: HomogPoly.zero(k) for q in enumerate_fixed_points()}
+    values[p_label] = n_p
     for q in lines:
         values[q] = sum((quotient[q].scale(c) for quotient, c in zip(quotients, t)), HomogPoly.zero(k))
     monk = [sum(c * v[i] for c, v in zip(t, kernel)) for i in range(len(next_classes))]
-    return EqClass(k, values), monk
+    return values, monk
 
 
 @cache
 def _class_solve():
     """All 15 localized classes, descending from the point class.
 
-    Returns ({label: EqClass}, Monk coefficients); the Monk coefficients
-    are the by-product expansion f_X (f_H - f_H(p)) = sum a_i f_{Y_i}.
+    Returns ({label: class}, Monk coefficients, degrees).  The Monk
+    coefficients are the by-product expansion f_X (f_H - f_H(p)) =
+    sum a_i f_{Y_i}; the degrees are the top pushforwards of the re-check.
     """
     by_codim = labels_by_codim()
     top = _point_label()
@@ -253,23 +241,28 @@ def _class_solve():
                     coeffs[nl] = int(ai)
             monk[lab] = coeffs
     h = hyperplane_class()
+    degs = {}
     for lab, cls in classes.items():
         check_gkm_divisibility(cls)
         # re-verify the pushforward conditions by fixed-point integration
         data = cls
-        for j in range(DIMENSION - cls.codim):
+        for j in range(DIMENSION - point_by_label(lab).codim):
             if ab_integrate(data) != 0:
                 raise ArithmeticError(f"pushforward of {lab} * H^{j} does not vanish")
             data = pointwise_product(data, h)
+        val = ab_integrate(data)
+        if val.denominator != 1 or val <= 0:
+            raise ArithmeticError(f"degree of {lab} is not a positive integer: {val}")
+        degs[lab] = int(val)
     if classes[_base_label()] != fundamental_class():
         raise ArithmeticError("the codim-0 class did not come out as the fundamental class")
-    if classes["1"] != hyperplane_class():
+    if classes[_hyperplane_label()] != hyperplane_class():
         raise ArithmeticError("the codim-1 class did not come out as the hyperplane class")
-    return classes, monk
+    return classes, monk, degs
 
 
 def solve_all_classes():
-    """All 15 localized classes as {label: EqClass}, solved once."""
+    """All 15 localized classes as {label: {label: form}}, solved once."""
     return _class_solve()[0]
 
 
@@ -283,34 +276,24 @@ def monk_matrix():
 # ---------------------------------------------------------------------------
 
 
-def pointwise_product(*classes_or_values):
-    """Vertexwise product of localized data; returns {label: form}."""
-    out = None
-    for item in classes_or_values:
-        vals = item.values if isinstance(item, EqClass) else item
-        if out is None:
-            out = dict(vals)
-        else:
-            out = {lab: poly_mul(out[lab], vals[lab]) for lab in out}
+def pointwise_product(*classes):
+    """Vertexwise product of vertex maps; returns {label: form}."""
+    first, *rest = classes
+    out = dict(first)
+    for cls in rest:
+        out = {lab: poly_mul(out[lab], cls[lab]) for lab in out}
     return out
 
 
 def ab_integrate(values) -> Fraction:
     """Fixed-point integration: sum of f(p) / e(p) over the vertices.
 
-    The input is vertexwise data of uniform degree <= 8.  The rational
+    The input is a vertex map of uniform degree <= 8.  The rational
     function sum must collapse: to zero below degree 8 and to a constant
     in degree 8; anything else raises.  Vertices missing from the input
     count as zero.
     """
-    if isinstance(values, EqClass):
-        values = values.values
-    degs = {v.degree for v in values.values() if not v.is_zero()}
-    if not degs:
-        return Fraction(0)
-    if len(degs) > 1:
-        raise ValueError(f"mixed degrees {degs}")
-    (deg,) = degs
+    deg = _degree(values)
     if deg > DIMENSION:
         raise ValueError(f"integration expects degree at most {DIMENSION}")
     factors, complements = _localization_denominator()
@@ -330,18 +313,13 @@ def ab_integrate(values) -> Fraction:
 
 
 def expand_in_basis(values):
-    """Expansion over the localized basis with form coefficients.
+    """Expansion of a vertex map over the localized basis, with form coefficients.
 
     Returns {label: form of degree (deg - codim)}; exactness of every
     division is asserted, so membership in the span is verified.
     """
-    if isinstance(values, EqClass):
-        values = values.values
+    deg = _degree(values)
     classes = solve_all_classes()
-    degs = {v.degree for v in values.values() if not v.is_zero()}
-    if not degs:
-        return {}
-    (deg,) = degs
     remaining = dict(values)
     out = {}
     for p in enumerate_fixed_points():
@@ -357,7 +335,7 @@ def expand_in_basis(values):
                 raise ArithmeticError(f"expansion fails: value at {p.label} not divisible by the normal weights")
         out[p.label] = quotient
         # a class vanishes outside its support, so only its support changes
-        for lab, value in classes[p.label].values.items():
+        for lab, value in classes[p.label].items():
             if not value.is_zero():
                 remaining[lab] = remaining[lab] - poly_mul(quotient, value)
     if any(not v.is_zero() for v in remaining.values()):
@@ -475,19 +453,9 @@ def integrate_vector(v: SchubertVector) -> int:
     return v[_point_label()]
 
 
-@cache
 def degrees():
-    """deg sigma = integral of sigma * H^(8 - codim)."""
-    classes = solve_all_classes()
-    h = hyperplane_class()
-    out = {}
-    for p in enumerate_fixed_points():
-        data = pointwise_product(*( [classes[p.label]] + [h] * (DIMENSION - p.codim) ))
-        val = ab_integrate(data)
-        if val.denominator != 1 or val <= 0:
-            raise ArithmeticError(f"degree of {p.label} is not a positive integer: {val}")
-        out[p.label] = int(val)
-    return out
+    """deg sigma = integral of sigma * H^(8 - codim), read off the class solve."""
+    return _class_solve()[2]
 
 
 def poincare_pairing():
@@ -515,7 +483,7 @@ def poincare_pairing():
 def sigma1_power(n: int) -> SchubertVector:
     out = basis_vector(_base_label())
     for _ in range(n):
-        out = schubert_product(out, basis_vector("1"))
+        out = schubert_product(out, basis_vector(_hyperplane_label()))
     return out
 
 
@@ -525,10 +493,9 @@ def verify_ring_presentation():
     The degree-2 generator is identified as the codim-2 class for which
     both relations vanish; returns a report dictionary.
     """
-    candidates = ["2", "2'"]
     report = {"generator": None, "relations": {}, "ranks": {}}
-    h = basis_vector("1")
-    for cand in candidates:
+    h = basis_vector(_hyperplane_label())
+    for cand in labels_by_codim()[2]:
         s = basis_vector(cand)
         s2 = schubert_product(s, s)
         s3 = schubert_product(s2, s)

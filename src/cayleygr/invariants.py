@@ -13,7 +13,7 @@ from functools import cache
 from math import comb
 
 from .cayley import DIMENSION, enumerate_fixed_points
-from .equivariant import SchubertVector, degrees, solve_all_classes, top_expansion
+from .equivariant import SchubertVector, degrees, labels_by_codim, solve_all_classes, top_expansion
 from .exact import HomogPoly, poly_mul
 from .weightmodel import g2_irrep_dim, gl7_schur_dim
 
@@ -47,7 +47,8 @@ def chern_classes():
     out = {}
     for k in range(1, DIMENSION + 1):
         out[k] = top_expansion({lab: e[k] for lab, e in elementary.items()})
-    if out[1] != SchubertVector({"1": 4}):
+    (hyperplane,) = labels_by_codim()[1]
+    if out[1] != SchubertVector({hyperplane: 4}):
         raise ArithmeticError("the first Chern class is not 4 times the hyperplane class")
     if out[DIMENSION] != SchubertVector({points[-1].label: len(points)}):
         raise ArithmeticError("the top Chern class does not integrate to the fixed point count")

@@ -331,10 +331,6 @@ class Subspace:
         self.basis = basis
         self.dim = len(basis)
 
-    def contains(self, x: Octonion) -> bool:
-        rows = [list(v.coeffs) for v in self.basis]
-        return matrix_rank(rows + [list(x.coeffs)]) == self.dim
-
     def is_imaginary(self):
         return all(v.is_imaginary() for v in self.basis)
 
@@ -360,11 +356,8 @@ def is_subalgebra(w: Subspace) -> bool:
         raise ValueError("subalgebra test expects a 3-dimensional imaginary subspace")
     if not w.is_imaginary():
         raise ValueError("subspace must consist of imaginary octonions")
-    for x in w.basis:
-        for y in w.basis:
-            if not w.contains(multiply(x, y).imaginary()):
-                return False
-    return True
+    products = [multiply(x, y).imaginary() for x in w.basis for y in w.basis]
+    return matrix_rank([list(v.coeffs) for v in (*w.basis, *products)]) == w.dim
 
 
 def gram_rank(w: Subspace) -> int:

@@ -310,6 +310,29 @@ def test_missing_fixtures_exit_2(tmp_path, capsys, monkeypatch, setup):
     assert all(text in lines[0] for text in expected), lines[0]
 
 
+def _swap_triples(text):
+    """fixed_points.json with the triples of rows 3 and 5' interchanged."""
+    three, five = '"triple": ["a", "-b", "-g"]', '"triple": ["0", "a", "-b"]'
+    return text.replace(three, "@").replace(five, three).replace("@", five)
+
+
+def test_swapped_fixed_point_labels_are_reported(tmp_path):
+    # the chamber, not the label, fixes each codimension, so the solve
+    # succeeds and the label-keyed paper data fail; every stage caches the
+    # point labels, so this needs a fresh process
+    fixtures, _ = _edited_fixtures(tmp_path, "fixed_points", _swap_triples)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleygr.cli", "verify", "all"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "CAYLEY_FIXTURES": str(fixtures)},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    for check_id in ("betti.codim-equals-label", "classes.sigma1-figure", "degrees.table"):
+        assert f"[             FAIL] {check_id}" in proc.stdout, check_id
+
+
 @pytest.mark.parametrize("argv", [["verify", "betti"], ["dump", "degrees"]])
 def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     target = tmp_path / "nonexistent" / "dir" / "x.json"
@@ -333,12 +356,13 @@ def test_sigma2_figure_counts_matches(tmp_path, capsys, monkeypatch):
     assert "computed=13 of 15 match" in line
 
 
-# SHA-256 of the default reports and dumps, and of the largest hilbert and
-# series runs and the index report; they are byte-identical across
+# SHA-256 of the default reports (text, JSON and CSV) and dumps, and of
+# the largest hilbert and series runs and the index report; they are byte-identical across
 # hash seeds, and a change that alters any of them must say why
 OUTPUT_DIGESTS = {
     ("verify", "all"): "e34395acc27519af38f840818f75f86fa88216a0c662e75a4f33f9ef1baca238",
     ("verify", "all", "--format", "json"): "73f8d13e3dd7540ec8d82c1a865ee1c3d9fc4c474bb32c80f90f2e05e7df54f6",
+    ("verify", "all", "--format", "csv"): "e960437e391f90786d6bcb74b0e81963423d11483d97ec9578df7048ae00d870",
     ("dump", "classes"): "6503055d0c6f9869557443bb0c85d4edd32a300c0d69bf7eab9e525245f77d0a",
     ("dump", "degrees"): "f36b4a25d96187b785de023a500b93d4c25826b604b86967f1f78f47c71771f4",
     ("dump", "fixed-points"): "a6a2563d3406a7356a6dfde995aa8c1350c1ba0971fe5a36f62d994ff15b2cbc",

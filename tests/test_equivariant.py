@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from cayleygr.ambient import restriction_table
-from cayleygr.cayley import duality_map, enumerate_fixed_points, gkm_edges
+from cayleygr.cayley import duality_map, enumerate_fixed_points, gkm_edges, point_by_label
 from cayleygr.equivariant import (
-    EqClass,
     SchubertVector,
     ab_integrate,
     basis_vector,
@@ -70,7 +69,7 @@ def test_all_classes_satisfy_gkm_conditions():
         check_gkm_divisibility(cls)
         # support vanishing: zero at strictly lower codimension vertices
         for p in enumerate_fixed_points():
-            if p.codim < cls.codim:
+            if p.codim < point_by_label(lab).codim:
                 assert cls[p.label].is_zero()
 
 
@@ -131,9 +130,17 @@ def test_expansion_examples():
     assert set(full) >= {"2", "2'", "1"}
     with pytest.raises(ArithmeticError):
         # a multiset that is not in the span: tweak one vertex of sigma_2
-        broken = dict(classes["2"].values)
+        broken = dict(classes["2"])
         broken["8"] = parse_form("a^2")
         expand_in_basis(broken)
+
+
+def test_mixed_degree_data_is_rejected():
+    # integration and expansion share one uniform-degree check
+    data = {"1": parse_form("a"), "8": parse_form("a^2")}
+    for route in (ab_integrate, expand_in_basis):
+        with pytest.raises(ValueError, match="mixed degrees"):
+            route(data)
 
 
 def test_monk_matrix_against_figure():
@@ -244,7 +251,7 @@ def test_class_solve_is_one_small_solve_per_vertex(monkeypatch):
         return exact.solve_rational(rows, rhs)
 
     monkeypatch.setattr(equivariant, "solve_rational", record)
-    classes, _ = equivariant._class_solve.__wrapped__()
+    classes, _, _ = equivariant._class_solve.__wrapped__()
     assert classes == solve_all_classes()
     assert len(calls) == 14
     assert all(unknowns <= 3 for _, unknowns in calls)
@@ -278,6 +285,6 @@ def test_class_solve_checks_every_class(monkeypatch):
         check_gkm_divisibility(cls)
 
     monkeypatch.setattr(equivariant, "check_gkm_divisibility", record)
-    classes, _ = equivariant._class_solve.__wrapped__()
+    classes, _, _ = equivariant._class_solve.__wrapped__()
     assert {lab for lab, cls in classes.items() if cls in checked} == set(classes)
     assert len(classes) == 15
