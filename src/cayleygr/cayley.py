@@ -63,23 +63,46 @@ def _complement_four_space(triple):
     return tuple(i for i in range(7) if i not in negated)
 
 
-def is_cg_member(vectors) -> bool:
+@cache
+def _three_form_on_u():
+    """The nonzero values phi(U_i, U_j, U_k), i < j < k, of the octonion three-form."""
+    values = {t: three_form(U[t[0]], U[t[1]], U[t[2]]) for t in combinations(range(7), 3)}
+    return {t: v for t, v in values.items() if v}
+
+
+def _minor(x, y, z, cols):
+    """The 3 x 3 minor of the rows x, y, z on the columns cols."""
+    i, j, k = cols
+    return x[i] * (y[j] * z[k] - y[k] * z[j]) - x[j] * (y[i] * z[k] - y[k] * z[i]) + x[k] * (y[i] * z[j] - y[j] * z[i])
+
+
+def _u_row(entries):
+    """The coordinate row, in the weight basis U, of sum c * U[i] over entries {i: c}."""
+    return tuple(entries.get(i, 0) for i in range(7))
+
+
+def is_cg_member(rows) -> bool:
     """True iff the octonion three-form vanishes identically on the span.
 
-    The span, of imaginary octonions, must be 4-dimensional; by
-    multilinearity it is enough to check every basis triple.
+    The span is given by four coordinate rows in the weight basis U and
+    must be 4-dimensional; by multilinearity it is enough to check every
+    triple of rows.  On a triple (x, y, z) the form is the sum, over the
+    nonzero values phi_ijk of the form on U, of phi_ijk times the minor
+    of (x, y, z) on the columns i, j, k.
     """
-    vectors = list(vectors)
-    if len(vectors) != 4:
+    rows = list(rows)
+    if len(rows) != 4:
         raise ValueError("membership test expects a 4-dimensional subspace")
-    for a, b, c in combinations(range(4), 3):
-        if three_form(vectors[a], vectors[b], vectors[c]):
+    phi = _three_form_on_u()
+    for x, y, z in combinations(rows, 3):
+        minors = ((c, _minor(x, y, z, cols)) for cols, c in phi.items())
+        if sum(c * m for c, m in minors if m):
             return False
     return True
 
 
 def coordinate_member(indices) -> bool:
-    return is_cg_member([U[i] for i in indices])
+    return is_cg_member([_u_row({i: 1}) for i in indices])
 
 
 def _tangent_weights(label, four_space):
@@ -295,8 +318,8 @@ def gkm_edges() -> GkmGraph:
         (y,) = set(q.four_space) - common
         weight = BASIS_WEIGHTS[x] - BASIS_WEIGHTS[y]
         for t in (1, -1, 2):
-            member = [U[i] for i in sorted(common)]
-            member.append(U[x] + U[y].scale(t))
+            member = [_u_row({i: 1}) for i in sorted(common)]
+            member.append(_u_row({x: 1, y: t}))
             if not is_cg_member(member):
                 raise ArithmeticError(f"connecting curve {p.label}-{q.label} leaves the variety")
         edge = GkmEdge(labels=frozenset((p.label, q.label)), weight=weight)

@@ -337,26 +337,33 @@ def divide_by_linear(f: HomogPoly, a, b):
 
 
 def _row_reduce(rows, ncols):
-    """In-place Gauss-Jordan elimination over the field; returns pivot columns."""
+    """In-place Gauss-Jordan elimination over the field; returns pivot columns.
+
+    The first ``ncols`` columns are eliminated; any further columns (a
+    right-hand side) are carried along.  Each step touches only the
+    support of the pivot row: the row's entries left of the pivot column
+    are already zero, and an entry of another row changes only where the
+    pivot row is nonzero.  Zero entries keep the type they came with.
+    """
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
+        row = rows[r]
+        inv = row[c]
         if isinstance(inv, int):
             inv = Fraction(inv)  # int / int would be a float
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        support = [j for j in range(c, len(row)) if row[j]]
+        for j in support:
+            row[j] = row[j] / inv
+        for i, other in enumerate(rows):
+            f = other[c]
+            if f and i != r:
+                for j in support:
+                    other[j] = other[j] - f * row[j]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -9,7 +9,6 @@ three-form, and the boundary-stratum membership predicates.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
@@ -201,10 +200,10 @@ def three_form(x: Octonion, y: Octonion, z: Octonion) -> GaussianRational:
 
 
 def three_form_table():
-    """Line-based form as a dict {(i<j<k): +1} over the oriented lines."""
+    """Line-based form as a dict {(i<j<k): +-1} over the oriented lines."""
     acc = {}
     for line in _TABLE.lines:
-        acc[tuple(sorted(line))] = Fraction(_permutation_sign(line))
+        acc[tuple(sorted(line))] = _permutation_sign(line)
     return acc
 
 
@@ -400,24 +399,22 @@ def g2_basis():
     """Basis of {X in End(V7) : X . Omega = 0}; the dimension is 14.
 
     X acts as a derivation: (X.Omega)(u,v,w) = Omega(Xu,v,w) + Omega(u,Xv,w)
-    + Omega(u,v,Xw).  Computed once as an exact rational nullspace.
+    + Omega(u,v,Xw).  Computed once as an exact rational nullspace of
+    integer rows.
     """
     omega = three_form_table()  # {(i<j<k): sign}
 
     def om(i, j, k):
         idx = (i, j, k)
         key = tuple(sorted(idx))
-        base = omega.get(key)
-        if base is None:
-            return Fraction(0)
-        return Fraction(base * _permutation_sign(idx))
+        return omega.get(key, 0) * _permutation_sign(idx)
 
     cols = [(p, q) for p in range(1, 8) for q in range(1, 8)]  # X e_q has e_p-coefficient X[p,q]
     rows = []
     for i, j, k in combinations(range(1, 8), 3):
         row = []
         for p, q in cols:
-            c = Fraction(0)
+            c = 0
             if q == i:
                 c += om(p, j, k)
             if q == j:
@@ -429,7 +426,7 @@ def g2_basis():
     kernel = nullspace(rows, len(cols))
     basis = []
     for vec in kernel:
-        mat = [[Fraction(0)] * 7 for _ in range(7)]
+        mat = [[0] * 7 for _ in range(7)]
         for (p, q), v in zip(cols, vec):
             mat[p - 1][q - 1] = v
         basis.append(mat)
@@ -440,9 +437,10 @@ def g2_basis():
 
 def _apply_endo(mat, x: Octonion) -> Octonion:
     out = [GI_ZERO] * 8
+    support = [q for q in range(7) if x.coeffs[q + 1]]
     for p in range(7):
         acc = GI_ZERO
-        for q in range(7):
+        for q in support:
             if mat[p][q]:
                 acc = acc + x.coeffs[q + 1] * mat[p][q]
         out[p + 1] = acc
@@ -465,7 +463,7 @@ def g2_stabilizer_dim(w: Subspace) -> int:
             for img in images:
                 acc = GI_ZERO
                 for i in range(7):
-                    if cov[i]:
+                    if cov[i] and img.coeffs[i + 1]:
                         acc = acc + img.coeffs[i + 1] * cov[i]
                 row.append(acc)
             rows.append(row)

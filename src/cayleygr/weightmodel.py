@@ -11,7 +11,8 @@ data and the two Weyl-type dimension formulas (Schur functors of a
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 from . import octonions
 from .exact import HomogPoly, matrix_rank
@@ -175,20 +176,26 @@ ROOT_SYSTEM = RootSystemG2()
 def g2_irrep_dim(a: int, b: int) -> int:
     """dim of the irreducible with highest weight a*w1 + b*w2.
 
-    Weyl dimension formula as a product over the six positive roots,
-    computed from the root-system data.
+    Weyl dimension formula over the six positive roots, computed from the
+    root-system data: the product of (lambda + rho, alpha) over the
+    product of (rho, alpha), as one exact integer quotient.
     """
     if a < 0 or b < 0:
         raise ValueError("highest weight must be dominant")
     rs = ROOT_SYSTEM
     w1, w2 = rs.fundamental
-    lam = a * w1 + b * w2
+    shifted = (a + 1) * w1 + (b + 1) * w2  # lambda + rho, with rho = w1 + w2
     rho = w1 + w2
-    num = Fraction(1)
-    for root in rs.positive_roots():
-        num *= Fraction(rs.inner(lam + rho, root), rs.inner(rho, root))
-    assert num.denominator == 1
-    return int(num)
+    roots = rs.positive_roots()
+    return _exact_quotient(prod(rs.inner(shifted, r) for r in roots), prod(rs.inner(rho, r) for r in roots))
+
+
+def _exact_quotient(num: int, den: int) -> int:
+    """num / den for integers, raising ArithmeticError unless den divides num."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"Weyl dimension quotient {num}/{den} is not an integer")
+    return q
 
 
 def weyl_group_matrices():
@@ -293,8 +300,11 @@ def _poly_divmod(num, den):
 def gl7_schur_dim(shape) -> int:
     """Dimension of the Schur functor S_shape applied to a 7-space.
 
-    Hook-content formula; shape is a weakly decreasing tuple of
-    non-negative integers, and more than 7 parts give 0.
+    Weyl dimension formula for GL7: with the shape padded to seven parts,
+    the product of (l_i - l_j + j - i) over the 21 pairs i < j divided by
+    the product of (j - i), as one exact integer quotient.  The shape is
+    a weakly decreasing tuple of non-negative integers, and more than 7
+    parts give 0.
     """
     n = 7
     shape = tuple(int(p) for p in shape if p)
@@ -302,21 +312,6 @@ def gl7_schur_dim(shape) -> int:
         raise ValueError(f"not a partition: {shape}")
     if len(shape) > n:
         return 0
-    conj = conjugate_partition(shape)
-    out = Fraction(1)
-    for i, row in enumerate(shape):
-        for j in range(row):
-            hook = (row - j) + (conj[j] - i) - 1
-            out *= Fraction(n + j - i, hook)
-    assert out.denominator == 1
-    return int(out)
-
-
-def conjugate_partition(shape):
-    if not shape:
-        return ()
-    out = [0] * shape[0]
-    for row in shape:
-        for j in range(row):
-            out[j] += 1
-    return tuple(out)
+    lam = shape + (0,) * (n - len(shape))
+    pairs = list(combinations(range(n), 2))
+    return _exact_quotient(prod(lam[i] - lam[j] + j - i for i, j in pairs), prod(j - i for i, j in pairs))

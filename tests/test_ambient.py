@@ -26,9 +26,13 @@ from cayleygr.ambient import (
 )
 from cayleygr.equivariant import SchubertVector, schubert_product
 from cayleygr.fixtures import load_fixture
-from cayleygr.weightmodel import conjugate_partition
 
 t = AmbientClass.basis
+
+
+def conjugate_partition(shape):
+    """The transposed Young diagram."""
+    return tuple(sum(1 for row in shape if row > j) for j in range(shape[0] if shape else 0))
 
 
 def test_box_partitions_count():

@@ -1,6 +1,8 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cayleygr.cayley import (
     CHAMBER,
@@ -18,6 +20,7 @@ from cayleygr.cayley import (
     tangent_discrepancies,
     tangent_weights,
 )
+from cayleygr.octonions import Octonion, three_form
 from cayleygr.weightmodel import U, Weight, parse_weight
 
 
@@ -25,13 +28,43 @@ def _w(*names):
     return Counter(parse_weight(n) for n in names)
 
 
+def _units(*indices):
+    """Coordinate rows in the weight basis U of the basis vectors U[i]."""
+    return [tuple(int(j == i) for j in range(7)) for i in indices]
+
+
 def test_membership_examples():
-    assert is_cg_member([U[0], U[1], U[3], U[6]])        # u0, ua, ub, u-g
-    assert not is_cg_member([U[0], U[1], U[5], U[6]])    # u0, ua, ug, u-g
-    assert is_cg_member([U[1], U[2], U[3], U[4]])        # ua, u-a, ub, u-b
-    assert not is_cg_member([U[0], U[2], U[4], U[6]])    # u0, u-a, u-b, u-g
+    assert is_cg_member(_units(0, 1, 3, 6))        # u0, ua, ub, u-g
+    assert not is_cg_member(_units(0, 1, 5, 6))    # u0, ua, ug, u-g
+    assert is_cg_member(_units(1, 2, 3, 4))        # ua, u-a, ub, u-b
+    assert not is_cg_member(_units(0, 2, 4, 6))    # u0, u-a, u-b, u-g
     with pytest.raises(ValueError):
-        is_cg_member([U[0], U[1], U[2]])
+        is_cg_member(_units(0, 1, 2))
+
+
+def _form_vanishes_on_octonions(rows):
+    """The octonion route: combine the rows into octonions and evaluate the three-form."""
+    vectors = [sum((U[i].scale(c) for i, c in enumerate(row) if c), Octonion.zero()) for row in rows]
+    return all(not three_form(x, y, z) for x, y, z in combinations(vectors, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(list(combinations(range(7), 4))),
+    st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=4, max_size=4),
+    st.lists(st.integers(-2, 2), min_size=7, max_size=7),
+    st.booleans(),
+)
+@example((0, 1, 3, 6), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [0] * 7, False)  # a fixed point
+@example((0, 1, 5, 6), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [0] * 7, False)  # not one
+@example((1, 2, 3, 4), [[1, 2, 0, 0], [0, 1, 0, 3], [2, 0, 1, 0], [0, 0, 1, 1]], [0] * 7, False)  # a member, mixed
+def test_membership_matches_the_octonion_route(coordinates, coeffs, offset, perturb):
+    # integer rows supported on four coordinates (often inside a fixed
+    # point), with an optional dense offset that usually leaves the variety
+    rows = [tuple(dict(zip(coordinates, c)).get(i, 0) for i in range(7)) for c in coeffs]
+    if perturb:
+        rows[0] = tuple(a + b for a, b in zip(rows[0], offset))
+    assert is_cg_member(rows) == _form_vanishes_on_octonions(rows)
 
 
 def test_enumeration():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from cayleygr import equivariant, invariants
 from cayleygr.cli import main
 from cayleygr.fixtures import fixtures_dir, parse_form
 
@@ -356,6 +357,52 @@ def test_sigma2_figure_counts_matches(tmp_path, capsys, monkeypatch):
     assert "computed=13 of 15 match" in line
 
 
+def _statuses(capsys, topic):
+    code, out = run_cli(capsys, "verify", topic, "--format", "json")
+    return code, {r["id"]: r["status"] for r in json.loads(out)["results"]}
+
+
+def test_chern_discrepancy_needs_the_ambient_evidence(capsys, monkeypatch):
+    # a relabelled c5 row fails the ambient cross-check, so it is no correction of the print
+    broken = dict(invariants.chern_classes())
+    broken[5] = equivariant.SchubertVector({"3": 76, "5": 160})
+    monkeypatch.setattr(invariants, "chern_classes", lambda: broken)
+    code, status = _statuses(capsys, "chern")
+    assert code == 1
+    assert status["chern.c5"] == "fail" and status["chern.c6"] == "paper-discrepancy"
+
+
+def test_dual_discrepancy_needs_the_chern_evidence(capsys, monkeypatch):
+    coeffs, dprime, value = invariants.dual_degree()
+    for q8, expected in ((-700, "fail"), (-738, "pass")):
+        # -700 is neither the printed -738 nor -(c1 coefficient) x degree = -728
+        changed = [*coeffs[:7], q8, coeffs[8]]
+        monkeypatch.setattr(invariants, "dual_degree", lambda: (changed, dprime, value))
+        _, status = _statuses(capsys, "dual")
+        assert status["dual.q8-coefficient"] == expected, q8
+        assert status["dual.derivative"] == "paper-discrepancy"
+
+
+def test_dual_derivative_discrepancy_needs_the_printed_polynomial(tmp_path, capsys, monkeypatch):
+    # 18 is not the absolute derivative 17 of the printed polynomial
+    fixtures, _ = _edited_fixtures(tmp_path, "dual_polynomial", lambda text: text.replace('"derivative_at_one": 17', '"derivative_at_one": 18'))
+    monkeypatch.setenv("CAYLEY_FIXTURES", str(fixtures))
+    code, status = _statuses(capsys, "dual")
+    assert code == 1
+    assert status["dual.derivative"] == "fail" and status["dual.q8-coefficient"] == "paper-discrepancy"
+
+
+def test_duplicate_row_discrepancy_needs_a_verbatim_twin(tmp_path, capsys, monkeypatch):
+    # the duplicate 5*2 line no longer repeats the plain 5*2 line verbatim
+    duplicate = '{"left": "5",  "right": "2",  "result": {"7": 1}, "duplicate_of": "5\'"}'
+    edited = '{"left": "5",  "right": "2",  "result": {"7": 4}, "duplicate_of": "5\'"}'
+    fixtures, _ = _edited_fixtures(tmp_path, "mult_table", lambda text: text.replace(duplicate, edited))
+    monkeypatch.setenv("CAYLEY_FIXTURES", str(fixtures))
+    code, status = _statuses(capsys, "mult")
+    assert code == 1
+    assert status["mult.duplicate-row.2*5'"] == "fail" and status["mult.unambiguous-rows"] == "pass"
+
+
 # SHA-256 of the default reports (text, JSON and CSV) and dumps, and of
 # the largest hilbert and series runs and the index report; they are byte-identical across
 # hash seeds, and a change that alters any of them must say why
@@ -383,18 +430,42 @@ def test_output_digest(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_DIGESTS[argv]
 
 
-def test_traced_names_resolve():
-    # the benchmark's tracer wraps engine functions by name; a rename that
-    # misses it would only break traced runs
+def _tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps engine functions by name; a rename that
+    # misses it would only break traced runs
+    tracer = _tracer()
     for table in (tracer.KERNELS, tracer.STAGES):
         for short, names in table.items():
             module = importlib.import_module(f"cayleygr.{short}")
             for name in names:
                 assert callable(getattr(module, name, None)), f"{short}.{name}"
+
+
+def test_cli_import_loads_every_traced_module():
+    # the tracer looks the traced modules up in sys.modules right after
+    # `from cayleygr import cli`, so a module the CLI imports lazily would
+    # break every traced run
+    tracer = _tracer()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cayleygr.cli; print(*sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    traced = {f"cayleygr.{short}" for table in (tracer.KERNELS, tracer.STAGES) for short in table}
+    assert traced <= loaded, sorted(traced - loaded)
 
 
 def _identifiers(node, skip=None):

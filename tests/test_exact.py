@@ -182,6 +182,71 @@ def test_rank_and_nullspace():
     assert rows[0][0] * v[0] + rows[0][1] * v[1] == 0
 
 
+def _dense_rank_and_kernel(rows, ncols):
+    """Reference Gauss-Jordan elimination that divides and subtracts whole rows."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / (Fraction(inv) if isinstance(inv, int) else inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        kernel.append(vec)
+    return len(pivots), kernel
+
+
+_SPARSE_ENTRIES = {
+    "int": st.integers(-4, 4),
+    "fraction": st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    "gaussian": st.builds(GaussianRational, st.integers(-3, 3), small_fractions),
+}
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly-zero matrices over one entry domain; zeros come as int 0 or the domain's own zero."""
+    kind = draw(st.sampled_from(sorted(_SPARSE_ENTRIES)))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    zero = {"int": 0, "fraction": Fraction(0), "gaussian": GaussianRational(0)}[kind]
+
+    def entry():
+        if draw(st.integers(0, 2)):
+            return draw(st.sampled_from([0, zero]))
+        return draw(_SPARSE_ENTRIES[kind])
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[-1])]  # a dependent row
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_rank_and_nullspace_match_dense_elimination(matrix):
+    rows, n = matrix
+    rank, kernel = _dense_rank_and_kernel(rows, n)
+    assert matrix_rank(rows) == rank
+    got = nullspace(rows, n)
+    assert got == kernel
+    assert len(got) == n - rank
+    for v in got:
+        assert _apply(rows, v) == [0] * len(rows)
+
+
 def test_smith_normal_form_examples():
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert smith_normal_form([[2, 0], [0, 4]]) == [2, 4]

@@ -1,6 +1,8 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cayleygr import weightmodel
 from cayleygr.ambient import schur_poly
@@ -101,6 +103,38 @@ def test_gl7_schur_dim_against_branching_rule():
         assert gl7_schur_dim(shape) == sum(schur_poly(shape, 7).values()), shape
 
 
+def gl7_schur_dim_hook_content(shape):
+    """Hook-content formula: the product over the boxes (i, j) of (7 + j - i) / hook(i, j).
+
+    An eighth row has a box of content -7, so its factor 7 + j - i is 0.
+    """
+    conjugate = [sum(1 for row in shape if row > j) for j in range(shape[0] if shape else 0)]
+    out = Fraction(1)
+    for i, row in enumerate(shape):
+        for j in range(row):
+            out *= Fraction(7 + j - i, (row - j) + (conjugate[j] - i) - 1)
+    assert out.denominator == 1
+    return int(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 60), max_size=8).map(lambda parts: tuple(sorted(parts, reverse=True))))
+@example((60,) * 8)
+@example((3, 2, 2, 1, 1, 1, 1, 1))
+@example((60, 60, 60, 60, 59, 59, 59))
+def test_gl7_schur_dim_against_hook_content(shape):
+    shape = tuple(p for p in shape if p)
+    assert gl7_schur_dim(shape) == gl7_schur_dim_hook_content(shape)
+    assert (gl7_schur_dim(shape) == 0) == (len(shape) > 7)
+
+
+def test_weyl_quotient_raises_on_a_remainder(monkeypatch):
+    # the short roots alone are not the positive roots of a group with these weights
+    monkeypatch.setattr(ROOT_SYSTEM, "positive_roots", lambda: ROOT_SYSTEM.positive_short)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        g2_irrep_dim(0, 1)
+
+
 def test_g2_irrep_dims():
     assert g2_irrep_dim(1, 0) == 7
     assert g2_irrep_dim(0, 1) == 14
@@ -110,7 +144,6 @@ def test_g2_irrep_dims():
 
 
 def test_g2_irrep_dim_against_character_oracle():
-    for a in range(7):
-        for b in range(3):
-            if a + 3 * b <= 6:
-                assert g2_irrep_dim(a, b) == g2_irrep_dim_character_oracle(a, b), (a, b)
+    for a in range(13):
+        for b in range(13):
+            assert g2_irrep_dim(a, b) == g2_irrep_dim_character_oracle(a, b), (a, b)
