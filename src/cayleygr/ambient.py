@@ -3,7 +3,10 @@
 The intersection ring is modelled by symmetric polynomials in the four
 Chern roots of the dual tautological bundle U*: the Schur polynomial
 s_lam maps to the Schubert class tau_lam, and partitions outside the 4x3
-box die.  A Littlewood-Richardson product s_lam s_mu is read off the
+box die (``box_class``).  A class is an ``equivariant.SchubertVector``
+keyed by box partitions, the type that carries the subvariety's classes
+keyed by fixed-point labels; its integral is its coefficient at ``TOP``.
+A Littlewood-Richardson product s_lam s_mu is read off the
 antisymmetrized monomials of s_mu, with no polynomial product; the test
 suite holds it to the polynomial product and to a tableau count.
 Integrals of products are Poincare-duality pairings of box complements.
@@ -31,7 +34,7 @@ from math import prod
 from .cayley import DIMENSION, enumerate_fixed_points
 from .exact import HomogPoly, poly_mul, smith_normal_form
 from . import equivariant
-from .equivariant import SchubertVector, labels_by_codim
+from .equivariant import SchubertVector, basis_vector, labels_by_codim
 from .weightmodel import BASIS_WEIGHTS
 
 BOX_ROWS = 4
@@ -157,65 +160,9 @@ def schur_expand(p):
 # ---------------------------------------------------------------------------
 
 
-class AmbientClass:
-    """Integer combination of box Schubert classes, graded by partition size."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        clean = {}
-        for lam, c in coeffs.items():
-            lam = tuple(p for p in lam if p)
-            if not c:
-                continue
-            if len(lam) > BOX_ROWS or (lam and lam[0] > BOX_COLS):
-                continue  # outside the box: zero class
-            if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-                raise ValueError(f"not a partition: {lam}")
-            clean[lam] = clean.get(lam, 0) + c
-        object.__setattr__(self, "coeffs", {k: v for k, v in clean.items() if v})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AmbientClass is immutable")
-
-    @classmethod
-    def basis(cls, lam):
-        return cls({tuple(lam): 1})
-
-    def __getitem__(self, lam):
-        return self.coeffs.get(tuple(lam), 0)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return AmbientClass(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return AmbientClass({k: c * v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, AmbientClass) and self.coeffs == other.coeffs
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def integral(self) -> int:
-        """Coefficient of the point class (the full box)."""
-        return self.coeffs.get(TOP, 0)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            (f"{c}*" if c != 1 else "") + f"t{partition_name(lam)}" for lam, c in self.items()
-        )
+def box_class(coeffs) -> SchubertVector:
+    """The class of an integer combination of shapes: shapes outside the 4x3 box die."""
+    return SchubertVector({lam: c for lam, c in coeffs.items() if len(lam) <= BOX_ROWS and max(lam, default=0) <= BOX_COLS})
 
 
 @cache
@@ -242,17 +189,17 @@ def _lr_pair(lam, mu):
     return tuple(sorted((nu, c) for nu, c in out.items() if c))
 
 
-def lr_multiply(a: AmbientClass, b: AmbientClass) -> AmbientClass:
+def lr_multiply(a: SchubertVector, b: SchubertVector) -> SchubertVector:
     """Littlewood-Richardson product truncated to the box."""
     out = {}
     for lam, ca in a.items():
         for mu, cb in b.items():
             for nu, c in _lr_pair(lam, mu):
                 out[nu] = out.get(nu, 0) + ca * cb * c
-    return AmbientClass(out)
+    return box_class(out)
 
 
-def duality_pairing(a: AmbientClass, b: AmbientClass) -> int:
+def duality_pairing(a: SchubertVector, b: SchubertVector) -> int:
     """Integral of a * b over G(4,7) by Poincare duality.
 
     The integral of tau_lam tau_mu is 1 when mu is the complement of lam
@@ -266,10 +213,10 @@ def duality_pairing(a: AmbientClass, b: AmbientClass) -> int:
 
 
 @cache
-def tau1_power(m: int) -> AmbientClass:
+def tau1_power(m: int) -> SchubertVector:
     if m == 0:
-        return AmbientClass.basis(())
-    return lr_multiply(tau1_power(m - 1), AmbientClass.basis((1,)))
+        return basis_vector(())
+    return lr_multiply(tau1_power(m - 1), basis_vector((1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +225,7 @@ def tau1_power(m: int) -> AmbientClass:
 
 
 @cache
-def cg_class() -> AmbientClass:
+def cg_class() -> SchubertVector:
     """Top Chern class of the rank-4 bundle with roots x_i + x_j + x_k.
 
     Each triple sum equals e1 - x_l, so the product of the four roots is
@@ -294,9 +241,9 @@ def cg_class() -> AmbientClass:
         root[mono] = root.get(mono, 0) - 1
         root = {k: v for k, v in root.items() if v}
         prod = poly_mul_sym(prod, root)
-    direct = AmbientClass(schur_expand(prod))
+    direct = box_class(schur_expand(prod))
 
-    t = AmbientClass.basis
+    t = basis_vector
     e_route = (
         lr_multiply(lr_multiply(t((1, 1)), t((1,))), t((1,)))
         - lr_multiply(t((1, 1, 1)), t((1,)))
@@ -307,16 +254,9 @@ def cg_class() -> AmbientClass:
     return direct
 
 
-def cg_pairing(*factors) -> int:
-    """Integral over the zero locus: <cg * product of ambient factors>.
-
-    All factors but the last are multiplied in; the last is paired with
-    that product by Poincare duality.
-    """
-    total = cg_class()
-    for f in factors[:-1]:
-        total = lr_multiply(total, f)
-    return duality_pairing(total, factors[-1]) if factors else total.integral()
+def cg_pairing(a: SchubertVector, b: SchubertVector) -> int:
+    """Integral of a * b over the zero locus: cg * a paired with b by Poincare duality."""
+    return duality_pairing(lr_multiply(cg_class(), a), b)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +335,7 @@ def check_restriction(table):
         k = sum(lam)
         name = partition_name(lam)
         degree = sum(c * degrees[lab] for lab, c in image.items())
-        pairing = cg_pairing(AmbientClass.basis(lam), tau1_power(DIMENSION - k))
+        pairing = cg_pairing(basis_vector(lam), tau1_power(DIMENSION - k))
         if degree != pairing:
             failures.append(f"t{name} has degree {degree}, cg_pairing {pairing}")
         if k < DIMENSION:
@@ -483,7 +423,7 @@ def tangent_chern_ambient():
     graded = {k: {} for k in range(DIMENSION + 1)}
     for m, c in mul(numerator, inverse).items():
         graded[sum(m)][m] = c
-    return {k: AmbientClass(schur_expand(p)) for k, p in graded.items()}
+    return {k: box_class(schur_expand(p)) for k, p in graded.items()}
 
 
 def tangent_chern_pairings():
@@ -504,6 +444,6 @@ def tangent_chern_pairings():
         for name, lam in probes.items():
             power = DIMENSION - k - sum(lam)
             if power >= 0:
-                row[name] = duality_pairing(lift, lr_multiply(AmbientClass.basis(lam), tau1_power(power)))
+                row[name] = duality_pairing(lift, lr_multiply(basis_vector(lam), tau1_power(power)))
         out[k] = row
     return out

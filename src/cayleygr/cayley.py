@@ -12,9 +12,8 @@ nothing else, and ``verify betti`` checks the number it prints.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from functools import cache, cached_property
+from collections import Counter, namedtuple
+from functools import cache
 from itertools import combinations
 
 from .fixtures import FixtureError, fixture_entry, fixture_path
@@ -31,17 +30,16 @@ SHORT_AND_LONG_ROOTS = frozenset(ROOT_SYSTEM.short_roots + ROOT_SYSTEM.long_root
 LABELS = ("0", "1", "2", "2'", "3", "3'", "4", "4'", "4''", "5", "5'", "6", "6'", "7", "8")
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    label: str
-    triple: tuple          # 3 basis indices spanning the 3-space W
-    four_space: tuple      # 4 basis indices spanning U = W-perp
-    tangent: tuple         # the DIMENSION tangent weights, sorted
+class FixedPoint(namedtuple("FixedPoint", "label triple four_space tangent codim")):
+    """A fixed point of the torus.
 
-    @cached_property
-    def codim(self) -> int:
-        """The attracting-cell codimension in the chamber CHAMBER."""
-        return codim_of_point(self)
+    ``triple`` holds the 3 basis indices spanning the 3-space W,
+    ``four_space`` the 4 spanning U = W-perp, ``tangent`` the DIMENSION
+    tangent weights (sorted), and ``codim`` the attracting-cell
+    codimension in the chamber CHAMBER.
+    """
+
+    __slots__ = ()
 
     @property
     def triple_weights(self):
@@ -194,7 +192,8 @@ def enumerate_fixed_points():
         if label is None:
             names = ", ".join(weight_str(BASIS_WEIGHTS[i]) for i in triple)
             raise FixtureError(f"malformed fixture {fixture_path('fixed_points')}: 'points' has no row for the member triple ({names})")
-        points.append(FixedPoint(label, triple, four, _tangent_weights(label, four)))
+        tangent = _tangent_weights(label, four)
+        points.append(FixedPoint(label, triple, four, tangent, _codim(tangent)))
     if len(points) != 15:
         raise ArithmeticError(f"expected 15 fixed points, found {len(points)}")
     return tuple(sorted(points, key=lambda p: (p.codim, p.label)))
@@ -241,9 +240,13 @@ def assert_generic(l) -> None:
                 raise ValueError(f"one-parameter subgroup {l} is not generic at {p.label}")
 
 
+def _codim(tangent, l=CHAMBER) -> int:
+    return sum(1 for w in tangent if w.pair(l) < 0)
+
+
 def codim_of_point(p: FixedPoint, l=CHAMBER) -> int:
     """Number of chamber-negative tangent weights (the attracting codim)."""
-    return sum(1 for w in p.tangent if w.pair(l) < 0)
+    return _codim(p.tangent, l)
 
 
 def betti_profile(l=CHAMBER):
@@ -266,10 +269,11 @@ def repelling_weights(p: FixedPoint):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GkmEdge:
-    labels: frozenset
-    weight: Weight  # tangent-direction weight, defined up to sign
+class GkmEdge(namedtuple("GkmEdge", "labels weight")):
+    """A GKM edge: the frozenset of its two end labels and its
+    tangent-direction weight, defined up to sign."""
+
+    __slots__ = ()
 
     def other(self, label):
         (a, b) = tuple(self.labels)

@@ -14,8 +14,7 @@ import csv
 import io
 import json
 import sys
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import ambient, cayley, equivariant, invariants, octonions
@@ -28,14 +27,10 @@ FAIL = "fail"
 DISCREPANCY = "paper-discrepancy"
 
 
-@dataclass
-class CheckResult:
-    id: str
-    status: str
-    computed: object = None
-    expected: object = None
-    provenance: str = "PAPER"   # PAPER | TRIVIAL | DERIVED
-    note: str = ""
+class CheckResult(namedtuple("CheckResult", "id status computed expected provenance note", defaults=(None, None, "PAPER", ""))):
+    """One check of a report; provenance is PAPER, TRIVIAL or DERIVED."""
+
+    __slots__ = ()
 
 
 def check(id, ok, computed=None, expected=None, provenance="PAPER", note=""):
@@ -270,16 +265,15 @@ def run_mult():
     failures = []
     plain = [(row.get("left"), row.get("right"), row.get("result")) for row in rows if isinstance(row, dict) and "duplicate_of" not in row]
     for i, row in enumerate(rows):
-        # 'duplicate_of' is optional and defaults to 'left'
-        named = (row.get("left"), row.get("right"), row.get("duplicate_of", row.get("left"))) if isinstance(row, dict) else [None]
-        if not all(name in labels for name in named):
+        # 'duplicate_of', on a line that repeats another, names the pair the line stands for
+        pair = row.get("duplicate_of", [row.get("left"), row.get("right")]) if isinstance(row, dict) else None
+        if not (isinstance(pair, list) and len(pair) == 2 and all(name in labels for name in [row.get("left"), row.get("right"), *pair])):
             path = fixture_path("mult_table")
-            raise FixtureError(f"malformed fixture {path}: rows[{i}] is not an object whose 'left', 'right' and 'duplicate_of' are point labels")
-        left = row.get("duplicate_of", row["left"])
-        if row["left"] == "4" and row["right"] == "4" and "duplicate_of" in row:
-            key = ("4'", "4'")
-        else:
-            key = tuple(sorted((left, row["right"])))
+            raise FixtureError(
+                f"malformed fixture {path}: rows[{i}] is not an object whose 'left' and 'right' are point labels"
+                " and whose 'duplicate_of', if any, is a list of two point labels"
+            )
+        key = tuple(sorted(pair))
         computed = table[key]
         printed = equivariant.SchubertVector(int_table("mult_table", row.get("result"), f"rows[{i}]['result']"))
         if computed == printed:
@@ -357,7 +351,7 @@ def run_restriction():
             )
         )
     # homomorphism spot checks
-    t = ambient.AmbientClass.basis
+    t = equivariant.basis_vector
     lhs_up = ambient.lr_multiply(t((1, 1)), t((1, 1)))
     lhs = equivariant.SchubertVector({})
     for nu, c in lhs_up.items():
@@ -509,7 +503,7 @@ def render(results, fmt, chamber):
             "version": REPORT_VERSION,
             "chamber": list(chamber),
             "results": [
-                {k: _jsonable(v) for k, v in asdict(r).items()} for r in results
+                {k: _jsonable(v) for k, v in r._asdict().items()} for r in results
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -359,7 +359,12 @@ def top_expansion(values):
 
 
 class SchubertVector:
-    """Integer coordinates in the 15-element Schubert basis."""
+    """Integer coordinates in a Schubert basis, as {key: nonzero int}.
+
+    Keys are fixed-point labels for the 15 classes of the subvariety and
+    box partitions for the Schubert classes of G(4,7) (``ambient``), so
+    both sides of the restriction map share one type.
+    """
 
     __slots__ = ("coeffs",)
 

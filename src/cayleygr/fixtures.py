@@ -44,6 +44,10 @@ def load_fixture(name: str):
         raise FixtureError(f"malformed fixture {path}: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
     except UnicodeDecodeError as exc:
         raise FixtureError(f"malformed fixture {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    except ValueError as exc:  # an integer beyond sys.get_int_max_str_digits()
+        raise FixtureError(f"malformed fixture {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise FixtureError(f"malformed fixture {path}: JSON nested too deeply") from exc
 
 
 def fixture_entry(name: str, key: str, valid, description: str):
@@ -75,13 +79,14 @@ def form_table(name: str, table: dict, where: str) -> dict:
     """``table``, found at ``where`` in the named fixture, as {label: parsed form expression}."""
     forms = {}
     for label, expr in table.items():
-        if isinstance(expr, str):
-            try:
-                forms[label] = parse_form(expr)
-                continue
-            except ValueError:
-                pass
-        raise FixtureError(f"malformed fixture {fixture_path(name)}: {where}[{label!r}] = {expr!r} is not a form expression")
+        try:
+            if not isinstance(expr, str):
+                raise ValueError("not a string")
+            forms[label] = parse_form(expr)
+        except ValueError as exc:
+            shown = expr[:57] + "..." if isinstance(expr, str) and len(expr) > 60 else expr
+            path = fixture_path(name)
+            raise FixtureError(f"malformed fixture {path}: {where}[{label!r}] = {shown!r} is not a form expression ({exc})") from exc
     return forms
 
 
@@ -91,6 +96,12 @@ def form_table(name: str, table: dict, where: str) -> dict:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(\d+|[abg()+^-]|\*)")
+
+# The figures hold classes of the complex dimension's degree at most;
+# cayley.DIMENSION is 8 (a test ties the two, since cayley imports this
+# module).  The bounds keep a misprinted value from costing unbounded work.
+FORM_DEGREE_BOUND = 8
+FORM_NESTING_BOUND = 16
 
 _VARS = {
     "a": HomogPoly.linear(1, 0),
@@ -104,7 +115,7 @@ def _tokenize(expr):
     while pos < len(expr):
         m = _TOKEN.match(expr, pos)
         if not m:
-            raise ValueError(f"bad form expression {expr!r} at {pos}")
+            raise ValueError(f"bad character at {pos}")
         tok = m.group(1)
         if tok != "*":
             out.append(tok)
@@ -116,10 +127,17 @@ def parse_form(expr: str) -> HomogPoly:
     """Evaluate a printed polynomial expression into a canonical form.
 
     Supports integers, the three characters a, b, g (with g = -a-b),
-    parentheses, +, -, ^ and implicit multiplication by adjacency.
+    parentheses, +, -, ^ and implicit multiplication by adjacency.  A
+    subexpression of degree or exponent above FORM_DEGREE_BOUND, or
+    parentheses nested deeper than FORM_NESTING_BOUND, raise ValueError.
     """
     tokens = _tokenize(expr)
     pos = 0
+    depth = 0
+
+    def bounded(degree, what="degree"):
+        if degree > FORM_DEGREE_BOUND:
+            raise ValueError(f"{what} {degree} above {FORM_DEGREE_BOUND}")
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -145,7 +163,9 @@ def parse_form(expr: str) -> HomogPoly:
         nonlocal pos
         out = parse_power()
         while peek() is not None and (peek() == "(" or peek() in _VARS or peek().isdigit()):
-            out = poly_mul(out, parse_power())
+            factor = parse_power()
+            bounded(out.degree + factor.degree)
+            out = poly_mul(out, factor)
         return out
 
     def parse_power():
@@ -154,9 +174,11 @@ def parse_form(expr: str) -> HomogPoly:
         if peek() == "^":
             pos += 1
             if not (peek() or "").isdigit():
-                raise ValueError(f"missing exponent in {expr!r}")
+                raise ValueError("missing exponent")
             exp = int(tokens[pos])
             pos += 1
+            bounded(exp, "exponent")
+            bounded(base.degree * exp)
             out = HomogPoly.constant(1)
             for _ in range(exp):
                 out = poly_mul(out, base)
@@ -164,14 +186,18 @@ def parse_form(expr: str) -> HomogPoly:
         return base
 
     def parse_atom():
-        nonlocal pos
+        nonlocal pos, depth
         tok = peek()
         if tok == "(":
+            depth += 1
+            if depth > FORM_NESTING_BOUND:
+                raise ValueError(f"parentheses nested deeper than {FORM_NESTING_BOUND}")
             pos += 1
             inner = parse_sum()
             if peek() != ")":
-                raise ValueError(f"unbalanced parentheses in {expr!r}")
+                raise ValueError("unbalanced parentheses")
             pos += 1
+            depth -= 1
             return inner
         if tok in _VARS:
             pos += 1
@@ -179,9 +205,9 @@ def parse_form(expr: str) -> HomogPoly:
         if tok is not None and tok.isdigit():
             pos += 1
             return HomogPoly.constant(Fraction(int(tok)))
-        raise ValueError(f"unexpected {'end' if tok is None else f'token {tok!r}'} in {expr!r}")
+        raise ValueError(f"unexpected {'end' if tok is None else f'token {tok!r}'}")
 
     result = parse_sum()
     if pos != len(tokens):
-        raise ValueError(f"trailing tokens in {expr!r}")
+        raise ValueError("trailing tokens")
     return result

@@ -208,18 +208,16 @@ def three_form_table():
 
 
 def im_product_via_form(x: Octonion, y: Octonion) -> Octonion:
-    """Im(xy) recovered by contracting the three-form and raising the index.
+    """Im(xy) recovered as the double interior product i(y) i(x) Omega.
 
-    The basis e1..e7 is orthonormal for q, so raising the index is the
-    identity on coordinates.
+    The result is the one-form Omega(x, y, -); the basis e1..e7 is
+    orthonormal for q, so raising the index is the identity on coordinates.
     """
     for v in (x, y):
         if not v.is_imaginary():
             raise ValueError("inputs must be imaginary")
-    out = [GI_ZERO] * 8
-    for k in range(1, 8):
-        out[k] = three_form(x, y, E[k])
-    return Octonion(out)
+    form = _contract(y, _contract(x, _omega_as_form()))
+    return Octonion([GI_ZERO] + [form.get((k,), GI_ZERO) for k in range(1, 8)])
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_criterion_09_restriction_and_index():
     }
     assert mismatched == {"2", "11"}
     # the swap is forced: restriction is a ring homomorphism
-    t = ambient.AmbientClass.basis
+    t = equivariant.basis_vector
     up = ambient.lr_multiply(t((1, 1)), t((1, 1)))
     lhs = SchubertVector({})
     for nu, c in up.items():

@@ -14,7 +14,8 @@ import pytest
 
 from cayleygr import equivariant, invariants
 from cayleygr.cli import main
-from cayleygr.fixtures import fixtures_dir, parse_form
+from cayleygr.cayley import DIMENSION
+from cayleygr.fixtures import FORM_DEGREE_BOUND, FORM_NESTING_BOUND, fixtures_dir, parse_form
 
 
 def run_cli(capsys, *argv):
@@ -239,13 +240,37 @@ _mult_row_not_object = _fixture_case(
 _mult_row_without_right = _fixture_case(
     "mult_table", "mult", lambda text: text.replace('{"left": "2",  "right": "2",', '{"left": "2",', 1), ["rows[0] is not an object"]
 )
+_mult_duplicate_not_pair = _fixture_case(
+    "mult_table", "mult", lambda text: text.replace('"duplicate_of": ["4\'", "4\'"]', '"duplicate_of": "4\'"'), ["rows[32]", "a list of two point labels"]
+)
+_integer_too_long = _fixture_case("degrees", "degrees", lambda text: text.replace('"8": 1', '"8": 1' + "0" * 5000), ["digits"])
+_json_nested_too_deep = _fixture_case("degrees", "degrees", lambda text: "[" * 100_000 + "]" * 100_000, ["nested too deeply"])
+_figure_nested_too_deep = _fixture_case(
+    "gkm_sigma1", "classes", lambda text: text.replace('"7": "b-3g"', '"7": "' + "(" * 3000 + "b-3g" + ")" * 3000 + '"'),
+    ["values['7']", "nested deeper than 16"],
+)
+_figure_degree_too_high = _fixture_case(
+    "gkm_sigma1", "classes", lambda text: text.replace('"7": "b-3g"', '"7": "(a+b)^1600"'), ["values['7']", "exponent 1600 above 8"]
+)
 
 
-@pytest.mark.parametrize("expr", ["", "2+", "a^", "a^b", "(a", "a)", "q"])
+@pytest.mark.parametrize(
+    "expr", ["", "2+", "a^", "a^b", "(a", "a)", "q", "aaaaaaaaa", "(a^2)^5", "2^9", "(" * 17 + "a" + ")" * 17]
+)
 def test_parse_form_rejects_with_value_error(expr):
     # form_table turns exactly this error into a FixtureError
     with pytest.raises(ValueError):
         parse_form(expr)
+
+
+def test_parse_form_bounds():
+    # the figures hold classes of degree at most the dimension, which the
+    # parser's bound must match (cayley imports fixtures, so it cannot import it)
+    assert FORM_DEGREE_BOUND == DIMENSION
+    assert parse_form("aaaaaaaa").degree == parse_form("(a+b)^8").degree == DIMENSION
+    assert parse_form("2^8") == parse_form("256")
+    nested = "(" * FORM_NESTING_BOUND + "a" + ")" * FORM_NESTING_BOUND
+    assert parse_form(nested) == parse_form("a")
 
 
 @pytest.mark.parametrize(
@@ -264,6 +289,11 @@ def test_parse_form_rejects_with_value_error(expr):
         _dual_too_short,
         _mult_row_not_object,
         _mult_row_without_right,
+        _mult_duplicate_not_pair,
+        _integer_too_long,
+        _json_nested_too_deep,
+        _figure_nested_too_deep,
+        _figure_degree_too_high,
         _figure_not_label,
         _fixed_points_unknown_weight,
         _fixed_points_missing_row,
@@ -283,6 +313,11 @@ def test_parse_form_rejects_with_value_error(expr):
         "dual-coefficients-too-short",
         "mult-row-not-object",
         "mult-row-without-right",
+        "mult-duplicate-not-pair",
+        "integer-too-long",
+        "json-nested-too-deep",
+        "figure-nested-too-deep",
+        "figure-degree-too-high",
         "figure-not-label",
         "fixed-points-unknown-weight",
         "fixed-points-missing-row",
@@ -394,8 +429,8 @@ def test_dual_derivative_discrepancy_needs_the_printed_polynomial(tmp_path, caps
 
 def test_duplicate_row_discrepancy_needs_a_verbatim_twin(tmp_path, capsys, monkeypatch):
     # the duplicate 5*2 line no longer repeats the plain 5*2 line verbatim
-    duplicate = '{"left": "5",  "right": "2",  "result": {"7": 1}, "duplicate_of": "5\'"}'
-    edited = '{"left": "5",  "right": "2",  "result": {"7": 4}, "duplicate_of": "5\'"}'
+    duplicate = '{"left": "5",  "right": "2",  "result": {"7": 1}, "duplicate_of": ["5\'", "2"]}'
+    edited = '{"left": "5",  "right": "2",  "result": {"7": 4}, "duplicate_of": ["5\'", "2"]}'
     fixtures, _ = _edited_fixtures(tmp_path, "mult_table", lambda text: text.replace(duplicate, edited))
     monkeypatch.setenv("CAYLEY_FIXTURES", str(fixtures))
     code, status = _statuses(capsys, "mult")
@@ -449,11 +484,8 @@ def test_traced_names_resolve():
                 assert callable(getattr(module, name, None)), f"{short}.{name}"
 
 
-def test_cli_import_loads_every_traced_module():
-    # the tracer looks the traced modules up in sys.modules right after
-    # `from cayleygr import cli`, so a module the CLI imports lazily would
-    # break every traced run
-    tracer = _tracer()
+def _modules_after_cli_import():
+    """The names in sys.modules of a fresh interpreter after `import cayleygr.cli`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
@@ -463,9 +495,23 @@ def test_cli_import_loads_every_traced_module():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_every_traced_module():
+    # the tracer looks the traced modules up in sys.modules right after
+    # `from cayleygr import cli`, so a module the CLI imports lazily would
+    # break every traced run
+    tracer = _tracer()
+    loaded = _modules_after_cli_import()
     traced = {f"cayleygr.{short}" for table in (tracer.KERNELS, tracer.STAGES) for short in table}
     assert traced <= loaded, sorted(traced - loaded)
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, about 10 ms of
+    # every CLI process's start-up; the engine's records are namedtuples
+    assert "dataclasses" not in _modules_after_cli_import()
 
 
 def _identifiers(node, skip=None):
