@@ -17,7 +17,7 @@ from functools import cache
 from itertools import combinations
 
 from .fixtures import FixtureError, fixture_entry, fixture_path
-from .octonions import three_form
+from .octonions import minor, three_form
 from .weightmodel import BASIS_WEIGHTS, INDEX_OF_WEIGHT, ROOT_SYSTEM, U, Weight, parse_weight, weight_str
 
 CHAMBER = (1, 2)  # pairings <l,a>, <l,b>; fixes codim(p) and the Schubert basis
@@ -68,12 +68,6 @@ def _three_form_on_u():
     return {t: v for t, v in values.items() if v}
 
 
-def _minor(x, y, z, cols):
-    """The 3 x 3 minor of the rows x, y, z on the columns cols."""
-    i, j, k = cols
-    return x[i] * (y[j] * z[k] - y[k] * z[j]) - x[j] * (y[i] * z[k] - y[k] * z[i]) + x[k] * (y[i] * z[j] - y[j] * z[i])
-
-
 def _u_row(entries):
     """The coordinate row, in the weight basis U, of sum c * U[i] over entries {i: c}."""
     return tuple(entries.get(i, 0) for i in range(7))
@@ -93,7 +87,7 @@ def is_cg_member(rows) -> bool:
         raise ValueError("membership test expects a 4-dimensional subspace")
     phi = _three_form_on_u()
     for x, y, z in combinations(rows, 3):
-        minors = ((c, _minor(x, y, z, cols)) for cols, c in phi.items())
+        minors = ((c, minor(x, y, z, cols)) for cols, c in phi.items())
         if sum(c * m for c, m in minors if m):
             return False
     return True

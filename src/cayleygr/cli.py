@@ -183,21 +183,12 @@ def run_gkm():
     return out
 
 
-def _printed_figure(name):
-    """The 'values' of the named figure fixture and their parsed forms, or FixtureError naming the bad key."""
-    values = fixture_object(name, "values")
-    labels = {p.label for p in cayley.enumerate_fixed_points()}
-    for label in values:
-        if label not in labels:
-            raise FixtureError(f"malformed fixture {fixture_path(name)}: values key {label!r} is not a point label")
-    return values, form_table(name, values, "values")
-
-
 def run_classes():
     # solve_all_classes checks every edge congruence on every class it returns
     classes = equivariant.solve_all_classes()
     out = [check("classes.gkm-divisibility", True, "all 15 classes", "all 15 classes")]
-    _, fig1 = _printed_figure("gkm_sigma1")
+    labels = {p.label for p in cayley.enumerate_fixed_points()}
+    _, fig1 = form_table("gkm_sigma1", labels)
     ok1 = all(classes["1"][lab] == form.scale(-1) for lab, form in fig1.items())
     out.append(
         check(
@@ -208,7 +199,7 @@ def run_classes():
             note="the text normalization gives the negatives of the printed odd-codimension values",
         )
     )
-    fig2, forms2 = _printed_figure("gkm_sigma2")
+    fig2, forms2 = form_table("gkm_sigma2", labels)
     mismatch = [lab for lab, form in forms2.items() if classes["2"][lab] != form]
     matched = f"{len(fig2) - len(mismatch)} of {len(fig2)} match"
     out.append(check("classes.sigma2-figure", mismatch == ["4'"], matched, "15 rows"))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from fractions import Fraction
 from pathlib import Path
 
 from .exact import HomogPoly, poly_mul
@@ -75,139 +74,75 @@ def int_table(name: str, table, where: str) -> dict:
     return table
 
 
-def form_table(name: str, table: dict, where: str) -> dict:
-    """``table``, found at ``where`` in the named fixture, as {label: parsed form expression}."""
+def form_table(name: str, labels) -> tuple:
+    """The printed 'values' of the named figure fixture and their parsed forms.
+
+    Each key must be one of ``labels`` and each value a form expression
+    (see ``parse_form``); otherwise FixtureError names the bad key.
+    """
+    values = fixture_object(name, "values")
+    path = fixture_path(name)
     forms = {}
-    for label, expr in table.items():
+    for label, expr in values.items():
+        if label not in labels:
+            raise FixtureError(f"malformed fixture {path}: values key {label!r} is not a point label")
         try:
             if not isinstance(expr, str):
                 raise ValueError("not a string")
             forms[label] = parse_form(expr)
         except ValueError as exc:
             shown = expr[:57] + "..." if isinstance(expr, str) and len(expr) > 60 else expr
-            path = fixture_path(name)
-            raise FixtureError(f"malformed fixture {path}: {where}[{label!r}] = {shown!r} is not a form expression ({exc})") from exc
-    return forms
+            raise FixtureError(f"malformed fixture {path}: values[{label!r}] = {shown!r} is not a form expression ({exc})") from exc
+    return values, forms
 
-
-# ---------------------------------------------------------------------------
-# tiny evaluator for the polynomial expressions printed in the reference
-# figures, e.g. "4g(g-b)", "2(b-g)^2", "-3bg", "b(4b-g)"
-# ---------------------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(\d+|[abg()+^-]|\*)")
 
 # The figures hold classes of the complex dimension's degree at most;
 # cayley.DIMENSION is 8 (a test ties the two, since cayley imports this
-# module).  The bounds keep a misprinted value from costing unbounded work.
+# module).  The bound keeps a misprinted exponent from costing unbounded work.
 FORM_DEGREE_BOUND = 8
-FORM_NESTING_BOUND = 16
 
 _VARS = {
     "a": HomogPoly.linear(1, 0),
     "b": HomogPoly.linear(0, 1),
     "g": HomogPoly.linear(-1, -1),
 }
-
-
-def _tokenize(expr):
-    out, pos = [], 0
-    while pos < len(expr):
-        m = _TOKEN.match(expr, pos)
-        if not m:
-            raise ValueError(f"bad character at {pos}")
-        tok = m.group(1)
-        if tok != "*":
-            out.append(tok)
-        pos = m.end()
-    return out
+_TERM = re.compile(r"([+-]?)(\d*)((?:(?:[abg]|\([+-]?\d*[abg](?:[+-]\d*[abg])*\))(?:\^\d+)?)*)")
+_FACTOR = re.compile(r"([abg]|\([^)]*\))(?:\^(\d+))?")
+_SUMMAND = re.compile(r"([+-]?)(\d*)([abg])")
 
 
 def parse_form(expr: str) -> HomogPoly:
-    """Evaluate a printed polynomial expression into a canonical form.
+    """Read a figure value such as "4g(g-b)", "2(b-g)^2" or "-3bg" into a canonical form.
 
-    Supports integers, the three characters a, b, g (with g = -a-b),
-    parentheses, +, -, ^ and implicit multiplication by adjacency.  A
-    subexpression of degree or exponent above FORM_DEGREE_BOUND, or
-    parentheses nested deeper than FORM_NESTING_BOUND, raise ValueError.
+    The accepted shape, with no whitespace, is
+
+        form   := term (("+" | "-") term)*     terms of one degree
+        term   := ["+" | "-"] [integer] factor*   an integer, factors or both
+        factor := (letter | "(" linear ")") ["^" integer]
+        linear := ["+" | "-"] [integer] letter (("+" | "-") [integer] letter)*
+        letter := "a" | "b" | "g"                 with g = -a - b
+
+    Anything else (nesting, an integer power, a second integer in a term)
+    raises ValueError, as does a term of degree, or a factor of exponent,
+    above FORM_DEGREE_BOUND; the work is linear in the length of expr.
     """
-    tokens = _tokenize(expr)
-    pos = 0
-    depth = 0
-
-    def bounded(degree, what="degree"):
-        if degree > FORM_DEGREE_BOUND:
-            raise ValueError(f"{what} {degree} above {FORM_DEGREE_BOUND}")
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def parse_sum():
-        nonlocal pos
-        sign = 1
-        while peek() in ("+", "-"):
-            if tokens[pos] == "-":
-                sign = -sign
-            pos += 1
-        total = parse_product().scale(sign)
-        while peek() in ("+", "-"):
-            sign = 1
-            while peek() in ("+", "-"):
-                if tokens[pos] == "-":
-                    sign = -sign
-                pos += 1
-            total = total + parse_product().scale(sign)
-        return total
-
-    def parse_product():
-        nonlocal pos
-        out = parse_power()
-        while peek() is not None and (peek() == "(" or peek() in _VARS or peek().isdigit()):
-            factor = parse_power()
-            bounded(out.degree + factor.degree)
-            out = poly_mul(out, factor)
-        return out
-
-    def parse_power():
-        nonlocal pos
-        base = parse_atom()
-        if peek() == "^":
-            pos += 1
-            if not (peek() or "").isdigit():
-                raise ValueError("missing exponent")
-            exp = int(tokens[pos])
-            pos += 1
-            bounded(exp, "exponent")
-            bounded(base.degree * exp)
-            out = HomogPoly.constant(1)
-            for _ in range(exp):
-                out = poly_mul(out, base)
-            return out
-        return base
-
-    def parse_atom():
-        nonlocal pos, depth
-        tok = peek()
-        if tok == "(":
-            depth += 1
-            if depth > FORM_NESTING_BOUND:
-                raise ValueError(f"parentheses nested deeper than {FORM_NESTING_BOUND}")
-            pos += 1
-            inner = parse_sum()
-            if peek() != ")":
-                raise ValueError("unbalanced parentheses")
-            pos += 1
-            depth -= 1
-            return inner
-        if tok in _VARS:
-            pos += 1
-            return _VARS[tok]
-        if tok is not None and tok.isdigit():
-            pos += 1
-            return HomogPoly.constant(Fraction(int(tok)))
-        raise ValueError(f"unexpected {'end' if tok is None else f'token {tok!r}'}")
-
-    result = parse_sum()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens")
-    return result
+    total, pos = None, 0
+    while pos < len(expr) or total is None:
+        m = _TERM.match(expr, pos)
+        sign, literal, factors = m.groups()
+        if not (literal or factors) or (pos and not sign):
+            raise ValueError(f"not of the printed shape at character {pos}")
+        term = HomogPoly.constant(int(sign + (literal or "1")))
+        for factor, exponent in _FACTOR.findall(factors):
+            exponent = int(exponent or 1)
+            for what, n in (("exponent", exponent), ("degree", term.degree + exponent)):
+                if n > FORM_DEGREE_BOUND:
+                    raise ValueError(f"{what} {n} above {FORM_DEGREE_BOUND}")
+            base = sum((_VARS[letter].scale(int(s + (c or "1"))) for s, c, letter in _SUMMAND.findall(factor)), HomogPoly.zero(1))
+            for _ in range(exponent):
+                term = poly_mul(term, base)
+        if total is not None and term.degree != total.degree:
+            raise ValueError(f"term at character {pos} is not of degree {total.degree}")
+        total = term if total is None else total + term
+        pos = m.end()
+    return total

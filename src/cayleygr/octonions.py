@@ -175,9 +175,10 @@ def norm_bilinear(x: Octonion, y: Octonion) -> GaussianRational:
     return total
 
 
-def _det3(rows):
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+def minor(x, y, z, cols):
+    """The 3 x 3 minor of the rows x, y, z on the columns cols."""
+    i, j, k = cols
+    return x[i] * (y[j] * z[k] - y[k] * z[j]) - x[j] * (y[i] * z[k] - y[k] * z[i]) + x[k] * (y[i] * z[j] - y[j] * z[i])
 
 
 def three_form(x: Octonion, y: Octonion, z: Octonion) -> GaussianRational:
@@ -192,10 +193,8 @@ def three_form(x: Octonion, y: Octonion, z: Octonion) -> GaussianRational:
     xs, ys, zs = x.coeffs, y.coeffs, z.coeffs
     total = GI_ZERO
     for line in _TABLE.lines:
-        if not all(xs[c] or ys[c] or zs[c] for c in line):
-            continue
-        i, j, k = line
-        total = total + _det3([(xs[i], xs[j], xs[k]), (ys[i], ys[j], ys[k]), (zs[i], zs[j], zs[k])])
+        if all(xs[c] or ys[c] or zs[c] for c in line):
+            total = total + minor(xs, ys, zs, line)
     return total
 
 

@@ -11,11 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleygr import equivariant, invariants
 from cayleygr.cli import main
+from cayleygr.exact import HomogPoly, poly_mul
 from cayleygr.cayley import DIMENSION
-from cayleygr.fixtures import FORM_DEGREE_BOUND, FORM_NESTING_BOUND, fixtures_dir, parse_form
+from cayleygr.fixtures import FORM_DEGREE_BOUND, fixtures_dir, parse_form
 
 
 def run_cli(capsys, *argv):
@@ -247,15 +249,24 @@ _integer_too_long = _fixture_case("degrees", "degrees", lambda text: text.replac
 _json_nested_too_deep = _fixture_case("degrees", "degrees", lambda text: "[" * 100_000 + "]" * 100_000, ["nested too deeply"])
 _figure_nested_too_deep = _fixture_case(
     "gkm_sigma1", "classes", lambda text: text.replace('"7": "b-3g"', '"7": "' + "(" * 3000 + "b-3g" + ")" * 3000 + '"'),
-    ["values['7']", "nested deeper than 16"],
+    ["values['7']", "not of the printed shape at character 0"],
 )
 _figure_degree_too_high = _fixture_case(
     "gkm_sigma1", "classes", lambda text: text.replace('"7": "b-3g"', '"7": "(a+b)^1600"'), ["values['7']", "exponent 1600 above 8"]
 )
+# a product of integer literals has degree 0, so only the shape bounds its work
+_LITERAL_PRODUCT = " ".join(["9" * 4000] * 50)
+_figure_literal_product = _fixture_case(
+    "gkm_sigma1", "classes", lambda text: text.replace('"7": "b-3g"', f'"7": "{_LITERAL_PRODUCT}"'), ["values['7']", "not of the printed shape"]
+)
 
 
 @pytest.mark.parametrize(
-    "expr", ["", "2+", "a^", "a^b", "(a", "a)", "q", "aaaaaaaaa", "(a^2)^5", "2^9", "(" * 17 + "a" + ")" * 17]
+    "expr",
+    [
+        "", "2+", "a^", "a^b", "(a", "a)", "q", "aaaaaaaaa", "(a^2)^5", "2^9", "(" * 17 + "a" + ")" * 17,
+        "2 3", "((a))", "2^8", "(a^2)", pytest.param(_LITERAL_PRODUCT, id="literal-product"),
+    ],
 )
 def test_parse_form_rejects_with_value_error(expr):
     # form_table turns exactly this error into a FixtureError
@@ -268,9 +279,43 @@ def test_parse_form_bounds():
     # parser's bound must match (cayley imports fixtures, so it cannot import it)
     assert FORM_DEGREE_BOUND == DIMENSION
     assert parse_form("aaaaaaaa").degree == parse_form("(a+b)^8").degree == DIMENSION
-    assert parse_form("2^8") == parse_form("256")
-    nested = "(" * FORM_NESTING_BOUND + "a" + ")" * FORM_NESTING_BOUND
-    assert parse_form(nested) == parse_form("a")
+
+
+def _signed(c, first, unit=""):
+    """The integer c as a printed coefficient: its sign, then its digits, or ``unit`` for +-1."""
+    sign = "-" if c < 0 else "" if first else "+"
+    return sign + (unit if abs(c) == 1 else str(abs(c)))
+
+
+@st.composite
+def printed_forms(draw):
+    """A figure value in the printed syntax and the form it denotes, built without the parser."""
+    degree = draw(st.integers(0, FORM_DEGREE_BOUND))
+    text, form = "", HomogPoly.zero(degree)
+    for t in range(draw(st.integers(1, 3))):
+        c = draw(st.integers(-50, 50))
+        term = HomogPoly.constant(c)
+        text += _signed(c, t == 0, "" if degree else "1")
+        left = degree
+        while left:
+            exponent = draw(st.integers(1, min(3, left)))
+            left -= exponent
+            ca, cb, cg = draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
+            nonzero = [(k, x) for k, x in zip((ca, cb, cg), "abg") if k]
+            linear = "".join(_signed(k, i == 0) + x for i, (k, x) in enumerate(nonzero))
+            text += linear if len(linear) == 1 else f"({linear})"
+            text += f"^{exponent}" if exponent > 1 else ""
+            for _ in range(exponent):
+                term = poly_mul(term, HomogPoly.linear(ca - cg, cb - cg))  # g = -a - b
+        form = form + term
+    return text, form
+
+
+@settings(max_examples=200, deadline=None)
+@given(printed_forms())
+def test_parse_form_reads_printed_shape(case):
+    text, form = case
+    assert parse_form(text) == form
 
 
 @pytest.mark.parametrize(
@@ -294,6 +339,7 @@ def test_parse_form_bounds():
         _json_nested_too_deep,
         _figure_nested_too_deep,
         _figure_degree_too_high,
+        _figure_literal_product,
         _figure_not_label,
         _fixed_points_unknown_weight,
         _fixed_points_missing_row,
@@ -318,6 +364,7 @@ def test_parse_form_bounds():
         "json-nested-too-deep",
         "figure-nested-too-deep",
         "figure-degree-too-high",
+        "figure-literal-product",
         "figure-not-label",
         "fixed-points-unknown-weight",
         "fixed-points-missing-row",
