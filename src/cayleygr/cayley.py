@@ -4,8 +4,9 @@ Enumerates the 15 coordinate fixed points (spans of vectors of the
 octonion weight basis U on which the octonion three-form vanishes),
 computes tangent weights, attracting-cell codimensions for a chosen
 one-parameter subgroup, and the GKM edge set.  A point's codimension is
-the number of its tangent weights negative on the chamber (1, 2), in
-which the open cell has all tangent pairings positive.  The reference
+the number of its tangent weights negative on the chamber
+``weightmodel.CHAMBER``, in which the open cell has all tangent pairings
+positive; the Weyl group permutes the points.  The reference
 table shipped as a fixture labels the points; a label is read for
 nothing else, and ``verify betti`` checks the number it prints.
 """
@@ -18,13 +19,11 @@ from itertools import combinations
 
 from .fixtures import FixtureError, fixture_entry, fixture_path
 from .octonions import minor, three_form
-from .weightmodel import BASIS_WEIGHTS, INDEX_OF_WEIGHT, ROOT_SYSTEM, U, Weight, parse_weight, weight_str
-
-CHAMBER = (1, 2)  # pairings <l,a>, <l,b>; fixes codim(p) and the Schubert basis
+from .weightmodel import BASIS_WEIGHTS, CHAMBER, INDEX_OF_WEIGHT, LONG_ROOTS, SHORT_ROOTS, U, Weight, parse_weight, weight_str
 
 DIMENSION = 8  # complex dimension; enumeration checks it against every tangent space
 
-SHORT_AND_LONG_ROOTS = frozenset(ROOT_SYSTEM.short_roots + ROOT_SYSTEM.long_roots)
+SHORT_AND_LONG_ROOTS = frozenset(SHORT_ROOTS + LONG_ROOTS)
 
 # the point labels of the reference table, in (codim, label) order
 LABELS = ("0", "1", "2", "2'", "3", "3'", "4", "4'", "4''", "5", "5'", "6", "6'", "7", "8")
@@ -334,51 +333,8 @@ def gkm_edges() -> GkmGraph:
 # symmetries
 # ---------------------------------------------------------------------------
 
-S3_PERMUTATIONS = {
-    "id": {"a": "a", "b": "b", "g": "g"},
-    "ab": {"a": "b", "b": "a", "g": "g"},
-    "ag": {"a": "g", "b": "b", "g": "a"},
-    "bg": {"a": "a", "b": "g", "g": "b"},
-    "abg": {"a": "b", "b": "g", "g": "a"},
-    "agb": {"a": "g", "b": "a", "g": "b"},
-}
 
-_GENERATORS = {
-    "a": Weight(1, 0),
-    "b": Weight(0, 1),
-    "g": Weight(-1, -1),
-}
-
-
-def s3_weight_map(name):
-    perm = S3_PERMUTATIONS[name]
-    img_a = _GENERATORS[perm["a"]]
-    img_b = _GENERATORS[perm["b"]]
-
-    def act(w: Weight) -> Weight:
-        return Weight(
-            w[0] * img_a[0] + w[1] * img_b[0],
-            w[0] * img_a[1] + w[1] * img_b[1],
-        )
-
-    return act
-
-
-def s3_point_map(name):
-    """The induced permutation of fixed points, as a label dictionary."""
-    act = s3_weight_map(name)
+def point_permutation(w):
+    """The permutation of fixed points by the Weyl group element w, as a label dictionary."""
     by_tripleset = {frozenset(p.triple_weights): p.label for p in enumerate_fixed_points()}
-    out = {}
-    for p in enumerate_fixed_points():
-        image = frozenset(act(w) for w in p.triple_weights)
-        out[p.label] = by_tripleset[image]
-    return out
-
-
-def duality_map():
-    """Triple negation: pairs each point with its opposite cell."""
-    by_tripleset = {frozenset(p.triple_weights): p.label for p in enumerate_fixed_points()}
-    return {
-        p.label: by_tripleset[frozenset(-w for w in p.triple_weights)]
-        for p in enumerate_fixed_points()
-    }
+    return {p.label: by_tripleset[frozenset(x.under(w) for x in p.triple_weights)] for p in enumerate_fixed_points()}

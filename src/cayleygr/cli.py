@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import ambient, cayley, equivariant, invariants, octonions
 from .fixtures import FixtureError, fixture_entry, fixture_object, fixture_path, form_table, int_table, parse_form
+from .weightmodel import ALPHA, BETA, CHAMBER, GAMMA, WEYL_GROUP
 
 REPORT_VERSION = "1"
 
@@ -146,9 +147,8 @@ def run_tangents():
         )
     else:
         out.append(check("tangents.row-5", False, sorted(diffs), ["5"]))
-    act = cayley.s3_weight_map("abg")
     row0 = cayley.tangent_weights(cayley.point_by_label("0"))
-    expected5 = Counter({act(w): m for w, m in row0.items()})
+    expected5 = Counter({w.under((BETA, GAMMA)): m for w, m in row0.items()})  # a -> b -> g -> a
     ok = cayley.tangent_weights(cayley.point_by_label("5")) == expected5
     out.append(check("tangents.row-5-symmetry", ok, provenance="DERIVED"))
     return out
@@ -158,7 +158,7 @@ def run_betti(chamber):
     out = []
     profile = cayley.betti_profile(chamber)
     out.append(check("betti.profile", profile == [1, 1, 2, 2, 3, 2, 2, 1, 1], profile, [1, 1, 2, 2, 3, 2, 2, 1, 1]))
-    if tuple(chamber) == (1, 2):
+    if tuple(chamber) == CHAMBER:
         # the printed label's number is the paper's codimension
         ok = all(cayley.codim_of_point(p, chamber) == int(p.label.rstrip("'")) for p in cayley.enumerate_fixed_points())
         out.append(check("betti.codim-equals-label", ok, provenance="DERIVED"))
@@ -171,13 +171,13 @@ def run_gkm():
     out = [check("gkm.connected", g.is_connected(), True, True, "DERIVED")]
     roots = cayley.SHORT_AND_LONG_ROOTS
     out.append(check("gkm.edge-directions", all(e.primitive() in roots for e in g.edges), provenance="DERIVED"))
-    dual = cayley.duality_map()
+    dual = cayley.point_permutation((-ALPHA, -BETA))
     central = {"0": "8", "1": "7", "2": "6", "2'": "6'", "3": "5", "3'": "5'", "4": "4", "4'": "4'", "4''": "4''"}
     ok = all(dual[a] == b and dual[b] == a for a, b in central.items())
     out.append(check("gkm.central-symmetry", ok, {k: dual[k] for k in sorted(dual)}, central))
     sym = all(
         {frozenset((m[a], m[b])) for a, b in (tuple(e.labels) for e in g.edges)} == {e.labels for e in g.edges}
-        for m in (cayley.s3_point_map(n) for n in cayley.S3_PERMUTATIONS)
+        for m in map(cayley.point_permutation, WEYL_GROUP)
     )
     out.append(check("gkm.s3-invariance", sym, provenance="DERIVED"))
     return out
@@ -309,7 +309,10 @@ def run_ring():
 
 
 def _printed_restriction():
-    """The printed table {partition name: {label: int}}, or FixtureError naming the bad key."""
+    """The printed table {partition name: {label: int}}, or FixtureError naming the bad or missing key.
+
+    Every nonempty box partition of size at most the dimension must be a key.
+    """
     table = fixture_object("restriction", "table")
     path = fixture_path("restriction")
     names = {ambient.partition_name(lam) for lam in ambient.box_partitions() if sum(lam) <= cayley.DIMENSION}
@@ -317,6 +320,9 @@ def _printed_restriction():
         if name not in names:
             raise FixtureError(f"malformed fixture {path}: table key {name!r} is not a box partition of size at most {cayley.DIMENSION}")
         int_table("restriction", coeffs, f"table[{name!r}]")
+    missing = names - set(table) - {"0"}
+    if missing:
+        raise FixtureError(f"malformed fixture {path}: table has no key {min(missing)!r}")
     return table
 
 
@@ -631,7 +637,7 @@ def build_parser():
     verify.add_argument("--format", choices=["text", "json", "csv"], default="text")
     verify.add_argument("--out", default=None)
     verify.add_argument("--kmax", type=_parse_kmax, default=6, help=f"largest k for hilbert and series, 0 to {KMAX_LIMIT}")
-    verify.add_argument("--chamber", type=_parse_chamber, default=(1, 2))
+    verify.add_argument("--chamber", type=_parse_chamber, default=CHAMBER)
 
     dump = sub.add_parser("dump", help="write computed objects")
     dump.add_argument("what", choices=sorted(DUMPS))

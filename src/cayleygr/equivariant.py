@@ -17,8 +17,8 @@ of f_X f_H^(8-k), the degree of the class.
 
 A class is a vertex map {label: form}: a form at every fixed point,
 zero values included, all of the class's degree.  A point's codimension
-is the number of its tangent weights negative on the chamber (1, 2)
-(``cayley.FixedPoint.codim``); the labels only name the points.
+is the number of its tangent weights negative on the chamber
+``weightmodel.CHAMBER`` (``cayley.FixedPoint.codim``); the labels only name the points.
 
 Conventions: tangent weights as in the reference table; classes are
 normalized at their defining vertex by the product of the negative-pairing

@@ -128,27 +128,13 @@ GI_I = GaussianRational(0, 1)
 
 
 def format_gaussian(z: GaussianRational) -> str:
-    """Render as "a/b+c/d i" (the wire format used by subspace fixtures)."""
+    """Render as "a/b+c/d i"."""
     if not z.im:
         return str(z.re)
     if not z.re:
         return f"{z.im} i"
     sign = "+" if z.im >= 0 else "-"
     return f"{z.re}{sign}{abs(z.im)} i"
-
-
-def parse_gaussian(s: str) -> GaussianRational:
-    s = s.strip()
-    if not s.endswith("i"):
-        return GaussianRational(Fraction(s))
-    body = s[:-1].strip()
-    # split the imaginary part off at the last top-level +/- sign
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-/":
-            re = Fraction(body[:k])
-            im = Fraction(body[k:].replace("+", "", 1)) if body[k] == "+" else Fraction(body[k:])
-            return GaussianRational(re, im)
-    return GaussianRational(0, Fraction(body))
 
 
 # ---------------------------------------------------------------------------

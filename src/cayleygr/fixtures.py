@@ -77,11 +77,14 @@ def int_table(name: str, table, where: str) -> dict:
 def form_table(name: str, labels) -> tuple:
     """The printed 'values' of the named figure fixture and their parsed forms.
 
-    Each key must be one of ``labels`` and each value a form expression
-    (see ``parse_form``); otherwise FixtureError names the bad key.
+    The keys must be exactly ``labels`` and each value a form expression
+    (see ``parse_form``); otherwise FixtureError names the bad or missing key.
     """
     values = fixture_object(name, "values")
     path = fixture_path(name)
+    missing = set(labels) - set(values)
+    if missing:
+        raise FixtureError(f"malformed fixture {path}: values has no key {min(missing)!r}")
     forms = {}
     for label, expr in values.items():
         if label not in labels:

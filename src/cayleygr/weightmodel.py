@@ -3,15 +3,16 @@
 The weight basis u_0, u_{+a}, u_{-a}, u_{+b}, u_{-b}, u_{+g}, u_{-g} is
 seven imaginary octonions of the Fano model that diagonalize the maximal
 torus; the three short characters satisfy a + b + g = 0 and weights are
-stored as integer pairs over (a, b).  Also hosts the rank-2 root system
-data and the two Weyl-type dimension formulas (Schur functors of a
-7-space, irreducible dimensions for the exceptional rank-2 group).
+stored as integer pairs over (a, b).  Also hosts the chamber, the
+rank-2 root data read off it, the order-12 Weyl group, and the two
+Weyl-type dimension formulas (Schur functors of a 7-space, irreducible
+dimensions for the exceptional rank-2 group).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd, prod
 
 from . import octonions
@@ -49,6 +50,11 @@ class Weight(tuple):
 
     def poly(self) -> HomogPoly:
         return HomogPoly.linear(self[0], self[1])
+
+    def under(self, w) -> "Weight":
+        """The image under the Weyl group element w = (w(a), w(b))."""
+        (p, q), (r, s) = w
+        return Weight(self[0] * p + self[1] * r, self[0] * q + self[1] * s)
 
     def primitive(self) -> "Weight":
         """The weight divided by the gcd of its coordinates."""
@@ -135,42 +141,25 @@ def model_bridge():
 
 
 # ---------------------------------------------------------------------------
-# the rank-2 root system with the S3-symmetric short-root labels
+# the rank-2 root system, read off the chamber, and its Weyl group
 # ---------------------------------------------------------------------------
 
+CHAMBER = (1, 2)  # pairings <l,a>, <l,b>; fixes codim(p) and the Schubert basis
 
-class RootSystemG2:
-    """Root data in the (a, b) weight coordinates, chamber (1, 2)."""
+SHORT_ROOTS = (ALPHA, -ALPHA, BETA, -BETA, GAMMA, -GAMMA)
+LONG_ROOTS = tuple(u - v for u, v in permutations((ALPHA, BETA, GAMMA), 2))
+POSITIVE_ROOTS = tuple(r for r in SHORT_ROOTS + LONG_ROOTS if r.pair(CHAMBER) > 0)
+# w1 = -g, the highest short root, and w2 = b-g, the highest root
+FUNDAMENTAL = tuple(max(roots, key=lambda r: r.pair(CHAMBER)) for roots in (SHORT_ROOTS, SHORT_ROOTS + LONG_ROOTS))
 
-    def __init__(self):
-        self.short_roots = (ALPHA, -ALPHA, BETA, -BETA, GAMMA, -GAMMA)
-        self.long_roots = (
-            ALPHA - BETA, BETA - ALPHA,
-            ALPHA - GAMMA, GAMMA - ALPHA,
-            BETA - GAMMA, GAMMA - BETA,
-        )
-        # chamber <l, a>=1, <l, b>=2: positive short a, b, -g; simple roots
-        self.simple = (ALPHA, BETA - ALPHA)
-        self.positive_short = (ALPHA, BETA, -GAMMA)
-        self.positive_long = (BETA - ALPHA, ALPHA - GAMMA, BETA - GAMMA)
-        self.fundamental = (-GAMMA, BETA - GAMMA)  # w1 = -g, w2 = b-g
-        self.highest_short = -GAMMA   # theta = 2a1 + a2
-        self.highest_long = BETA - GAMMA  # psi = 3a1 + 2a2
-        a1, a2 = self.simple
-        assert 3 * a1 + 2 * a2 == self.highest_long
-        assert 2 * a1 + a2 == self.highest_short
-        assert len(set(self.short_roots + self.long_roots)) == 12
-
-    def positive_roots(self):
-        return self.positive_short + self.positive_long
-
-    @staticmethod
-    def inner(u: Weight, v: Weight) -> int:
-        """Invariant inner product: short roots have square length 2."""
-        return 2 * u[0] * v[0] + 2 * u[1] * v[1] - u[0] * v[1] - u[1] * v[0]
+# The 12 Weyl group elements +-s, s a permutation of (a, b, g), each stored
+# as its image pair (w(a), w(b)) and applied by Weight.under; identity first.
+WEYL_GROUP = tuple((sign * x, sign * y) for sign in (1, -1) for x, y, _ in permutations((ALPHA, BETA, GAMMA)))
 
 
-ROOT_SYSTEM = RootSystemG2()
+def inner(u: Weight, v: Weight) -> int:
+    """Invariant inner product: short roots have square length 2."""
+    return 2 * u[0] * v[0] + 2 * u[1] * v[1] - u[0] * v[1] - u[1] * v[0]
 
 
 def g2_irrep_dim(a: int, b: int) -> int:
@@ -182,12 +171,10 @@ def g2_irrep_dim(a: int, b: int) -> int:
     """
     if a < 0 or b < 0:
         raise ValueError("highest weight must be dominant")
-    rs = ROOT_SYSTEM
-    w1, w2 = rs.fundamental
+    w1, w2 = FUNDAMENTAL
     shifted = (a + 1) * w1 + (b + 1) * w2  # lambda + rho, with rho = w1 + w2
     rho = w1 + w2
-    roots = rs.positive_roots()
-    return _exact_quotient(prod(rs.inner(shifted, r) for r in roots), prod(rs.inner(rho, r) for r in roots))
+    return _exact_quotient(prod(inner(shifted, r) for r in POSITIVE_ROOTS), prod(inner(rho, r) for r in POSITIVE_ROOTS))
 
 
 def _exact_quotient(num: int, den: int) -> int:
@@ -198,42 +185,6 @@ def _exact_quotient(num: int, den: int) -> int:
     return q
 
 
-def weyl_group_matrices():
-    """The 12 Weyl group elements as 2x2 integer matrices on (a, b) coords."""
-    rs = ROOT_SYSTEM
-
-    def reflect(root):
-        # s_r(x) = x - 2 (x, r)/(r, r) r, returned as a matrix
-        rr = rs.inner(root, root)
-        cols = []
-        for e in (Weight(1, 0), Weight(0, 1)):
-            c = Fraction(2 * rs.inner(e, root), rr)
-            assert c.denominator == 1
-            img = e - int(c) * root
-            cols.append(img)
-        return (cols[0][0], cols[1][0], cols[0][1], cols[1][1])  # column-major 2x2
-
-    def mul(m, n):
-        a, b, c, d = m
-        e, f, g, h = n
-        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-    gens = [reflect(r) for r in rs.simple]
-    group = {(1, 0, 0, 1)}
-    frontier = [(1, 0, 0, 1)]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = mul(g, m)
-                if p not in group:
-                    group.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    assert len(group) == 12
-    return sorted(group)
-
-
 def g2_irrep_dim_character_oracle(a: int, b: int) -> int:
     """Independent dimension via the alternating character sum.
 
@@ -241,21 +192,16 @@ def g2_irrep_dim_character_oracle(a: int, b: int) -> int:
     one-parameter subgroup as exact Laurent polynomials in one variable,
     then specializes the quotient at 1.
     """
-    rs = ROOT_SYSTEM
-    w1, w2 = rs.fundamental
+    w1, w2 = FUNDAMENTAL
     lam = a * w1 + b * w2
     rho = w1 + w2
     xi = (2, 3)  # pairing values of rho with (a, b): generic for all roots
 
-    def det2(m):
-        return m[0] * m[3] - m[1] * m[2]
-
     def orbit_sum(mu):
         acc = {}
-        for m in weyl_group_matrices():
-            img = Weight(m[0] * mu[0] + m[1] * mu[1], m[2] * mu[0] + m[3] * mu[1])
-            e = img.pair(xi)
-            acc[e] = acc.get(e, 0) + det2(m)
+        for w in WEYL_GROUP:
+            e = mu.under(w).pair(xi)
+            acc[e] = acc.get(e, 0) + w[0][0] * w[1][1] - w[0][1] * w[1][0]
         return {k: v for k, v in acc.items() if v}
 
     num = orbit_sum(lam + rho)

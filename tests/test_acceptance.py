@@ -18,7 +18,7 @@ from cayleygr import ambient, cayley, equivariant, invariants, octonions
 from cayleygr.cli import DISCREPANCY, TOPICS
 from cayleygr.equivariant import SchubertVector
 from cayleygr.fixtures import load_fixture, parse_form
-from cayleygr.weightmodel import parse_weight
+from cayleygr.weightmodel import ALPHA, BETA, CHAMBER, GAMMA, parse_weight
 
 
 def note(num, message):
@@ -28,7 +28,7 @@ def note(num, message):
 def _flagged(topic_name, args=None):
     class _Args:
         kmax = 6
-        chamber = (1, 2)
+        chamber = CHAMBER
 
     results = TOPICS[topic_name](_Args())
     return {r.id for r in results if r.status == DISCREPANCY}
@@ -47,19 +47,18 @@ def test_criterion_01_fixed_points():
 def test_criterion_02_tangent_weights():
     diffs = cayley.tangent_discrepancies()
     assert set(diffs) == {"5"}
-    act = cayley.s3_weight_map("abg")
     row0 = cayley.tangent_weights(cayley.point_by_label("0"))
     assert cayley.tangent_weights(cayley.point_by_label("5")) == Counter(
-        {act(w): m for w, m in row0.items()}
+        {w.under((BETA, GAMMA)): m for w, m in row0.items()}
     )
     assert "tangents.row-5" in _flagged("tangents")
     note(2, "14 of 15 rows match; row 5 is the symmetric image of row 0 and is reported")
 
 
 def test_criterion_03_betti_numbers():
-    assert cayley.betti_profile((1, 2)) == [1, 1, 2, 2, 3, 2, 2, 1, 1]
+    assert cayley.betti_profile(CHAMBER) == [1, 1, 2, 2, 3, 2, 2, 1, 1]
     for p in cayley.enumerate_fixed_points():
-        assert cayley.codim_of_point(p, (1, 2)) == int(p.label.rstrip("'"))
+        assert cayley.codim_of_point(p, CHAMBER) == int(p.label.rstrip("'"))
     note(3, "chamber (1,2) gives profile (1,1,2,2,3,2,2,1,1) with codim = label")
 
 
@@ -287,7 +286,7 @@ def test_criterion_15_property_suites():
     for vec in table.values():
         for _, c in vec.items():
             assert isinstance(c, int) and c >= 0
-    dual = cayley.duality_map()
+    dual = cayley.point_permutation((-ALPHA, -BETA))
     for rows in equivariant.poincare_pairing().values():
         for (la, lb), val in rows.items():
             assert val == (1 if dual[la] == lb else 0)

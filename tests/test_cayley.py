@@ -5,23 +5,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cayleygr.cayley import (
-    CHAMBER,
     betti_profile,
     codim_of_point,
-    duality_map,
     enumerate_fixed_points,
     gkm_edges,
     is_cg_member,
     point_by_label,
+    point_permutation,
     reference_tangent_table,
     repelling_weights,
-    s3_point_map,
-    s3_weight_map,
     tangent_discrepancies,
     tangent_weights,
 )
 from cayleygr.octonions import Octonion, three_form
-from cayleygr.weightmodel import U, Weight, parse_weight
+from cayleygr.weightmodel import ALPHA, BETA, CHAMBER, GAMMA, WEYL_GROUP, U, Weight, parse_weight
 
 
 def _w(*names):
@@ -82,9 +79,8 @@ def test_tangent_rows_match_reference_except_row_5():
     diffs = tangent_discrepancies()
     assert set(diffs) == {"5"}
     # the computed row 5 is the symmetric image of row 0 under a->b->g->a
-    act = s3_weight_map("abg")
     row0 = tangent_weights(point_by_label("0"))
-    expected5 = Counter({act(w): m for w, m in row0.items()})
+    expected5 = Counter({w.under((BETA, GAMMA)): m for w, m in row0.items()})
     assert tangent_weights(point_by_label("5")) == expected5
     assert tangent_weights(point_by_label("5")) == _w("b", "g", "2b", "2g", "b-a", "g-a", "-a", "-a")
 
@@ -96,24 +92,30 @@ def test_tangent_rows_examples():
 
 
 def test_s3_equivariance_of_tangent_weights():
-    for name in ("ab", "ag", "bg", "abg", "agb"):
-        act = s3_weight_map(name)
-        pmap = s3_point_map(name)
+    # every Weyl group element permutes the points and carries tangent weights along
+    for w in WEYL_GROUP:
+        pmap = point_permutation(w)
+        assert sorted(pmap.values()) == sorted(pmap)
         for p in enumerate_fixed_points():
             image = point_by_label(pmap[p.label])
-            expected = Counter({act(w): m for w, m in tangent_weights(p).items()})
-            assert tangent_weights(image) == expected, (name, p.label)
+            expected = Counter({x.under(w): m for x, m in tangent_weights(p).items()})
+            assert tangent_weights(image) == expected, (w, p.label)
 
 
 def test_betti_profile_and_codims():
-    assert betti_profile((1, 2)) == [1, 1, 2, 2, 3, 2, 2, 1, 1]
+    assert betti_profile(CHAMBER) == [1, 1, 2, 2, 3, 2, 2, 1, 1]
     for p in enumerate_fixed_points():
-        assert codim_of_point(p, (1, 2)) == int(p.label.rstrip("'"))
-    # another chamber: same profile, codims remapped by the a<->b swap
-    assert betti_profile((2, 1)) == [1, 1, 2, 2, 3, 2, 2, 1, 1]
-    pmap = s3_point_map("ab")
+        assert codim_of_point(p, CHAMBER) == int(p.label.rstrip("'"))
+    # the chamber transported by w, l_w = (<C, w(a)>, <C, w(b)>): the same
+    # profile, with the codimension of p read at w(p) in the chamber C
+    for w in WEYL_GROUP:
+        l_w = (w[0].pair(CHAMBER), w[1].pair(CHAMBER))
+        assert betti_profile(l_w) == [1, 1, 2, 2, 3, 2, 2, 1, 1]
+        pmap = point_permutation(w)
+        for p in enumerate_fixed_points():
+            assert codim_of_point(p, l_w) == point_by_label(pmap[p.label]).codim, (w, p.label)
     for p in enumerate_fixed_points():
-        assert codim_of_point(p, (2, 1)) == point_by_label(pmap[p.label]).codim
+        assert codim_of_point(p, (-CHAMBER[0], -CHAMBER[1])) == 8 - p.codim
     with pytest.raises(ValueError):
         betti_profile((1, 1))  # kills the weight a-b
 
@@ -139,15 +141,15 @@ def test_gkm_graph():
         for lab in e.labels:
             tw = tangent_weights(point_by_label(lab))
             assert tw[e.weight] > 0 or tw[-e.weight] > 0
-    # edge set is invariant under the full symmetric relabeling
-    for name in ("ab", "abg"):
-        pmap = s3_point_map(name)
+    # edge set is invariant under the Weyl group
+    for w in WEYL_GROUP:
+        pmap = point_permutation(w)
         mapped = {frozenset((pmap[a], pmap[b])) for a, b in by_pair}
         assert mapped == set(frozenset(k) for k in by_pair)
 
 
 def test_duality_is_the_central_symmetry():
-    dual = duality_map()
+    dual = point_permutation((-ALPHA, -BETA))
     assert dual == {
         "0": "8", "8": "0", "1": "7", "7": "1", "2": "6", "6": "2",
         "2'": "6'", "6'": "2'", "3": "5", "5": "3", "3'": "5'", "5'": "3'",

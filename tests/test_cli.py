@@ -227,6 +227,13 @@ _dual_too_short = _fixture_case(
 _figure_not_label = _fixture_case(
     "gkm_sigma2", "classes", lambda text: text.replace('"0": "0",', '"9": "0", "0": "0",'), ["values key '9'", "not a point label"]
 )
+_figure_missing_vertex = _fixture_case(
+    "gkm_sigma1", "classes", lambda text: text.replace('"7": "b-3g", ', ""), ["values has no key '7'"]
+)
+_figure_missing_vertex_sigma2 = _fixture_case(
+    "gkm_sigma2", "classes", lambda text: text.replace('"3": "2b(b-a)", ', ""), ["values has no key '3'"]
+)
+_restriction_missing_shape = _restriction_case(lambda text: text.replace('    "3": {"3\'": 1},\n', ""), ["table has no key '3'"])
 _fixed_points_unknown_weight = _fixture_case(
     "fixed_points", "degrees", lambda text: text.replace('"triple": ["a", "b", "-g"]', '"triple": ["a", "b", "q"]'), ["points[0]['triple']", "'q'"]
 )
@@ -341,6 +348,9 @@ def test_parse_form_reads_printed_shape(case):
         _figure_degree_too_high,
         _figure_literal_product,
         _figure_not_label,
+        _figure_missing_vertex,
+        _figure_missing_vertex_sigma2,
+        _restriction_missing_shape,
         _fixed_points_unknown_weight,
         _fixed_points_missing_row,
         _fixed_points_renamed_label,
@@ -366,6 +376,9 @@ def test_parse_form_reads_printed_shape(case):
         "figure-degree-too-high",
         "figure-literal-product",
         "figure-not-label",
+        "figure-missing-vertex",
+        "figure-missing-vertex-sigma2",
+        "restriction-missing-shape",
         "fixed-points-unknown-weight",
         "fixed-points-missing-row",
         "fixed-points-renamed-label",
@@ -583,9 +596,6 @@ def test_src_names_are_reached():
         # the Weyl-character route to g2_irrep_dim, for the planned
         # holomorphic Lefschetz check of the series identity
         "weightmodel.g2_irrep_dim_character_oracle",
-        # the inverse of format_gaussian, which reads the vectors of
-        # model_subalgebras.json
-        "exact.parse_gaussian",
     }
     root = Path(__file__).resolve().parents[1]
     perfbench = "\n".join(path.read_text(encoding="utf-8") for path in sorted((root / "perfbench").glob("*.py")))

@@ -12,7 +12,6 @@ from cayleygr.exact import (
     format_gaussian,
     matrix_rank,
     nullspace,
-    parse_gaussian,
     poly_mul,
     scalar,
     smith_normal_form,
@@ -83,10 +82,9 @@ def test_gaussian_field_ops():
     z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
     assert z * GaussianRational(z.re, -z.im) == Fraction(1, 4) + Fraction(9, 16)
     assert (z / z) == 1
-    assert parse_gaussian(format_gaussian(z)) == z
-    assert parse_gaussian("1/2-3/4 i") == z
-    assert parse_gaussian("5") == GaussianRational(5)
-    assert parse_gaussian("-2/3 i") == GaussianRational(0, Fraction(-2, 3))
+    assert format_gaussian(z) == "1/2-3/4 i"
+    assert format_gaussian(GaussianRational(5)) == "5"
+    assert format_gaussian(GaussianRational(0, Fraction(-2, 3))) == "-2/3 i"
 
 
 def _apply(rows, x):

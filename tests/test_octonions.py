@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleygr.exact import GI_ZERO, GaussianRational, parse_gaussian
+from cayleygr.exact import GI_ZERO, GaussianRational
 from cayleygr.octonions import (
     E,
     FANO_LINES,
@@ -286,14 +286,3 @@ def test_classify_invariant_under_table_symmetries():
             w = builder()
             image = Subspace([apply_signed_automorphism(auto, v) for v in w.basis])
             assert classify(image) is tag
-
-
-def test_model_subalgebra_fixture_round_trip():
-    from cayleygr.fixtures import load_fixture
-
-    doc = load_fixture("model_subalgebras")["subalgebras"]
-    builders = {"h0": model_h0, "h1": model_h1, "h2": model_h2}
-    for name, row in doc.items():
-        sub = Subspace([Octonion([parse_gaussian(s) for s in vector]) for vector in row["basis"]])
-        assert sub.basis == builders[name]().basis
-        assert classify(sub).value == row["type"]

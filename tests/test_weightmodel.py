@@ -11,19 +11,27 @@ from cayleygr.octonions import OrbitType, Subspace, classify, multiply, norm_bil
 from cayleygr.weightmodel import (
     ALPHA,
     BETA,
+    CHAMBER,
+    FUNDAMENTAL,
     GAMMA,
     INDEX_OF_WEIGHT,
-    ROOT_SYSTEM,
+    LONG_ROOTS,
+    POSITIVE_ROOTS,
+    SHORT_ROOTS,
     U,
     BASIS_WEIGHTS,
+    WEYL_GROUP,
     Weight,
     g2_irrep_dim,
     g2_irrep_dim_character_oracle,
     gl7_schur_dim,
+    inner,
     model_bridge,
     parse_weight,
     weight_str,
 )
+
+SIMPLE_ROOTS = (ALPHA, BETA - ALPHA)  # the simple roots of the chamber (1, 2)
 
 
 def test_weight_arithmetic_and_names():
@@ -70,16 +78,49 @@ def test_model_bridge_rejects_a_wrong_basis(monkeypatch):
 
 
 def test_root_system_invariants():
-    rs = ROOT_SYSTEM
-    a1, a2 = rs.simple
-    assert 3 * a1 + 2 * a2 == rs.highest_long
-    assert 2 * a1 + a2 == rs.highest_short
-    assert len(rs.short_roots) == 6 and len(rs.long_roots) == 6
-    for r in rs.positive_roots():
-        assert r.pair((1, 2)) > 0
+    a1, a2 = SIMPLE_ROOTS
+    w1, w2 = FUNDAMENTAL
+    assert (w1, w2) == (-GAMMA, BETA - GAMMA)
+    assert 3 * a1 + 2 * a2 == w2
+    assert 2 * a1 + a2 == w1
+    assert len(SHORT_ROOTS) == 6 and len(LONG_ROOTS) == 6 and len(set(SHORT_ROOTS + LONG_ROOTS)) == 12
+    assert len(POSITIVE_ROOTS) == 6 and set(SIMPLE_ROOTS) <= set(POSITIVE_ROOTS)
+    for r in POSITIVE_ROOTS:
+        assert r.pair(CHAMBER) > 0
     # short roots have square length 2, long roots 6
-    assert {rs.inner(r, r) for r in rs.short_roots} == {2}
-    assert {rs.inner(r, r) for r in rs.long_roots} == {6}
+    assert {inner(r, r) for r in SHORT_ROOTS} == {2}
+    assert {inner(r, r) for r in LONG_ROOTS} == {6}
+
+
+def reflection_closure():
+    """The group generated by the simple reflections, as image pairs (w(a), w(b)).
+
+    s_r(x) = x - 2(x, r)/(r, r) r; each new element is a simple
+    reflection composed with an element already found.
+    """
+
+    def reflect(r, x):
+        c = Fraction(2 * inner(x, r), inner(r, r))
+        assert c.denominator == 1
+        return x - int(c) * r
+
+    group, frontier = {(ALPHA, BETA)}, [(ALPHA, BETA)]
+    while frontier:
+        images = {tuple(reflect(r, x) for x in w) for w in frontier for r in SIMPLE_ROOTS}
+        frontier = list(images - group)
+        group |= images
+    return group
+
+
+def test_weyl_group_is_the_reflection_closure():
+    assert len(WEYL_GROUP) == 12 and set(WEYL_GROUP) == reflection_closure()
+    assert WEYL_GROUP[0] == (ALPHA, BETA) and (-ALPHA, -BETA) in WEYL_GROUP
+    roots = SHORT_ROOTS + LONG_ROOTS
+    for w in WEYL_GROUP:
+        assert sorted(r.under(w) for r in roots) == sorted(roots), w
+        for u in roots:
+            for v in roots:
+                assert inner(u.under(w), v.under(w)) == inner(u, v), (w, u, v)
 
 
 def test_gl7_schur_dims():
@@ -130,7 +171,7 @@ def test_gl7_schur_dim_against_hook_content(shape):
 
 def test_weyl_quotient_raises_on_a_remainder(monkeypatch):
     # the short roots alone are not the positive roots of a group with these weights
-    monkeypatch.setattr(ROOT_SYSTEM, "positive_roots", lambda: ROOT_SYSTEM.positive_short)
+    monkeypatch.setattr(weightmodel, "POSITIVE_ROOTS", tuple(r for r in POSITIVE_ROOTS if r in SHORT_ROOTS))
     with pytest.raises(ArithmeticError, match="not an integer"):
         g2_irrep_dim(0, 1)
 
