@@ -248,7 +248,8 @@ def betti_profile(l=CHAMBER):
     counts = [0] * (DIMENSION + 1)
     for p in enumerate_fixed_points():
         counts[codim_of_point(p, l)] += 1
-    assert sum(counts) == 15
+    if sum(counts) != 15:
+        raise ArithmeticError(f"{sum(counts)} fixed points counted, expected 15")
     return counts
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm, prod
 
 from .cayley import (
     DIMENSION,
@@ -76,9 +77,16 @@ def _degree(values) -> int:
     return degs.pop()
 
 
+@cache
+def _hyperplane_weights():
+    """{label: f_H(q)}, computed once; callers read it through ``hyperplane_weight``."""
+    base = point_by_label(_base_label()).omega_weight()
+    return {p.label: p.omega_weight() - base for p in enumerate_fixed_points()}
+
+
 def hyperplane_weight(label) -> Weight:
     """f_H(q) = omega(q) - omega(0) as an integral weight."""
-    return point_by_label(label).omega_weight() - point_by_label(_base_label()).omega_weight()
+    return _hyperplane_weights()[label]
 
 
 def fundamental_class():
@@ -122,28 +130,30 @@ def check_gkm_divisibility(cls) -> None:
 
 @cache
 def _localization_denominator():
-    """The lcm L of the Euler classes and the complements C_q = L / e_q.
+    """The integral common denominator L of the Euler classes, and C_q = L / e_q.
 
-    Every tangent weight is a multiple of a root direction, so L is the
-    product of those directions, each to the largest multiplicity it has
-    at one vertex.  Returns (the linear factors of L, {label: C_q}); then
-    sum_q f(q) / e_q = (sum_q f(q) C_q) / L.
+    Every tangent weight w is gcd(w) times a primitive root direction, so
+    e_q = m_q P_q, with m_q the product of the gcds of q's weights and P_q
+    the product of their primitive directions.  L is lcm(m_q) times the
+    product of the directions, each to the largest multiplicity it has
+    at one vertex; so every C_q has integer coefficients.  Returns
+    (L, {label: C_q}); then sum_q f(q) / e_q = (sum_q f(q) C_q) / L.
     """
     mult = Counter()
     for p in enumerate_fixed_points():
         mult |= Counter(max(w.primitive(), -w.primitive()) for w in p.tangent)
-    factors = tuple(sorted(mult.elements()))
-    lcm = HomogPoly.constant(1)
-    for d in factors:
-        lcm = poly_mul(lcm, d.poly())
+    denominator = HomogPoly.constant(lcm(*(prod(gcd(*w) for w in p.tangent) for p in enumerate_fixed_points())))
+    for d in sorted(mult.elements()):
+        denominator = poly_mul(denominator, d.poly())
     complements = {}
     for p in enumerate_fixed_points():
-        c = lcm
+        c = denominator
         for w in p.tangent:
             c = divide_by_linear(c, w[0], w[1])
-            assert c is not None
+            if c is None:
+                raise ArithmeticError(f"tangent weight {w!r} at vertex {p.label} does not divide the denominator")
         complements[p.label] = c
-    return factors, complements
+    return denominator, complements
 
 
 def _solve_class(p_label, next_classes):
@@ -161,11 +171,12 @@ def _solve_class(p_label, next_classes):
          f_H(q) - f_H(p), one homogeneous row per q; the admissible a
          form the kernel of these rows;
     (ii) sum_q f_X(q) C_q = -n_p C_p, the vanishing pushforward of f_X
-         over the localization denominator (see
-         ``_localization_denominator``), read off monomial by monomial
-         in the coordinates on that kernel and solved exactly.  On CG
-         this one identity pins the kernel; a step it leaves open
-         raises ``ArithmeticError``.
+         over the integral localization denominator L (see
+         ``_localization_denominator``: the C_q = L / e_q have integer
+         coefficients), read off monomial by monomial in the
+         coordinates on that kernel and solved exactly.  On CG this one
+         identity pins the kernel; a step it leaves open raises
+         ``ArithmeticError``.
 
     The GKM edge congruences and the pushforwards of f_X f_H^j for
     j > 0 are not among the equations: they follow from these, and
@@ -189,7 +200,8 @@ def _solve_class(p_label, next_classes):
         for q, (x, y) in lines.items():
             numerator = sum((cls[q].scale(c) for cls, c in zip(next_classes, v)), HomogPoly.zero(k + 1))
             quotient[q] = divide_by_linear(numerator, x, y)
-            assert quotient[q] is not None
+            if quotient[q] is None:
+                raise ArithmeticError(f"Monk numerator at vertex {q} is not divisible by f_H({q}) - f_H({p_label})")
         quotients.append(quotient)
     # (ii) one row per monomial of the pushforward identity
     _, complements = _localization_denominator()
@@ -288,15 +300,18 @@ def pointwise_product(*classes):
 def ab_integrate(values) -> Fraction:
     """Fixed-point integration: sum of f(p) / e(p) over the vertices.
 
-    The input is a vertex map of uniform degree <= 8.  The rational
-    function sum must collapse: to zero below degree 8 and to a constant
-    in degree 8; anything else raises.  Vertices missing from the input
+    The input is a vertex map of uniform degree <= 8.  Over the integral
+    common denominator L the sum is N / L with N = sum_q f(q) C_q (see
+    ``_localization_denominator``), and it must collapse: N = 0 below
+    degree 8; in degree 8, where N and L have one degree, N = c L for a
+    constant c, read off one monomial of L and certified by comparing N
+    with c L.  Anything else raises.  Vertices missing from the input
     count as zero.
     """
     deg = _degree(values)
     if deg > DIMENSION:
         raise ValueError(f"integration expects degree at most {DIMENSION}")
-    factors, complements = _localization_denominator()
+    denominator, complements = _localization_denominator()
     numerator = HomogPoly.zero()
     for lab, val in values.items():
         if not val.is_zero():
@@ -305,11 +320,12 @@ def ab_integrate(values) -> Fraction:
         return Fraction(0)
     if deg < DIMENSION:
         raise ArithmeticError("integral of under-degree data failed to vanish")
-    for d in factors:
-        numerator = divide_by_linear(numerator, d[0], d[1])
-        if numerator is None:
-            raise ArithmeticError("fixed-point sum is not a polynomial")
-    return Fraction(numerator.coeffs.get((0, 0), 0))
+    # N and L have one degree, so L divides N exactly when N = c L
+    mono = next(iter(denominator.coeffs))
+    c = Fraction(numerator.coeffs.get(mono, 0), denominator.coeffs[mono])
+    if numerator != denominator.scale(c):
+        raise ArithmeticError("fixed-point sum is not a polynomial")
+    return c
 
 
 def expand_in_basis(values):

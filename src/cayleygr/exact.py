@@ -313,7 +313,8 @@ def divide_by_linear(f: HomogPoly, a, b):
             if not c:
                 continue
             out[(d - q, q - 1)] = _exact_quotient(c, b)
-    assert all(v == 0 for v in rem.values()), "restriction vanished but division left a remainder"
+    if any(rem.values()):
+        raise ArithmeticError("restriction vanished but division left a remainder")
     return HomogPoly(d - 1, out)
 
 

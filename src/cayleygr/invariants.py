@@ -147,7 +147,8 @@ def quadric_count() -> int:
     """Quadrics through the variety inside its linear span."""
     p = hilbert_polynomial()
     span_dim = p[1]            # 28: the span is a P^27
-    assert span_dim == 28
+    if span_dim != 28:
+        raise ArithmeticError(f"linear span has dimension {span_dim}, expected 28")
     return comb(span_dim + 1, 2) - p[2]
 
 

@@ -211,7 +211,8 @@ def g2_irrep_dim_character_oracle(a: int, b: int) -> int:
     np = _dict_to_poly(num, -min(num))
     dp = _dict_to_poly(den, -min(den))
     q, r = _poly_divmod(np, dp)
-    assert all(c == 0 for c in r), "Weyl denominator fails to divide"
+    if any(r):
+        raise ArithmeticError("Weyl denominator fails to divide")
     return sum(q)
 
 
@@ -230,7 +231,8 @@ def _poly_divmod(num, den):
     q = [0] * (len(num) - len(den) + 1)
     for i in range(len(q) - 1, -1, -1):
         c = Fraction(num[i + len(den) - 1], den[-1])
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ArithmeticError("Weyl denominator fails to divide")
         c = int(c)
         q[i] = c
         for j, dc in enumerate(den):

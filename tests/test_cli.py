@@ -614,3 +614,15 @@ def test_src_names_are_reached():
             if not reached:
                 unreached.add(f"{module}.{node.name}")
     assert unreached == unreached_by_design
+
+
+def test_src_has_no_assert_statement():
+    # python -O strips assert statements, so an exactness guard in src/ raises instead
+    root = Path(__file__).resolve().parents[1]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((root / "src" / "cayleygr").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

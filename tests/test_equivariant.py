@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleygr.ambient import restriction_table
 from cayleygr.cayley import enumerate_fixed_points, gkm_edges, point_by_label, point_permutation
@@ -26,7 +27,7 @@ from cayleygr.equivariant import (
     verify_ring_presentation,
 )
 from cayleygr import equivariant, exact
-from cayleygr.exact import HomogPoly, divide_by_linear
+from cayleygr.exact import HomogPoly, divide_by_linear, poly_mul
 from cayleygr.fixtures import load_fixture, parse_form
 from cayleygr.invariants import chern_classes, hilbert_polynomial
 from cayleygr.octonions import g2_basis
@@ -118,6 +119,73 @@ def test_ab_integration():
             for lb in by_codim[8 - k]:
                 val = ab_integrate(pointwise_product(classes[la], classes[lb]))
                 assert val.denominator == 1
+
+
+def _euler_class(p):
+    out = HomogPoly.constant(1)
+    for w in p.tangent:
+        out = poly_mul(out, w.poly())
+    return out
+
+
+def test_localization_denominator_is_integral_and_exact():
+    # C_q = L / e_q with integer coefficients: integration never leaves the integers
+    denominator, complements = equivariant._localization_denominator()
+    assert denominator.degree == 12
+    for p in enumerate_fixed_points():
+        assert all(type(c) is int for c in complements[p.label].coeffs.values()), p.label
+        assert poly_mul(complements[p.label], _euler_class(p)) == denominator, p.label
+
+
+def test_localization_denominator_raises_on_an_inexact_division(monkeypatch):
+    monkeypatch.setattr(equivariant, "divide_by_linear", lambda f, a, b: None)
+    with pytest.raises(ArithmeticError, match="does not divide the denominator"):
+        equivariant._localization_denominator.__wrapped__()
+
+
+def _localization_sum_at(values, at):
+    """sum_q f(q) / e_q evaluated at a point where no tangent weight vanishes."""
+    return sum(Fraction(f.evaluate(*at), _euler_class(point_by_label(lab)).evaluate(*at)) for lab, f in values.items())
+
+
+@st.composite
+def top_degree_combinations(draw):
+    """A random integer combination of top-degree pointwise products of the classes and H."""
+    classes = solve_all_classes()
+    h = hyperplane_class()
+    terms = draw(st.lists(st.tuples(st.integers(-9, 9).filter(bool),
+                                    st.lists(st.sampled_from(enumerate_fixed_points()), max_size=3)),
+                          min_size=1, max_size=3))
+    out = {lab: HomogPoly.zero(8) for lab in classes}
+    for c, points in terms:
+        factors, codim = [], 0
+        for p in points:
+            if codim + p.codim <= 8:
+                factors.append(classes[p.label])
+                codim += p.codim
+        product = pointwise_product(*factors, *[h] * (8 - codim))
+        out = {lab: out[lab] + product[lab].scale(c) for lab in out}
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(top_degree_combinations())
+def test_ab_integrate_against_evaluation(values):
+    # an independent route: the rational sum at two points off every tangent weight's zero line
+    value = ab_integrate(values)
+    for at in ((3, 7), (5, -2)):
+        assert _localization_sum_at(values, at) == value
+
+
+def test_ab_integrate_rejects_data_that_does_not_collapse():
+    h8 = pointwise_product(*[hyperplane_class()] * 8)
+    assert ab_integrate(h8) == _localization_sum_at(h8, (3, 7)) == _localization_sum_at(h8, (5, -2)) == 182
+    bent = dict(h8)
+    bent["4"] = bent["4"] + parse_form("ab^7")
+    with pytest.raises(ArithmeticError, match="not a polynomial"):
+        ab_integrate(bent)
+    with pytest.raises(ArithmeticError, match="under-degree"):
+        ab_integrate({"0": parse_form("a^3"), "8": parse_form("b^3")})
 
 
 def test_expansion_examples():
