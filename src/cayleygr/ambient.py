@@ -15,7 +15,10 @@ Also computes the fundamental class of the three-form zero locus (a top
 Chern class), the image lattice index, and ambient-side pairings of the
 tangent Chern classes used to cross-check the localization route.  The
 tangent Chern classes come from the tautological sequence, in the same
-four roots: c(T) = c(U*)^7 / (c(U* (x) U) c(Lambda^3 U*)).
+four roots: c(T) = c(U*)^7 / (c(U* (x) U) c(Lambda^3 U*)).  The numerator
+is a table of binomial products, and the denominator is 16 linear units,
+each divided out of the series truncated at the dimension by one integer
+sweep.
 
 The restriction table onto the 15-class Schubert basis is read off the
 fixed points: there tau_lam localizes to the Schur polynomial s_lam in
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
 from .cayley import DIMENSION, enumerate_fixed_points
 from .exact import HomogPoly, poly_mul, smith_normal_form
@@ -83,7 +86,7 @@ def poly_mul_sym(p, q, max_deg=None):
     if not p or not q:
         return {}
     nvars = len(next(iter(p)))
-    top = max(max(m) for m in p) + max(max(m) for m in q)
+    top = max(max(m, default=0) for m in p) + max(max(m, default=0) for m in q)
     width = top.bit_length()
     shifts = [width * (nvars - 1 - i) for i in range(nvars)]
 
@@ -375,6 +378,44 @@ def image_index_profile():
 # ambient route to the tangent Chern pairings (cross-check of localization)
 # ---------------------------------------------------------------------------
 
+_BITS = DIMENSION.bit_length()  # binary digits per packed exponent; no kept exponent exceeds DIMENSION
+
+
+def _packed_monomials(nvars, max_deg):
+    """(exponent vector, packed int) of every monomial of degree <= max_deg, by degree.
+
+    Each exponent is a ``_BITS``-digit binary field, so for max_deg <=
+    DIMENSION a monomial of degree < max_deg times one variable is one
+    integer addition.
+    """
+    exponents = [()]
+    for _ in range(nvars):
+        exponents = [m + (e,) for m in exponents for e in range(max_deg - sum(m) + 1)]
+    return [(m, sum(e << _BITS * i for i, e in enumerate(m))) for m in sorted(exponents, key=sum)]
+
+
+def _dual_chern_power(monomials, power):
+    """c(U*)^power = prod_i (1 + x_i)^power on the packed monomials: prod_i C(power, m_i) at x^m."""
+    return {key: prod(comb(power, e) for e in m) for m, key in monomials}
+
+
+def _divide_by_unit(series, unit, lower):
+    """Divide a truncated series by the linear unit 1 + L, in place.
+
+    ``series`` maps every packed monomial up to the truncation degree to
+    its coefficient, ``lower`` lists the packed monomials below that
+    degree in increasing degree, and ``unit`` holds (packed variable,
+    coefficient) for the terms of L.  The quotient solves q = series - L q:
+    by the time the sweep reaches m, q_m is final, and c q_m leaves
+    q_{m+v} for each term c x^v of L.  Integers only, and no division.
+    """
+    for m in lower:
+        q = series[m]
+        if q:
+            for v, c in unit:
+                series[m + v] -= c * q
+
+
 @cache
 def tangent_chern_ambient():
     """Graded pieces of c(T_G) / c(Lambda^3 U*) as ambient classes.
@@ -384,45 +425,30 @@ def tangent_chern_ambient():
     c(U* (x) Q) = c(U*)^7 / c(U* (x) U).  In the four Chern roots x of U*,
 
         c(T) = prod_i (1 + x_i)^7 / (prod_{i<j} (1 - (x_i - x_j)^2)
-                                     * prod_l (1 + e1 - x_l)),
+                                     * prod_l (1 + e1 - x_l)).
 
-    with the denominator inverted as a power series truncated at the
-    dimension.  Each graded piece is symmetric; its Schur expansion is the
-    class, and shapes outside the 4x3 box die.
+    The numerator's coefficient at x^m is prod_i C(7, m_i).  The
+    denominator is 16 linear units: 1 - (x_i - x_j)^2 = (1 - x_i + x_j)
+    (1 + x_i - x_j) for the 6 pairs, and the Chern roots 1 + e1 - x_l of
+    Lambda^3 U*.  The numerator is divided by one unit at a time, truncated
+    at the dimension (``_divide_by_unit``).  Each graded piece is
+    symmetric; its Schur expansion is the class, and shapes outside the
+    4x3 box die.
     """
-    zero = (0,) * BOX_ROWS
-    one = {zero: 1}
-    units = [tuple(int(i == j) for j in range(BOX_ROWS)) for i in range(BOX_ROWS)]
-
-    def mul(p, q):
-        return poly_mul_sym(p, q, DIMENSION)
-
-    dual = one
-    for x in units:
-        dual = mul(dual, {zero: 1, x: 1})
-    numerator = one
-    for _ in range(BOX_ROWS + BOX_COLS):  # c(U* (x) C^7) = c(U*)^7
-        numerator = mul(numerator, dual)
-
-    denominator = one
-    for i, j in combinations(range(BOX_ROWS), 2):
-        diff = {units[i]: 1, units[j]: -1}
-        denominator = mul(denominator, {zero: 1, **{m: -c for m, c in mul(diff, diff).items()}})
-    for x in units:
-        # 1 + e1 - x_l: the triple sums of roots are the Chern roots of Lambda^3 U*
-        denominator = mul(denominator, {zero: 1, **{y: 1 for y in units if y != x}})
-
-    tail = {m: -c for m, c in denominator.items() if m != zero}
-    inverse = dict(one)
-    power = one
-    for _ in range(DIMENSION):
-        power = mul(power, tail)
-        for m, c in power.items():
-            inverse[m] = inverse.get(m, 0) + c
+    monomials = _packed_monomials(BOX_ROWS, DIMENSION)
+    series = _dual_chern_power(monomials, BOX_ROWS + BOX_COLS)  # c(U* (x) C^7)
+    lower = [key for m, key in monomials if sum(m) < DIMENSION]
+    x = [1 << _BITS * i for i in range(BOX_ROWS)]
+    # 1 +- (x_i - x_j), and 1 + e1 - x_l: the triple sums of roots are the Chern roots of Lambda^3 U*
+    units = [[(x[i], s), (x[j], -s)] for i, j in combinations(range(BOX_ROWS), 2) for s in (1, -1)]
+    units += [[(y, 1) for y in x if y != xl] for xl in x]
+    for unit in units:
+        _divide_by_unit(series, unit, lower)
 
     graded = {k: {} for k in range(DIMENSION + 1)}
-    for m, c in mul(numerator, inverse).items():
-        graded[sum(m)][m] = c
+    for m, key in monomials:
+        if series[key]:
+            graded[sum(m)][m] = series[key]
     return {k: box_class(schur_expand(p)) for k, p in graded.items()}
 
 

@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from cayleygr.ambient import (
     TOP,
+    _divide_by_unit,
+    _dual_chern_power,
     _lr_pair,
+    _packed_monomials,
     box_partitions,
     cg_class,
     check_restriction,
@@ -326,6 +329,58 @@ def test_tangent_chern_ambient_against_seven_roots():
     assert pieces[1] == t((1,)).scale(4)
 
 
+def test_dual_chern_power_is_seven_products():
+    # reference: c(U*)^7 as seven truncated products of c(U*) = prod_i (1 + x_i)
+    zero = (0,) * 4
+    one = {zero: 1}
+    dual = one
+    for i in range(4):
+        dual = poly_mul_sym(dual, {zero: 1, tuple(int(i == j) for j in range(4)): 1}, 8)
+    numerator = one
+    for _ in range(7):
+        numerator = poly_mul_sym(numerator, dual, 8)
+    monomials = _packed_monomials(4, 8)
+    assert len(monomials) == len({key for _, key in monomials}) == 495
+    assert [sum(m) for m, _ in monomials] == sorted(sum(m) for m, _ in monomials)
+    table = _dual_chern_power(monomials, 7)
+    assert {m: table[key] for m, key in monomials if table[key]} == numerator
+
+
+@st.composite
+def series_and_units(draw):
+    nvars = draw(st.integers(1, 4))
+    monos = st.sampled_from([m for m, _ in _packed_monomials(nvars, 8)])
+    series = draw(st.dictionaries(monos, st.integers(-5, 5).filter(bool), max_size=12))
+    linear = draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars))
+    return nvars, series, linear
+
+
+def _divide(nvars, series, linear):
+    """series / (1 + sum_i linear[i] x_i) truncated at degree 8, as {exponents: coefficient}."""
+    monomials = _packed_monomials(nvars, 8)
+    keys = dict(monomials)
+    dense = {key: series.get(m, 0) for m, key in monomials}
+    unit = [(keys[tuple(int(i == j) for j in range(nvars))], c) for i, c in enumerate(linear) if c]
+    _divide_by_unit(dense, unit, [key for m, key in monomials if sum(m) < 8])
+    return {m: dense[key] for m, key in monomials if dense[key]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_and_units())
+def test_divide_by_unit_multiplies_back(case):
+    nvars, series, linear = case
+    unit = {(0,) * nvars: 1}
+    for i, c in enumerate(linear):
+        if c:
+            unit[tuple(int(i == j) for j in range(nvars))] = c
+    assert poly_mul_sym(_divide(nvars, series, linear), unit, 8) == series
+
+
+def test_divide_by_unit_geometric_series():
+    assert _divide(1, {(0,): 1}, [-1]) == {(k,): 1 for k in range(9)}
+    assert _divide(2, {(0, 0): 1}, [0, 2]) == {(0, k): (-2) ** k for k in range(9)}
+
+
 def _naive_mul(p, q, max_deg=None):
     out = {}
     for ma, ca in p.items():
@@ -364,6 +419,8 @@ def test_poly_mul_sym_cancellation_truncation_and_wide_exponents():
     assert poly_mul_sym({(64, 0): 1, (0, 0): 1}, {(64, 1): 2}) == {(128, 1): 2, (64, 1): 2}
     assert poly_mul_sym({(0, 0): 5}, {(0, 0): 7}) == {(0, 0): 35}
     assert poly_mul_sym({}, {x: 1}) == {}
+    # no variables: the constants schur_poly(shape, 0) returns
+    assert poly_mul_sym({(): 1}, {(): 2}) == {(): 2}
 
 
 # ---------------------------------------------------------------------------
