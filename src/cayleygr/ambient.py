@@ -11,21 +11,23 @@ antisymmetrized monomials of s_mu, with no polynomial product; the test
 suite holds it to the polynomial product and to a tableau count.
 Integrals of products are Poincare-duality pairings of box complements.
 
-Also computes the fundamental class of the three-form zero locus (a top
-Chern class), the image lattice index, and ambient-side pairings of the
-tangent Chern classes used to cross-check the localization route.  The
-tangent Chern classes come from the tautological sequence, in the same
-four roots: c(T) = c(U*)^7 / (c(U* (x) U) c(Lambda^3 U*)).  The numerator
-is a table of binomial products, and the denominator is 16 linear units,
-each divided out of the series truncated at the dimension by one integer
-sweep.
+Also computes the fundamental class of the three-form zero locus, the
+image lattice index, and ambient-side pairings of the tangent Chern
+classes used to cross-check the localization route.  Series in the four
+roots are tables over packed monomials, and a linear unit 1 + L is
+multiplied in or divided out by one integer sweep.  The Chern roots of
+Lambda^3 U* give four such units, 1 + e1 - x_l, stated once: the zero
+locus class c_4(Lambda^3 U*) is the degree-4 piece of their product, and
+the tangent Chern classes c(T) = c(U*)^7 / (c(U* (x) U) c(Lambda^3 U*))
+come from the tautological sequence as a table of binomial products
+divided by 16 units, these four and two for each pair of roots.
 
 The restriction table onto the 15-class Schubert basis is read off the
 fixed points: there tau_lam localizes to the Schur polynomial s_lam in
 the weights of the tautological 4-space (Giambelli), and the engine's
 expansion in the localized basis gives its coordinates.  The degree
-pairings and the Pieri/Monk hyperplane products are checks on that
-table.
+pairings and the hyperplane products are checks on that table: tau_1
+tau_lam by ``lr_multiply`` (Pieri) upstairs, by Monk downstairs.
 """
 
 from __future__ import annotations
@@ -74,37 +76,56 @@ def parse_partition(name):
 # ---------------------------------------------------------------------------
 
 
-def poly_mul_sym(p, q, max_deg=None):
-    """Product of polynomials given as {exponent tuple: coefficient}.
+_BITS = DIMENSION.bit_length()  # binary digits per packed exponent; no kept exponent exceeds DIMENSION
 
-    Terms of total degree above ``max_deg`` are dropped, and so are zero
-    coefficients.  Each monomial is packed into one integer, its exponents
-    as fixed-width binary digits (first variable most significant); the
-    digits are wide enough for every exponent of the product, so a
-    monomial product is one integer addition.
+
+def _packed_monomials(nvars, max_deg):
+    """(exponent vector, packed int) of every monomial of degree <= max_deg, by degree.
+
+    Each exponent is a ``_BITS``-digit binary field, so for max_deg <=
+    DIMENSION a monomial of degree < max_deg times one variable is one
+    integer addition.
     """
-    if not p or not q:
-        return {}
-    nvars = len(next(iter(p)))
-    top = max(max(m, default=0) for m in p) + max(max(m, default=0) for m in q)
-    width = top.bit_length()
-    shifts = [width * (nvars - 1 - i) for i in range(nvars)]
+    exponents = [()]
+    for _ in range(nvars):
+        exponents = [m + (e,) for m in exponents for e in range(max_deg - sum(m) + 1)]
+    return [(m, sum(e << _BITS * i for i, e in enumerate(m))) for m in sorted(exponents, key=sum)]
 
-    def packed(poly):
-        return [(sum(e << s for e, s in zip(m, shifts)), sum(m), c) for m, c in poly.items()]
 
-    terms = packed(q)
-    if max_deg is not None:
-        terms.sort(key=lambda t: t[1])
-    out = {}
-    for ka, da, ca in packed(p):
-        for kb, db, cb in terms:
-            if max_deg is not None and da + db > max_deg:
-                break
-            key = ka + kb
-            out[key] = out.get(key, 0) + ca * cb
-    mask = (1 << width) - 1
-    return {tuple(key >> s & mask for s in shifts): c for key, c in out.items() if c}
+_X = tuple(1 << _BITS * i for i in range(BOX_ROWS))  # the four roots x_i of U*, packed
+# the Chern roots of Lambda^3 U* are the triple sums x_i + x_j + x_k = e1 - x_l: units 1 + e1 - x_l
+_WEDGE3_UNITS = tuple(tuple((y, 1) for y in _X if y != xl) for xl in _X)
+
+
+def _divide_by_unit(series, unit, lower):
+    """Divide a truncated series by the linear unit 1 + L, in place.
+
+    ``series`` maps every packed monomial up to the truncation degree to
+    its coefficient, ``lower`` lists the packed monomials below that
+    degree in increasing degree, and ``unit`` holds (packed variable,
+    coefficient) for the terms of L.  The quotient solves q = series - L q:
+    by the time the sweep reaches m, q_m is final, and c q_m leaves
+    q_{m+v} for each term c x^v of L.  Integers only, and no division.
+    """
+    for m in lower:
+        q = series[m]
+        if q:
+            for v, c in unit:
+                series[m + v] -= c * q
+
+
+def _multiply_by_unit(series, unit, lower):
+    """Multiply a truncated series by the linear unit 1 + L, in place.
+
+    The inverse of ``_divide_by_unit``, on the same arguments.  The sweep
+    runs in decreasing degree, so s_m still holds the input coefficient
+    when c s_m is added to s_{m+v}.
+    """
+    for m in reversed(lower):
+        s = series[m]
+        if s:
+            for v, c in unit:
+                series[m + v] += c * s
 
 
 @cache
@@ -229,22 +250,22 @@ def tau1_power(m: int) -> SchubertVector:
 
 @cache
 def cg_class() -> SchubertVector:
-    """Top Chern class of the rank-4 bundle with roots x_i + x_j + x_k.
+    """The class of the three-form zero locus: the top Chern class c_4(Lambda^3 U*).
 
-    Each triple sum equals e1 - x_l, so the product of the four roots is
-    e2 e1^2 - e3 e1 + e4; computed from the root product and cross-checked
-    against the elementary-symmetric expression in the ring.
+    The Chern roots of Lambda^3 U* are the triple sums x_i + x_j + x_k =
+    e1 - x_l (``_WEDGE3_UNITS``).  The constant series 1 is multiplied in
+    place by the four units 1 + e1 - x_l, truncated at degree 4, and its
+    degree-4 piece prod_l (e1 - x_l) is Schur-expanded.  That route is
+    cross-checked against the same product as e2 e1^2 - e3 e1 + e4 in the
+    ring, by Littlewood-Richardson products.
     """
-    e1 = {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1}
-    prod = {(0, 0, 0, 0): 1}
-    for l in range(4):
-        root = dict(e1)
-        # e1 - x_l: subtract the single variable monomial
-        mono = tuple(1 if i == l else 0 for i in range(4))
-        root[mono] = root.get(mono, 0) - 1
-        root = {k: v for k, v in root.items() if v}
-        prod = poly_mul_sym(prod, root)
-    direct = box_class(schur_expand(prod))
+    monomials = _packed_monomials(BOX_ROWS, BOX_ROWS)
+    series = {key: int(key == 0) for _, key in monomials}
+    lower = [key for m, key in monomials if sum(m) < BOX_ROWS]
+    for unit in _WEDGE3_UNITS:
+        _multiply_by_unit(series, unit, lower)
+    top = {m: series[key] for m, key in monomials if sum(m) == BOX_ROWS and series[key]}
+    direct = box_class(schur_expand(top))
 
     t = basis_vector
     e_route = (
@@ -265,19 +286,6 @@ def cg_pairing(a: SchubertVector, b: SchubertVector) -> int:
 # ---------------------------------------------------------------------------
 # the restriction map
 # ---------------------------------------------------------------------------
-
-
-def _pieri_up(lam):
-    """Partitions obtained by adding one box inside the 4x3 box."""
-    lam = tuple(lam)
-    out = []
-    padded = list(lam) + [0] * (BOX_ROWS - len(lam))
-    for i in range(BOX_ROWS):
-        if padded[i] < BOX_COLS and (i == 0 or padded[i] < padded[i - 1]):
-            new = padded[:]
-            new[i] += 1
-            out.append(tuple(p for p in new if p))
-    return out
 
 
 def _localized_schur(point, shapes):
@@ -326,9 +334,10 @@ def check_restriction(table):
     """Raise ArithmeticError unless a restriction table passes two checks.
 
     Degree: the image of tau_lam has degree cg_pairing(tau_lam,
-    tau_1^(8 - |lam|)).  Hyperplane: for |lam| < 8, the Pieri rule
-    upstairs and the Monk rule downstairs give the same image of
-    tau_1 tau_lam.
+    tau_1^(8 - |lam|)).  Hyperplane: for |lam| < 8, the image of tau_1
+    tau_lam is the same whether the product is taken upstairs, by the
+    Pieri case of ``lr_multiply``, and mapped through the table, or taken
+    downstairs on the image of tau_lam by the Monk rule.
     """
     degrees = equivariant.degrees()
     monk = equivariant.monk_matrix()
@@ -342,7 +351,8 @@ def check_restriction(table):
         if degree != pairing:
             failures.append(f"t{name} has degree {degree}, cg_pairing {pairing}")
         if k < DIMENSION:
-            pieri = sum((table[mu] for mu in _pieri_up(lam)), zero)
+            upstairs = lr_multiply(basis_vector(lam), basis_vector((1,)))
+            pieri = sum((table[mu].scale(c) for mu, c in upstairs.items()), zero)
             hyperplane = sum((SchubertVector(monk[lab]).scale(c) for lab, c in image.items()), zero)
             if pieri != hyperplane:
                 failures.append(f"t1 t{name} is {pieri} by Pieri, {hyperplane} by Monk")
@@ -378,42 +388,9 @@ def image_index_profile():
 # ambient route to the tangent Chern pairings (cross-check of localization)
 # ---------------------------------------------------------------------------
 
-_BITS = DIMENSION.bit_length()  # binary digits per packed exponent; no kept exponent exceeds DIMENSION
-
-
-def _packed_monomials(nvars, max_deg):
-    """(exponent vector, packed int) of every monomial of degree <= max_deg, by degree.
-
-    Each exponent is a ``_BITS``-digit binary field, so for max_deg <=
-    DIMENSION a monomial of degree < max_deg times one variable is one
-    integer addition.
-    """
-    exponents = [()]
-    for _ in range(nvars):
-        exponents = [m + (e,) for m in exponents for e in range(max_deg - sum(m) + 1)]
-    return [(m, sum(e << _BITS * i for i, e in enumerate(m))) for m in sorted(exponents, key=sum)]
-
-
 def _dual_chern_power(monomials, power):
     """c(U*)^power = prod_i (1 + x_i)^power on the packed monomials: prod_i C(power, m_i) at x^m."""
     return {key: prod(comb(power, e) for e in m) for m, key in monomials}
-
-
-def _divide_by_unit(series, unit, lower):
-    """Divide a truncated series by the linear unit 1 + L, in place.
-
-    ``series`` maps every packed monomial up to the truncation degree to
-    its coefficient, ``lower`` lists the packed monomials below that
-    degree in increasing degree, and ``unit`` holds (packed variable,
-    coefficient) for the terms of L.  The quotient solves q = series - L q:
-    by the time the sweep reaches m, q_m is final, and c q_m leaves
-    q_{m+v} for each term c x^v of L.  Integers only, and no division.
-    """
-    for m in lower:
-        q = series[m]
-        if q:
-            for v, c in unit:
-                series[m + v] -= c * q
 
 
 @cache
@@ -430,19 +407,16 @@ def tangent_chern_ambient():
     The numerator's coefficient at x^m is prod_i C(7, m_i).  The
     denominator is 16 linear units: 1 - (x_i - x_j)^2 = (1 - x_i + x_j)
     (1 + x_i - x_j) for the 6 pairs, and the Chern roots 1 + e1 - x_l of
-    Lambda^3 U*.  The numerator is divided by one unit at a time, truncated
-    at the dimension (``_divide_by_unit``).  Each graded piece is
-    symmetric; its Schur expansion is the class, and shapes outside the
-    4x3 box die.
+    Lambda^3 U* (``_WEDGE3_UNITS``).  The numerator is divided by one unit
+    at a time, truncated at the dimension (``_divide_by_unit``).  Each
+    graded piece is symmetric; its Schur expansion is the class, and
+    shapes outside the 4x3 box die.
     """
     monomials = _packed_monomials(BOX_ROWS, DIMENSION)
     series = _dual_chern_power(monomials, BOX_ROWS + BOX_COLS)  # c(U* (x) C^7)
     lower = [key for m, key in monomials if sum(m) < DIMENSION]
-    x = [1 << _BITS * i for i in range(BOX_ROWS)]
-    # 1 +- (x_i - x_j), and 1 + e1 - x_l: the triple sums of roots are the Chern roots of Lambda^3 U*
-    units = [[(x[i], s), (x[j], -s)] for i, j in combinations(range(BOX_ROWS), 2) for s in (1, -1)]
-    units += [[(y, 1) for y in x if y != xl] for xl in x]
-    for unit in units:
+    pairs = tuple(((xi, s), (xj, -s)) for xi, xj in combinations(_X, 2) for s in (1, -1))  # 1 +- (x_i - x_j)
+    for unit in pairs + _WEDGE3_UNITS:
         _divide_by_unit(series, unit, lower)
 
     graded = {k: {} for k in range(DIMENSION + 1)}

@@ -55,10 +55,6 @@ def documented(id, computed, expected, evidence, note):
     return check(id, False, computed, expected)
 
 
-def _vec(v: "equivariant.SchubertVector"):
-    return {lab: c for lab, c in v.items()}
-
-
 # ---------------------------------------------------------------------------
 # topic runners
 # ---------------------------------------------------------------------------
@@ -271,9 +267,9 @@ def run_mult():
             continue
         if "duplicate_of" in row:
             verbatim = (row["left"], row["right"], row["result"]) in plain
-            duplicates.append((key, _vec(printed), _vec(computed), verbatim))
+            duplicates.append((key, printed, computed, verbatim))
         else:
-            failures.append((key, _vec(printed), _vec(computed)))
+            failures.append((key, printed, computed))
     out.append(check("mult.unambiguous-rows", not failures, failures or "all match", "all match"))
     for key, printed, computed, verbatim in duplicates:
         out.append(
@@ -335,14 +331,14 @@ def run_restriction():
         lam = ambient.parse_partition(name)
         want = equivariant.SchubertVector(coeffs)
         if table[lam] != want:
-            mismatch[name] = (_vec(want), _vec(table[lam]))
+            mismatch[name] = (want, table[lam])
     ok = set(mismatch) == {"2", "11"}
     out.append(check("restriction.table", ok, f"{len(printed) - len(mismatch)} of {len(printed)} entries match", "all but the swapped pair"))
     if ok:
         out.append(
             discrepancy(
                 "restriction.level-2-swap",
-                {"2": _vec(table[(2,)]), "11": _vec(table[(1, 1)])},
+                {"2": table[(2,)], "11": table[(1, 1)]},
                 {"2": printed["2"], "11": printed["11"]},
                 "printed images of the two codimension-2 classes are interchanged; the ring-homomorphism property forces the computed assignment",
             )
@@ -354,7 +350,7 @@ def run_restriction():
     for nu, c in lhs_up.items():
         lhs = lhs + table[nu].scale(c)
     rhs = equivariant.schubert_product(table[(1, 1)], table[(1, 1)])
-    out.append(check("restriction.homomorphism", lhs == rhs, _vec(lhs), _vec(rhs), "DERIVED"))
+    out.append(check("restriction.homomorphism", lhs == rhs, lhs, rhs, "DERIVED"))
     return out
 
 
@@ -386,8 +382,8 @@ def run_chern():
         out.append(
             documented(
                 f"chern.c{k}",
-                _vec(got),
-                _vec(want),
+                got,
+                want,
                 k in (5, 6) and meets_ambient(k, got) and not meets_ambient(k, want),
                 "printed row contradicts the printed dual-degree polynomial; computed row confirmed by ambient intersection numbers",
             )
@@ -487,6 +483,8 @@ TOPICS = {
 def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x)
+    if isinstance(x, equivariant.SchubertVector):
+        return _jsonable(dict(x.items()))
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
     if isinstance(x, (list, tuple)):
@@ -582,7 +580,7 @@ def dump_degrees():
 
 def dump_mult():
     table = equivariant.multiplication_table()
-    doc = {f"{a}*{b}": _vec(v) for (a, b), v in sorted(table.items())}
+    doc = {f"{a}*{b}": dict(v.items()) for (a, b), v in sorted(table.items())}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

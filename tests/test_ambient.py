@@ -8,6 +8,7 @@ from cayleygr.ambient import (
     _divide_by_unit,
     _dual_chern_power,
     _lr_pair,
+    _multiply_by_unit,
     _packed_monomials,
     box_partitions,
     cg_class,
@@ -19,7 +20,6 @@ from cayleygr.ambient import (
     lr_multiply,
     parse_partition,
     partition_name,
-    poly_mul_sym,
     restriction_table,
     schur_expand,
     schur_poly,
@@ -31,6 +31,17 @@ from cayleygr.equivariant import SchubertVector, basis_vector, schubert_product
 from cayleygr.fixtures import load_fixture
 
 t = basis_vector
+
+
+def _naive_mul(p, q, max_deg=None):
+    """Product of polynomials given as {exponent tuple: coefficient}, terms above max_deg dropped."""
+    out = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            if max_deg is None or sum(ma) + sum(mb) <= max_deg:
+                key = tuple(x + y for x, y in zip(ma, mb))
+                out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
 
 
 def conjugate_partition(shape):
@@ -123,7 +134,7 @@ def test_lr_pair_against_polynomial_product():
     shapes = box_partitions() + [(4,), (5, 1), (4, 4, 2)]
     for lam in shapes:
         for mu in shapes:
-            want = schur_expand(poly_mul_sym(schur_poly(lam), schur_poly(mu)))
+            want = schur_expand(_naive_mul(schur_poly(lam), schur_poly(mu)))
             assert _lr_pair(lam, mu) == tuple(sorted(want.items())), (lam, mu)
     assert _lr_pair((1, 1, 1, 1, 1), (1,)) == ()
 
@@ -140,7 +151,7 @@ def test_duality_pairing_against_lr_integral():
 
 
 def test_schur_expand_roundtrip():
-    p = poly_mul_sym(schur_poly((2, 1)), schur_poly((1, 1)))
+    p = _naive_mul(schur_poly((2, 1)), schur_poly((1, 1)))
     exp = schur_expand(p)
     assert all(c > 0 for c in exp.values())
     assert exp[(3, 2)] == 1 and exp[(2, 1, 1, 1)] == 1
@@ -273,7 +284,7 @@ def _seven_root_tangent_chern():
         return tuple(int(i == j) for j in range(nv))
 
     def mul(p, q):
-        return poly_mul_sym(p, q, max_deg)
+        return _naive_mul(p, q, max_deg)
 
     hom = one
     for i in range(nx):
@@ -335,10 +346,10 @@ def test_dual_chern_power_is_seven_products():
     one = {zero: 1}
     dual = one
     for i in range(4):
-        dual = poly_mul_sym(dual, {zero: 1, tuple(int(i == j) for j in range(4)): 1}, 8)
+        dual = _naive_mul(dual, {zero: 1, tuple(int(i == j) for j in range(4)): 1}, 8)
     numerator = one
     for _ in range(7):
-        numerator = poly_mul_sym(numerator, dual, 8)
+        numerator = _naive_mul(numerator, dual, 8)
     monomials = _packed_monomials(4, 8)
     assert len(monomials) == len({key for _, key in monomials}) == 495
     assert [sum(m) for m, _ in monomials] == sorted(sum(m) for m, _ in monomials)
@@ -355,13 +366,22 @@ def series_and_units(draw):
     return nvars, series, linear
 
 
-def _divide(nvars, series, linear):
-    """series / (1 + sum_i linear[i] x_i) truncated at degree 8, as {exponents: coefficient}."""
+def _unit(nvars, linear):
+    """1 + sum_i linear[i] x_i as {exponents: coefficient}."""
+    unit = {(0,) * nvars: 1}
+    for i, c in enumerate(linear):
+        if c:
+            unit[tuple(int(i == j) for j in range(nvars))] = c
+    return unit
+
+
+def _sweep(step, nvars, series, linear):
+    """series times or over 1 + sum_i linear[i] x_i, by ``step``, truncated at degree 8."""
     monomials = _packed_monomials(nvars, 8)
     keys = dict(monomials)
     dense = {key: series.get(m, 0) for m, key in monomials}
-    unit = [(keys[tuple(int(i == j) for j in range(nvars))], c) for i, c in enumerate(linear) if c]
-    _divide_by_unit(dense, unit, [key for m, key in monomials if sum(m) < 8])
+    unit = [(keys[m], c) for m, c in _unit(nvars, linear).items() if any(m)]
+    step(dense, unit, [key for m, key in monomials if sum(m) < 8])
     return {m: dense[key] for m, key in monomials if dense[key]}
 
 
@@ -369,58 +389,25 @@ def _divide(nvars, series, linear):
 @given(series_and_units())
 def test_divide_by_unit_multiplies_back(case):
     nvars, series, linear = case
-    unit = {(0,) * nvars: 1}
-    for i, c in enumerate(linear):
-        if c:
-            unit[tuple(int(i == j) for j in range(nvars))] = c
-    assert poly_mul_sym(_divide(nvars, series, linear), unit, 8) == series
+    assert _naive_mul(_sweep(_divide_by_unit, nvars, series, linear), _unit(nvars, linear), 8) == series
 
 
 def test_divide_by_unit_geometric_series():
-    assert _divide(1, {(0,): 1}, [-1]) == {(k,): 1 for k in range(9)}
-    assert _divide(2, {(0, 0): 1}, [0, 2]) == {(0, k): (-2) ** k for k in range(9)}
+    assert _sweep(_divide_by_unit, 1, {(0,): 1}, [-1]) == {(k,): 1 for k in range(9)}
+    assert _sweep(_divide_by_unit, 2, {(0, 0): 1}, [0, 2]) == {(0, k): (-2) ** k for k in range(9)}
 
 
-def _naive_mul(p, q, max_deg=None):
-    out = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            if max_deg is None or sum(ma) + sum(mb) <= max_deg:
-                key = tuple(x + y for x, y in zip(ma, mb))
-                out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
+@settings(max_examples=80, deadline=None)
+@given(series_and_units())
+def test_multiply_by_unit_against_naive_product(case):
+    nvars, series, linear = case
+    multiplied = _sweep(_multiply_by_unit, nvars, series, linear)
+    assert multiplied == _naive_mul(series, _unit(nvars, linear), 8)
+    assert _sweep(_divide_by_unit, nvars, multiplied, linear) == series
 
 
-@st.composite
-def sym_poly_pairs(draw):
-    nvars = draw(st.integers(1, 7))
-    exponents = st.one_of(st.integers(0, 3), st.integers(60, 70))
-
-    def poly():
-        monos = st.tuples(*[exponents] * nvars)
-        return draw(st.dictionaries(monos, st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=6))
-
-    return poly(), poly()
-
-
-@settings(max_examples=60, deadline=None)
-@given(sym_poly_pairs(), st.one_of(st.none(), st.integers(0, 140)))
-def test_poly_mul_sym_matches_naive_product(pair, max_deg):
-    p, q = pair
-    assert poly_mul_sym(p, q, max_deg) == _naive_mul(p, q, max_deg)
-
-
-def test_poly_mul_sym_cancellation_truncation_and_wide_exponents():
-    x, y = (1, 0), (0, 1)
-    # (x + y)(x - y): the mixed terms cancel and are dropped
-    assert poly_mul_sym({x: 1, y: 1}, {x: 1, y: -1}) == {(2, 0): 1, (0, 2): -1}
-    # truncation can drop every term
-    assert poly_mul_sym({x: 1}, {y: 1}, max_deg=1) == {}
-    assert poly_mul_sym({(64, 0): 1, (0, 0): 1}, {(64, 1): 2}) == {(128, 1): 2, (64, 1): 2}
-    assert poly_mul_sym({(0, 0): 5}, {(0, 0): 7}) == {(0, 0): 35}
-    assert poly_mul_sym({}, {x: 1}) == {}
-    # no variables: the constants schur_poly(shape, 0) returns
-    assert poly_mul_sym({(): 1}, {(): 2}) == {(): 2}
+def test_multiply_by_unit_difference_of_squares():
+    assert _sweep(_multiply_by_unit, 1, {(0,): 1, (1,): 1}, [-1]) == {(0,): 1, (2,): -1}
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +435,7 @@ def _jacobi_trudi(shape, nvars):
             if not h:
                 continue
             sign = -1 if idx % 2 else 1
-            for k, v in poly_mul_sym(h, minor_det(rows[1:], cols[:idx] + cols[idx + 1 :])).items():
+            for k, v in _naive_mul(h, minor_det(rows[1:], cols[:idx] + cols[idx + 1 :])).items():
                 total[k] = total.get(k, 0) + sign * v
         return {k: v for k, v in total.items() if v}
 
