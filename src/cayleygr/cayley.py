@@ -269,42 +269,20 @@ class GkmEdge(namedtuple("GkmEdge", "labels weight")):
 
     __slots__ = ()
 
-    def other(self, label):
-        (a, b) = tuple(self.labels)
-        return b if a == label else a
-
     def primitive(self) -> Weight:
         """The primitive direction; divisibility only sees this."""
         return self.weight.primitive()
 
 
-class GkmGraph:
-    def __init__(self, vertices, edges):
-        self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0].label}
-        grown = True
-        while grown:
-            grown = False
-            for e in self.edges:
-                if len(e.labels & seen) == 1:
-                    seen |= e.labels
-                    grown = True
-        return len(seen) == len(self.vertices)
-
-
 @cache
-def gkm_edges() -> GkmGraph:
-    """Edges join points whose 4-spaces share a 3-space.
+def gkm_edges():
+    """The edges of the GKM graph, a tuple of GkmEdge; the graph is checked connected.
 
-    The edge weight is the weight difference of the two swapped basis
-    directions; every connecting coordinate curve is re-checked to stay
-    inside the variety at three interior parameter values (each form
-    evaluation is affine in the parameter, so two would suffice).
+    Edges join points whose 4-spaces share a 3-space.  The edge weight is
+    the weight difference of the two swapped basis directions; every
+    connecting coordinate curve is re-checked to stay inside the variety
+    at three interior parameter values (each form evaluation is affine in
+    the parameter, so two would suffice).
     """
     points = enumerate_fixed_points()
     edges = []
@@ -324,10 +302,17 @@ def gkm_edges() -> GkmGraph:
         if edge.primitive() not in SHORT_AND_LONG_ROOTS:
             raise ArithmeticError(f"edge direction {weight} is not a root direction")
         edges.append(edge)
-    graph = GkmGraph(points, edges)
-    if not graph.is_connected():
+    seen = {points[0].label}
+    grown = True
+    while grown:
+        grown = False
+        for e in edges:
+            if len(e.labels & seen) == 1:
+                seen |= e.labels
+                grown = True
+    if len(seen) != len(points):
         raise ArithmeticError("GKM graph is disconnected")
-    return graph
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,11 @@ def check(id, ok, computed=None, expected=None, provenance="PAPER", note=""):
     return CheckResult(id, PASS if ok else FAIL, computed, expected, provenance, note)
 
 
+def equal(id, computed, expected, provenance="PAPER", note=""):
+    """A check that the computed value equals the expected one."""
+    return check(id, computed == expected, computed, expected, provenance, note)
+
+
 def discrepancy(id, computed, expected, note):
     return CheckResult(id, DISCREPANCY, computed, expected, "PAPER", note)
 
@@ -48,54 +53,49 @@ def documented(id, computed, expected, evidence, note):
     Pass on a match; on a mismatch, paper-discrepancy only when the
     evidence named in ``note`` holds, and FAIL otherwise.
     """
-    if computed == expected:
-        return check(id, True, computed, expected)
-    if evidence:
+    if computed != expected and evidence:
         return discrepancy(id, computed, expected, note)
-    return check(id, False, computed, expected)
+    return equal(id, computed, expected)
 
 
 # ---------------------------------------------------------------------------
-# topic runners
+# topic runners: each takes the parsed arguments and yields its checks
 # ---------------------------------------------------------------------------
 
 
-def run_octonion():
+def run_octonion(args):
     E = octonions.E
     I = octonions.I
-    out = []
-    out.append(check("octonion.e1e2", octonions.multiply(E[1], E[2]) == E[3], "e3", "e3"))
-    out.append(check("octonion.square", octonions.multiply(E[1], E[1]) == -E[0], "-e0", "-e0"))
+    yield check("octonion.e1e2", octonions.multiply(E[1], E[2]) == E[3], "e3", "e3")
+    yield check("octonion.square", octonions.multiply(E[1], E[1]) == -E[0], "-e0", "-e0")
     x = E[1] + E[2].scale(I)
     y = E[6] + E[7].scale(I)
-    out.append(check("octonion.null-products", octonions.multiply(x, E[4]) == y.scale(I), "i*y", "i*y"))
+    yield check("octonion.null-products", octonions.multiply(x, E[4]) == y.scale(I), "i*y", "i*y")
     sweep = all(
         octonions.im_product_via_form(E[i], E[j]) == octonions.multiply(E[i], E[j]).imaginary()
         for i in range(1, 8)
         for j in range(1, 8)
     )
-    out.append(check("octonion.form-recovers-product", sweep, "49 pairs", "49 pairs", "TRIVIAL"))
+    yield check("octonion.form-recovers-product", sweep, "49 pairs", "49 pairs", "TRIVIAL")
     samples = [E[1] + E[3].scale(2), E[2] + E[5].scale(I), E[4] + E[6] + E[7].scale(3)]
     mult_ok = all(
         octonions.norm(octonions.multiply(a, b)) == octonions.norm(a) * octonions.norm(b)
         for a in samples
         for b in samples
     )
-    out.append(check("octonion.norm-multiplicative", mult_ok, provenance="TRIVIAL"))
+    yield check("octonion.norm-multiplicative", mult_ok, provenance="TRIVIAL")
     alt_ok = all(
         octonions.multiply(a, octonions.multiply(a, b)) == octonions.multiply(octonions.multiply(a, a), b)
         for a in samples
         for b in samples
     )
-    out.append(check("octonion.alternative", alt_ok, provenance="TRIVIAL"))
+    yield check("octonion.alternative", alt_ok, provenance="TRIVIAL")
     c = octonions.volume_identity_constant()
-    out.append(check("octonion.volume-constant", bool(c), str(c), "nonzero", "DERIVED"))
-    out.append(check("octonion.g2-dimension", len(octonions.g2_basis()) == 14, len(octonions.g2_basis()), 14))
-    return out
+    yield check("octonion.volume-constant", bool(c), str(c), "nonzero", "DERIVED")
+    yield equal("octonion.g2-dimension", len(octonions.g2_basis()), 14)
 
 
-def run_orbits():
-    out = []
+def run_orbits(args):
     tags = {
         "h0": (octonions.model_h0, octonions.OrbitType.NON_DEGENERATE, 6, 8),
         "h1": (octonions.model_h1, octonions.OrbitType.DEGENERATE_RANK_ONE, 7, 7),
@@ -103,151 +103,131 @@ def run_orbits():
     }
     for name, (builder, tag, stab, orbit) in tags.items():
         w = builder()
-        out.append(check(f"orbits.{name}.subalgebra", octonions.is_subalgebra(w), True, True))
-        kind = octonions.classify(w)
-        out.append(check(f"orbits.{name}.type", kind is tag, kind.value, tag.value))
+        yield equal(f"orbits.{name}.subalgebra", octonions.is_subalgebra(w), True)
+        yield equal(f"orbits.{name}.type", octonions.classify(w).value, tag.value)
         d = octonions.g2_stabilizer_dim(w)
-        out.append(check(f"orbits.{name}.stabilizer", d == stab, d, stab))
-        out.append(check(f"orbits.{name}.orbit-dim", 14 - d == orbit, 14 - d, orbit))
+        yield equal(f"orbits.{name}.stabilizer", d, stab)
+        yield equal(f"orbits.{name}.orbit-dim", 14 - d, orbit)
     x = octonions.E[1] + octonions.E[2].scale(octonions.I)
     y = octonions.E[6] + octonions.E[7].scale(octonions.I)
     n = octonions.Subspace([x, y])
-    out.append(check("orbits.null-plane", octonions.null_plane_test(n), True, True))
-    out.append(check("orbits.h2-in-X2'", octonions.stratum_membership(octonions.model_h2(), x, "X2'"), True, True))
-    out.append(check("orbits.h1-in-X2", octonions.stratum_membership(octonions.model_h1(), n, "X2"), True, True))
-    return out
+    yield equal("orbits.null-plane", octonions.null_plane_test(n), True)
+    yield equal("orbits.h2-in-X2'", octonions.stratum_membership(octonions.model_h2(), x, "X2'"), True)
+    yield equal("orbits.h1-in-X2", octonions.stratum_membership(octonions.model_h1(), n, "X2"), True)
 
 
-def run_fixed_points():
+def run_fixed_points(args):
     pts = cayley.enumerate_fixed_points()
-    out = [check("fixed-points.count", len(pts) == 15, len(pts), 15)]
+    yield equal("fixed-points.count", len(pts), 15)
     ok = all(frozenset(p.triple) == cayley.reference_points()[p.label][0] for p in pts)
-    out.append(check("fixed-points.triples", ok, "15 triples", "15 triples"))
-    return out
+    yield check("fixed-points.triples", ok, "15 triples", "15 triples")
 
 
-def run_tangents():
-    out = []
+def run_tangents(args):
     diffs = cayley.tangent_discrepancies()
-    matched = 15 - len(diffs)
-    out.append(check("tangents.matching-rows", matched == 14, matched, 14))
+    yield equal("tangents.matching-rows", 15 - len(diffs), 14)
     if set(diffs) == {"5"}:
         got, ref = diffs["5"]
-        out.append(
-            discrepancy(
-                "tangents.row-5",
-                sorted(str(w) for w in got.elements()),
-                sorted(str(w) for w in ref.elements()),
-                "printed row duplicates row 0; the symmetric image of row 0 under a->b->g->a is forced",
-            )
+        yield discrepancy(
+            "tangents.row-5",
+            sorted(str(w) for w in got.elements()),
+            sorted(str(w) for w in ref.elements()),
+            "printed row duplicates row 0; the symmetric image of row 0 under a->b->g->a is forced",
         )
     else:
-        out.append(check("tangents.row-5", False, sorted(diffs), ["5"]))
+        yield check("tangents.row-5", False, sorted(diffs), ["5"])
     row0 = cayley.tangent_weights(cayley.point_by_label("0"))
     expected5 = Counter({w.under((BETA, GAMMA)): m for w, m in row0.items()})  # a -> b -> g -> a
     ok = cayley.tangent_weights(cayley.point_by_label("5")) == expected5
-    out.append(check("tangents.row-5-symmetry", ok, provenance="DERIVED"))
-    return out
+    yield check("tangents.row-5-symmetry", ok, provenance="DERIVED")
 
 
-def run_betti(chamber):
-    out = []
+def run_betti(args):
+    chamber = args.chamber
     profile = cayley.betti_profile(chamber)
-    out.append(check("betti.profile", profile == [1, 1, 2, 2, 3, 2, 2, 1, 1], profile, [1, 1, 2, 2, 3, 2, 2, 1, 1]))
+    yield equal("betti.profile", profile, [1, 1, 2, 2, 3, 2, 2, 1, 1])
     if tuple(chamber) == CHAMBER:
         # the printed label's number is the paper's codimension
         ok = all(cayley.codim_of_point(p, chamber) == int(p.label.rstrip("'")) for p in cayley.enumerate_fixed_points())
-        out.append(check("betti.codim-equals-label", ok, provenance="DERIVED"))
-    out.append(check("betti.total", sum(profile) == 15, sum(profile), 15, "TRIVIAL"))
-    return out
+        yield check("betti.codim-equals-label", ok, provenance="DERIVED")
+    yield equal("betti.total", sum(profile), 15, "TRIVIAL")
 
 
-def run_gkm():
-    g = cayley.gkm_edges()
-    out = [check("gkm.connected", g.is_connected(), True, True, "DERIVED")]
+def run_gkm(args):
+    edges = cayley.gkm_edges()
+    # gkm_edges checks that the graph is connected before it returns the edges
+    yield check("gkm.connected", True, True, True, "DERIVED")
     roots = cayley.SHORT_AND_LONG_ROOTS
-    out.append(check("gkm.edge-directions", all(e.primitive() in roots for e in g.edges), provenance="DERIVED"))
+    yield check("gkm.edge-directions", all(e.primitive() in roots for e in edges), provenance="DERIVED")
     dual = cayley.point_permutation((-ALPHA, -BETA))
     central = {"0": "8", "1": "7", "2": "6", "2'": "6'", "3": "5", "3'": "5'", "4": "4", "4'": "4'", "4''": "4''"}
     ok = all(dual[a] == b and dual[b] == a for a, b in central.items())
-    out.append(check("gkm.central-symmetry", ok, {k: dual[k] for k in sorted(dual)}, central))
+    yield check("gkm.central-symmetry", ok, {k: dual[k] for k in sorted(dual)}, central)
     sym = all(
-        {frozenset((m[a], m[b])) for a, b in (tuple(e.labels) for e in g.edges)} == {e.labels for e in g.edges}
+        {frozenset((m[a], m[b])) for a, b in (tuple(e.labels) for e in edges)} == {e.labels for e in edges}
         for m in map(cayley.point_permutation, WEYL_GROUP)
     )
-    out.append(check("gkm.s3-invariance", sym, provenance="DERIVED"))
-    return out
+    yield check("gkm.s3-invariance", sym, provenance="DERIVED")
 
 
-def run_classes():
+def run_classes(args):
     # solve_all_classes checks every edge congruence on every class it returns
     classes = equivariant.solve_all_classes()
-    out = [check("classes.gkm-divisibility", True, "all 15 classes", "all 15 classes")]
+    yield check("classes.gkm-divisibility", True, "all 15 classes", "all 15 classes")
     labels = {p.label for p in cayley.enumerate_fixed_points()}
     _, fig1 = form_table("gkm_sigma1", labels)
     ok1 = all(classes["1"][lab] == form.scale(-1) for lab, form in fig1.items())
-    out.append(
-        check(
-            "classes.sigma1-figure",
-            ok1,
-            "matches with one global sign",
-            "figure values",
-            note="the text normalization gives the negatives of the printed odd-codimension values",
-        )
+    yield check(
+        "classes.sigma1-figure",
+        ok1,
+        "matches with one global sign",
+        "figure values",
+        note="the text normalization gives the negatives of the printed odd-codimension values",
     )
     fig2, forms2 = form_table("gkm_sigma2", labels)
     mismatch = [lab for lab, form in forms2.items() if classes["2"][lab] != form]
     matched = f"{len(fig2) - len(mismatch)} of {len(fig2)} match"
-    out.append(check("classes.sigma2-figure", mismatch == ["4'"], matched, "15 rows"))
+    yield check("classes.sigma2-figure", mismatch == ["4'"], matched, "15 rows")
     if mismatch == ["4'"]:
-        out.append(
-            discrepancy(
-                "classes.sigma2-at-4'",
-                repr(classes["2"]["4'"]),
-                fig2["4'"],
-                "printed value copies the vertex-6 entry and violates the edge congruences at 4'",
-            )
+        yield discrepancy(
+            "classes.sigma2-at-4'",
+            repr(classes["2"]["4'"]),
+            fig2["4'"],
+            "printed value copies the vertex-6 entry and violates the edge congruences at 4'",
         )
-    out.append(
-        check(
-            "classes.sigma2-at-8",
-            classes["2"]["8"] == parse_form("4g(g-b)"),
-            repr(classes["2"]["8"]),
-            "4g(g-b)",
-        )
+    yield check(
+        "classes.sigma2-at-8",
+        classes["2"]["8"] == parse_form("4g(g-b)"),
+        repr(classes["2"]["8"]),
+        "4g(g-b)",
     )
-    return out
 
 
-def run_monk():
+def run_monk(args):
     monk = equivariant.monk_matrix()
     fig = {lab: int_table("bruhat_monk", row, f"monk[{lab!r}]") for lab, row in fixture_object("bruhat_monk", "monk").items()}
-    out = [check("monk.matrix", monk == fig, monk, fig)]
-    out.append(check("monk.sigma2", monk["2"] == {"3": 1, "3'": 3}, monk["2"], {"3": 1, "3'": 3}))
-    out.append(check("monk.sigma2'", monk["2'"] == {"3": 2, "3'": 2}, monk["2'"], {"3": 2, "3'": 2}))
+    yield equal("monk.matrix", monk, fig)
+    yield equal("monk.sigma2", monk["2"], {"3": 1, "3'": 3})
+    yield equal("monk.sigma2'", monk["2'"], {"3": 2, "3'": 2})
     degs = equivariant.degrees()
     additive = all(
         degs[lab] == sum(c * degs[t] for t, c in row.items()) for lab, row in monk.items() if row
     )
-    out.append(check("monk.degree-additivity", additive, provenance="DERIVED"))
-    return out
+    yield check("monk.degree-additivity", additive, provenance="DERIVED")
 
 
-def run_degrees():
+def run_degrees(args):
     degs = equivariant.degrees()
-    fig = int_table("degrees", fixture_object("degrees", "degrees"), "degrees")
-    out = [check("degrees.table", degs == fig, degs, fig)]
-    out.append(check("degrees.variety", degs["0"] == 182, degs["0"], 182))
+    yield equal("degrees.table", degs, int_table("degrees", fixture_object("degrees", "degrees"), "degrees"))
+    yield equal("degrees.variety", degs["0"], 182)
     s = sum(degs[lab] ** 2 for lab in equivariant.labels_by_codim()[cayley.DIMENSION // 2])
-    out.append(check("degrees.sum-of-squares", s == 182, s, 182))
-    return out
+    yield equal("degrees.sum-of-squares", s, 182)
 
 
-def run_mult():
+def run_mult(args):
     table = equivariant.multiplication_table()
     rows = fixture_entry("mult_table", "rows", lambda entry: isinstance(entry, list), "a list")
     labels = [p.label for p in cayley.enumerate_fixed_points()]
-    out = []
     duplicates = []
     failures = []
     plain = [(row.get("left"), row.get("right"), row.get("result")) for row in rows if isinstance(row, dict) and "duplicate_of" not in row]
@@ -270,38 +250,30 @@ def run_mult():
             duplicates.append((key, printed, computed, verbatim))
         else:
             failures.append((key, printed, computed))
-    out.append(check("mult.unambiguous-rows", not failures, failures or "all match", "all match"))
+    yield check("mult.unambiguous-rows", not failures, failures or "all match", "all match")
     for key, printed, computed, verbatim in duplicates:
-        out.append(
-            documented(
-                f"mult.duplicate-row.{key[0]}*{key[1]}",
-                computed,
-                printed,
-                verbatim,
-                "printed line duplicates another row verbatim; the resolved product differs",
-            )
+        yield documented(
+            f"mult.duplicate-row.{key[0]}*{key[1]}",
+            computed,
+            printed,
+            verbatim,
+            "printed line duplicates another row verbatim; the resolved product differs",
         )
     sym_ok = all(c >= 0 for v in table.values() for _, c in v.items())
-    out.append(check("mult.non-negative", sym_ok, provenance="DERIVED"))
-    return out
+    yield check("mult.non-negative", sym_ok, provenance="DERIVED")
 
 
-def run_ring():
+def run_ring(args):
     rep = equivariant.verify_ring_presentation()
-    out = [check("ring.generator", rep["generator"] == "2", rep["generator"], "2")]
+    yield equal("ring.generator", rep["generator"], "2")
     rel = rep["relations"]["2"]
-    out.append(check("ring.relation-degree-5", rel["rel1"].is_zero(), repr(rel["rel1"]), "0"))
-    out.append(check("ring.relation-degree-6", rel["rel2"].is_zero(), repr(rel["rel2"]), "0"))
-    ranks_ok = all(r["rank"] == r["betti"] for r in rep["ranks"].values())
-    out.append(
-        check(
-            "ring.monomial-ranks",
-            ranks_ok,
-            {k: r["rank"] for k, r in rep["ranks"].items()},
-            {k: r["betti"] for k, r in rep["ranks"].items()},
-        )
+    yield check("ring.relation-degree-5", rel["rel1"].is_zero(), repr(rel["rel1"]), "0")
+    yield check("ring.relation-degree-6", rel["rel2"].is_zero(), repr(rel["rel2"]), "0")
+    yield equal(
+        "ring.monomial-ranks",
+        {k: r["rank"] for k, r in rep["ranks"].items()},
+        {k: r["betti"] for k, r in rep["ranks"].items()},
     )
-    return out
 
 
 def _printed_restriction():
@@ -322,10 +294,9 @@ def _printed_restriction():
     return table
 
 
-def run_restriction():
+def run_restriction(args):
     printed = _printed_restriction()
     table = ambient.restriction_table()
-    out = []
     mismatch = {}
     for name, coeffs in printed.items():
         lam = ambient.parse_partition(name)
@@ -333,15 +304,13 @@ def run_restriction():
         if table[lam] != want:
             mismatch[name] = (want, table[lam])
     ok = set(mismatch) == {"2", "11"}
-    out.append(check("restriction.table", ok, f"{len(printed) - len(mismatch)} of {len(printed)} entries match", "all but the swapped pair"))
+    yield check("restriction.table", ok, f"{len(printed) - len(mismatch)} of {len(printed)} entries match", "all but the swapped pair")
     if ok:
-        out.append(
-            discrepancy(
-                "restriction.level-2-swap",
-                {"2": table[(2,)], "11": table[(1, 1)]},
-                {"2": printed["2"], "11": printed["11"]},
-                "printed images of the two codimension-2 classes are interchanged; the ring-homomorphism property forces the computed assignment",
-            )
+        yield discrepancy(
+            "restriction.level-2-swap",
+            {"2": table[(2,)], "11": table[(1, 1)]},
+            {"2": printed["2"], "11": printed["11"]},
+            "printed images of the two codimension-2 classes are interchanged; the ring-homomorphism property forces the computed assignment",
         )
     # homomorphism spot checks
     t = equivariant.basis_vector
@@ -350,21 +319,18 @@ def run_restriction():
     for nu, c in lhs_up.items():
         lhs = lhs + table[nu].scale(c)
     rhs = equivariant.schubert_product(table[(1, 1)], table[(1, 1)])
-    out.append(check("restriction.homomorphism", lhs == rhs, lhs, rhs, "DERIVED"))
-    return out
+    yield equal("restriction.homomorphism", lhs, rhs, "DERIVED")
 
 
-def run_index():
+def run_index(args):
     profile = ambient.image_index_profile()
-    total = ambient.image_index()
-    out = [check("index.total", total == 16, total, 16)]
-    out.append(check("index.codim-1", profile[1] == 1, profile[1], 1))
-    out.append(check("index.codim-0", profile[0] == 1, profile[0], 1, "TRIVIAL"))
-    out.append(check("index.profile", True, profile, None, "DERIVED", "per-codimension cokernel orders"))
-    return out
+    yield equal("index.total", ambient.image_index(), 16)
+    yield equal("index.codim-1", profile[1], 1)
+    yield equal("index.codim-0", profile[0], 1, "TRIVIAL")
+    yield check("index.profile", True, profile, None, "DERIVED", "per-codimension cokernel orders")
 
 
-def run_chern():
+def run_chern(args):
     chern = invariants.chern_classes()
     printed = fixture_object("chern", "classes")
     pairs = ambient.tangent_chern_pairings()
@@ -375,26 +341,22 @@ def run_chern():
         terms = dict(row.items())
         return terms.keys() <= degs.keys() and pairs[k]["h"] == sum(c * degs[lab] for lab, c in terms.items())
 
-    out = []
     for k in range(1, 9):
         want = equivariant.SchubertVector(int_table("chern", printed.get(str(k)), f"classes[{str(k)!r}]"))
         got = chern[k]
-        out.append(
-            documented(
-                f"chern.c{k}",
-                got,
-                want,
-                k in (5, 6) and meets_ambient(k, got) and not meets_ambient(k, want),
-                "printed row contradicts the printed dual-degree polynomial; computed row confirmed by ambient intersection numbers",
-            )
+        yield documented(
+            f"chern.c{k}",
+            got,
+            want,
+            k in (5, 6) and meets_ambient(k, got) and not meets_ambient(k, want),
+            "printed row contradicts the printed dual-degree polynomial; computed row confirmed by ambient intersection numbers",
         )
-    out.append(check("chern.euler", chern[8]["8"] == 15, chern[8]["8"], 15))
+    yield equal("chern.euler", chern[8]["8"], 15)
     cross = all(meets_ambient(k, chern[k]) for k in range(1, 9))
-    out.append(check("chern.ambient-cross-check", cross, provenance="DERIVED"))
-    return out
+    yield check("chern.ambient-cross-check", cross, provenance="DERIVED")
 
 
-def run_dual():
+def run_dual(args):
     coeffs, dprime, value = invariants.dual_degree()
     printed = fixture_entry(
         "dual_polynomial",
@@ -403,75 +365,65 @@ def run_dual():
         "a list of 9 integers",
     )
     printed_derivative = fixture_entry("dual_polynomial", "derivative_at_one", lambda d: type(d) is int, "an integer")
-    out = []
     matching = [i for i in range(9) if coeffs[i] == printed[i]]
-    out.append(check("dual.matching-coefficients", matching == [0, 1, 2, 3, 4, 5, 6, 8], f"{len(matching)} of 9", "8 of 9"))
+    yield check("dual.matching-coefficients", matching == [0, 1, 2, 3, 4, 5, 6, 8], f"{len(matching)} of 9", "8 of 9")
     by_codim = equivariant.labels_by_codim()
     (open_cell,), (hyperplane,) = by_codim[0], by_codim[1]
     first_chern = invariants.chern_classes()[1][hyperplane]
-    out.append(
-        documented(
-            "dual.q8-coefficient",
-            coeffs[7],
-            printed[7],
-            coeffs[7] == -first_chern * equivariant.degrees()[open_cell],
-            "q^8 coefficient equals minus (first Chern coefficient) x (degree) = -728; the printed -738 is not attainable",
-        )
+    yield documented(
+        "dual.q8-coefficient",
+        coeffs[7],
+        printed[7],
+        coeffs[7] == -first_chern * equivariant.degrees()[open_cell],
+        "q^8 coefficient equals minus (first Chern coefficient) x (degree) = -728; the printed -738 is not attainable",
     )
-    out.append(
-        documented(
-            "dual.derivative",
-            dprime,
-            printed_derivative,
-            printed_derivative == abs(sum((i + 1) * c for i, c in enumerate(printed))),
-            "printed 17 is the absolute derivative of the misprinted polynomial; the corrected polynomial gives 63",
-        )
+    yield documented(
+        "dual.derivative",
+        dprime,
+        printed_derivative,
+        printed_derivative == abs(sum((i + 1) * c for i, c in enumerate(printed))),
+        "printed 17 is the absolute derivative of the misprinted polynomial; the corrected polynomial gives 63",
     )
-    out.append(check("dual.top-coefficient", coeffs[8] == 182, coeffs[8], 182))
-    out.append(check("dual.nonzero-derivative", dprime != 0, dprime, "nonzero"))
-    out.append(check("dual.value-at-one", value == 9, value, 9, "DERIVED"))
-    return out
+    yield equal("dual.top-coefficient", coeffs[8], 182)
+    yield check("dual.nonzero-derivative", dprime != 0, dprime, "nonzero")
+    yield equal("dual.value-at-one", value, 9, "DERIVED")
 
 
-def run_hilbert(kmax):
+def run_hilbert(args):
     p = invariants.hilbert_polynomial()
-    out = []
-    agree = all(invariants.closed_form_value(k) == invariants.hilbert_value(k) for k in range(kmax + 1))
-    out.append(check("hilbert.koszul-vs-closed-form", agree, f"k = 0..{kmax}", "equal"))
-    out.append(check("hilbert.P1", p[1] == 28, p[1], 28))
-    out.append(check("hilbert.P2", p[2] == 287, p[2], 287, "DERIVED"))
-    out.append(check("hilbert.quadrics", invariants.quadric_count() == 119, invariants.quadric_count(), 119))
-    lead = invariants.leading_degree(p)
-    out.append(check("hilbert.leading-degree", lead == 182, lead, 182))
-    return out
+    agree = all(invariants.closed_form_value(k) == invariants.hilbert_value(k) for k in range(args.kmax + 1))
+    yield check("hilbert.koszul-vs-closed-form", agree, f"k = 0..{args.kmax}", "equal")
+    yield equal("hilbert.P1", p[1], 28)
+    yield equal("hilbert.P2", p[2], 287, "DERIVED")
+    yield equal("hilbert.quadrics", invariants.quadric_count(), 119)
+    yield equal("hilbert.leading-degree", invariants.leading_degree(p), 182)
 
 
-def run_series(kmax):
-    kmax = max(kmax, 1)  # series.k1 reads the row k = 1
+def run_series(args):
+    kmax = max(args.kmax, 1)  # series.k1 reads the row k = 1
     rows = invariants.equivariant_series_check(kmax)
-    out = [check("series.identity", True, f"k = 0..{kmax}", "holds")]
-    out.append(check("series.k1", rows[1][1] == 28, rows[1][1], 28))
-    return out
+    yield check("series.identity", True, f"k = 0..{kmax}", "holds")
+    yield equal("series.k1", rows[1][1], 28)
 
 
 TOPICS = {
-    "octonion": lambda args: run_octonion(),
-    "orbits": lambda args: run_orbits(),
-    "fixed-points": lambda args: run_fixed_points(),
-    "tangents": lambda args: run_tangents(),
-    "betti": lambda args: run_betti(args.chamber),
-    "gkm": lambda args: run_gkm(),
-    "classes": lambda args: run_classes(),
-    "monk": lambda args: run_monk(),
-    "degrees": lambda args: run_degrees(),
-    "mult": lambda args: run_mult(),
-    "ring": lambda args: run_ring(),
-    "restriction": lambda args: run_restriction(),
-    "index": lambda args: run_index(),
-    "chern": lambda args: run_chern(),
-    "dual": lambda args: run_dual(),
-    "hilbert": lambda args: run_hilbert(args.kmax),
-    "series": lambda args: run_series(args.kmax),
+    "octonion": run_octonion,
+    "orbits": run_orbits,
+    "fixed-points": run_fixed_points,
+    "tangents": run_tangents,
+    "betti": run_betti,
+    "gkm": run_gkm,
+    "classes": run_classes,
+    "monk": run_monk,
+    "degrees": run_degrees,
+    "mult": run_mult,
+    "ring": run_ring,
+    "restriction": run_restriction,
+    "index": run_index,
+    "chern": run_chern,
+    "dual": run_dual,
+    "hilbert": run_hilbert,
+    "series": run_series,
 }
 
 
@@ -492,23 +444,30 @@ def _jsonable(x):
     return x
 
 
+def _json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def render(results, fmt, chamber):
     if fmt == "json":
-        doc = {
-            "version": REPORT_VERSION,
-            "chamber": list(chamber),
-            "results": [
-                {k: _jsonable(v) for k, v in r._asdict().items()} for r in results
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _json(
+            {
+                "version": REPORT_VERSION,
+                "chamber": list(chamber),
+                "results": [{k: _jsonable(v) for k, v in r._asdict().items()} for r in results],
+            }
+        )
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["id", "status", "computed", "expected", "provenance", "note"])
+        rows = [["id", "status", "computed", "expected", "provenance", "note"]]
         for r in results:
-            writer.writerow([r.id, r.status, _jsonable(r.computed), _jsonable(r.expected), r.provenance, r.note])
-        return buf.getvalue()
+            rows.append([r.id, r.status, _jsonable(r.computed), _jsonable(r.expected), r.provenance, r.note])
+        return _csv(rows)
     lines = []
     for r in results:
         tag = {PASS: "ok", FAIL: "FAIL", DISCREPANCY: "paper-discrepancy"}[r.status]
@@ -526,71 +485,67 @@ def render(results, fmt, chamber):
 
 
 # ---------------------------------------------------------------------------
-# dumps
+# dumps: each takes the parsed arguments and returns the text to write
 # ---------------------------------------------------------------------------
 
 
-def dump_classes():
+def dump_classes(args):
     classes = equivariant.solve_all_classes()
-    doc = {
-        lab: {"codim": cayley.point_by_label(lab).codim, "values": {q: form.to_json() for q, form in cls.items()}}
-        for lab, cls in classes.items()
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json(
+        {
+            lab: {"codim": cayley.point_by_label(lab).codim, "values": {q: form.to_json() for q, form in cls.items()}}
+            for lab, cls in classes.items()
+        }
+    )
 
 
-def dump_fixed_points():
-    rows = []
-    for p in cayley.enumerate_fixed_points():
-        rows.append(
+def dump_fixed_points(args):
+    return _json(
+        [
             {
                 "label": p.label,
                 "codim": p.codim,
                 "triple": [str(w) for w in p.triple_weights],
                 "tangent": sorted(str(w) for w in cayley.tangent_weight_list(p)),
             }
-        )
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+            for p in cayley.enumerate_fixed_points()
+        ]
+    )
 
 
-def dump_restriction():
+def dump_restriction(args):
     table = ambient.restriction_table()
     labels = [p.label for p in cayley.enumerate_fixed_points()]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["partition"] + labels)
+    rows = [["partition"] + labels]
     for lam in sorted(table, key=lambda l: (sum(l), l)):
-        writer.writerow([ambient.partition_name(lam)] + [table[lam][lab] for lab in labels])
-    return buf.getvalue()
+        rows.append([ambient.partition_name(lam)] + [table[lam][lab] for lab in labels])
+    return _csv(rows)
 
 
-def dump_hilbert(kmax):
+def dump_hilbert(args):
     invariants.hilbert_polynomial()  # certifies the closed form
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["k", "P(k)"])
-    for k in range(kmax + 1):
-        writer.writerow([k, int(invariants.closed_form_value(k))])
-    return buf.getvalue()
+    rows = [["k", "P(k)"]]
+    for k in range(args.kmax + 1):
+        rows.append([k, int(invariants.closed_form_value(k))])
+    return _csv(rows)
 
 
-def dump_degrees():
-    return json.dumps(equivariant.degrees(), indent=2, sort_keys=True) + "\n"
+def dump_degrees(args):
+    return _json(equivariant.degrees())
 
 
-def dump_mult():
+def dump_mult(args):
     table = equivariant.multiplication_table()
-    doc = {f"{a}*{b}": dict(v.items()) for (a, b), v in sorted(table.items())}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json({f"{a}*{b}": dict(v.items()) for (a, b), v in sorted(table.items())})
 
 
 DUMPS = {
-    "classes": lambda args: dump_classes(),
-    "fixed-points": lambda args: dump_fixed_points(),
-    "restriction": lambda args: dump_restriction(),
-    "hilbert": lambda args: dump_hilbert(args.kmax),
-    "degrees": lambda args: dump_degrees(),
-    "mult": lambda args: dump_mult(),
+    "classes": dump_classes,
+    "fixed-points": dump_fixed_points,
+    "restriction": dump_restriction,
+    "hilbert": dump_hilbert,
+    "degrees": dump_degrees,
+    "mult": dump_mult,
 }
 
 
@@ -646,9 +601,9 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _run(args)
+        # parsing --chamber reads the fixed points, so a fixture error can come from the parser
+        return _run(parser.parse_args(argv))
     except (FixtureError, OutputError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
@@ -656,18 +611,12 @@ def main(argv=None):
 
 def _run(args):
     if args.command == "verify":
-        if args.topic == "all":
-            results = []
-            for name in sorted(TOPICS):
-                results.extend(TOPICS[name](args))
-        else:
-            results = TOPICS[args.topic](args)
-        text = render(results, args.format, args.chamber)
-        _emit(text, args.out)
+        topics = sorted(TOPICS) if args.topic == "all" else [args.topic]
+        results = [r for name in topics for r in TOPICS[name](args)]
+        _emit(render(results, args.format, args.chamber), args.out)
         return 1 if any(r.status == FAIL for r in results) else 0
     if args.command == "dump":
-        text = DUMPS[args.what](args)
-        _emit(text, args.out)
+        _emit(DUMPS[args.what](args), args.out)
         return 0
     return 2
 

@@ -113,7 +113,7 @@ def point_class():
 
 def check_gkm_divisibility(cls) -> None:
     """All edge congruences: value differences divisible by the direction."""
-    for e in gkm_edges().edges:
+    for e in gkm_edges():
         a, b = tuple(e.labels)
         diff = cls[a] - cls[b]
         if diff.is_zero():
@@ -331,8 +331,8 @@ def ab_integrate(values) -> Fraction:
 def expand_in_basis(values):
     """Expansion of a vertex map over the localized basis, with form coefficients.
 
-    Returns {label: form of degree (deg - codim)}; exactness of every
-    division is asserted, so membership in the span is verified.
+    Returns {label: form of degree (deg - codim)}; a division that is not
+    exact raises ArithmeticError, so membership in the span is verified.
     """
     deg = _degree(values)
     classes = solve_all_classes()
@@ -501,11 +501,14 @@ def poincare_pairing():
 # ---------------------------------------------------------------------------
 
 
-def sigma1_power(n: int) -> SchubertVector:
-    out = basis_vector(_base_label())
-    for _ in range(n):
-        out = schubert_product(out, basis_vector(_hyperplane_label()))
-    return out
+@cache
+def sigma1_powers():
+    """The powers H^0, ..., H^8 of the hyperplane class, as a tuple of Schubert vectors."""
+    h = basis_vector(_hyperplane_label())
+    powers = [basis_vector(_base_label())]
+    for _ in range(DIMENSION):
+        powers.append(schubert_product(powers[-1], h))
+    return tuple(powers)
 
 
 def verify_ring_presentation():
@@ -515,37 +518,28 @@ def verify_ring_presentation():
     both relations vanish; returns a report dictionary.
     """
     report = {"generator": None, "relations": {}, "ranks": {}}
-    h = basis_vector(_hyperplane_label())
+    h = sigma1_powers()
     for cand in labels_by_codim()[2]:
         s = basis_vector(cand)
         s2 = schubert_product(s, s)
         s3 = schubert_product(s2, s)
-        h2 = sigma1_power(2)
-        h3 = sigma1_power(3)
-        h4 = sigma1_power(4)
-        h5 = sigma1_power(5)
-        rel1 = h5 - schubert_product(h3, s).scale(5) + schubert_product(h, s2).scale(6)
-        rel2 = s3.scale(16) - schubert_product(h2, s2).scale(27) + schubert_product(h4, s).scale(9)
-        ok = rel1.is_zero() and rel2.is_zero()
-        report["relations"][cand] = {"rel1": rel1, "rel2": rel2, "both_vanish": ok}
-        if ok and report["generator"] is None:
+        rel1 = h[5] - schubert_product(h[3], s).scale(5) + schubert_product(h[1], s2).scale(6)
+        rel2 = s3.scale(16) - schubert_product(h[2], s2).scale(27) + schubert_product(h[4], s).scale(9)
+        report["relations"][cand] = {"rel1": rel1, "rel2": rel2}
+        if report["generator"] is None and rel1.is_zero() and rel2.is_zero():
             report["generator"] = cand
     if report["generator"] is None:
         raise ArithmeticError("no codim-2 class satisfies both relations")
     gen = basis_vector(report["generator"])
+    gen_powers = [h[0]]
+    for _ in range(DIMENSION // 2):
+        gen_powers.append(schubert_product(gen_powers[-1], gen))
     by_codim = labels_by_codim()
-    betti = [len(by_codim[k]) for k in range(DIMENSION + 1)]
     for k in range(DIMENSION + 1):
-        vectors = []
-        for b in range(k // 2 + 1):
-            a = k - 2 * b
-            mono = sigma1_power(a)
-            for _ in range(b):
-                mono = schubert_product(mono, gen)
-            vectors.append([mono[lab] for lab in by_codim[k]])
-        rank = matrix_rank(vectors)
-        report["ranks"][k] = {"monomials": len(vectors), "rank": rank, "betti": betti[k]}
-        if rank != betti[k]:
-            raise ArithmeticError(f"monomial rank {rank} differs from Betti number {betti[k]} in codim {k}")
+        monomials = [schubert_product(h[k - 2 * b], gen_powers[b]) for b in range(k // 2 + 1)]
+        rank = matrix_rank([[mono[lab] for lab in by_codim[k]] for mono in monomials])
+        betti = len(by_codim[k])
+        report["ranks"][k] = {"rank": rank, "betti": betti}
+        if rank != betti:
+            raise ArithmeticError(f"monomial rank {rank} differs from Betti number {betti} in codim {k}")
     return report
-

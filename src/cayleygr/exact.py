@@ -12,6 +12,7 @@ values are immutable; every function is pure.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -386,18 +387,10 @@ def nullspace(rows, ncols):
     return _kernel_basis(work, _row_reduce(work, ncols), ncols)
 
 
-class LinearSolution:
-    """Outcome of an exact linear solve: unique, a family, or inconsistent."""
+class LinearSolution(namedtuple("LinearSolution", "status particular kernel", defaults=(None, ()))):
+    """Outcome of an exact linear solve: status "unique", "family" or "inconsistent"."""
 
-    __slots__ = ("status", "particular", "kernel")
-
-    def __init__(self, status, particular=None, kernel=None):
-        self.status = status  # "unique" | "family" | "inconsistent"
-        self.particular = particular
-        self.kernel = kernel or []
-
-    def __repr__(self):
-        return f"LinearSolution({self.status!r})"
+    __slots__ = ()
 
 
 def solve_rational(rows, rhs):

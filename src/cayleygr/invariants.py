@@ -13,7 +13,7 @@ from functools import cache
 from math import comb
 
 from .cayley import DIMENSION, enumerate_fixed_points
-from .equivariant import SchubertVector, degrees, labels_by_codim, solve_all_classes, top_expansion
+from .equivariant import SchubertVector, degrees, labels_by_codim, top_expansion
 from .exact import HomogPoly, poly_mul
 from .weightmodel import g2_irrep_dim, gl7_schur_dim
 
@@ -41,7 +41,6 @@ def chern_classes():
     k-th elementary symmetric polynomial, a genuine equivariant class
     whose top expansion gives the integral Schubert coordinates.
     """
-    solve_all_classes()
     points = enumerate_fixed_points()
     elementary = {p.label: elementary_symmetric(p.tangent) for p in points}
     out = {}
@@ -127,8 +126,8 @@ def hilbert_polynomial() -> dict:
 
     The counts equal the closed form at k = 0..10, more points than the 9
     that fix a polynomial of degree 8, so ``closed_form_value`` is the
-    Hilbert polynomial.  Also asserts that it is integer-valued on -10..10
-    and that its leading term gives the degree 182.
+    Hilbert polynomial.  Raises ArithmeticError unless it is also
+    integer-valued on -10..10 and its leading term gives the degree 182.
     """
     counts = {k: hilbert_value(k) for k in range(11)}
     for k, value in counts.items():

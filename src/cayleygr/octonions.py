@@ -24,7 +24,7 @@ from .exact import (
 
 # Oriented lines (i, j, k) with e_i e_j = e_k; covers each pair once.
 # Pinned by the product relations e3=e1e2, e5=e3e4, e6=e2e4, e7=-e1e4,
-# e5e6=e1, which the constructor below re-verifies.
+# e5e6=e1, which fano_table re-verifies.
 FANO_LINES = ((1, 2, 3), (2, 4, 6), (4, 1, 7), (3, 4, 5), (1, 5, 6), (2, 5, 7), (6, 3, 7))
 
 
@@ -96,57 +96,54 @@ E = tuple(Octonion.basis(i) for i in range(8))
 I = GI_I
 
 
-class FanoTable:
-    """Oriented Fano-plane multiplication table, validated on construction."""
+def fano_table(lines):
+    """The oriented Fano-plane multiplication table of the lines, validated.
 
-    def __init__(self, lines=FANO_LINES):
-        lines = tuple(tuple(line) for line in lines)
-        pairs = set()
-        for line in lines:
-            if len(set(line)) != 3 or not all(1 <= v <= 7 for v in line):
-                raise ValueError(f"bad line {line}")
-            for a, b in combinations(sorted(line), 2):
-                if (a, b) in pairs:
-                    raise ValueError(f"pair {(a, b)} covered twice")
-                pairs.add((a, b))
-        if len(pairs) != 21:
-            raise ValueError("the 7 lines must cover all 21 pairs")
-        self.lines = lines
-        table = [[None] * 8 for _ in range(8)]
-        for j in range(8):
-            table[0][j] = (j, 1)
-            table[j][0] = (j, 1)
-        for i in range(1, 8):
-            table[i][i] = (0, -1)
-        for line in lines:
-            for t in range(3):
-                i, j, k = line[t], line[(t + 1) % 3], line[(t + 2) % 3]
-                table[i][j] = (k, 1)
-                table[j][i] = (k, -1)
-        self.table = table
-        self._verify_quoted_relations()
-
-    def _verify_quoted_relations(self):
-        mul = lambda i, j: self.table[i][j]
-        checks = [
-            (mul(1, 2), (3, 1)),   # e3 = e1 e2
-            (mul(3, 4), (5, 1)),   # e5 = e3 e4
-            (mul(2, 4), (6, 1)),   # e6 = e2 e4
-            (mul(1, 4), (7, -1)),  # e7 = -e1 e4
-            (mul(5, 6), (1, 1)),   # e5 e6 = e1
-        ]
-        for got, want in checks:
-            if got != want:
-                raise ValueError(f"multiplication table violates a pinned relation: {got} != {want}")
+    ``table[i][j] = (k, s)`` means e_i e_j = s e_k.  Raises ValueError
+    unless the lines cover each of the 21 pairs once and the table meets
+    the pinned relations.
+    """
+    pairs = set()
+    for line in lines:
+        if len(set(line)) != 3 or not all(1 <= v <= 7 for v in line):
+            raise ValueError(f"bad line {line}")
+        for a, b in combinations(sorted(line), 2):
+            if (a, b) in pairs:
+                raise ValueError(f"pair {(a, b)} covered twice")
+            pairs.add((a, b))
+    if len(pairs) != 21:
+        raise ValueError("the 7 lines must cover all 21 pairs")
+    table = [[None] * 8 for _ in range(8)]
+    for j in range(8):
+        table[0][j] = (j, 1)
+        table[j][0] = (j, 1)
+    for i in range(1, 8):
+        table[i][i] = (0, -1)
+    for line in lines:
+        for t in range(3):
+            i, j, k = line[t], line[(t + 1) % 3], line[(t + 2) % 3]
+            table[i][j] = (k, 1)
+            table[j][i] = (k, -1)
+    pinned = {
+        (1, 2): (3, 1),   # e3 = e1 e2
+        (3, 4): (5, 1),   # e5 = e3 e4
+        (2, 4): (6, 1),   # e6 = e2 e4
+        (1, 4): (7, -1),  # e7 = -e1 e4
+        (5, 6): (1, 1),   # e5 e6 = e1
+    }
+    for (i, j), want in pinned.items():
+        if table[i][j] != want:
+            raise ValueError(f"multiplication table violates a pinned relation: {table[i][j]} != {want}")
+    return table
 
 
-_TABLE = FanoTable()
+_TABLE = fano_table(FANO_LINES)
 
 
 def multiply(x: Octonion, y: Octonion) -> Octonion:
     """Bilinear product for the oriented Fano table; e0 is the identity."""
     out = [GI_ZERO] * 8
-    table = _TABLE.table
+    table = _TABLE
     for i, a in enumerate(x.coeffs):
         if not a:
             continue
@@ -161,10 +158,7 @@ def multiply(x: Octonion, y: Octonion) -> Octonion:
 
 def norm(x: Octonion) -> GaussianRational:
     """q(x) = x * conj(x); multiplicative."""
-    total = GI_ZERO
-    for c in x.coeffs:
-        total = total + c * c
-    return total
+    return norm_bilinear(x, x)
 
 
 def norm_bilinear(x: Octonion, y: Octonion) -> GaussianRational:
@@ -181,29 +175,18 @@ def minor(x, y, z, cols):
     return x[i] * (y[j] * z[k] - y[k] * z[j]) - x[j] * (y[i] * z[k] - y[k] * z[i]) + x[k] * (y[i] * z[j] - y[j] * z[i])
 
 
-def three_form(x: Octonion, y: Octonion, z: Octonion) -> GaussianRational:
-    """The alternating form given by the sum over the seven oriented lines.
+@cache
+def three_form_table():
+    """Line-based form as a dict {(i<j<k): +-1} over the oriented lines."""
+    return {tuple(sorted(line)): _permutation_sign(line) for line in FANO_LINES}
 
-    A line whose determinant has a zero column (a coordinate that is zero
-    in all three arguments) contributes nothing and is skipped.
-    """
+
+def three_form(x: Octonion, y: Octonion, z: Octonion) -> GaussianRational:
+    """The alternating form Omega(x, y, z), the triple interior product of the table."""
     for v in (x, y, z):
         if not v.is_imaginary():
             raise ValueError("the three-form is defined on imaginary octonions")
-    xs, ys, zs = x.coeffs, y.coeffs, z.coeffs
-    total = GI_ZERO
-    for line in _TABLE.lines:
-        if all(xs[c] or ys[c] or zs[c] for c in line):
-            total = total + minor(xs, ys, zs, line)
-    return total
-
-
-def three_form_table():
-    """Line-based form as a dict {(i<j<k): +-1} over the oriented lines."""
-    acc = {}
-    for line in _TABLE.lines:
-        acc[tuple(sorted(line))] = _permutation_sign(line)
-    return acc
+    return _contract(z, _contract(y, _contract(x, three_form_table()))).get((), GI_ZERO)
 
 
 def im_product_via_form(x: Octonion, y: Octonion) -> Octonion:
@@ -215,7 +198,7 @@ def im_product_via_form(x: Octonion, y: Octonion) -> Octonion:
     for v in (x, y):
         if not v.is_imaginary():
             raise ValueError("inputs must be imaginary")
-    form = _contract(y, _contract(x, _omega_as_form()))
+    form = _contract(y, _contract(x, three_form_table()))
     return Octonion([GI_ZERO] + [form.get((k,), GI_ZERO) for k in range(1, 8)])
 
 
@@ -263,18 +246,15 @@ def _contract(x: Octonion, form):
     return {k: v for k, v in out.items() if v}
 
 
-def _omega_as_form():
-    return {k: _gi(v) for k, v in three_form_table().items()}
-
-
-def volume_identity_constant(samples=()):
+def volume_identity_constant():
     """The unique c with q(x) * Theta = c * i(x)Omega ^ i(x)Omega ^ Omega.
 
     Theta is the standard generator e1^...^e7.  The constant is solved on
-    the basis vectors and re-verified on a spanning set plus any extra
-    samples; an inconsistency means a broken multiplication table.
+    the basis vectors and re-verified on four sums of them, one with a
+    complex coefficient; an inconsistency means a broken multiplication
+    table.
     """
-    omega = _omega_as_form()
+    omega = three_form_table()
     top = tuple(range(1, 8))
 
     def rhs_coeff(x):
@@ -283,10 +263,12 @@ def volume_identity_constant(samples=()):
         return w.get(top, GI_ZERO)
 
     c = None
-    default = [E[i] for i in range(1, 8)]
-    default.append(E[1] + E[2])
-    default.append(E[1] + E[3] + E[5].scale(2))
-    for x in list(default) + list(samples):
+    samples = [E[i] for i in range(1, 8)]
+    samples.append(E[1] + E[2])
+    samples.append(E[1] + E[3] + E[5].scale(2))
+    samples.append(E[2] + E[6].scale(3))
+    samples.append(E[1] + E[2].scale(I) + E[3])
+    for x in samples:
         lhs = norm(x)
         r = rhs_coeff(x)
         if not lhs and not r:

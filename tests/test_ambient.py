@@ -250,7 +250,7 @@ def test_image_index():
 
 def test_ambient_chern_pairings_match_localization():
     # two fully independent routes to the same intersection numbers
-    from cayleygr.equivariant import degrees, integrate_vector, sigma1_power
+    from cayleygr.equivariant import degrees, integrate_vector, sigma1_powers
     from cayleygr.invariants import chern_classes
 
     pairs = tangent_chern_pairings()

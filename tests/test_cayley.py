@@ -127,15 +127,18 @@ def test_repelling_weights_at_extremes():
 
 
 def test_gkm_graph():
-    g = gkm_edges()
-    assert len(g.vertices) == 15
-    assert g.is_connected()
-    by_pair = {tuple(sorted(e.labels)): e for e in g.edges}
+    edges = gkm_edges()
+    # every point is reached from the open cell
+    seen = {"0"}
+    for _ in range(15):
+        seen |= {lab for e in edges if e.labels & seen for lab in e.labels}
+    assert seen == {p.label for p in enumerate_fixed_points()}
+    by_pair = {tuple(sorted(e.labels)): e for e in edges}
     e41 = by_pair[("1", "4")]
     assert e41.weight in (parse_weight("g-b"), parse_weight("b-g"))
     assert ("0", "8") not in by_pair
     roots = {parse_weight(n) for n in ("a", "-a", "b", "-b", "g", "-g", "a-b", "b-a", "a-g", "g-a", "b-g", "g-b")}
-    for e in g.edges:
+    for e in edges:
         assert e.primitive() in roots
         # the curve direction appears among the tangent weights at both ends
         for lab in e.labels:

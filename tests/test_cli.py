@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,13 @@ def test_verify_all_exit_code_and_discrepancies(capsys):
     ]
 
 
+def test_check_ids_are_unique(capsys):
+    code, out = run_cli(capsys, "verify", "all", "--format", "json")
+    assert code == 0
+    ids = Counter(r["id"] for r in json.loads(out)["results"])
+    assert [i for i, n in ids.items() if n > 1] == []
+
+
 def test_cli_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "cayleygr.cli", "verify", "fixed-points"],
@@ -243,6 +251,14 @@ _fixed_points_missing_row = _fixture_case(
 _fixed_points_renamed_label = _fixture_case(
     "fixed_points", "gkm", lambda text: text.replace("\"4''\"", "\"4'''\""), ["['label'] = \"4'''\"", "not a new point label"]
 )
+
+
+def _chamber_fixed_points_malformed(tmp_path):
+    # checking that the chamber is generic reads the fixed points while the arguments are parsed
+    fixtures, bad = _edited_fixtures(tmp_path, "fixed_points", lambda text: "{not json")
+    return fixtures, ["verify", "betti", "--chamber", "2,1"], [str(bad), "line 1 column 2"]
+
+
 _mult_row_not_object = _fixture_case(
     "mult_table", "mult", lambda text: text.replace('{"left": "2",  "right": "2",  "result": {"4": 1, "4\'": 2, "4\'\'": 2}}', "[1]"), ["rows[0] is not an object"]
 )
@@ -354,6 +370,7 @@ def test_parse_form_reads_printed_shape(case):
         _fixed_points_unknown_weight,
         _fixed_points_missing_row,
         _fixed_points_renamed_label,
+        _chamber_fixed_points_malformed,
     ],
     ids=[
         "missing-directory",
@@ -382,6 +399,7 @@ def test_parse_form_reads_printed_shape(case):
         "fixed-points-unknown-weight",
         "fixed-points-missing-row",
         "fixed-points-renamed-label",
+        "chamber-fixed-points-malformed",
     ],
 )
 def test_missing_fixtures_exit_2(tmp_path, capsys, monkeypatch, setup):
