@@ -22,12 +22,12 @@ the tangent Chern classes c(T) = c(U*)^7 / (c(U* (x) U) c(Lambda^3 U*))
 come from the tautological sequence as a table of binomial products
 divided by 16 units, these four and two for each pair of roots.
 
-The restriction table onto the 15-class Schubert basis is read off the
-fixed points: there tau_lam localizes to the Schur polynomial s_lam in
-the weights of the tautological 4-space (Giambelli), and the engine's
-expansion in the localized basis gives its coordinates.  The degree
-pairings and the hyperplane products are checks on that table: tau_1
-tau_lam by ``lr_multiply`` (Pieri) upstairs, by Monk downstairs.
+The restriction onto the 15-class Schubert basis is a ring map, fixed by
+the images of e_1..e_4 of U*: each is localized (the elementary symmetric
+forms of the tautological weights) and top-expanded, the images must
+kill h_4..h_8, and each box class is a dual Jacobi-Trudi determinant in
+them.  The degree pairings and the hyperplane products check the table:
+tau_1 tau_lam by ``lr_multiply`` (Pieri) upstairs, by Monk downstairs.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ from itertools import combinations, product
 from math import comb, prod
 
 from .cayley import DIMENSION, enumerate_fixed_points
-from .exact import HomogPoly, poly_mul, smith_normal_form
+from .exact import smith_normal_form
 from . import equivariant
 from .equivariant import SchubertVector, basis_vector, labels_by_codim
+from .invariants import elementary_symmetric
 from .weightmodel import BASIS_WEIGHTS
 
 BOX_ROWS = 4
@@ -288,46 +289,70 @@ def cg_pairing(a: SchubertVector, b: SchubertVector) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _localized_schur(point, shapes):
-    """{lam: s_lam of the tautological weights at a fixed point} for each shape.
+@cache
+def localized_generators():
+    """e_0..e_4 of U* as vertex maps: the elementary symmetric forms of the tautological weights."""
+    values = {p.label: elementary_symmetric([BASIS_WEIGHTS[i] for i in p.four_space]) for p in enumerate_fixed_points()}
+    return tuple({lab: e[k] for lab, e in values.items()} for k in range(BOX_ROWS + 1))
 
-    The branching rule of ``schur_poly`` on binary forms, adding one
-    weight at a time, so that each power of a weight is taken once.  The
-    shapes must include every shape contained in one of them.
+
+def generator_images():
+    """[rho(e_0), ..., rho(e_4)]: the fundamental class, then the top expansions of e_1..e_4."""
+    (base,) = labels_by_codim()[0]
+    return [basis_vector(base)] + [equivariant.top_expansion(e) for e in localized_generators()[1:]]
+
+
+def check_generator_relations(e):
+    """Raise ArithmeticError unless the images e of e_0..e_4 map h_4..h_8 to 0.
+
+    H*(G(4,7)) is Z[e_1..e_4] modulo h_4..h_7, where h_0 = 1 and h_k =
+    sum_{i=1..min(k,4)} (-1)^(i-1) e_i h_(k-i) is the row class tau_(k).
     """
-    values = {(): HomogPoly.constant(1)}
-    for nvars, i in enumerate(point.four_space, 1):
-        form = BASIS_WEIGHTS[i].poly()
-        powers = [HomogPoly.constant(1)]
-        for _ in range(BOX_COLS):
-            powers.append(poly_mul(powers[-1], form))
-        values = {
-            lam: sum(
-                (poly_mul(values[mu], powers[last]) for mu, last in _interlacing(lam, nvars)),
-                HomogPoly.zero(sum(lam)),
-            )
-            for lam in shapes
-            if len(lam) <= nvars
-        }
-    return values
+    h = [e[0]]
+    for k in range(1, DIMENSION + 1):
+        terms = (equivariant.schubert_product(e[i], h[k - i]).scale((-1) ** (i - 1)) for i in range(1, min(k, BOX_ROWS) + 1))
+        h.append(sum(terms, SchubertVector({})))
+    failures = [f"h{k} = {h[k]}" for k in range(BOX_COLS + 1, DIMENSION + 1) if not h[k].is_zero()]
+    if failures:
+        raise ArithmeticError("generator images fail the Grassmannian relations: " + "; ".join(failures))
+
+
+def dual_jacobi_trudi(lam, e):
+    """tau_lam = det(e_(lam'_i - i + j)), at most 3x3, in the images e of e_0..e_4, expanded by rows."""
+    cols = [c for c in (sum(row > j for row in lam) for j in range(BOX_COLS)) if c]
+
+    def det(rows):
+        if not rows:
+            return e[0]
+        minors = ((x, [r[:j] + r[j + 1:] for r in rows[1:]], (-1) ** j) for j, x in enumerate(rows[0]) if x is not None)
+        return sum((equivariant.schubert_product(x, det(m)).scale(sign) for x, m, sign in minors), SchubertVector({}))
+
+    return det([[e[c - i + j] if 0 <= c - i + j <= BOX_ROWS else None for j in range(len(cols))] for i, c in enumerate(cols)])
 
 
 @cache
 def restriction_table():
     """Restriction of every box class of size <= 8 to the Schubert basis.
 
-    At a fixed point q the Schubert class tau_lam localizes to the Schur
-    polynomial s_lam in the weights of the tautological 4-space of q
-    (Giambelli; Fulton, Young Tableaux, ch. 9).  The restriction of
-    tau_lam is therefore the top-degree part of the expansion of those
-    values in the localized basis; ``check_restriction`` then holds the
-    table to the degree pairings and to the hyperplane product.
+    Only e_1..e_4 of U*, which generate H*(G(4,7)), are localized and
+    top-expanded.  Once their images pass ``check_generator_relations``,
+    each tau_lam is its dual Jacobi-Trudi determinant in them, and
+    ``check_restriction`` holds the table to the degree pairings and the
+    hyperplane product.
     """
-    shapes = [lam for lam in box_partitions() if sum(lam) <= DIMENSION]
-    values = {p.label: _localized_schur(p, shapes) for p in enumerate_fixed_points()}
-    table = {lam: equivariant.top_expansion({lab: v[lam] for lab, v in values.items()}) for lam in shapes}
+    e = generator_images()
+    check_generator_relations(e)
+    table = {lam: dual_jacobi_trudi(lam, e) for lam in box_partitions() if sum(lam) <= DIMENSION}
     check_restriction(table)
     return table
+
+
+def tau11_square_routes(table):
+    """rho(tau_11^2) mapped through the table, and the top expansion of the localized (e_2)^2."""
+    upstairs = lr_multiply(basis_vector((1, 1)), basis_vector((1, 1)))
+    e2 = localized_generators()[2]
+    through_table = sum((table[nu].scale(c) for nu, c in upstairs.items()), SchubertVector({}))
+    return through_table, equivariant.top_expansion(equivariant.pointwise_product(e2, e2))
 
 
 def check_restriction(table):

@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -12,8 +13,11 @@ from cayleygr.ambient import (
     _packed_monomials,
     box_partitions,
     cg_class,
+    check_generator_relations,
     check_restriction,
     cg_pairing,
+    dual_jacobi_trudi,
+    generator_images,
     duality_pairing,
     image_index,
     image_index_profile,
@@ -26,9 +30,13 @@ from cayleygr.ambient import (
     tangent_chern_ambient,
     tangent_chern_pairings,
     tau1_power,
+    tau11_square_routes,
 )
-from cayleygr.equivariant import SchubertVector, basis_vector, schubert_product
+from cayleygr.cayley import enumerate_fixed_points
+from cayleygr.equivariant import SchubertVector, basis_vector, multiplication_table, schubert_product, top_expansion
+from cayleygr.exact import HomogPoly, poly_mul
 from cayleygr.fixtures import load_fixture
+from cayleygr.weightmodel import BASIS_WEIGHTS
 
 t = basis_vector
 
@@ -186,6 +194,81 @@ def test_restriction_table_against_reference():
     assert table[(2, 2, 2, 2)] == SchubertVector({"8": 1})
 
 
+@cache
+def _localized_restriction():
+    """The restriction table shape by shape, sharing no ring product with the library's.
+
+    At each fixed point the Schur polynomial s_lam is evaluated on the
+    weights of the tautological 4-space (Giambelli), and each localized
+    shape is top-expanded over the localized basis.
+    """
+    shapes = [lam for lam in box_partitions() if sum(lam) <= 8]
+    values = {lam: {} for lam in shapes}
+    for p in enumerate_fixed_points():
+        forms = [BASIS_WEIGHTS[i].poly() for i in p.four_space]
+        monomial = {(0, 0, 0, 0): HomogPoly.constant(1)}
+        for m in sorted({m for lam in shapes for m in schur_poly(lam)}, key=sum):
+            if m not in monomial:
+                i = next(i for i, e in enumerate(m) if e)
+                monomial[m] = poly_mul(monomial[m[:i] + (m[i] - 1,) + m[i + 1 :]], forms[i])
+        for lam in shapes:
+            terms = (monomial[m].scale(c) for m, c in schur_poly(lam).items())
+            values[lam][p.label] = sum(terms, HomogPoly.zero(sum(lam)))
+    return {lam: top_expansion(v) for lam, v in values.items()}
+
+
+def test_restriction_table_against_localized_shapes():
+    # the ring route (four generators, dual Jacobi-Trudi) against one
+    # top expansion per shape
+    reference = _localized_restriction()
+    assert len(reference) == 28
+    assert restriction_table() == reference
+
+
+def test_generator_images():
+    assert generator_images() == [t("0"), t("1"), t("2'"), t("3"), t("4")]
+
+
+def test_dual_jacobi_trudi_on_the_images():
+    e = generator_images()
+    assert dual_jacobi_trudi((), e) == e[0]
+    assert dual_jacobi_trudi((1, 1, 1), e) == e[3]
+    assert dual_jacobi_trudi((2,), e) == schubert_product(e[1], e[1]) - e[2]
+    assert dual_jacobi_trudi((2, 2), e) == schubert_product(e[2], e[2]) - schubert_product(e[1], e[3])
+
+
+@pytest.mark.parametrize(
+    "k, image, h4",
+    [(2, "2", "h4 = 4*s4 + 2*s4' + -2*s4''"), (4, "4'", "h4 = s4 + -1*s4'")],
+    ids=["e2-printed-swap", "e4-wrong"],
+)
+def test_generator_relations_reject_wrong_images(k, image, h4):
+    e = generator_images()
+    e[k] = t(image)
+    with pytest.raises(ArithmeticError) as err:
+        check_generator_relations(e)
+    assert h4 in str(err.value)
+
+
+def test_tau11_square_routes_agree():
+    through_table, by_localization = tau11_square_routes(restriction_table())
+    assert through_table == by_localization == t("4").scale(3) + t("4'").scale(3) + t("4''")
+
+
+def test_tau11_square_routes_see_a_wrong_ring_product(monkeypatch):
+    # a corrupted (2', 2') product reaches the table's side through the
+    # Jacobi-Trudi shapes, not the localized square; the table is built
+    # here without ``check_restriction``, which would raise first
+    monkeypatch.setitem(multiplication_table(), ("2'", "2'"), t("4").scale(3) + t("4'").scale(3))
+    e = generator_images()
+    table = {lam: dual_jacobi_trudi(lam, e) for lam in box_partitions() if sum(lam) <= 8}
+    through_table, by_localization = tau11_square_routes(table)
+    assert by_localization == t("4").scale(3) + t("4'").scale(3) + t("4''")
+    assert through_table != by_localization
+    with pytest.raises(ArithmeticError, match="t22 has degree"):
+        check_restriction(table)
+
+
 def test_restriction_checks_accept_the_computed_table():
     check_restriction(restriction_table())
 
@@ -215,7 +298,7 @@ def test_restriction_checks_reject_a_wrong_monk_image():
 
 
 def test_restriction_is_ring_homomorphism():
-    table = restriction_table()
+    table = _localized_restriction()
     parts = [p for p in box_partitions() if 1 <= sum(p) <= 4]
     for lam in parts:
         for mu in parts:
@@ -232,7 +315,7 @@ def test_restriction_is_ring_homomorphism():
 def test_level2_swap_is_forced_by_homomorphism():
     # restriction of tau_11^2 equals (image of tau_11)^2; only the computed
     # assignment (tau_11 -> s2') is consistent
-    table = restriction_table()
+    table = _localized_restriction()
     upstairs = lr_multiply(t((1, 1)), t((1, 1)))
     lhs = SchubertVector({})
     for nu, c in upstairs.items():
