@@ -7,33 +7,36 @@ box die (``box_class``).  A class is an ``equivariant.SchubertVector``
 keyed by box partitions, the type that carries the subvariety's classes
 keyed by fixed-point labels; its integral is its coefficient at ``TOP``.
 A Littlewood-Richardson product s_lam s_mu is read off the
-antisymmetrized monomials of s_mu, with no polynomial product; the test
-suite holds it to the polynomial product and to a tableau count.
-Integrals of products are Poincare-duality pairings of box complements.
+antisymmetrized monomials of the smaller factor, with no polynomial
+product; the test suite holds it to the polynomial product and to a
+tableau count.  Integrals of products pair box complements.
 
-Also computes the fundamental class of the three-form zero locus, the
+Also computes the fundamental class cg of the three-form zero locus, the
 image lattice index, and ambient-side pairings of the tangent Chern
-classes used to cross-check the localization route.  Series in the four
-roots are tables over packed monomials, and a linear unit 1 + L is
-multiplied in or divided out by one integer sweep.  The Chern roots of
-Lambda^3 U* give four such units, 1 + e1 - x_l, stated once: the zero
-locus class c_4(Lambda^3 U*) is the degree-4 piece of their product, and
-the tangent Chern classes c(T) = c(U*)^7 / (c(U* (x) U) c(Lambda^3 U*))
-come from the tautological sequence as a table of binomial products
-divided by 16 units, these four and two for each pair of roots.
+classes, off one cached table of cg tau_1^p, that cross-check the
+localization route.  Series in the four roots are tables over packed
+monomials, a linear unit 1 + L is multiplied in or divided out by one
+integer sweep, and Schur coordinates are read off the antisymmetrizer.
+The Chern roots of Lambda^3 U* give four such units, 1 + e1 - x_l,
+stated once: the zero locus class c_4(Lambda^3 U*) is the degree-4 piece
+of their product, and the tangent Chern classes c(T) = c(U*)^7 /
+(c(U* (x) U) c(Lambda^3 U*)) come from the tautological sequence as a
+table of binomial products divided by 16 units, these four and two for
+each pair of roots.
 
 The restriction onto the 15-class Schubert basis is a ring map, fixed by
 the images of e_1..e_4 of U*: each is localized (the elementary symmetric
-forms of the tautological weights) and top-expanded, the images must
-kill h_4..h_8, and each box class is a dual Jacobi-Trudi determinant in
-them.  The degree pairings and the hyperplane products check the table:
-tau_1 tau_lam by ``lr_multiply`` (Pieri) upstairs, by Monk downstairs.
+forms of the tautological weights) and paired with the dual classes, the
+images must kill h_4..h_8, and each box class is a dual Jacobi-Trudi
+determinant in them.  The degree pairings and the hyperplane products
+check the table: tau_1 tau_lam by ``lr_multiply`` (Pieri) upstairs, by
+Monk downstairs.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, prod
 
 from .cayley import DIMENSION, enumerate_fixed_points
@@ -47,6 +50,11 @@ BOX_ROWS = 4
 BOX_COLS = 3
 TOP = (3, 3, 3, 3)
 _DELTA = (3, 2, 1, 0)  # staircase of the antisymmetrizer in four variables
+# a_delta = sum_sigma sgn(sigma) x^(sigma delta), as (sigma delta, sgn sigma) pairs
+_ANTISYMMETRIZER = tuple(
+    (tuple(_DELTA[i] for i in p), (-1) ** sum(p[i] > p[j] for i, j in combinations(range(BOX_ROWS), 2)))
+    for p in permutations(range(BOX_ROWS))
+)
 
 
 def box_partitions(size=None):
@@ -159,25 +167,21 @@ def _interlacing(shape, nvars):
         yield tuple(p for p in mu if p), size - sum(mu)
 
 
-def schur_expand(p):
-    """Expansion of a symmetric polynomial in the Schur basis."""
-    work = dict(p)
-    out = {}
-    while work:
-        mono = max(work)
-        coeff = work[mono]
-        lam = tuple(x for x in mono if x)
-        if tuple(sorted(mono, reverse=True)) != mono:
-            raise ArithmeticError(f"input not symmetric: leading monomial {mono}")
-        s = schur_poly(lam)
-        for k, v in s.items():
-            val = work.get(k, 0) - coeff * v
-            if val:
-                work[k] = val
-            elif k in work:
-                del work[k]
-        out[lam] = out.get(lam, 0) + coeff
-    return {k: v for k, v in out.items() if v}
+def _schur_coordinates(piece, size):
+    """The class of a symmetric polynomial P given at every exponent vector of one degree.
+
+    [s_nu] P = [x^(nu + delta)] (P a_delta) = sum_sigma sgn(sigma) P[nu + delta - sigma delta],
+    read for the box shapes nu only.  Raises ArithmeticError unless P[m] = P[sorted m].
+    """
+    for m, c in piece.items():
+        if c != piece[tuple(sorted(m, reverse=True))]:
+            raise ArithmeticError(f"input not symmetric: coefficient {c} at {m}")
+    coords = {}
+    for nu in box_partitions(size):
+        padded = nu + (0,) * (BOX_ROWS - len(nu))
+        exponents = ((tuple(p + d - s for p, d, s in zip(padded, _DELTA, shift)), sign) for shift, sign in _ANTISYMMETRIZER)
+        coords[nu] = sum(sign * piece.get(m, 0) for m, sign in exponents)
+    return box_class(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +203,10 @@ def _lr_pair(lam, mu):
     delta = (3, 2, 1, 0).  Each exponent lam+delta+alpha is sorted with the
     sign of its permutation; one with a repeated entry gives zero
     (Macdonald, Symmetric Functions and Hall Polynomials, I.3 and I.9).
+    The product commutes, so mu is the smaller factor by size.
     """
+    if sum(mu) > sum(lam):
+        return _lr_pair(mu, lam)
     if len(lam) > BOX_ROWS:
         return ()
     shifted = [p + d for p, d in zip(lam + (0,) * (BOX_ROWS - len(lam)), _DELTA)]
@@ -237,13 +244,6 @@ def duality_pairing(a: SchubertVector, b: SchubertVector) -> int:
     return total
 
 
-@cache
-def tau1_power(m: int) -> SchubertVector:
-    if m == 0:
-        return basis_vector(())
-    return lr_multiply(tau1_power(m - 1), basis_vector((1,)))
-
-
 # ---------------------------------------------------------------------------
 # the fundamental class of the three-form zero locus
 # ---------------------------------------------------------------------------
@@ -255,8 +255,9 @@ def cg_class() -> SchubertVector:
 
     The Chern roots of Lambda^3 U* are the triple sums x_i + x_j + x_k =
     e1 - x_l (``_WEDGE3_UNITS``).  The constant series 1 is multiplied in
-    place by the four units 1 + e1 - x_l, truncated at degree 4, and its
-    degree-4 piece prod_l (e1 - x_l) is Schur-expanded.  That route is
+    place by the four units 1 + e1 - x_l, truncated at degree 4, and the
+    Schur coordinates of its degree-4 piece prod_l (e1 - x_l) are read off
+    (``_schur_coordinates``).  That route is
     cross-checked against the same product as e2 e1^2 - e3 e1 + e4 in the
     ring, by Littlewood-Richardson products.
     """
@@ -265,8 +266,7 @@ def cg_class() -> SchubertVector:
     lower = [key for m, key in monomials if sum(m) < BOX_ROWS]
     for unit in _WEDGE3_UNITS:
         _multiply_by_unit(series, unit, lower)
-    top = {m: series[key] for m, key in monomials if sum(m) == BOX_ROWS and series[key]}
-    direct = box_class(schur_expand(top))
+    direct = _schur_coordinates({m: series[key] for m, key in monomials if sum(m) == BOX_ROWS}, BOX_ROWS)
 
     t = basis_vector
     e_route = (
@@ -284,6 +284,15 @@ def cg_pairing(a: SchubertVector, b: SchubertVector) -> int:
     return duality_pairing(lr_multiply(cg_class(), a), b)
 
 
+@cache
+def cg_hyperplane_powers():
+    """cg tau_1^p for p = 0..8, one Pieri step each."""
+    powers = [cg_class()]
+    for _ in range(DIMENSION):
+        powers.append(lr_multiply(powers[-1], basis_vector((1,))))
+    return tuple(powers)
+
+
 # ---------------------------------------------------------------------------
 # the restriction map
 # ---------------------------------------------------------------------------
@@ -297,9 +306,9 @@ def localized_generators():
 
 
 def generator_images():
-    """[rho(e_0), ..., rho(e_4)]: the fundamental class, then the top expansions of e_1..e_4."""
+    """[rho(e_0), ..., rho(e_4)]: the fundamental class, then e_1..e_4 by ``equivariant.top_by_duality``."""
     (base,) = labels_by_codim()[0]
-    return [basis_vector(base)] + [equivariant.top_expansion(e) for e in localized_generators()[1:]]
+    return [basis_vector(base)] + [equivariant.top_by_duality(e) for e in localized_generators()[1:]]
 
 
 def check_generator_relations(e):
@@ -348,23 +357,25 @@ def restriction_table():
 
 
 def tau11_square_routes(table):
-    """rho(tau_11^2) mapped through the table, and the top expansion of the localized (e_2)^2."""
+    """rho(tau_11^2) mapped through the table, and the localized (e_2)^2 by ``equivariant.top_by_duality``."""
     upstairs = lr_multiply(basis_vector((1, 1)), basis_vector((1, 1)))
     e2 = localized_generators()[2]
     through_table = sum((table[nu].scale(c) for nu, c in upstairs.items()), SchubertVector({}))
-    return through_table, equivariant.top_expansion(equivariant.pointwise_product(e2, e2))
+    return through_table, equivariant.top_by_duality(equivariant.pointwise_product(e2, e2))
 
 
 def check_restriction(table):
     """Raise ArithmeticError unless a restriction table passes two checks.
 
     Degree: the image of tau_lam has degree cg_pairing(tau_lam,
-    tau_1^(8 - |lam|)).  Hyperplane: for |lam| < 8, the image of tau_1
-    tau_lam is the same whether the product is taken upstairs, by the
-    Pieri case of ``lr_multiply``, and mapped through the table, or taken
-    downstairs on the image of tau_lam by the Monk rule.
+    tau_1^(8 - |lam|)), read off ``cg_hyperplane_powers``.  Hyperplane:
+    for |lam| < 8, the image of tau_1 tau_lam is the same whether the
+    product is taken upstairs, by the Pieri case of ``lr_multiply``, and
+    mapped through the table, or taken downstairs on the image of tau_lam
+    by the Monk rule.
     """
     degrees = equivariant.degrees()
+    cut = cg_hyperplane_powers()
     monk = equivariant.monk_matrix()
     zero = SchubertVector({})
     failures = []
@@ -372,7 +383,7 @@ def check_restriction(table):
         k = sum(lam)
         name = partition_name(lam)
         degree = sum(c * degrees[lab] for lab, c in image.items())
-        pairing = cg_pairing(basis_vector(lam), tau1_power(DIMENSION - k))
+        pairing = duality_pairing(basis_vector(lam), cut[DIMENSION - k])
         if degree != pairing:
             failures.append(f"t{name} has degree {degree}, cg_pairing {pairing}")
         if k < DIMENSION:
@@ -434,8 +445,8 @@ def tangent_chern_ambient():
     (1 + x_i - x_j) for the 6 pairs, and the Chern roots 1 + e1 - x_l of
     Lambda^3 U* (``_WEDGE3_UNITS``).  The numerator is divided by one unit
     at a time, truncated at the dimension (``_divide_by_unit``).  Each
-    graded piece is symmetric; its Schur expansion is the class, and
-    shapes outside the 4x3 box die.
+    graded piece is symmetric; its Schur coordinates, read off by
+    ``_schur_coordinates``, give the class.
     """
     monomials = _packed_monomials(BOX_ROWS, DIMENSION)
     series = _dual_chern_power(monomials, BOX_ROWS + BOX_COLS)  # c(U* (x) C^7)
@@ -446,9 +457,8 @@ def tangent_chern_ambient():
 
     graded = {k: {} for k in range(DIMENSION + 1)}
     for m, key in monomials:
-        if series[key]:
-            graded[sum(m)][m] = series[key]
-    return {k: box_class(schur_expand(p)) for k, p in graded.items()}
+        graded[sum(m)][m] = series[key]
+    return {k: _schur_coordinates(p, k) for k, p in graded.items()}
 
 
 def tangent_chern_pairings():
@@ -456,19 +466,19 @@ def tangent_chern_pairings():
 
     Returns {k: {"h": int, "t11": int, "t2": int, ...}} with pairings
     against sigma_1^(8-k) and against the natural dual-basis probes, all
-    computed by Littlewood-Richardson arithmetic only: cg * c_k is lifted
-    once per k and each probe is paired with it by Poincare duality.
+    computed by Littlewood-Richardson arithmetic only: each probe tau_lam
+    multiplies cg tau_1^(8-k-|lam|) (``cg_hyperplane_powers``) and the
+    product is paired with c_k by Poincare duality.
     """
     pieces = tangent_chern_ambient()
-    cg = cg_class()
+    cut = cg_hyperplane_powers()
     probes = {"h": (), "t11": (1, 1), "t2": (2,), "t111": (1, 1, 1), "t3": (3,)}
     out = {}
     for k in range(DIMENSION + 1):
-        lift = lr_multiply(cg, pieces[k])
         row = {}
         for name, lam in probes.items():
             power = DIMENSION - k - sum(lam)
             if power >= 0:
-                row[name] = duality_pairing(lift, lr_multiply(basis_vector(lam), tau1_power(power)))
+                row[name] = duality_pairing(pieces[k], lr_multiply(cut[power], basis_vector(lam)))
         out[k] = row
     return out

@@ -274,6 +274,26 @@ def run_ring(args):
         {k: r["rank"] for k, r in rep["ranks"].items()},
         {k: r["betti"] for k, r in rep["ranks"].items()},
     )
+    lefschetz = equivariant.lefschetz_report()
+    betti = {k: len(labels) for k, labels in equivariant.labels_by_codim().items()}
+    yield equal(
+        "ring.hard-lefschetz",
+        lefschetz["ranks"],
+        {k: betti[k] for k in lefschetz["ranks"]},
+        "DERIVED",
+        "rank of H^(8-2k) from codimension k to 8-k against b_2k",
+    )
+    yield check(
+        "ring.hodge-riemann",
+        all(d > 0 for minors in lefschetz["minors"].values() for d in minors),
+        lefschetz["minors"],
+        "all positive",
+        "DERIVED",
+        "leading minors of (-1)^k int x y H^(8-2k) on P^k = ker H^(9-2k); "
+        "the odd primitive spaces are 0, so the sign change from k to k+1 is not tested",
+    )
+    signature = sum((-1) ** k * b for k, b in betti.items())
+    yield equal("ring.signature", lefschetz["signature"], signature, "DERIVED", "the middle form against sum_k (-1)^k b_2k (Hodge index)")
 
 
 def _printed_restriction():

@@ -3,7 +3,9 @@
 Computes all 15 equivariant Schubert classes by descending induction from
 the point class, then everything the localized classes determine: the
 Monk rule, fixed-point integration, degrees, the full multiplication
-table, the Poincare pairing, and the two-generator ring presentation.
+table, the Poincare pairing and the top coordinates it gives any class
+(``top_by_duality``), the two-generator ring presentation, and hard
+Lefschetz, Hodge-Riemann and the middle signature on the computed ring.
 
 Each induction step solves for the Monk coefficients alone: the Monk
 expansion of f_X (f_H - f_H(p)) over the next classes gives every value
@@ -461,6 +463,40 @@ def multiplication_table():
     return table
 
 
+@cache
+def dual_labels():
+    """{X: X'} with int sigma_X sigma_X' = 1, read off the multiplication table at the point label.
+
+    Raises ArithmeticError unless each block of complementary codimensions is a permutation matrix of 1s.
+    """
+    table = multiplication_table()
+    out = {}
+    for p in enumerate_fixed_points():
+        pairings = {lb: integrate_vector(table[tuple(sorted((p.label, lb)))]) for lb in labels_by_codim()[DIMENSION - p.codim]}
+        partners = [lb for lb, c in pairings.items() if c]
+        if len(partners) != 1 or pairings[partners[0]] != 1:
+            raise ArithmeticError(f"the pairing of {p.label} with codimension {DIMENSION - p.codim} is {pairings}, not one 1")
+        out[p.label] = partners[0]
+    return out
+
+
+def top_by_duality(values) -> SchubertVector:
+    """Integer top-degree coefficients by Poincare duality: zero above degree 8.
+
+    At each label X of the input's degree, the certified integral of the
+    input times sigma_X' (``dual_labels``); lower-codimension classes carry
+    coefficients of positive degree and integrate to zero against sigma_X'.
+    """
+    classes = solve_all_classes()
+    coeffs = {}
+    for lab in labels_by_codim().get(_degree(values), ()):
+        c = ab_integrate(pointwise_product(values, classes[dual_labels()[lab]]))
+        if c.denominator != 1:
+            raise ArithmeticError(f"non-integral coordinate {c} at {lab}")
+        coeffs[lab] = int(c)
+    return SchubertVector(coeffs)
+
+
 def schubert_product(u: SchubertVector, v: SchubertVector) -> SchubertVector:
     table = multiplication_table()
     out = SchubertVector({})
@@ -542,4 +578,63 @@ def verify_ring_presentation():
         report["ranks"][k] = {"rank": rank, "betti": betti}
         if rank != betti:
             raise ArithmeticError(f"monomial rank {rank} differs from Betti number {betti} in codim {k}")
+    return report
+
+
+def _leading_minors(gram):
+    """The leading principal minors of a square matrix, by cofactor expansion, as Fractions."""
+
+    def det(m):
+        return sum((-1) ** j * m[0][j] * det([r[:j] + r[j + 1:] for r in m[1:]]) for j in range(len(m))) if m else 1
+
+    return [Fraction(det([row[:n] for row in gram[:n]])) for n in range(1, len(gram) + 1)]
+
+
+def _signature(gram):
+    """Signature of a symmetric matrix, from the pivots of an exact congruence diagonalization."""
+    m = [[Fraction(x) for x in row] for row in gram]
+    signature = 0
+    while m:
+        n = len(m)
+        p = next((i for i in range(n) if m[i][i]), None)
+        if p is None:
+            i, j = next(((i, j) for i in range(n) for j in range(n) if m[i][j]), (None, None))
+            if i is None:
+                break  # the rest of the form is zero
+            # x_i -> x_i + x_j: the (i, i) entry becomes 2 m[i][j], since m[i][i] = m[j][j] = 0
+            for row in m:
+                row[i] += row[j]
+            m[i] = [a + b for a, b in zip(m[i], m[j])]
+            p = i
+        d = m[p][p]
+        signature += 1 if d > 0 else -1
+        m = [[m[r][c] - m[r][p] * m[p][c] / d for c in range(n) if c != p] for r in range(n) if r != p]
+    return signature
+
+
+def lefschetz_report():
+    """Hard Lefschetz, Hodge-Riemann and the middle signature, read off the table rows.
+
+    For k = 0..4, with H the hyperplane class: "ranks"[k] is the rank of
+    x -> x H^(8-2k) from codimension k to codimension 8 - k, and
+    "minors"[k] the leading principal minors of (-1)^k int x y H^(8-2k)
+    on a basis of the primitive space P^k = ker H^(9-2k) in codimension
+    k.  "signature" is the signature of int x y in codimension 4.
+    """
+    h = sigma1_powers()
+    by_codim = labels_by_codim()
+    report = {"ranks": {}, "minors": {}}
+    for k in range(DIMENSION // 2 + 1):
+        basis = [basis_vector(lab) for lab in by_codim[k]]
+        lefschetz = [schubert_product(x, h[DIMENSION - 2 * k]) for x in basis]
+        report["ranks"][k] = matrix_rank([[y[lab] for lab in by_codim[DIMENSION - k]] for y in lefschetz])
+        # H^(9-2k) is one more H after H^(8-2k); there is no codimension 9, so P^0 is all of codimension 0
+        up = [schubert_product(y, h[1]) for y in lefschetz]
+        primitive = nullspace([[y[lab] for y in up] for lab in by_codim.get(DIMENSION + 1 - k, ())], len(basis))
+        form = [[(-1) ** k * integrate_vector(schubert_product(y, x)) for x in basis] for y in lefschetz]
+        pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+        gram = [[sum(v[i] * form[i][j] * w[j] for i, j in pairs) for w in primitive] for v in primitive]
+        report["minors"][k] = _leading_minors(gram)
+    middle = [basis_vector(lab) for lab in by_codim[DIMENSION // 2]]
+    report["signature"] = _signature([[integrate_vector(schubert_product(a, b)) for b in middle] for a in middle])
     return report

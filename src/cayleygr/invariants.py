@@ -13,7 +13,7 @@ from functools import cache
 from math import comb
 
 from .cayley import DIMENSION, enumerate_fixed_points
-from .equivariant import SchubertVector, degrees, labels_by_codim, top_expansion
+from .equivariant import SchubertVector, degrees, labels_by_codim, top_by_duality
 from .exact import HomogPoly, poly_mul
 from .weightmodel import g2_irrep_dim, gl7_schur_dim
 
@@ -38,14 +38,16 @@ def chern_classes():
 
     The localized total Chern class at a fixed point is the product of
     (1 + w) over the eight tangent weights; its degree-k piece is the
-    k-th elementary symmetric polynomial, a genuine equivariant class
-    whose top expansion gives the integral Schubert coordinates.
+    k-th elementary symmetric polynomial, a genuine equivariant class.
+    Its integral Schubert coordinates are its integrals against the dual
+    classes (``equivariant.top_by_duality``), one certified fixed-point
+    sum each.
     """
     points = enumerate_fixed_points()
     elementary = {p.label: elementary_symmetric(p.tangent) for p in points}
     out = {}
     for k in range(1, DIMENSION + 1):
-        out[k] = top_expansion({lab: e[k] for lab, e in elementary.items()})
+        out[k] = top_by_duality({lab: e[k] for lab, e in elementary.items()})
     (hyperplane,) = labels_by_codim()[1]
     if out[1] != SchubertVector({hyperplane: 4}):
         raise ArithmeticError("the first Chern class is not 4 times the hyperplane class")

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayleygr import ambient
 from cayleygr.ambient import (
     TOP,
     _divide_by_unit,
@@ -11,8 +12,11 @@ from cayleygr.ambient import (
     _lr_pair,
     _multiply_by_unit,
     _packed_monomials,
+    _schur_coordinates,
+    box_class,
     box_partitions,
     cg_class,
+    cg_hyperplane_powers,
     check_generator_relations,
     check_restriction,
     cg_pairing,
@@ -25,11 +29,9 @@ from cayleygr.ambient import (
     parse_partition,
     partition_name,
     restriction_table,
-    schur_expand,
     schur_poly,
     tangent_chern_ambient,
     tangent_chern_pairings,
-    tau1_power,
     tau11_square_routes,
 )
 from cayleygr.cayley import enumerate_fixed_points
@@ -50,6 +52,34 @@ def _naive_mul(p, q, max_deg=None):
                 key = tuple(x + y for x, y in zip(ma, mb))
                 out[key] = out.get(key, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
+
+
+def schur_expand(p):
+    """Expansion of a symmetric polynomial in the Schur basis, by leading monomials."""
+    work = dict(p)
+    out = {}
+    while work:
+        mono = max(work)
+        coeff = work[mono]
+        lam = tuple(x for x in mono if x)
+        if tuple(sorted(mono, reverse=True)) != mono:
+            raise ArithmeticError(f"input not symmetric: leading monomial {mono}")
+        for k, v in schur_poly(lam).items():
+            val = work.get(k, 0) - coeff * v
+            if val:
+                work[k] = val
+            elif k in work:
+                del work[k]
+        out[lam] = out.get(lam, 0) + coeff
+    return {k: v for k, v in out.items() if v}
+
+
+@cache
+def tau1_power(m):
+    """tau_1^m by m Pieri steps from the fundamental class."""
+    if m == 0:
+        return t(())
+    return lr_multiply(tau1_power(m - 1), t((1,)))
 
 
 def conjugate_partition(shape):
@@ -147,6 +177,14 @@ def test_lr_pair_against_polynomial_product():
     assert _lr_pair((1, 1, 1, 1, 1), (1,)) == ()
 
 
+def test_lr_pair_commutes():
+    # the kernel antisymmetrizes over the smaller factor; either order gives one product
+    parts = box_partitions()
+    for lam in parts:
+        for mu in parts:
+            assert _lr_pair(lam, mu) == _lr_pair(mu, lam), (lam, mu)
+
+
 def test_duality_pairing_against_lr_integral():
     parts = box_partitions()
     for lam in parts:
@@ -172,6 +210,41 @@ def test_cg_class():
     assert cg_pairing(t(()), tau1_power(8)) == 182
     assert cg_pairing(t((1, 1)), tau1_power(6)) == 100
     assert cg_pairing(t((2,)), tau1_power(6)) == 82
+
+
+def test_cg_hyperplane_powers():
+    powers = cg_hyperplane_powers()
+    assert len(powers) == 9
+    for p, power in enumerate(powers):
+        assert power == lr_multiply(cg_class(), tau1_power(p)), p
+    assert powers[8] == t(TOP).scale(182)
+
+
+def test_schur_read_off_against_schur_expand(monkeypatch):
+    # every piece the library reads off: the nine graded pieces of c(T) and the degree-4 piece of cg
+    seen = []
+
+    def recording(piece, size):
+        seen.append((piece, size))
+        return _schur_coordinates(piece, size)
+
+    monkeypatch.setattr(ambient, "_schur_coordinates", recording)
+    ambient.tangent_chern_ambient.__wrapped__()
+    ambient.cg_class.__wrapped__()
+    assert [size for _, size in seen] == list(range(9)) + [4]
+    for piece, size in seen:
+        want = box_class(schur_expand({m: c for m, c in piece.items() if c}))
+        assert _schur_coordinates(piece, size) == want, size
+        assert not want.is_zero()
+
+
+def test_schur_read_off_rejects_a_non_symmetric_piece():
+    piece = _naive_mul(schur_poly((1,)), schur_poly((1,)))
+    piece.update({m: 0 for m, _ in _packed_monomials(4, 2) if sum(m) == 2 and m not in piece})
+    assert _schur_coordinates(piece, 2) == t((2,)) + t((1, 1))
+    piece[(0, 1, 1, 0)] += 1
+    with pytest.raises(ArithmeticError, match="not symmetric"):
+        _schur_coordinates(piece, 2)
 
 
 def test_restriction_table_against_reference():
@@ -348,6 +421,23 @@ def test_ambient_chern_pairings_match_localization():
     assert pairs[6]["t2"] == chern[6]["6"] == 151
     assert pairs[6]["t11"] == chern[6]["6'"] == 193
     assert pairs[8]["h"] == 15
+
+
+def test_ambient_chern_pairings_against_the_lift():
+    # reference route: cg lifted by each whole Chern piece, paired with probe times tau_1^p
+    pieces = tangent_chern_ambient()
+    probes = {"h": (), "t11": (1, 1), "t2": (2,), "t111": (1, 1, 1), "t3": (3,)}
+    pairs = tangent_chern_pairings()
+    reference = {}
+    for k in range(9):
+        lift = lr_multiply(cg_class(), pieces[k])
+        reference[k] = {
+            name: duality_pairing(lift, lr_multiply(t(lam), tau1_power(8 - k - sum(lam))))
+            for name, lam in probes.items()
+            if 8 - k - sum(lam) >= 0
+        }
+    assert pairs == reference
+    assert sum(len(row) for row in reference.values()) == 35
 
 
 def _seven_root_tangent_chern():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleygr.ambient import restriction_table
+from cayleygr.ambient import localized_generators, restriction_table
 from cayleygr.cayley import enumerate_fixed_points, gkm_edges, point_by_label, point_permutation
 from cayleygr.equivariant import (
     SchubertVector,
@@ -11,10 +11,12 @@ from cayleygr.equivariant import (
     basis_vector,
     check_gkm_divisibility,
     degrees,
+    dual_labels,
     expand_in_basis,
     fundamental_class,
     hyperplane_class,
     labels_by_codim,
+    lefschetz_report,
     monk_matrix,
     multiplication_table,
     point_class,
@@ -23,13 +25,14 @@ from cayleygr.equivariant import (
     schubert_product,
     sigma1_powers,
     solve_all_classes,
+    top_by_duality,
     top_expansion,
     verify_ring_presentation,
 )
-from cayleygr import equivariant, exact
+from cayleygr import cli, equivariant, exact
 from cayleygr.exact import HomogPoly, divide_by_linear, poly_mul
 from cayleygr.fixtures import load_fixture, parse_form
-from cayleygr.invariants import chern_classes, hilbert_polynomial
+from cayleygr.invariants import chern_classes, elementary_symmetric, hilbert_polynomial
 from cayleygr.octonions import g2_basis
 from cayleygr.weightmodel import ALPHA, BETA
 
@@ -270,6 +273,43 @@ def test_poincare_pairing_is_central_symmetry():
             assert val == (1 if dual[la] == lb else 0)
 
 
+def test_dual_labels_are_the_central_symmetry():
+    assert dual_labels() == point_permutation((-ALPHA, -BETA))
+
+
+@pytest.mark.parametrize(
+    "pair, product",
+    [(("4", "4"), vec({"8": 2})), (("4", "4'"), vec({"8": 1}))],
+    ids=["self-pairing-2", "extra-off-diagonal-pairing"],
+)
+def test_dual_labels_reject_a_block_that_is_not_a_permutation(monkeypatch, pair, product):
+    table = dict(multiplication_table())
+    table[pair] = product
+    monkeypatch.setattr(equivariant, "multiplication_table", lambda: table)
+    with pytest.raises(ArithmeticError, match="not one 1"):
+        dual_labels.__wrapped__()
+
+
+def test_top_by_duality_against_top_expansion():
+    # the 8 Chern maps, the 4 generator images, the square of e_2 and all 120 table products
+    elementary = {p.label: elementary_symmetric(p.tangent) for p in enumerate_fixed_points()}
+    e = localized_generators()
+    classes = solve_all_classes()
+    labels = [p.label for p in enumerate_fixed_points()]
+    inputs = [{lab: forms[k] for lab, forms in elementary.items()} for k in range(1, 9)]
+    inputs += [*e[1:], pointwise_product(e[2], e[2])]
+    inputs += [pointwise_product(classes[a], classes[b]) for i, a in enumerate(labels) for b in labels[i:]]
+    assert len(inputs) == 133
+    for values in inputs:
+        assert top_by_duality(values) == top_expansion(values)
+
+
+def test_top_by_duality_rejects_a_non_integral_coordinate():
+    half = {lab: form.scale(Fraction(1, 2)) for lab, form in hyperplane_class().items()}
+    with pytest.raises(ArithmeticError, match="non-integral coordinate 1/2"):
+        top_by_duality(half)
+
+
 def test_ring_presentation():
     rep = verify_ring_presentation()
     assert rep["generator"] == "2"
@@ -280,6 +320,29 @@ def test_ring_presentation():
     assert not (other["rel1"].is_zero() and other["rel2"].is_zero())
     for k, row in rep["ranks"].items():
         assert row["rank"] == row["betti"]
+
+
+def test_lefschetz_report():
+    rep = lefschetz_report()
+    assert rep["ranks"] == {0: 1, 1: 1, 2: 2, 3: 2, 4: 3}
+    assert rep["minors"] == {0: [182], 1: [], 2: [Fraction(8736, 1681)], 3: [], 4: [3]}
+    assert rep["signature"] == 3
+
+
+def test_signature_by_congruence():
+    assert equivariant._signature([[0, 1], [1, 0]]) == 0
+    assert equivariant._signature([[1, 2], [2, 1]]) == 0
+    assert equivariant._signature([[0, 0], [0, 0]]) == 0
+    assert equivariant._signature([[2, 1, 0], [1, 2, 0], [0, 0, -1]]) == 1
+    assert equivariant._signature([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) == 0
+
+
+def test_a_negative_middle_pairing_fails_the_signature(monkeypatch):
+    monkeypatch.setitem(multiplication_table(), ("4", "4"), vec({"8": -1}))
+    checks = {c.id: c for c in cli.run_ring(None)}
+    assert checks["ring.signature"].status == cli.FAIL
+    assert (checks["ring.signature"].computed, checks["ring.signature"].expected) == (1, 3)
+    assert checks["ring.hard-lefschetz"].status == cli.PASS
 
 
 def test_sigma1_powers():
