@@ -401,6 +401,7 @@ def image_index() -> int:
     return prod(image_index_profile().values())
 
 
+@cache
 def image_index_profile():
     """Index of the restriction image lattice in each codimension.
 

@@ -43,7 +43,7 @@ from .cayley import (
     point_by_label,
     repelling_weights,
 )
-from .exact import HomogPoly, divide_by_linear, matrix_rank, nullspace, poly_mul, solve_rational
+from .exact import HomogPoly, divide_by_linear, matrix_rank, nullspace, poly_mul, solve_rational, sum_of_products
 from .weightmodel import Weight
 
 
@@ -304,7 +304,8 @@ def ab_integrate(values) -> Fraction:
 
     The input is a vertex map of uniform degree <= 8.  Over the integral
     common denominator L the sum is N / L with N = sum_q f(q) C_q (see
-    ``_localization_denominator``), and it must collapse: N = 0 below
+    ``_localization_denominator``), one ``sum_of_products`` of degree
+    deg + deg L - 8; and it must collapse: N = 0 below
     degree 8; in degree 8, where N and L have one degree, N = c L for a
     constant c, read off one monomial of L and certified by comparing N
     with c L.  Anything else raises.  Vertices missing from the input
@@ -314,10 +315,8 @@ def ab_integrate(values) -> Fraction:
     if deg > DIMENSION:
         raise ValueError(f"integration expects degree at most {DIMENSION}")
     denominator, complements = _localization_denominator()
-    numerator = HomogPoly.zero()
-    for lab, val in values.items():
-        if not val.is_zero():
-            numerator = numerator + poly_mul(val, complements[lab])
+    pairs = ((val, complements[lab]) for lab, val in values.items())
+    numerator = sum_of_products(pairs, deg + denominator.degree - DIMENSION)
     if numerator.is_zero():
         return Fraction(0)
     if deg < DIMENSION:
@@ -465,14 +464,14 @@ def multiplication_table():
 
 @cache
 def dual_labels():
-    """{X: X'} with int sigma_X sigma_X' = 1, read off the multiplication table at the point label.
+    """{X: X'} with int sigma_X sigma_X' = 1, read off the Poincare pairing.
 
     Raises ArithmeticError unless each block of complementary codimensions is a permutation matrix of 1s.
     """
-    table = multiplication_table()
+    pairing = poincare_pairing()
     out = {}
     for p in enumerate_fixed_points():
-        pairings = {lb: integrate_vector(table[tuple(sorted((p.label, lb)))]) for lb in labels_by_codim()[DIMENSION - p.codim]}
+        pairings = {lb: pairing[p.codim][(p.label, lb)] for lb in labels_by_codim()[DIMENSION - p.codim]}
         partners = [lb for lb, c in pairings.items() if c]
         if len(partners) != 1 or pairings[partners[0]] != 1:
             raise ArithmeticError(f"the pairing of {p.label} with codimension {DIMENSION - p.codim} is {pairings}, not one 1")
@@ -515,8 +514,13 @@ def degrees():
     return _class_solve()[2]
 
 
+@cache
 def poincare_pairing():
-    """Pairing matrix per complementary codimension; expected a permutation."""
+    """Pairing matrix per complementary codimension; expected a permutation.
+
+    {k: {(X, Y): int sigma_X sigma_Y}} for X of codimension k and Y of
+    codimension 8 - k, each a certified fixed-point integral.
+    """
     classes = solve_all_classes()
     by_codim = labels_by_codim()
     out = {}

@@ -258,16 +258,26 @@ class HomogPoly:
         return " + ".join(bits)
 
 
+def sum_of_products(pairs, degree) -> HomogPoly:
+    """The form sum_i a_i b_i of degree ``degree``, over pairs (a_i, b_i) of forms.
+
+    Every product goes into one coefficient table, which is built into
+    one form at the end.  A pair with a zero factor adds nothing; a
+    product of another degree puts a monomial of that degree in the
+    table, which the form rejects with ``ValueError``.
+    """
+    acc = {}
+    for a, b in pairs:
+        for (p1, q1), c1 in a.coeffs.items():
+            for (p2, q2), c2 in b.coeffs.items():
+                k = (p1 + p2, q1 + q2)
+                acc[k] = acc.get(k, 0) + c1 * c2
+    return HomogPoly(degree, acc)
+
+
 def poly_mul(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     """Exact product; degree(result) = degree(a) + degree(b)."""
-    if a.is_zero() or b.is_zero():
-        return HomogPoly.zero(a.degree + b.degree)
-    out = {}
-    for (p1, q1), c1 in a.coeffs.items():
-        for (p2, q2), c2 in b.coeffs.items():
-            k = (p1 + p2, q1 + q2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return HomogPoly(a.degree + b.degree, out)
+    return sum_of_products(((a, b),), a.degree + b.degree)
 
 
 def _exact_quotient(c, a):

@@ -562,18 +562,39 @@ def test_traced_names_resolve():
                 assert callable(getattr(module, name, None)), f"{short}.{name}"
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _modules_after_cli_import():
     """The names in sys.modules of a fresh interpreter after `import cayleygr.cli`."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, cayleygr.cli; print(*sorted(sys.modules))"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("topic", ["chern", "dual"])
+def test_fresh_topic_builds_no_multiplication_table(topic):
+    # the bundle classes take their coordinates by Poincare duality, and
+    # dual_labels reads poincare_pairing, so these topics alone need no table
+    script = (
+        "import sys\n"
+        "from cayleygr import cli, equivariant\n"
+        "table, calls = equivariant.multiplication_table, []\n"
+        "equivariant.multiplication_table = lambda: calls.append(1) or table()\n"
+        f"code = cli.main(['verify', {topic!r}])\n"
+        "print(code, len(calls), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0", "0"]
 
 
 def test_cli_import_loads_every_traced_module():

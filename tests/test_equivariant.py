@@ -278,14 +278,14 @@ def test_dual_labels_are_the_central_symmetry():
 
 
 @pytest.mark.parametrize(
-    "pair, product",
-    [(("4", "4"), vec({"8": 2})), (("4", "4'"), vec({"8": 1}))],
+    "pair, value",
+    [(("4", "4"), 2), (("4", "4'"), 1)],
     ids=["self-pairing-2", "extra-off-diagonal-pairing"],
 )
-def test_dual_labels_reject_a_block_that_is_not_a_permutation(monkeypatch, pair, product):
-    table = dict(multiplication_table())
-    table[pair] = product
-    monkeypatch.setattr(equivariant, "multiplication_table", lambda: table)
+def test_dual_labels_reject_a_block_that_is_not_a_permutation(monkeypatch, pair, value):
+    pairing = {k: dict(rows) for k, rows in poincare_pairing().items()}
+    pairing[4][pair] = value
+    monkeypatch.setattr(equivariant, "poincare_pairing", lambda: pairing)
     with pytest.raises(ArithmeticError, match="not one 1"):
         dual_labels.__wrapped__()
 

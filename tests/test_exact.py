@@ -16,6 +16,7 @@ from cayleygr.exact import (
     scalar,
     smith_normal_form,
     solve_rational,
+    sum_of_products,
 )
 
 
@@ -389,6 +390,48 @@ def mixed_polys(draw, degree):
 def mixed_triples(draw):
     d = draw(st.integers(0, 3))
     return draw(mixed_polys(d)), draw(mixed_polys(d)), draw(mixed_polys(draw(st.integers(0, 3))))
+
+
+@st.composite
+def product_sums(draw):
+    """(degree, pairs of forms whose products have that degree, whether the sum cancels).
+
+    Zero forms of any degree ride along, as zero products do in ``+``; a
+    cancelling sum appends each pair again with its first factor negated.
+    """
+    degree = draw(st.integers(0, 5))
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        d = draw(st.integers(0, degree))
+        pairs.append((draw(mixed_polys(d)), draw(mixed_polys(degree - d))))
+    if draw(st.booleans()):
+        pairs.append((HomogPoly.zero(draw(st.integers(0, 5))), draw(mixed_polys(draw(st.integers(0, 3))))))
+    cancels = draw(st.booleans())
+    if cancels:
+        pairs += [(-a, b) for a, b in pairs]
+    return degree, draw(st.permutations(pairs)), cancels
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_sums())
+def test_sum_of_products_is_the_sum_of_poly_mul(case):
+    degree, pairs, cancels = case
+    total = sum_of_products(pairs, degree)
+    assert total == sum((poly_mul(a, b) for a, b in pairs), HomogPoly.zero(degree))
+    assert total.degree == degree
+    assert total.is_zero() or not cancels
+    assert all(_is_canonical(c) for c in total.coeffs.values()), total.coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_polys(2), mixed_polys(1), st.integers(0, 5))
+def test_sum_of_products_rejects_a_degree_mismatch(f, g, degree):
+    if f.is_zero() or g.is_zero() or degree == 3:
+        return
+    with pytest.raises(ValueError, match=f"not of degree {degree}"):
+        sum_of_products([(f, g)], degree)
+    with pytest.raises(ValueError, match=f"not of degree {degree}"):
+        sum_of_products([(HomogPoly.zero(degree), g), (g, f)], degree)
 
 
 @settings(max_examples=80, deadline=None)
