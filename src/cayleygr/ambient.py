@@ -40,7 +40,7 @@ from itertools import combinations, permutations, product
 from math import comb, prod
 
 from .cayley import DIMENSION, enumerate_fixed_points
-from .exact import smith_normal_form
+from .exact import permutation_sign, smith_normal_form
 from . import equivariant
 from .equivariant import SchubertVector, basis_vector, labels_by_codim
 from .invariants import elementary_symmetric
@@ -51,10 +51,7 @@ BOX_COLS = 3
 TOP = (3, 3, 3, 3)
 _DELTA = (3, 2, 1, 0)  # staircase of the antisymmetrizer in four variables
 # a_delta = sum_sigma sgn(sigma) x^(sigma delta), as (sigma delta, sgn sigma) pairs
-_ANTISYMMETRIZER = tuple(
-    (tuple(_DELTA[i] for i in p), (-1) ** sum(p[i] > p[j] for i, j in combinations(range(BOX_ROWS), 2)))
-    for p in permutations(range(BOX_ROWS))
-)
+_ANTISYMMETRIZER = tuple((tuple(_DELTA[i] for i in p), permutation_sign(p)) for p in permutations(range(BOX_ROWS)))
 
 
 def box_partitions(size=None):
@@ -215,9 +212,8 @@ def _lr_pair(lam, mu):
         exps = [e + a for e, a in zip(shifted, alpha)]
         if len(set(exps)) < BOX_ROWS:
             continue
-        inversions = sum(exps[i] < exps[j] for i, j in combinations(range(BOX_ROWS), 2))
         nu = tuple(p for p in (e - d for e, d in zip(sorted(exps, reverse=True), _DELTA)) if p)
-        out[nu] = out.get(nu, 0) + (-c if inversions % 2 else c)
+        out[nu] = out.get(nu, 0) + permutation_sign([-e for e in exps]) * c
     return tuple(sorted((nu, c) for nu, c in out.items() if c))
 
 
@@ -307,8 +303,7 @@ def localized_generators():
 
 def generator_images():
     """[rho(e_0), ..., rho(e_4)]: the fundamental class, then e_1..e_4 by ``equivariant.top_by_duality``."""
-    (base,) = labels_by_codim()[0]
-    return [basis_vector(base)] + [equivariant.top_by_duality(e) for e in localized_generators()[1:]]
+    return [basis_vector(equivariant.base_label())] + [equivariant.top_by_duality(e) for e in localized_generators()[1:]]
 
 
 def check_generator_relations(e):
@@ -374,7 +369,6 @@ def check_restriction(table):
     mapped through the table, or taken downstairs on the image of tau_lam
     by the Monk rule.
     """
-    degrees = equivariant.degrees()
     cut = cg_hyperplane_powers()
     monk = equivariant.monk_matrix()
     zero = SchubertVector({})
@@ -382,7 +376,7 @@ def check_restriction(table):
     for lam, image in table.items():
         k = sum(lam)
         name = partition_name(lam)
-        degree = sum(c * degrees[lab] for lab, c in image.items())
+        degree = equivariant.degree_of(image)
         pairing = duality_pairing(basis_vector(lam), cut[DIMENSION - k])
         if degree != pairing:
             failures.append(f"t{name} has degree {degree}, cg_pairing {pairing}")

@@ -210,19 +210,13 @@ def tangent_weight_list(p: FixedPoint):
     return list(p.tangent)
 
 
-def reference_tangent_table():
-    """The printed tangent table, as label -> Counter of weights."""
-    return {label: Counter(tangent) for label, (_, tangent) in reference_points().items()}
-
-
 def tangent_discrepancies():
-    """Labels whose computed tangent multiset differs from the printed row."""
-    ref = reference_tangent_table()
+    """Labels whose computed tangent multiset differs from the printed row, with (computed, printed)."""
     out = {}
     for p in enumerate_fixed_points():
-        got = tangent_weights(p)
-        if got != ref[p.label]:
-            out[p.label] = (got, ref[p.label])
+        got, printed = tangent_weights(p), Counter(reference_points()[p.label][1])
+        if got != printed:
+            out[p.label] = (got, printed)
     return out
 
 

@@ -68,8 +68,7 @@ def run_octonion(args):
     I = octonions.I
     yield check("octonion.e1e2", octonions.multiply(E[1], E[2]) == E[3], "e3", "e3")
     yield check("octonion.square", octonions.multiply(E[1], E[1]) == -E[0], "-e0", "-e0")
-    x = E[1] + E[2].scale(I)
-    y = E[6] + E[7].scale(I)
+    x, y = octonions.NULL_PLANE
     yield check("octonion.null-products", octonions.multiply(x, E[4]) == y.scale(I), "i*y", "i*y")
     sweep = all(
         octonions.im_product_via_form(E[i], E[j]) == octonions.multiply(E[i], E[j]).imaginary()
@@ -108,11 +107,9 @@ def run_orbits(args):
         d = octonions.g2_stabilizer_dim(w)
         yield equal(f"orbits.{name}.stabilizer", d, stab)
         yield equal(f"orbits.{name}.orbit-dim", 14 - d, orbit)
-    x = octonions.E[1] + octonions.E[2].scale(octonions.I)
-    y = octonions.E[6] + octonions.E[7].scale(octonions.I)
-    n = octonions.Subspace([x, y])
+    n = octonions.Subspace(octonions.NULL_PLANE)
     yield equal("orbits.null-plane", octonions.null_plane_test(n), True)
-    yield equal("orbits.h2-in-X2'", octonions.stratum_membership(octonions.model_h2(), x, "X2'"), True)
+    yield equal("orbits.h2-in-X2'", octonions.stratum_membership(octonions.model_h2(), octonions.NULL_PLANE[0], "X2'"), True)
     yield equal("orbits.h1-in-X2", octonions.stratum_membership(octonions.model_h1(), n, "X2"), True)
 
 
@@ -210,9 +207,7 @@ def run_monk(args):
     yield equal("monk.sigma2", monk["2"], {"3": 1, "3'": 3})
     yield equal("monk.sigma2'", monk["2'"], {"3": 2, "3'": 2})
     degs = equivariant.degrees()
-    additive = all(
-        degs[lab] == sum(c * degs[t] for t, c in row.items()) for lab, row in monk.items() if row
-    )
+    additive = all(degs[lab] == equivariant.degree_of(row) for lab, row in monk.items() if row)
     yield check("monk.degree-additivity", additive, provenance="DERIVED")
 
 
@@ -350,9 +345,8 @@ def run_chern(args):
     degs = equivariant.degrees()
 
     def meets_ambient(k, row):
-        # the ambient intersection number c_k . H^(8-k) is sum c * deg over the row
-        terms = dict(row.items())
-        return terms.keys() <= degs.keys() and pairs[k]["h"] == sum(c * degs[lab] for lab, c in terms.items())
+        # the ambient intersection number c_k . H^(8-k) is the degree of the row, whose labels must be fixed points
+        return row.coeffs.keys() <= degs.keys() and pairs[k]["h"] == equivariant.degree_of(row)
 
     for k in range(1, 9):
         want = equivariant.SchubertVector(int_table("chern", printed.get(str(k)), f"classes[{str(k)!r}]"))
@@ -380,14 +374,12 @@ def run_dual(args):
     printed_derivative = fixture_entry("dual_polynomial", "derivative_at_one", lambda d: type(d) is int, "an integer")
     matching = [i for i in range(9) if coeffs[i] == printed[i]]
     yield check("dual.matching-coefficients", matching == [0, 1, 2, 3, 4, 5, 6, 8], f"{len(matching)} of 9", "8 of 9")
-    by_codim = equivariant.labels_by_codim()
-    (open_cell,), (hyperplane,) = by_codim[0], by_codim[1]
-    first_chern = invariants.chern_classes()[1][hyperplane]
+    first_chern = invariants.chern_classes()[1][equivariant.hyperplane_label()]
     yield documented(
         "dual.q8-coefficient",
         coeffs[7],
         printed[7],
-        coeffs[7] == -first_chern * equivariant.degrees()[open_cell],
+        coeffs[7] == -first_chern * equivariant.degrees()[equivariant.base_label()],
         "q^8 coefficient equals minus (first Chern coefficient) x (degree) = -728; the printed -738 is not attainable",
     )
     yield documented(

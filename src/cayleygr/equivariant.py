@@ -21,6 +21,12 @@ A class is a vertex map {label: form}: a form at every fixed point,
 zero values included, all of the class's degree.  A point's codimension
 is the number of its tangent weights negative on the chamber
 ``weightmodel.CHAMBER`` (``cayley.FixedPoint.codim``); the labels only name the points.
+Three vertices have roles, each named by one function: ``base_label()``,
+the open cell (codimension 0, the fundamental class); ``hyperplane_label()``,
+the one vertex of codimension 1 (the hyperplane class H); and
+``point_label()``, of codimension 8 (the point class).  ``degree_of``
+gives the degree sum c deg(X) of an integer combination of the classes,
+deg X being the integral of sigma_X H^(8 - codim X).
 
 Conventions: tangent weights as in the reference table; classes are
 normalized at their defining vertex by the product of the negative-pairing
@@ -55,34 +61,34 @@ def labels_by_codim():
     return out
 
 
-def _base_label():
+def base_label():
     """The open-cell vertex, of codimension 0."""
     return enumerate_fixed_points()[0].label
 
 
-def _point_label():
+def point_label():
     """The vertex of codimension DIMENSION, carrying the point class."""
     return enumerate_fixed_points()[-1].label
 
 
-def _hyperplane_label():
+def hyperplane_label():
     """The one vertex of codimension 1, carrying the hyperplane class."""
     (label,) = labels_by_codim()[1]
     return label
 
 
 def _degree(values) -> int:
-    """The one degree of the forms in a vertex map; ValueError on mixed degrees."""
+    """The one degree of the forms in a vertex map; ValueError on mixed degrees or an empty map."""
     degs = {v.degree for v in values.values()}
     if len(degs) != 1:
-        raise ValueError(f"vertex data of mixed degrees {sorted(degs)}")
+        raise ValueError(f"vertex data of mixed degrees {sorted(degs)}" if degs else "empty vertex map: no degree to read")
     return degs.pop()
 
 
 @cache
 def _hyperplane_weights():
     """{label: f_H(q)}, computed once; callers read it through ``hyperplane_weight``."""
-    base = point_by_label(_base_label()).omega_weight()
+    base = point_by_label(base_label()).omega_weight()
     return {p.label: p.omega_weight() - base for p in enumerate_fixed_points()}
 
 
@@ -109,7 +115,7 @@ def normal_weight_product(label) -> HomogPoly:
 
 
 def point_class():
-    top = _point_label()
+    top = point_label()
     return {p.label: HomogPoly.zero(DIMENSION) for p in enumerate_fixed_points()} | {top: normal_weight_product(top)}
 
 
@@ -238,7 +244,7 @@ def _class_solve():
     sum a_i f_{Y_i}; the degrees are the top pushforwards of the re-check.
     """
     by_codim = labels_by_codim()
-    top = _point_label()
+    top = point_label()
     classes = {top: point_class()}
     monk = {top: {}}
     for k in range(DIMENSION - 1, -1, -1):
@@ -268,9 +274,9 @@ def _class_solve():
         if val.denominator != 1 or val <= 0:
             raise ArithmeticError(f"degree of {lab} is not a positive integer: {val}")
         degs[lab] = int(val)
-    if classes[_base_label()] != fundamental_class():
+    if classes[base_label()] != fundamental_class():
         raise ArithmeticError("the codim-0 class did not come out as the fundamental class")
-    if classes[_hyperplane_label()] != hyperplane_class():
+    if classes[hyperplane_label()] != hyperplane_class():
         raise ArithmeticError("the codim-1 class did not come out as the hyperplane class")
     return classes, monk, degs
 
@@ -506,12 +512,18 @@ def schubert_product(u: SchubertVector, v: SchubertVector) -> SchubertVector:
 
 
 def integrate_vector(v: SchubertVector) -> int:
-    return v[_point_label()]
+    return v[point_label()]
 
 
 def degrees():
     """deg sigma = integral of sigma * H^(8 - codim), read off the class solve."""
     return _class_solve()[2]
+
+
+def degree_of(vector) -> int:
+    """The degree sum c deg(X) of an integer combination {X: c} of the classes, or of a SchubertVector."""
+    degs = _class_solve()[2]
+    return sum(c * degs[lab] for lab, c in vector.items())
 
 
 @cache
@@ -544,8 +556,8 @@ def poincare_pairing():
 @cache
 def sigma1_powers():
     """The powers H^0, ..., H^8 of the hyperplane class, as a tuple of Schubert vectors."""
-    h = basis_vector(_hyperplane_label())
-    powers = [basis_vector(_base_label())]
+    h = basis_vector(hyperplane_label())
+    powers = [basis_vector(base_label())]
     for _ in range(DIMENSION):
         powers.append(schubert_product(powers[-1], h))
     return tuple(powers)

@@ -334,6 +334,13 @@ def divide_by_linear(f: HomogPoly, a, b):
 # ---------------------------------------------------------------------------
 
 
+def permutation_sign(seq) -> int:
+    """The sign of the permutation that sorts a sequence of distinct entries upwards: (-1)^(number of inversions)."""
+    seq = list(seq)
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
 def _row_reduce(rows, ncols):
     """In-place Gauss-Jordan elimination over the field; returns pivot columns.
 

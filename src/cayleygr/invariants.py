@@ -13,7 +13,7 @@ from functools import cache
 from math import comb
 
 from .cayley import DIMENSION, enumerate_fixed_points
-from .equivariant import SchubertVector, degrees, labels_by_codim, top_by_duality
+from .equivariant import SchubertVector, base_label, basis_vector, degree_of, hyperplane_label, point_label, top_by_duality
 from .exact import HomogPoly, poly_mul
 from .weightmodel import g2_irrep_dim, gl7_schur_dim
 
@@ -48,10 +48,9 @@ def chern_classes():
     out = {}
     for k in range(1, DIMENSION + 1):
         out[k] = top_by_duality({lab: e[k] for lab, e in elementary.items()})
-    (hyperplane,) = labels_by_codim()[1]
-    if out[1] != SchubertVector({hyperplane: 4}):
+    if out[1] != SchubertVector({hyperplane_label(): 4}):
         raise ArithmeticError("the first Chern class is not 4 times the hyperplane class")
-    if out[DIMENSION] != SchubertVector({points[-1].label: len(points)}):
+    if out[DIMENSION] != SchubertVector({point_label(): len(points)}):
         raise ArithmeticError("the top Chern class does not integrate to the fixed point count")
     return out
 
@@ -63,16 +62,8 @@ def dual_degree():
     bundle times the i-th hyperplane power; when the derivative at 1 is
     nonzero, the projective dual is a hypersurface of that degree.
     """
-    chern = chern_classes()
-    degs = degrees()
-    coeffs = []
-    for i in range(DIMENSION + 1):
-        m = DIMENSION - i
-        if m == 0:
-            val = degs[enumerate_fixed_points()[0].label]
-        else:
-            val = sum(c * degs[lab] for lab, c in chern[m].items())
-        coeffs.append((-1) ** m * val)
+    chern = {0: basis_vector(base_label())} | chern_classes()
+    coeffs = [(-1) ** m * degree_of(chern[m]) for m in range(DIMENSION, -1, -1)]
     derivative = sum((i + 1) * c for i, c in enumerate(coeffs))
     value = sum(coeffs)
     return coeffs, derivative, value

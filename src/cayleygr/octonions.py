@@ -20,6 +20,7 @@ from .exact import (
     format_gaussian,
     matrix_rank,
     nullspace,
+    permutation_sign,
 )
 
 # Oriented lines (i, j, k) with e_i e_j = e_k; covers each pair once.
@@ -94,6 +95,7 @@ class Octonion:
 
 E = tuple(Octonion.basis(i) for i in range(8))
 I = GI_I
+NULL_PLANE = (E[1] + E[2].scale(I), E[6] + E[7].scale(I))  # e1 + i e2, e6 + i e7: product and norm vanish on their span
 
 
 def fano_table(lines):
@@ -178,7 +180,7 @@ def minor(x, y, z, cols):
 @cache
 def three_form_table():
     """Line-based form as a dict {(i<j<k): +-1} over the oriented lines."""
-    return {tuple(sorted(line)): _permutation_sign(line) for line in FANO_LINES}
+    return {tuple(sorted(line)): permutation_sign(line) for line in FANO_LINES}
 
 
 def three_form(x: Octonion, y: Octonion, z: Octonion) -> GaussianRational:
@@ -214,20 +216,10 @@ def _wedge(f, g):
             if set(S) & set(T):
                 continue
             merged = S + T
-            sign = _permutation_sign(merged)
+            sign = permutation_sign(merged)
             key = tuple(sorted(merged))
             out[key] = out.get(key, GI_ZERO) + (c * d if sign > 0 else -(c * d))
     return {k: v for k, v in out.items() if v}
-
-
-def _permutation_sign(seq):
-    seq = list(seq)
-    sign = 1
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign
 
 
 def _contract(x: Octonion, form):
@@ -320,12 +312,12 @@ def model_h0():
 
 def model_h1():
     """Im H1 = <e1+ie2, e6+ie7, e3>: degenerate with rank-one norm."""
-    return Subspace([E[1] + E[2].scale(I), E[6] + E[7].scale(I), E[3]])
+    return Subspace([*NULL_PLANE, E[3]])
 
 
 def model_h2():
     """Im H2 = <e1+ie2, e6+ie7, e4-ie5>: totally isotropic."""
-    return Subspace([E[1] + E[2].scale(I), E[6] + E[7].scale(I), E[4] - E[5].scale(I)])
+    return Subspace([*NULL_PLANE, E[4] - E[5].scale(I)])
 
 
 def is_subalgebra(w: Subspace) -> bool:
@@ -386,7 +378,7 @@ def g2_basis():
     def om(i, j, k):
         idx = (i, j, k)
         key = tuple(sorted(idx))
-        return omega.get(key, 0) * _permutation_sign(idx)
+        return omega.get(key, 0) * permutation_sign(idx)
 
     cols = [(p, q) for p in range(1, 8) for q in range(1, 8)]  # X e_q has e_p-coefficient X[p,q]
     rows = []
@@ -454,19 +446,6 @@ def g2_stabilizer_dim(w: Subspace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def left_multiplication_space(l: Octonion) -> list:
-    """Basis of l*O; for isotropic imaginary l this is 4-dimensional."""
-    images = [multiply(l, E[j]) for j in range(8)]
-    rows = [list(v.coeffs) for v in images]
-    basis = []
-    taken = []
-    for v, row in zip(images, rows):
-        if matrix_rank(taken + [row]) > len(basis):
-            basis.append(v)
-            taken.append(row)
-    return basis
-
-
 def stratum_membership(w: Subspace, datum, which: str) -> bool:
     """Membership of the subalgebra spanned by w in X1(l), X2(N) or X2'(l).
 
@@ -479,15 +458,12 @@ def stratum_membership(w: Subspace, datum, which: str) -> bool:
             raise TypeError("X1/X2' take an isotropic imaginary octonion spanning the line")
         if not datum.is_imaginary() or norm(datum) or not datum:
             raise ValueError("the line must be spanned by a nonzero isotropic imaginary octonion")
-        lo = left_multiplication_space(datum)
-        if len(lo) != 4:
+        # l*O is spanned by the eight images l e_j; for isotropic imaginary l it is 4-dimensional
+        images = [list(multiply(datum, e).coeffs) for e in E]
+        if matrix_rank(images) != 4:
             raise ArithmeticError("l*O is not 4-dimensional")
-        if which == "X1":
-            span = [E[0]] + list(w.basis)
-        else:
-            span = list(w.basis)
-        rows = [list(v.coeffs) for v in span + lo]
-        return matrix_rank(rows) < len(span) + 4
+        span = ([E[0]] if which == "X1" else []) + list(w.basis)
+        return matrix_rank([list(v.coeffs) for v in span] + images) < len(span) + 4
     if which == "X2":
         if not isinstance(datum, Subspace):
             raise TypeError("X2 takes a null-plane subspace")

@@ -12,7 +12,6 @@ from cayleygr.cayley import (
     is_cg_member,
     point_by_label,
     point_permutation,
-    reference_tangent_table,
     repelling_weights,
     tangent_discrepancies,
     tangent_weights,

@@ -10,6 +10,7 @@ from cayleygr.equivariant import (
     ab_integrate,
     basis_vector,
     check_gkm_divisibility,
+    degree_of,
     degrees,
     dual_labels,
     expand_in_basis,
@@ -209,11 +210,12 @@ def test_expansion_examples():
 
 
 def test_mixed_degree_data_is_rejected():
-    # integration and expansion share one uniform-degree check
-    data = {"1": parse_form("a"), "8": parse_form("a^2")}
-    for route in (ab_integrate, expand_in_basis):
-        with pytest.raises(ValueError, match="mixed degrees"):
-            route(data)
+    # integration, expansion and the dual coordinates share one uniform-degree check
+    cases = {"mixed degrees": {"1": parse_form("a"), "8": parse_form("a^2")}, "empty vertex map": {}}
+    for message, data in cases.items():
+        for route in (ab_integrate, expand_in_basis, top_by_duality):
+            with pytest.raises(ValueError, match=message):
+                route(data)
 
 
 def test_monk_matrix_against_figure():
@@ -224,6 +226,20 @@ def test_monk_matrix_against_figure():
     for lab, row in monk.items():
         if row:
             assert degs[lab] == sum(c * degs[t] for t, c in row.items())
+
+
+def test_degree_of_against_fixed_point_integration():
+    # c_k H^(8-k) integrated over the fixed points, the tangent weights' e_k times H^(8-k),
+    # against the degree sum of the Schubert coordinates of c_k
+    h = hyperplane_class()
+    elementary = {p.label: elementary_symmetric(p.tangent) for p in enumerate_fixed_points()}
+    for k in range(1, 9):
+        data = {lab: e[k] for lab, e in elementary.items()}
+        for _ in range(8 - k):
+            data = pointwise_product(data, h)
+        assert degree_of(chern_classes()[k]) == ab_integrate(data)
+    assert all(degree_of({lab: 1}) == deg for lab, deg in degrees().items())
+    assert len(degrees()) == 15
 
 
 def test_degrees_match_reference():

@@ -4,11 +4,13 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleygr.exact import GI_ZERO, GaussianRational
+from cayleygr.ambient import _ANTISYMMETRIZER
+from cayleygr.exact import GI_ZERO, GaussianRational, matrix_rank, permutation_sign
 from cayleygr.octonions import (
     E,
     FANO_LINES,
     I,
+    NULL_PLANE,
     Octonion,
     OrbitType,
     Subspace,
@@ -18,7 +20,6 @@ from cayleygr.octonions import (
     g2_stabilizer_dim,
     im_product_via_form,
     is_subalgebra,
-    left_multiplication_space,
     model_h0,
     model_h1,
     model_h2,
@@ -30,7 +31,6 @@ from cayleygr.octonions import (
     three_form,
     three_form_table,
     volume_identity_constant,
-    _permutation_sign,
 )
 
 TABLE = fano_table(FANO_LINES)
@@ -129,9 +129,35 @@ def three_form_from_products():
             k, s = TABLE[i][j]
             idx = (i, j, k)
             perm = tuple(sorted(idx))
-            sign = _permutation_sign(idx)
+            sign = permutation_sign(idx)
             acc[perm] = acc.get(perm, Fraction(0)) + Fraction(s * sign, 6)
     return {key: c for key, c in acc.items() if c}
+
+
+def _cycle_sign(seq):
+    """(-1)^(n - number of cycles) of the permutation sorting seq upwards; counts no inversions."""
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    seen, cycles = set(), 0
+    for start in range(len(seq)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = order[i]
+    return (-1) ** (len(seq) - cycles)
+
+
+def test_permutation_sign():
+    assert [permutation_sign(s) for s in ((), (1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 5, 4))] == [1, 1, -1, 1, -1]
+    for perm in permutations(range(1, 6)):
+        assert permutation_sign(perm) == _cycle_sign(perm)
+    # the antisymmetrizer in four variables: each of the 24 permutations of (3, 2, 1, 0) once, 12 of each sign,
+    # the sign that of sorting the shift downwards
+    assert sorted(shift for shift, _ in _ANTISYMMETRIZER) == sorted(permutations((3, 2, 1, 0)))
+    assert sorted(sign for _, sign in _ANTISYMMETRIZER) == [-1] * 12 + [1] * 12
+    for shift, sign in _ANTISYMMETRIZER:
+        assert sign == _cycle_sign([-d for d in shift])
 
 
 def test_three_form_product_formula_agrees():
@@ -175,6 +201,7 @@ def test_classification_of_models():
 
 
 def test_null_planes():
+    assert NULL_PLANE == (X, Y)
     assert null_plane_test(Subspace([X, Y]))
     assert not null_plane_test(Subspace([E[1], E[2]]))
     assert not null_plane_test(Subspace([X, E[3]]))
@@ -193,7 +220,8 @@ def test_stabilizer_dimensions():
 
 
 def test_left_multiplication_space_is_4dim():
-    assert len(left_multiplication_space(X)) == 4
+    # l*O is spanned by the eight images l e_j
+    assert matrix_rank([list(multiply(X, e).coeffs) for e in E]) == 4
 
 
 def test_stratum_membership():
