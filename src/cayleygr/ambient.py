@@ -314,8 +314,8 @@ def check_generator_relations(e):
     """
     h = [e[0]]
     for k in range(1, DIMENSION + 1):
-        terms = (equivariant.schubert_product(e[i], h[k - i]).scale((-1) ** (i - 1)) for i in range(1, min(k, BOX_ROWS) + 1))
-        h.append(sum(terms, SchubertVector({})))
+        terms = (((-1) ** (i - 1), equivariant.schubert_product(e[i], h[k - i])) for i in range(1, min(k, BOX_ROWS) + 1))
+        h.append(equivariant.schubert_sum(terms))
     failures = [f"h{k} = {h[k]}" for k in range(BOX_COLS + 1, DIMENSION + 1) if not h[k].is_zero()]
     if failures:
         raise ArithmeticError("generator images fail the Grassmannian relations: " + "; ".join(failures))
@@ -329,7 +329,7 @@ def dual_jacobi_trudi(lam, e):
         if not rows:
             return e[0]
         minors = ((x, [r[:j] + r[j + 1:] for r in rows[1:]], (-1) ** j) for j, x in enumerate(rows[0]) if x is not None)
-        return sum((equivariant.schubert_product(x, det(m)).scale(sign) for x, m, sign in minors), SchubertVector({}))
+        return equivariant.schubert_sum((sign, equivariant.schubert_product(x, det(m))) for x, m, sign in minors)
 
     return det([[e[c - i + j] if 0 <= c - i + j <= BOX_ROWS else None for j in range(len(cols))] for i, c in enumerate(cols)])
 
@@ -355,7 +355,7 @@ def tau11_square_routes(table):
     """rho(tau_11^2) mapped through the table, and the localized (e_2)^2 by ``equivariant.top_by_duality``."""
     upstairs = lr_multiply(basis_vector((1, 1)), basis_vector((1, 1)))
     e2 = localized_generators()[2]
-    through_table = sum((table[nu].scale(c) for nu, c in upstairs.items()), SchubertVector({}))
+    through_table = equivariant.schubert_sum((c, table[nu]) for nu, c in upstairs.items())
     return through_table, equivariant.top_by_duality(equivariant.pointwise_product(e2, e2))
 
 
@@ -371,7 +371,6 @@ def check_restriction(table):
     """
     cut = cg_hyperplane_powers()
     monk = equivariant.monk_matrix()
-    zero = SchubertVector({})
     failures = []
     for lam, image in table.items():
         k = sum(lam)
@@ -382,8 +381,8 @@ def check_restriction(table):
             failures.append(f"t{name} has degree {degree}, cg_pairing {pairing}")
         if k < DIMENSION:
             upstairs = lr_multiply(basis_vector(lam), basis_vector((1,)))
-            pieri = sum((table[mu].scale(c) for mu, c in upstairs.items()), zero)
-            hyperplane = sum((SchubertVector(monk[lab]).scale(c) for lab, c in image.items()), zero)
+            pieri = equivariant.schubert_sum((c, table[mu]) for mu, c in upstairs.items())
+            hyperplane = equivariant.schubert_sum((c, SchubertVector(monk[lab])) for lab, c in image.items())
             if pieri != hyperplane:
                 failures.append(f"t1 t{name} is {pieri} by Pieri, {hyperplane} by Monk")
     if failures:
@@ -462,8 +461,8 @@ def tangent_chern_pairings():
     Returns {k: {"h": int, "t11": int, "t2": int, ...}} with pairings
     against sigma_1^(8-k) and against the natural dual-basis probes, all
     computed by Littlewood-Richardson arithmetic only: each probe tau_lam
-    multiplies cg tau_1^(8-k-|lam|) (``cg_hyperplane_powers``) and the
-    product is paired with c_k by Poincare duality.
+    multiplies c_k, and the product is paired with cg tau_1^(8-k-|lam|)
+    (``cg_hyperplane_powers``) by Poincare duality.
     """
     pieces = tangent_chern_ambient()
     cut = cg_hyperplane_powers()
@@ -474,6 +473,6 @@ def tangent_chern_pairings():
         for name, lam in probes.items():
             power = DIMENSION - k - sum(lam)
             if power >= 0:
-                row[name] = duality_pairing(pieces[k], lr_multiply(cut[power], basis_vector(lam)))
+                row[name] = duality_pairing(lr_multiply(pieces[k], basis_vector(lam)), cut[power])
         out[k] = row
     return out

@@ -311,28 +311,57 @@ def ab_integrate(values) -> Fraction:
     The input is a vertex map of uniform degree <= 8.  Over the integral
     common denominator L the sum is N / L with N = sum_q f(q) C_q (see
     ``_localization_denominator``), one ``sum_of_products`` of degree
-    deg + deg L - 8; and it must collapse: N = 0 below
-    degree 8; in degree 8, where N and L have one degree, N = c L for a
-    constant c, read off one monomial of L and certified by comparing N
-    with c L.  Anything else raises.  Vertices missing from the input
-    count as zero.
+    deg + deg L - 8; and it must collapse to a constant (``_collapse``).
+    Vertices missing from the input count as zero.
     """
     deg = _degree(values)
     if deg > DIMENSION:
         raise ValueError(f"integration expects degree at most {DIMENSION}")
     denominator, complements = _localization_denominator()
     pairs = ((val, complements[lab]) for lab, val in values.items())
-    numerator = sum_of_products(pairs, deg + denominator.degree - DIMENSION)
+    return _collapse(sum_of_products(pairs, deg + denominator.degree - DIMENSION), denominator, deg)
+
+
+def _collapse(numerator, denominator, deg) -> Fraction:
+    """The fixed-point sum N / L of data of degree ``deg``, certified to be a constant.
+
+    N = 0 below degree 8; in degree 8, where N and L have one degree, L
+    divides N exactly when N = c L, with c read off one monomial of L and
+    certified by comparing N with c L.  Anything else raises.
+    """
     if numerator.is_zero():
         return Fraction(0)
     if deg < DIMENSION:
         raise ArithmeticError("integral of under-degree data failed to vanish")
-    # N and L have one degree, so L divides N exactly when N = c L
     mono = next(iter(denominator.coeffs))
     c = Fraction(numerator.coeffs.get(mono, 0), denominator.coeffs[mono])
     if numerator != denominator.scale(c):
         raise ArithmeticError("fixed-point sum is not a polynomial")
     return c
+
+
+@cache
+def _weighted_class(label):
+    """{q: sigma_label(q) C_q} over the support of the class, C_q as in ``_localization_denominator``."""
+    _, complements = _localization_denominator()
+    return {q: poly_mul(form, complements[q]) for q, form in solve_all_classes()[label].items() if not form.is_zero()}
+
+
+def integrate_against(values, label) -> Fraction:
+    """The integral of a vertex map times sigma_label, as ``ab_integrate`` gives it.
+
+    N = sum_q f(q) sigma_label(q) C_q is one ``sum_of_products`` against
+    the cached ``_weighted_class``, with no product map built; it must
+    collapse as in ``ab_integrate`` (``_collapse``).  Vertices missing
+    from the input count as zero.
+    """
+    deg = _degree(values) + point_by_label(label).codim
+    if deg > DIMENSION:
+        raise ValueError(f"integration expects degree at most {DIMENSION}")
+    denominator = _localization_denominator()[0]
+    weighted = _weighted_class(label)
+    pairs = ((val, weighted[lab]) for lab, val in values.items() if lab in weighted)
+    return _collapse(sum_of_products(pairs, deg + denominator.degree - DIMENSION), denominator, deg)
 
 
 def expand_in_basis(values):
@@ -344,6 +373,7 @@ def expand_in_basis(values):
     deg = _degree(values)
     classes = solve_all_classes()
     remaining = dict(values)
+    one = HomogPoly.constant(1)
     out = {}
     for p in enumerate_fixed_points():
         if p.codim > deg:
@@ -357,10 +387,12 @@ def expand_in_basis(values):
             if quotient is None:
                 raise ArithmeticError(f"expansion fails: value at {p.label} not divisible by the normal weights")
         out[p.label] = quotient
-        # a class vanishes outside its support, so only its support changes
+        # r <- r - q sigma_p as one sum of products; a class vanishes
+        # outside its support, so only its support changes
+        negated = -quotient
         for lab, value in classes[p.label].items():
             if not value.is_zero():
-                remaining[lab] = remaining[lab] - poly_mul(quotient, value)
+                remaining[lab] = sum_of_products(((one, remaining[lab]), (negated, value)), deg)
     if any(not v.is_zero() for v in remaining.values()):
         raise ArithmeticError("expansion left a nonzero remainder")
     return out
@@ -492,23 +524,30 @@ def top_by_duality(values) -> SchubertVector:
     input times sigma_X' (``dual_labels``); lower-codimension classes carry
     coefficients of positive degree and integrate to zero against sigma_X'.
     """
-    classes = solve_all_classes()
     coeffs = {}
     for lab in labels_by_codim().get(_degree(values), ()):
-        c = ab_integrate(pointwise_product(values, classes[dual_labels()[lab]]))
+        c = integrate_against(values, dual_labels()[lab])
         if c.denominator != 1:
             raise ArithmeticError(f"non-integral coordinate {c} at {lab}")
         coeffs[lab] = int(c)
     return SchubertVector(coeffs)
 
 
+def schubert_sum(terms) -> SchubertVector:
+    """sum c v over (int c, SchubertVector v) pairs, accumulated in one dict."""
+    out = {}
+    for c, v in terms:
+        for lab, x in v.coeffs.items():
+            out[lab] = out.get(lab, 0) + c * x
+    return SchubertVector(out)
+
+
 def schubert_product(u: SchubertVector, v: SchubertVector) -> SchubertVector:
+    """u v as one ``schubert_sum`` of the scaled table rows sigma_X sigma_Y."""
     table = multiplication_table()
-    out = SchubertVector({})
-    for la, ca in u.items():
-        for lb, cb in v.items():
-            out = out + table[tuple(sorted((la, lb)))].scale(ca * cb)
-    return out
+    return schubert_sum(
+        (ca * cb, table[tuple(sorted((la, lb)))]) for la, ca in u.coeffs.items() for lb, cb in v.coeffs.items()
+    )
 
 
 def integrate_vector(v: SchubertVector) -> int:
@@ -540,7 +579,7 @@ def poincare_pairing():
         rows = {}
         for la in by_codim[k]:
             for lb in by_codim[DIMENSION - k]:
-                val = ab_integrate(pointwise_product(classes[la], classes[lb]))
+                val = integrate_against(classes[la], lb)
                 if val.denominator != 1:
                     raise ArithmeticError("pairing is not integral")
                 rows[(la, lb)] = int(val)
@@ -575,8 +614,8 @@ def verify_ring_presentation():
         s = basis_vector(cand)
         s2 = schubert_product(s, s)
         s3 = schubert_product(s2, s)
-        rel1 = h[5] - schubert_product(h[3], s).scale(5) + schubert_product(h[1], s2).scale(6)
-        rel2 = s3.scale(16) - schubert_product(h[2], s2).scale(27) + schubert_product(h[4], s).scale(9)
+        rel1 = schubert_sum(((1, h[5]), (-5, schubert_product(h[3], s)), (6, schubert_product(h[1], s2))))
+        rel2 = schubert_sum(((16, s3), (-27, schubert_product(h[2], s2)), (9, schubert_product(h[4], s))))
         report["relations"][cand] = {"rel1": rel1, "rel2": rel2}
         if report["generator"] is None and rel1.is_zero() and rel2.is_zero():
             report["generator"] = cand

@@ -14,22 +14,28 @@ from math import comb
 
 from .cayley import DIMENSION, enumerate_fixed_points
 from .equivariant import SchubertVector, base_label, basis_vector, degree_of, hyperplane_label, point_label, top_by_duality
-from .exact import HomogPoly, poly_mul
+from .exact import HomogPoly
 from .weightmodel import g2_irrep_dim, gl7_schur_dim
 
 
 def elementary_symmetric(weights):
     """[e_0, ..., e_n] of the linear forms of the n weights.
 
-    One factor (1 + w) at a time: e_k <- e_k + e_{k-1} w, for k from the
-    top down so that e_{k-1} is still the value before this factor.
+    The product of the factors (1 + x a + y b) is expanded in one table of
+    the monomials a^p b^q, and e_k is its degree-k part.  Each factor is
+    multiplied in place from the top degree down, so a monomial still
+    holds its value before this factor when it feeds the degree above.
     """
-    e = [HomogPoly.constant(1)] + [HomogPoly.zero(k) for k in range(1, len(weights) + 1)]
-    for n, w in enumerate(weights, 1):
-        form = w.poly()
-        for k in range(n, 0, -1):
-            e[k] = e[k] + poly_mul(e[k - 1], form)
-    return e
+    table = {(0, 0): 1}
+    for n, (x, y) in enumerate(weights):
+        for d in range(n, -1, -1):
+            for p in range(d + 1):
+                q = d - p
+                c = table.get((p, q))
+                if c:
+                    table[p + 1, q] = table.get((p + 1, q), 0) + x * c
+                    table[p, q + 1] = table.get((p, q + 1), 0) + y * c
+    return [HomogPoly(k, {(p, k - p): table.get((p, k - p), 0) for p in range(k + 1)}) for k in range(len(weights) + 1)]
 
 
 @cache

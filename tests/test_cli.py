@@ -71,6 +71,21 @@ def test_chamber_flag(capsys):
     assert by_id["betti.profile"]["status"] == "pass"
 
 
+def test_off_chamber_report_skips_only_the_label_check(capsys):
+    # off the default chamber, betti.profile and betti.total come out the
+    # same and betti.codim-equals-label is skipped: one result fewer
+    _, default = run_cli(capsys, "verify", "all", "--format", "json")
+    code, off = run_cli(capsys, "verify", "all", "--chamber", "2,1", "--format", "json")
+    assert code == 0
+    default, off = json.loads(default), json.loads(off)
+    assert (default.pop("chamber"), off.pop("chamber")) == ([1, 2], [2, 1])
+    skipped = [r for r in default["results"] if r["id"] == "betti.codim-equals-label"]
+    assert len(skipped) == 1
+    default["results"].remove(skipped[0])
+    assert off == default
+    assert len(off["results"]) == 86
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -516,9 +531,11 @@ def test_duplicate_row_discrepancy_needs_a_verbatim_twin(tmp_path, capsys, monke
     assert status["mult.duplicate-row.2*5'"] == "fail" and status["mult.unambiguous-rows"] == "pass"
 
 
-# SHA-256 of the default reports (text, JSON and CSV) and dumps, and of
-# the largest hilbert and series runs and the index report; they are byte-identical across
-# hash seeds, and a change that alters any of them must say why
+# SHA-256 of the default reports (text, JSON and CSV) and dumps, of
+# the largest hilbert and series runs, and of the JSON reports of the
+# single topics index, chern, dual, ring and restriction, which run
+# without building every stage of `verify all`; they are byte-identical
+# across hash seeds, and a change that alters any of them must say why
 OUTPUT_DIGESTS = {
     ("verify", "all"): "2f621462320ca757d1bb9832a99ceb5290bd7d411d8a49dcd23ba1f5fd4509f5",
     ("verify", "all", "--format", "json"): "be9bc43bdcaa48af94bbbd8610cbcf436d608a1835549229cc8f471447776959",
@@ -533,6 +550,10 @@ OUTPUT_DIGESTS = {
     ("verify", "hilbert", "--kmax", "100", "--format", "json"): "149db095485c4b3b4698fb445531d3aa2b808367d148e0ad7333af047d49226e",
     ("verify", "series", "--kmax", "100", "--format", "json"): "45ae2cdfa97d8f9a65ed34908e2d15d9a805653d4895e3451495fd50e54e43b8",
     ("verify", "index", "--format", "json"): "adbb90b6c44480490fcd232122f13fc4a459a412c254d65cda4c40912653cd6b",
+    ("verify", "chern", "--format", "json"): "94b32a0c71004d0d6dbb16f12f78f83db39cf296a3a5c3db9563acdb8bcc62ba",
+    ("verify", "dual", "--format", "json"): "95965c42c71171bac2b393306e8a8225ecd6cfbf1dbdb27071fe09bc9a25c309",
+    ("verify", "ring", "--format", "json"): "975c3a8ec8553202f15f9040c6c4f05469863369d6506fd136208efbb111a542",
+    ("verify", "restriction", "--format", "json"): "4f291231df6577894ce3455983c55112eb3038d44d3bdb707d3ec4894dae0955",
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleygr.ambient import localized_generators, restriction_table
-from cayleygr.cayley import enumerate_fixed_points, gkm_edges, point_by_label, point_permutation
+from cayleygr.cayley import enumerate_fixed_points, gkm_edges, point_by_label, point_permutation, repelling_weights
 from cayleygr.equivariant import (
     SchubertVector,
     ab_integrate,
@@ -16,6 +16,8 @@ from cayleygr.equivariant import (
     expand_in_basis,
     fundamental_class,
     hyperplane_class,
+    hyperplane_label,
+    integrate_against,
     labels_by_codim,
     lefschetz_report,
     monk_matrix,
@@ -24,6 +26,7 @@ from cayleygr.equivariant import (
     pointwise_product,
     poincare_pairing,
     schubert_product,
+    schubert_sum,
     sigma1_powers,
     solve_all_classes,
     top_by_duality,
@@ -202,18 +205,81 @@ def test_expansion_examples():
     # full expansion of H^2 includes lower terms with form coefficients
     full = expand_in_basis(pointwise_product(h, h))
     assert set(full) >= {"2", "2'", "1"}
-    with pytest.raises(ArithmeticError):
-        # a multiset that is not in the span: tweak one vertex of sigma_2
+    with pytest.raises(ArithmeticError, match="nonzero remainder"):
+        # a multiset that is not in the span: tweak one vertex of sigma_2,
+        # the point vertex, where no step of a degree-2 expansion divides
         broken = dict(classes["2"])
         broken["8"] = parse_form("a^2")
         expand_in_basis(broken)
 
 
+def _expand_by_subtraction(values):
+    """The chain that expand_in_basis replaces: each update r - q sigma_p as a product, a negation and a sum."""
+    classes = solve_all_classes()
+    remaining = dict(values)
+    degree = next(iter(values.values())).degree
+    out = {}
+    for p in enumerate_fixed_points():
+        if p.codim > degree:
+            break
+        quotient = remaining[p.label]
+        if quotient.is_zero():
+            continue
+        for w in repelling_weights(p):
+            quotient = divide_by_linear(quotient, w[0], w[1])
+        out[p.label] = quotient
+        for lab, value in classes[p.label].items():
+            if not value.is_zero():
+                remaining[lab] = remaining[lab] - poly_mul(quotient, value)
+    assert all(v.is_zero() for v in remaining.values())
+    return out
+
+
+def test_expand_in_basis_against_the_subtraction_chain():
+    classes = solve_all_classes()
+    labels = [p.label for p in enumerate_fixed_points()]
+    products = [pointwise_product(classes[a], classes[b]) for i, a in enumerate(labels) for b in labels[i:]]
+    assert len(products) == 120
+    for values in products:
+        assert expand_in_basis(values) == _expand_by_subtraction(values)
+
+
+LABELS = ("0", "1", "2", "2'", "3", "3'", "4", "4'", "4''", "5", "5'", "6", "6'", "7", "8")
+schubert_vectors = st.dictionaries(st.sampled_from(LABELS), st.integers(-4, 4), max_size=6).map(SchubertVector)
+
+
+def _product_by_rows(u, v):
+    """The chain that schubert_product replaces: one scaled table row added at a time."""
+    table = multiplication_table()
+    out = SchubertVector({})
+    for la, ca in u.items():
+        for lb, cb in v.items():
+            out = out + table[tuple(sorted((la, lb)))].scale(ca * cb)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(schubert_vectors, schubert_vectors)
+def test_schubert_product_against_the_sum_of_rows(u, v):
+    assert schubert_product(u, v) == _product_by_rows(u, v)
+
+
+def test_schubert_product_of_a_primitive_class_cancels():
+    # x = c' sigma_2 - c sigma_2' with x H^5 = 0: the rows cancel to the zero vector
+    h5 = sigma1_powers()[5]
+    c, c_prime = (schubert_product(basis_vector(lab), h5)["7"] for lab in ("2", "2'"))
+    assert c and c_prime
+    x = vec({"2": c_prime, "2'": -c})
+    assert schubert_product(x, h5) == _product_by_rows(x, h5) == vec({})
+    assert schubert_sum([(2, x), (-1, x), (-1, x)]).coeffs == {}
+
+
 def test_mixed_degree_data_is_rejected():
     # integration, expansion and the dual coordinates share one uniform-degree check
     cases = {"mixed degrees": {"1": parse_form("a"), "8": parse_form("a^2")}, "empty vertex map": {}}
+    pair_with_h = lambda data: integrate_against(data, hyperplane_label())
     for message, data in cases.items():
-        for route in (ab_integrate, expand_in_basis, top_by_duality):
+        for route in (ab_integrate, expand_in_basis, top_by_duality, pair_with_h):
             with pytest.raises(ValueError, match=message):
                 route(data)
 
@@ -306,8 +372,8 @@ def test_dual_labels_reject_a_block_that_is_not_a_permutation(monkeypatch, pair,
         dual_labels.__wrapped__()
 
 
-def test_top_by_duality_against_top_expansion():
-    # the 8 Chern maps, the 4 generator images, the square of e_2 and all 120 table products
+def _duality_inputs():
+    """The 8 Chern maps, the 4 generator images, the square of e_2 and all 120 table products."""
     elementary = {p.label: elementary_symmetric(p.tangent) for p in enumerate_fixed_points()}
     e = localized_generators()
     classes = solve_all_classes()
@@ -316,8 +382,47 @@ def test_top_by_duality_against_top_expansion():
     inputs += [*e[1:], pointwise_product(e[2], e[2])]
     inputs += [pointwise_product(classes[a], classes[b]) for i, a in enumerate(labels) for b in labels[i:]]
     assert len(inputs) == 133
-    for values in inputs:
+    return inputs
+
+
+def test_top_by_duality_against_top_expansion():
+    for values in _duality_inputs():
         assert top_by_duality(values) == top_expansion(values)
+
+
+def _pairing_by_product(values, label):
+    """The chain that integrate_against replaces: the product map, then fixed-point integration."""
+    return ab_integrate(pointwise_product(values, solve_all_classes()[label]))
+
+
+def test_integrate_against_matches_the_product_chain():
+    # on the 133 inputs of the duality coordinates, against every class of the complementary codimension
+    by_codim = labels_by_codim()
+    for values in _duality_inputs():
+        degree = next(iter(values.values())).degree
+        for lab in by_codim.get(8 - degree, ()):
+            assert integrate_against(values, lab) == _pairing_by_product(values, lab)
+    # and on the 29 integrals of the Poincare pairing
+    classes = solve_all_classes()
+    pairs = [(la, lb) for k in range(9) for la in by_codim[k] for lb in by_codim[8 - k]]
+    assert len(pairs) == 29
+    for la, lb in pairs:
+        assert integrate_against(classes[la], lb) == _pairing_by_product(classes[la], lb)
+
+
+@pytest.mark.parametrize(
+    "bent_label, label, message",
+    [("4", "4'", "not a polynomial"), ("2", "2", "under-degree")],
+    ids=["top-degree", "under-degree"],
+)
+def test_integrate_against_rejects_bent_data(bent_label, label, message):
+    # sigma_X moved off the classes at the point vertex: in top degree the
+    # fixed-point sum is no polynomial, and below it the sum fails to vanish
+    bent = dict(solve_all_classes()[bent_label])
+    bent["8"] = bent["8"] + parse_form(f"a^{point_by_label(bent_label).codim}")
+    for route in (integrate_against, _pairing_by_product):
+        with pytest.raises(ArithmeticError, match=message):
+            route(bent, label)
 
 
 def test_top_by_duality_rejects_a_non_integral_coordinate():

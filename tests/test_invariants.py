@@ -19,7 +19,7 @@ from cayleygr.invariants import (
     leading_degree,
     quadric_count,
 )
-from cayleygr.weightmodel import g2_irrep_dim
+from cayleygr.weightmodel import BASIS_WEIGHTS, g2_irrep_dim
 
 
 def test_chern_classes_against_reference():
@@ -57,6 +57,26 @@ def test_chern_recurrence_against_subset_sum():
                     term = poly_mul(term, w.poly())
                 total = total + term
             assert e[k] == total, (p.label, k)
+
+
+def _elementary_by_recurrence(weights):
+    """The chain that elementary_symmetric replaces: e_k <- e_k + e_(k-1) w, one form at a time."""
+    e = [HomogPoly.constant(1)] + [HomogPoly.zero(k) for k in range(1, len(weights) + 1)]
+    for n, w in enumerate(weights, 1):
+        for k in range(n, 0, -1):
+            e[k] = e[k] + poly_mul(e[k - 1], w.poly())
+    return e
+
+
+def test_elementary_symmetric_against_the_recurrence():
+    # no weight, the 4 tautological weights and the 8 tangent weights at every fixed point
+    assert elementary_symmetric([]) == [HomogPoly.constant(1)]
+    for p in enumerate_fixed_points():
+        for weights in ([BASIS_WEIGHTS[i] for i in p.four_space], p.tangent):
+            assert len(weights) in (4, 8)
+            e = elementary_symmetric(weights)
+            assert e == _elementary_by_recurrence(weights), p.label
+            assert [form.degree for form in e] == list(range(len(weights) + 1))
 
 
 def test_euler_characteristic_is_fixed_point_count():
