@@ -6,10 +6,13 @@ s_lam maps to the Schubert class tau_lam, and partitions outside the 4x3
 box die (``box_class``).  A class is an ``equivariant.SchubertVector``
 keyed by box partitions, the type that carries the subvariety's classes
 keyed by fixed-point labels; its integral is its coefficient at ``TOP``.
-A Littlewood-Richardson product s_lam s_mu is read off the
-antisymmetrized monomials of the smaller factor, with no polynomial
-product; the test suite holds it to the polynomial product and to a
-tableau count.  Integrals of products pair box complements.
+Each box class tau_mu is one dual Jacobi-Trudi determinant
+det(e_(mu'_i - i + j)) in e_1..e_4 of U*, kept as its signed terms
+(``jacobi_trudi_terms``).  A Littlewood-Richardson product a b applies
+every term of each tau_mu in b to a as Pieri steps, tau_lam e_k being
+the sum of tau_nu over the vertical k-strips nu/lam in the box, with no
+polynomial product; the test suite holds it to the polynomial product
+and to a tableau count.  Integrals of products pair box complements.
 
 Also computes the fundamental class cg of the three-form zero locus, the
 image lattice index, and ambient-side pairings of the tangent Chern
@@ -27,16 +30,16 @@ each pair of roots.
 The restriction onto the 15-class Schubert basis is a ring map, fixed by
 the images of e_1..e_4 of U*: each is localized (the elementary symmetric
 forms of the tautological weights) and paired with the dual classes, the
-images must kill h_4..h_8, and each box class is a dual Jacobi-Trudi
-determinant in them.  The degree pairings and the hyperplane products
+images must kill h_4..h_8, and each box class is its Jacobi-Trudi terms
+multiplied out in them.  The degree pairings and the hyperplane products
 check the table: tau_1 tau_lam by ``lr_multiply`` (Pieri) upstairs, by
 Monk downstairs.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import combinations, permutations, product
+from functools import cache, reduce
+from itertools import combinations, permutations
 from math import comb, prod
 
 from .cayley import DIMENSION, enumerate_fixed_points
@@ -134,36 +137,6 @@ def _multiply_by_unit(series, unit, lower):
                 series[m + v] += c * s
 
 
-@cache
-def schur_poly(shape, nvars=4):
-    """Schur polynomial in nvars variables by the branching rule.
-
-    s_lam(x_1..x_n) = sum over mu interlacing lam (lam_1 >= mu_1 >= lam_2
-    >= ... >= mu_{n-1} >= lam_n) of s_mu(x_1..x_{n-1}) x_n^(|lam| - |mu|)
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.5).  Every
-    coefficient is a positive Kostka number, so nothing cancels.
-    """
-    shape = tuple(p for p in shape if p)
-    if len(shape) > nvars:
-        return {}
-    if nvars == 0:
-        return {(): 1}
-    out = {}
-    for mu, last in _interlacing(shape, nvars):
-        for mono, c in schur_poly(mu, nvars - 1).items():
-            key = mono + (last,)
-            out[key] = out.get(key, 0) + c
-    return out
-
-
-def _interlacing(shape, nvars):
-    """Each mu interlacing the shape in nvars - 1 parts, with |shape| - |mu|."""
-    padded = shape + (0,) * (nvars - len(shape))
-    size = sum(shape)
-    for mu in product(*(range(padded[i + 1], padded[i] + 1) for i in range(nvars - 1))):
-        yield tuple(p for p in mu if p), size - sum(mu)
-
-
 def _schur_coordinates(piece, size):
     """The class of a symmetric polynomial P given at every exponent vector of one degree.
 
@@ -192,39 +165,54 @@ def box_class(coeffs) -> SchubertVector:
 
 
 @cache
-def _lr_pair(lam, mu):
-    """s_lam s_mu in four variables, as sorted (nu, coefficient) pairs.
+def jacobi_trudi_terms(lam):
+    """tau_lam = det(e_(lam'_i - i + j)) for a box shape, as (sign, (k_1, ..., k_r)) terms.
 
-    Antisymmetrization: a_{lam+delta} s_mu = sum_alpha K_{mu,alpha}
-    a_{lam+delta+alpha} over the monomials x^alpha of s_mu, where
-    delta = (3, 2, 1, 0).  Each exponent lam+delta+alpha is sorted with the
-    sign of its permutation; one with a repeated entry gives zero
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.3 and I.9).
-    The product commutes, so mu is the smaller factor by size.
+    lam' has at most three parts, so the determinant is at most 3x3
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3).  With
+    e_0 = 1, zero indices are left out, and a term with an index below 0
+    or above 4 is dropped.
     """
-    if sum(mu) > sum(lam):
-        return _lr_pair(mu, lam)
-    if len(lam) > BOX_ROWS:
-        return ()
-    shifted = [p + d for p, d in zip(lam + (0,) * (BOX_ROWS - len(lam)), _DELTA)]
+    cols = [c for c in (sum(row > j for row in lam) for j in range(BOX_COLS)) if c]
+    terms = []
+    for p in permutations(range(len(cols))):
+        ks = [c - i + j for i, (c, j) in enumerate(zip(cols, p))]
+        if all(0 <= k <= BOX_ROWS for k in ks):
+            terms.append((permutation_sign(p), tuple(k for k in ks if k)))
+    return tuple(terms)
+
+
+def dual_jacobi_trudi(lam, start, times):
+    """start tau_lam as the sum of its ``jacobi_trudi_terms``, where times(x, k) is x e_k."""
+    return equivariant.schubert_sum((sign, reduce(times, ks, start)) for sign, ks in jacobi_trudi_terms(lam))
+
+
+@cache
+def _vertical_strips(lam, k):
+    """tau_lam e_k by the Pieri rule: tau_nu for each box shape nu with nu/lam a vertical k-strip (Macdonald I.5)."""
+    padded = lam + (0,) * (BOX_ROWS - len(lam))
     out = {}
-    for alpha, c in schur_poly(mu, BOX_ROWS).items():
-        exps = [e + a for e, a in zip(shifted, alpha)]
-        if len(set(exps)) < BOX_ROWS:
-            continue
-        nu = tuple(p for p in (e - d for e, d in zip(sorted(exps, reverse=True), _DELTA)) if p)
-        out[nu] = out.get(nu, 0) + permutation_sign([-e for e in exps]) * c
-    return tuple(sorted((nu, c) for nu, c in out.items() if c))
+    for rows in combinations(range(BOX_ROWS), k):
+        nu = [p + (i in rows) for i, p in enumerate(padded)]
+        if nu[0] <= BOX_COLS and all(x >= y for x, y in zip(nu, nu[1:])):
+            out[tuple(p for p in nu if p)] = 1
+    return SchubertVector(out)
+
+
+def _pieri_step(a, k):
+    """a e_k, one ``_vertical_strips`` sum per shape of a."""
+    return equivariant.schubert_sum((c, _vertical_strips(lam, k)) for lam, c in a.items())
 
 
 def lr_multiply(a: SchubertVector, b: SchubertVector) -> SchubertVector:
-    """Littlewood-Richardson product truncated to the box."""
-    out = {}
-    for lam, ca in a.items():
-        for mu, cb in b.items():
-            for nu, c in _lr_pair(lam, mu):
-                out[nu] = out.get(nu, 0) + ca * cb * c
-    return box_class(out)
+    """Littlewood-Richardson product truncated to the box.
+
+    Both factors are cut to the box.  Each tau_mu of b is then expanded
+    by ``dual_jacobi_trudi`` with Pieri steps on a, so the small factor
+    goes second.
+    """
+    a = box_class(a)
+    return equivariant.schubert_sum((c, dual_jacobi_trudi(mu, a, _pieri_step)) for mu, c in box_class(b).items())
 
 
 def duality_pairing(a: SchubertVector, b: SchubertVector) -> int:
@@ -321,32 +309,22 @@ def check_generator_relations(e):
         raise ArithmeticError("generator images fail the Grassmannian relations: " + "; ".join(failures))
 
 
-def dual_jacobi_trudi(lam, e):
-    """tau_lam = det(e_(lam'_i - i + j)), at most 3x3, in the images e of e_0..e_4, expanded by rows."""
-    cols = [c for c in (sum(row > j for row in lam) for j in range(BOX_COLS)) if c]
-
-    def det(rows):
-        if not rows:
-            return e[0]
-        minors = ((x, [r[:j] + r[j + 1:] for r in rows[1:]], (-1) ** j) for j, x in enumerate(rows[0]) if x is not None)
-        return equivariant.schubert_sum((sign, equivariant.schubert_product(x, det(m))) for x, m, sign in minors)
-
-    return det([[e[c - i + j] if 0 <= c - i + j <= BOX_ROWS else None for j in range(len(cols))] for i, c in enumerate(cols)])
-
-
 @cache
 def restriction_table():
     """Restriction of every box class of size <= 8 to the Schubert basis.
 
     Only e_1..e_4 of U*, which generate H*(G(4,7)), are localized and
     top-expanded.  Once their images pass ``check_generator_relations``,
-    each tau_lam is its dual Jacobi-Trudi determinant in them, and
-    ``check_restriction`` holds the table to the degree pairings and the
-    hyperplane product.
+    each tau_lam is its ``dual_jacobi_trudi`` terms multiplied out in them,
+    and ``check_restriction`` holds the table to the degree pairings and
+    the hyperplane product.
     """
     e = generator_images()
     check_generator_relations(e)
-    table = {lam: dual_jacobi_trudi(lam, e) for lam in box_partitions() if sum(lam) <= DIMENSION}
+    def times(x, k):
+        return equivariant.schubert_product(x, e[k])
+
+    table = {lam: dual_jacobi_trudi(lam, e[0], times) for lam in box_partitions() if sum(lam) <= DIMENSION}
     check_restriction(table)
     return table
 

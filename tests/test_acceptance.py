@@ -9,7 +9,6 @@ require the discrepancies to be surfaced by the reporting layer.
 """
 
 from collections import Counter
-from fractions import Fraction
 from math import comb
 
 import pytest

@@ -9,10 +9,10 @@ from cayleygr.ambient import (
     TOP,
     _divide_by_unit,
     _dual_chern_power,
-    _lr_pair,
     _multiply_by_unit,
     _packed_monomials,
     _schur_coordinates,
+    _vertical_strips,
     box_class,
     box_partitions,
     cg_class,
@@ -25,11 +25,10 @@ from cayleygr.ambient import (
     duality_pairing,
     image_index,
     image_index_profile,
+    jacobi_trudi_terms,
     lr_multiply,
     parse_partition,
-    partition_name,
     restriction_table,
-    schur_poly,
     tangent_chern_ambient,
     tangent_chern_pairings,
     tau11_square_routes,
@@ -39,6 +38,7 @@ from cayleygr.equivariant import SchubertVector, basis_vector, multiplication_ta
 from cayleygr.exact import HomogPoly, poly_mul
 from cayleygr.fixtures import load_fixture
 from cayleygr.weightmodel import BASIS_WEIGHTS
+from schur_reference import schur_poly
 
 t = basis_vector
 
@@ -111,7 +111,7 @@ def lr_coefficients_oracle(lam, mu, nu):
 
     Fills the skew shape nu/lam with content mu subject to semistandard
     rows/columns and the reverse lattice word condition; shares nothing
-    with the antisymmetrization kernel of the library.
+    with the Jacobi-Trudi and Pieri kernel of the library.
     """
     lam = tuple(lam) + (0,) * (len(nu) - len(lam))
     if any(n < l for n, l in zip(nu, lam)):
@@ -166,23 +166,59 @@ def test_lr_against_tableau_oracle():
                 assert prod[nu] == lr_coefficients_oracle(lam, mu, nu), (lam, mu, nu)
 
 
-def test_lr_pair_against_polynomial_product():
-    # the antisymmetrization kernel against multiplying the two Schur
-    # polynomials and Schur-expanding, on the box and a few shapes beyond it
-    shapes = box_partitions() + [(4,), (5, 1), (4, 4, 2)]
-    for lam in shapes:
-        for mu in shapes:
-            want = schur_expand(_naive_mul(schur_poly(lam), schur_poly(mu)))
-            assert _lr_pair(lam, mu) == tuple(sorted(want.items())), (lam, mu)
-    assert _lr_pair((1, 1, 1, 1, 1), (1,)) == ()
-
-
-def test_lr_pair_commutes():
-    # the kernel antisymmetrizes over the smaller factor; either order gives one product
+def test_lr_multiply_against_polynomial_product():
+    # the Pieri-step kernel against multiplying the two Schur polynomials,
+    # Schur-expanding and cutting to the box, on every pair of box shapes
     parts = box_partitions()
     for lam in parts:
         for mu in parts:
-            assert _lr_pair(lam, mu) == _lr_pair(mu, lam), (lam, mu)
+            want = box_class(schur_expand(_naive_mul(schur_poly(lam), schur_poly(mu))))
+            assert lr_multiply(t(lam), t(mu)) == want, (lam, mu)
+
+
+def test_lr_multiply_outside_the_box_is_zero():
+    # shapes with a fourth column, a fifth row, or both
+    for bad in [(4,), (4, 1), (5, 1), (4, 4, 2), (1, 1, 1, 1, 1)]:
+        for lam in box_partitions():
+            assert lr_multiply(t(bad), t(lam)).is_zero(), (bad, lam)
+            assert lr_multiply(t(lam), t(bad)).is_zero(), (lam, bad)
+
+
+def test_lr_multiply_commutes():
+    # only the second factor is expanded, so the order is not symmetric by construction
+    parts = box_partitions()
+    for lam in parts:
+        for mu in parts:
+            assert lr_multiply(t(lam), t(mu)) == lr_multiply(t(mu), t(lam)), (lam, mu)
+
+
+def _e_sym(k, nvars):
+    """Elementary symmetric polynomial e_k: every squarefree monomial of degree k."""
+    return {tuple(int(i in rows) for i in range(nvars)): 1 for rows in combinations(range(nvars), k)}
+
+
+def test_jacobi_trudi_terms_against_the_polynomial_determinant():
+    for lam in box_partitions():
+        total = {}
+        for sign, ks in jacobi_trudi_terms(lam):
+            assert all(1 <= k <= 4 for k in ks), (lam, ks)
+            term = {(0, 0, 0, 0): sign}
+            for k in ks:
+                term = _naive_mul(term, _e_sym(k, 4))
+            for m, c in term.items():
+                total[m] = total.get(m, 0) + c
+        assert {m: c for m, c in total.items() if c} == _jacobi_trudi(lam, 4), lam
+    assert jacobi_trudi_terms(()) == ((1, ()),)
+    assert jacobi_trudi_terms((2, 2)) == ((1, (2, 2)), (-1, (3, 1)))
+
+
+def test_pieri_step_against_tableau_oracle():
+    for lam in box_partitions():
+        for k in range(5):
+            column = (1,) * k
+            want = {nu: lr_coefficients_oracle(lam, column, nu) for nu in box_partitions(size=sum(lam) + k)}
+            assert _vertical_strips(lam, k) == SchubertVector(want), (lam, k)
+    assert _vertical_strips((3, 1), 2) == t((3, 2, 1)) + t((3, 1, 1, 1))
 
 
 def test_duality_pairing_against_lr_integral():
@@ -302,12 +338,23 @@ def test_generator_images():
     assert generator_images() == [t("0"), t("1"), t("2'"), t("3"), t("4")]
 
 
+def _images(e):
+    """Each box class of size <= 8 as its Jacobi-Trudi terms in the images e, multiplied in the computed ring."""
+
+    def times(x, k):
+        return schubert_product(x, e[k])
+
+    return {lam: dual_jacobi_trudi(lam, e[0], times) for lam in box_partitions() if sum(lam) <= 8}
+
+
 def test_dual_jacobi_trudi_on_the_images():
     e = generator_images()
-    assert dual_jacobi_trudi((), e) == e[0]
-    assert dual_jacobi_trudi((1, 1, 1), e) == e[3]
-    assert dual_jacobi_trudi((2,), e) == schubert_product(e[1], e[1]) - e[2]
-    assert dual_jacobi_trudi((2, 2), e) == schubert_product(e[2], e[2]) - schubert_product(e[1], e[3])
+    images = _images(e)
+    assert images[()] == e[0]
+    assert images[(1, 1, 1)] == e[3]
+    assert images[(2,)] == schubert_product(e[1], e[1]) - e[2]
+    assert images[(2, 2)] == schubert_product(e[2], e[2]) - schubert_product(e[1], e[3])
+    assert images == restriction_table()
 
 
 @pytest.mark.parametrize(
@@ -333,8 +380,7 @@ def test_tau11_square_routes_see_a_wrong_ring_product(monkeypatch):
     # Jacobi-Trudi shapes, not the localized square; the table is built
     # here without ``check_restriction``, which would raise first
     monkeypatch.setitem(multiplication_table(), ("2'", "2'"), t("4").scale(3) + t("4'").scale(3))
-    e = generator_images()
-    table = {lam: dual_jacobi_trudi(lam, e) for lam in box_partitions() if sum(lam) <= 8}
+    table = _images(generator_images())
     through_table, by_localization = tau11_square_routes(table)
     assert by_localization == t("4").scale(3) + t("4'").scale(3) + t("4''")
     assert through_table != by_localization
@@ -406,7 +452,7 @@ def test_image_index():
 
 def test_ambient_chern_pairings_match_localization():
     # two fully independent routes to the same intersection numbers
-    from cayleygr.equivariant import degrees, integrate_vector, sigma1_powers
+    from cayleygr.equivariant import degrees
     from cayleygr.invariants import chern_classes
 
     pairs = tangent_chern_pairings()
@@ -584,7 +630,8 @@ def test_multiply_by_unit_difference_of_squares():
 
 
 # ---------------------------------------------------------------------------
-# the Jacobi-Trudi oracle for the branching-rule Schur polynomials
+# the Jacobi-Trudi oracle for the branching-rule Schur polynomials and the
+# library's Jacobi-Trudi terms
 # ---------------------------------------------------------------------------
 
 

@@ -1,11 +1,10 @@
-from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
 import pytest
 
 from cayleygr.cayley import enumerate_fixed_points
-from cayleygr.equivariant import SchubertVector, degrees
+from cayleygr.equivariant import SchubertVector
 from cayleygr.exact import HomogPoly, poly_mul
 from cayleygr.fixtures import load_fixture
 from cayleygr.invariants import (
