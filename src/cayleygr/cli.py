@@ -5,12 +5,18 @@ and emits a deterministic machine-readable report.  Exit code 0 means no
 check failed (documented suspected misprints are reported with their own
 status and do not fail the run); 1 means a genuine failure; 2 means a
 usage error.
+
+The `cayleygr` script and `python -m cayleygr.cli` both enter through
+``run``, which freezes the heap once ``main`` returns so that the
+process ends without the shutdown collections walking it; ``main(argv)``
+is the in-process entry and leaves the heap alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -122,21 +128,21 @@ def run_fixed_points(args):
 
 def run_tangents(args):
     diffs = cayley.tangent_discrepancies()
-    yield equal("tangents.matching-rows", 15 - len(diffs), 14)
-    if set(diffs) == {"5"}:
-        got, ref = diffs["5"]
-        yield discrepancy(
-            "tangents.row-5",
-            sorted(str(w) for w in got.elements()),
-            sorted(str(w) for w in ref.elements()),
-            "printed row duplicates row 0; the symmetric image of row 0 under a->b->g->a is forced",
-        )
-    else:
-        yield check("tangents.row-5", False, sorted(diffs), ["5"])
+    printed = {lab: Counter(row[1]) for lab, row in cayley.reference_points().items()}
     row0 = cayley.tangent_weights(cayley.point_by_label("0"))
     expected5 = Counter({w.under((BETA, GAMMA)): m for w, m in row0.items()})  # a -> b -> g -> a
-    ok = cayley.tangent_weights(cayley.point_by_label("5")) == expected5
-    yield check("tangents.row-5-symmetry", ok, provenance="DERIVED")
+    got5 = cayley.tangent_weights(cayley.point_by_label("5"))
+    row5 = documented(
+        "tangents.row-5",
+        sorted(str(w) for w in got5.elements()),
+        sorted(str(w) for w in printed["5"].elements()),
+        printed["5"] == printed["0"] and got5 == expected5,
+        "printed row duplicates row 0; the symmetric image of row 0 under a->b->g->a is forced",
+    )
+    # every row but a documented misprint matches
+    yield equal("tangents.matching-rows", 15 - len(diffs), 15 - (row5.status == DISCREPANCY))
+    yield row5
+    yield check("tangents.row-5-symmetry", got5 == expected5, provenance="DERIVED")
 
 
 def run_betti(args):
@@ -312,22 +318,31 @@ def _printed_restriction():
 def run_restriction(args):
     printed = _printed_restriction()
     table = ambient.restriction_table()
-    mismatch = {}
-    for name, coeffs in printed.items():
-        lam = ambient.parse_partition(name)
-        want = equivariant.SchubertVector(coeffs)
-        if table[lam] != want:
-            mismatch[name] = (want, table[lam])
-    ok = set(mismatch) == {"2", "11"}
-    yield check("restriction.table", ok, f"{len(printed) - len(mismatch)} of {len(printed)} entries match", "all but the swapped pair")
-    if ok:
-        yield discrepancy(
-            "restriction.level-2-swap",
-            {"2": table[(2,)], "11": table[(1, 1)]},
-            {"2": printed["2"], "11": printed["11"]},
-            "printed images of the two codimension-2 classes are interchanged; the ring-homomorphism property forces the computed assignment",
-        )
-    yield equal("restriction.homomorphism", *ambient.tau11_square_routes(table), "DERIVED")
+    want = {name: equivariant.SchubertVector(coeffs) for name, coeffs in printed.items()}
+    got = {name: table[ambient.parse_partition(name)] for name in printed}
+    through_table, by_localization = ambient.tau11_square_routes(table)
+
+    def squares_right(image):
+        # rho(tau_11)^2 = rho(tau_11^2)
+        return equivariant.schubert_product(image, image) == through_table
+
+    swap = documented(
+        "restriction.level-2-swap",
+        {"2": got["2"], "11": got["11"]},
+        {"2": want["2"], "11": want["11"]},
+        (want["2"], want["11"]) == (got["11"], got["2"]) and squares_right(got["11"]) and not squares_right(want["11"]),
+        "printed images of the two codimension-2 classes are interchanged; the ring-homomorphism property forces the computed assignment",
+    )
+    mismatch = [name for name in printed if got[name] != want[name]]
+    swapped = swap.status == DISCREPANCY
+    yield check(
+        "restriction.table",
+        sorted(mismatch) == (["11", "2"] if swapped else []),
+        f"{len(printed) - len(mismatch)} of {len(printed)} entries match",
+        "all but the swapped pair" if swapped else "all entries",
+    )
+    yield swap
+    yield equal("restriction.homomorphism", through_table, by_localization, "DERIVED")
 
 
 def run_index(args):
@@ -372,16 +387,18 @@ def run_dual(args):
         "a list of 9 integers",
     )
     printed_derivative = fixture_entry("dual_polynomial", "derivative_at_one", lambda d: type(d) is int, "an integer")
-    matching = [i for i in range(9) if coeffs[i] == printed[i]]
-    yield check("dual.matching-coefficients", matching == [0, 1, 2, 3, 4, 5, 6, 8], f"{len(matching)} of 9", "8 of 9")
     first_chern = invariants.chern_classes()[1][equivariant.hyperplane_label()]
-    yield documented(
+    q8 = documented(
         "dual.q8-coefficient",
         coeffs[7],
         printed[7],
         coeffs[7] == -first_chern * equivariant.degrees()[equivariant.base_label()],
         "q^8 coefficient equals minus (first Chern coefficient) x (degree) = -728; the printed -738 is not attainable",
     )
+    matching = [i for i in range(9) if coeffs[i] == printed[i]]
+    expected = [i for i in range(9) if i != 7 or q8.status != DISCREPANCY]
+    yield check("dual.matching-coefficients", matching == expected, f"{len(matching)} of 9", f"{len(expected)} of 9")
+    yield q8
     yield documented(
         "dual.derivative",
         dprime,
@@ -587,7 +604,7 @@ def _parse_kmax(s):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="cayleygr", description=__doc__)
+    parser = argparse.ArgumentParser(prog="cayleygr", description=__doc__.rpartition("\n\n")[0])  # the last paragraph is for callers
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run checks against the embedded reference data")
@@ -641,5 +658,19 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def run(argv=None):
+    """The process entry: main(argv), then freeze the heap; returns main's exit code.
+
+    Every object alive at that point dies with the process, and a frozen
+    heap spares the interpreter's shutdown collections from walking them.
+    Shutdown itself still runs: streams are flushed, atexit handlers run
+    and the exit code becomes the process's status.  In-process callers
+    use ``main``, which leaves the heap alone.
+    """
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

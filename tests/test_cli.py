@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -14,8 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleygr import equivariant, invariants
-from cayleygr.cli import main
+from cayleygr import ambient, cli, equivariant, invariants
+from cayleygr.cli import main, run
 from cayleygr.exact import HomogPoly, poly_mul
 from cayleygr.cayley import DIMENSION
 from cayleygr.fixtures import FORM_DEGREE_BOUND, fixtures_dir, parse_form
@@ -195,6 +196,81 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "fixed-points.count" in proc.stdout
+
+
+def test_run_returns_the_exit_code_and_freezes_the_heap(capsys, monkeypatch):
+    try:
+        assert run(["verify", "octonion"]) == main(["verify", "octonion"]) == 0
+        assert gc.get_freeze_count() > 0
+        monkeypatch.setattr(cli, "main", lambda argv=None: 1)
+        assert run(["verify", "octonion"]) == 1
+    finally:
+        gc.unfreeze()
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["verify", "octonion"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_module_entry_freezes_the_heap():
+    # the __main__ block goes through run(): an atexit handler, which runs
+    # after its sys.exit, finds the heap frozen
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.argv = ['cayleygr', 'verify', 'octonion']\n"
+        "runpy.run_module('cayleygr.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0
+    assert int(proc.stderr) > 0
+
+
+def _betti_on_swapped_labels(tmp_path):
+    fixtures, _ = _edited_fixtures(tmp_path, "fixed_points", _swap_triples)
+    return ["verify", "betti"], {"CAYLEY_FIXTURES": str(fixtures)}, 1
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        lambda tmp_path: (["verify", "octonion", "--format", "json"], {}, 0),
+        _betti_on_swapped_labels,
+        lambda tmp_path: (["verify", "hilbert", "--kmax", "101"], {}, 2),
+    ],
+    ids=["exit-0", "exit-1", "exit-2"],
+)
+def test_module_entry_matches_main(tmp_path, setup):
+    # `python -m cayleygr.cli` goes through run(); a fresh process calling
+    # main() directly must print the same bytes and exit alike
+    argv, env, code = setup(tmp_path)
+    env = {**_src_env(), **env}
+    by_run = subprocess.run([sys.executable, "-m", "cayleygr.cli", *argv], capture_output=True, env=env)
+    script = f"import sys\nfrom cayleygr.cli import main\nsys.exit(main({argv!r}))\n"
+    by_main = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert by_run.returncode == by_main.returncode == code, by_run.stderr
+    assert by_run.stdout == by_main.stdout
+    assert by_run.stderr == by_main.stderr
+
+
+def _project_scripts():
+    """{name: target} of the [project.scripts] table, read as plain text (tomllib needs Python 3.11)."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    table = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    return dict(re.fullmatch(r'\s*([\w-]+)\s*=\s*"([^"]+)"\s*', line).groups() for line in table.splitlines() if line.strip())
+
+
+def test_project_scripts_resolve():
+    scripts = _project_scripts()
+    assert scripts["cayleygr"] == "cayleygr.cli:run"
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name
 
 
 def _missing_directory(tmp_path):
@@ -529,6 +605,82 @@ def test_duplicate_row_discrepancy_needs_a_verbatim_twin(tmp_path, capsys, monke
     code, status = _statuses(capsys, "mult")
     assert code == 1
     assert status["mult.duplicate-row.2*5'"] == "fail" and status["mult.unambiguous-rows"] == "pass"
+
+
+_PRINTED_ROW_5 = '"triple": ["b", "g", "-a"],  "tangent": ["a", "b", "2a", "2b", "a-g", "b-g", "-g", "-g"]'
+_COMPUTED_ROW_5 = '"triple": ["b", "g", "-a"],  "tangent": ["-a", "-a", "2b", "2g", "b", "b-a", "g", "g-a"]'
+_CORRECTED = {
+    # each printed misprint set to the computed value: a data change that must pass
+    "fixed_points": (
+        "tangents",
+        lambda text: text.replace(_PRINTED_ROW_5, _COMPUTED_ROW_5),
+        ["tangents.row-5"],
+    ),
+    "restriction": (
+        "restriction",
+        lambda text: text.replace('"2": {"2\'": 1},\n    "11": {"2": 1},', '"2": {"2": 1},\n    "11": {"2\'": 1},'),
+        ["restriction.level-2-swap"],
+    ),
+    "dual_polynomial": (
+        "dual",
+        lambda text: text.replace("1438, -738, 182]", "1438, -728, 182]").replace('"derivative_at_one": 17', '"derivative_at_one": 63'),
+        ["dual.q8-coefficient", "dual.derivative"],
+    ),
+    "chern": (
+        "chern",
+        lambda text: text.replace('"5": {"5": 76, "5\'": 160}', '"5": {"5": 160, "5\'": 76}').replace('"6": {"6": 133, "6\'": 151}', '"6": {"6": 151, "6\'": 193}'),
+        ["chern.c5", "chern.c6"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORRECTED))
+def test_corrected_misprints_pass(tmp_path, capsys, monkeypatch, name):
+    # one rule for every documented misprint: a match passes, and no count pins the printed mismatches
+    topic, edit, corrected = _CORRECTED[name]
+    fixtures, _ = _edited_fixtures(tmp_path, name, edit)
+    argv = ["verify", topic, "--format", "json"]
+    if name == "fixed_points":
+        # every stage caches the point labels, so an edited table needs a fresh process
+        env = {**_src_env(), "CAYLEY_FIXTURES": str(fixtures)}
+        proc = subprocess.run([sys.executable, "-m", "cayleygr.cli", *argv], capture_output=True, text=True, env=env)
+        code, out = proc.returncode, proc.stdout
+    else:
+        monkeypatch.setenv("CAYLEY_FIXTURES", str(fixtures))
+        code, out = run_cli(capsys, *argv)
+    assert code == 0
+    status = {r["id"]: r["status"] for r in json.loads(out)["results"]}
+    assert all(status[i] == "pass" for i in corrected)
+    assert set(status.values()) == {"pass"}
+
+
+def test_tangent_row_discrepancy_needs_a_duplicate_of_row_0(tmp_path):
+    # a printed row 5 that is wrong but no copy of row 0 is no documented misprint
+    other = '"triple": ["b", "g", "-a"],  "tangent": ["-a", "-b", "-2a", "-2b", "g-a", "g-b", "g", "g"]'
+    fixtures, _ = _edited_fixtures(tmp_path, "fixed_points", lambda text: text.replace(_PRINTED_ROW_5, other))
+    env = {**_src_env(), "CAYLEY_FIXTURES": str(fixtures)}
+    proc = subprocess.run([sys.executable, "-m", "cayleygr.cli", "verify", "tangents", "--format", "json"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    status = {r["id"]: r["status"] for r in json.loads(proc.stdout)["results"]}
+    assert status == {"tangents.matching-rows": "fail", "tangents.row-5": "fail", "tangents.row-5-symmetry": "pass"}
+
+
+def test_restriction_swap_discrepancy_needs_the_interchanged_pair(tmp_path, capsys, monkeypatch):
+    # t2 printed right and t11 printed as s2: one wrong image, not the computed pair interchanged
+    fixtures, _ = _edited_fixtures(tmp_path, "restriction", lambda text: text.replace('"2": {"2\'": 1},', '"2": {"2": 1},'))
+    monkeypatch.setenv("CAYLEY_FIXTURES", str(fixtures))
+    code, status = _statuses(capsys, "restriction")
+    assert code == 1
+    assert status["restriction.level-2-swap"] == "fail" and status["restriction.table"] == "fail"
+
+
+def test_restriction_swap_discrepancy_needs_the_square(capsys, monkeypatch):
+    # with rho(t11)^2 = rho(t11^2) failing for every image, the interchange alone is no evidence
+    ambient.restriction_table()  # built first: the table's own products stay right
+    monkeypatch.setattr(equivariant, "schubert_product", lambda u, v: equivariant.SchubertVector({}))
+    code, status = _statuses(capsys, "restriction")
+    assert code == 1
+    assert status["restriction.level-2-swap"] == "fail" and status["restriction.table"] == "fail"
 
 
 # SHA-256 of the default reports (text, JSON and CSV) and dumps, of
