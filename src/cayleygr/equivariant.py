@@ -308,27 +308,43 @@ def pointwise_product(*classes):
 def ab_integrate(values) -> Fraction:
     """Fixed-point integration: sum of f(p) / e(p) over the vertices.
 
-    The input is a vertex map of uniform degree <= 8.  Over the integral
-    common denominator L the sum is N / L with N = sum_q f(q) C_q (see
-    ``_localization_denominator``), one ``sum_of_products`` of degree
-    deg + deg L - 8; and it must collapse to a constant (``_collapse``).
-    Vertices missing from the input count as zero.
+    The input is a vertex map of uniform degree <= 8, weighted by the
+    C_q of ``_localization_denominator`` (see ``_integrate``).
     """
-    deg = _degree(values)
+    return _integrate(values, _localization_denominator()[1], 0)
+
+
+def integrate_against(values, label) -> Fraction:
+    """The integral of a vertex map times sigma_label, as ``ab_integrate`` gives it.
+
+    The input is weighted by the cached sigma_label(q) C_q
+    (``_weighted_class``), with no product map built.
+    """
+    return _integrate(values, _weighted_class(label), point_by_label(label).codim)
+
+
+@cache
+def _weighted_class(label):
+    """{q: sigma_label(q) C_q} at every vertex, C_q as in ``_localization_denominator``; zero off the support."""
+    _, complements = _localization_denominator()
+    return {q: form if form.is_zero() else poly_mul(form, complements[q]) for q, form in solve_all_classes()[label].items()}
+
+
+def _integrate(values, weights, extra) -> Fraction:
+    """sum_q f(q) w_q / L over vertex weights w_q of degree deg C_q + ``extra``, certified to be a constant.
+
+    L is the integral common denominator of ``_localization_denominator``,
+    and N = sum_q f(q) w_q is one ``sum_of_products``.  N = 0 below degree 8;
+    in degree 8, where N and L have one degree, L divides N exactly when
+    N = c L, with c read off one monomial of L and certified by comparing
+    N with c L.  Anything else raises, and so does a vertex that is no
+    fixed point.  Vertices missing from the input count as zero.
+    """
+    deg = _degree(values) + extra
     if deg > DIMENSION:
         raise ValueError(f"integration expects degree at most {DIMENSION}")
-    denominator, complements = _localization_denominator()
-    pairs = ((val, complements[lab]) for lab, val in values.items())
-    return _collapse(sum_of_products(pairs, deg + denominator.degree - DIMENSION), denominator, deg)
-
-
-def _collapse(numerator, denominator, deg) -> Fraction:
-    """The fixed-point sum N / L of data of degree ``deg``, certified to be a constant.
-
-    N = 0 below degree 8; in degree 8, where N and L have one degree, L
-    divides N exactly when N = c L, with c read off one monomial of L and
-    certified by comparing N with c L.  Anything else raises.
-    """
+    denominator = _localization_denominator()[0]
+    numerator = sum_of_products(((val, weights[lab]) for lab, val in values.items()), deg + denominator.degree - DIMENSION)
     if numerator.is_zero():
         return Fraction(0)
     if deg < DIMENSION:
@@ -338,30 +354,6 @@ def _collapse(numerator, denominator, deg) -> Fraction:
     if numerator != denominator.scale(c):
         raise ArithmeticError("fixed-point sum is not a polynomial")
     return c
-
-
-@cache
-def _weighted_class(label):
-    """{q: sigma_label(q) C_q} over the support of the class, C_q as in ``_localization_denominator``."""
-    _, complements = _localization_denominator()
-    return {q: poly_mul(form, complements[q]) for q, form in solve_all_classes()[label].items() if not form.is_zero()}
-
-
-def integrate_against(values, label) -> Fraction:
-    """The integral of a vertex map times sigma_label, as ``ab_integrate`` gives it.
-
-    N = sum_q f(q) sigma_label(q) C_q is one ``sum_of_products`` against
-    the cached ``_weighted_class``, with no product map built; it must
-    collapse as in ``ab_integrate`` (``_collapse``).  Vertices missing
-    from the input count as zero.
-    """
-    deg = _degree(values) + point_by_label(label).codim
-    if deg > DIMENSION:
-        raise ValueError(f"integration expects degree at most {DIMENSION}")
-    denominator = _localization_denominator()[0]
-    weighted = _weighted_class(label)
-    pairs = ((val, weighted[lab]) for lab, val in values.items() if lab in weighted)
-    return _collapse(sum_of_products(pairs, deg + denominator.degree - DIMENSION), denominator, deg)
 
 
 def expand_in_basis(values):
@@ -439,16 +431,13 @@ class SchubertVector:
         return self.coeffs.get(lab, 0)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for lab, c in other.coeffs.items():
-            out[lab] = out.get(lab, 0) + c
-        return SchubertVector(out)
+        return schubert_sum(((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return schubert_sum(((1, self), (-1, other)))
 
     def scale(self, c):
-        return SchubertVector({lab: c * v for lab, v in self.coeffs.items()})
+        return schubert_sum(((c, self),))
 
     def __eq__(self, other):
         return isinstance(other, SchubertVector) and self.coeffs == other.coeffs

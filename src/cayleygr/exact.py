@@ -46,16 +46,11 @@ class GaussianRational:
 
     @classmethod
     def _coerce(cls, x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        return None
+        """x as a Gaussian rational; anything but one or a rational (``scalar``) raises TypeError."""
+        return x if isinstance(x, GaussianRational) else cls(x)
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -65,20 +60,13 @@ class GaussianRational:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -88,8 +76,6 @@ class GaussianRational:
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         n = Fraction(other.re * other.re + other.im * other.im)
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -99,15 +85,12 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        return self._coerce(other) / self
 
     def __eq__(self, other):
+        if not isinstance(other, (GaussianRational, int, Fraction)):
+            return NotImplemented  # equality with a foreign value is False, never an error
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -222,15 +205,6 @@ class HomogPoly:
         if not c:
             return HomogPoly.zero(self.degree)
         return HomogPoly(self.degree, {k: c * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, HomogPoly):
-            return NotImplemented
-        return poly_mul(self, other)
-
-    __rmul__ = __mul__
 
     def evaluate(self, a, b):
         a, b = scalar(a), scalar(b)

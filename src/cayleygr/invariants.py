@@ -81,12 +81,8 @@ def dual_degree():
 
 
 def _schur_dim_or_zero(shape):
-    shape = tuple(shape)
-    if any(p < 0 for p in shape):
-        return 0
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-        return 0
-    return gl7_schur_dim(tuple(p for p in shape if p))
+    """gl7_schur_dim of a weakly decreasing shape, and 0 when a part is negative."""
+    return 0 if min(shape) < 0 else gl7_schur_dim(shape)
 
 
 def hilbert_value(k: int) -> int:

@@ -8,6 +8,7 @@ from cayleygr.cayley import enumerate_fixed_points, gkm_edges, point_by_label, p
 from cayleygr.equivariant import (
     SchubertVector,
     ab_integrate,
+    base_label,
     basis_vector,
     check_gkm_divisibility,
     degree_of,
@@ -423,6 +424,46 @@ def test_integrate_against_rejects_bent_data(bent_label, label, message):
     for route in (integrate_against, _pairing_by_product):
         with pytest.raises(ArithmeticError, match=message):
             route(bent, label)
+
+
+@st.composite
+def vertex_maps(draw):
+    """A vertex map of one degree <= 8 on some fixed points, with small integer coefficients."""
+    degree = draw(st.integers(0, 8))
+    labels = draw(st.lists(st.sampled_from([p.label for p in enumerate_fixed_points()]), min_size=1, unique=True))
+    return {lab: HomogPoly(degree, {(p, degree - p): draw(st.integers(-3, 3)) for p in range(degree + 1)}) for lab in labels}
+
+
+def _outcome(route, values):
+    """The value of an integration route, or the type and message of the ArithmeticError it raises."""
+    try:
+        return route(values)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(vertex_maps(), top_degree_combinations(), st.just(point_class())), st.sampled_from(["9", "0''", "a"]))
+def test_integration_entries_share_one_body(values, stray):
+    # against the fundamental class, integrate_against weights each vertex by C_q, as ab_integrate does
+    against_one = lambda data: integrate_against(data, base_label())
+    assert _outcome(ab_integrate, values) == _outcome(against_one, values)
+    # a vertex that is no fixed point raises on both entries, against any class
+    form = next(iter(values.values()))
+    strayed = values | {stray: form}
+    complement = labels_by_codim()[8 - form.degree][-1]
+    for route in (ab_integrate, against_one, lambda data: integrate_against(data, complement)):
+        with pytest.raises(KeyError):
+            route(strayed)
+
+
+def test_schubert_vector_arithmetic_is_one_sum():
+    u, v = vec({"2": 3, "2'": -1}), vec({"2": -3, "3": 2})
+    assert (u + v).coeffs == schubert_sum([(1, u), (1, v)]).coeffs == {"2'": -1, "3": 2}
+    assert (u - u).coeffs == {} and u.scale(0).coeffs == {}
+    assert u - v == vec({"2": 6, "2'": -1, "3": -2}) and u.scale(-2) == vec({"2": -6, "2'": 2})
+    with pytest.raises(TypeError, match="integers"):
+        u.scale(Fraction(1, 2))
 
 
 def test_top_by_duality_rejects_a_non_integral_coordinate():

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -366,6 +367,39 @@ def test_floats_are_rejected_at_construction():
     for attempt in attempts:
         with pytest.raises(TypeError):
             attempt()
+
+
+@pytest.mark.parametrize("foreign", ["1", None, 0.5], ids=["str", "None", "float"])
+def test_gaussian_arithmetic_rejects_a_foreign_operand(foreign):
+    # one coercion rule (``scalar``): every operator raises rather than returning NotImplemented
+    z = GaussianRational(1, 2)
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
+        with pytest.raises(TypeError):
+            getattr(z, f"__{name}__")(foreign)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right in ((z, foreign), (foreign, z)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    # equality with a foreign value is False, never an error
+    assert z != foreign and not z == foreign
+
+
+def test_gaussian_reflected_operators_take_rationals():
+    # Gauss-Jordan rows hold int zeros beside Gaussian rationals
+    z = GaussianRational(1, 2)
+    assert 0 + z == z and 0 - z == -z and 0 * z == 0
+    assert Fraction(1, 2) / z == GaussianRational(Fraction(1, 10), Fraction(-1, 5))
+    assert 3 - z == GaussianRational(2, -2) and 2 / GaussianRational(0, 1) == GaussianRational(0, -2)
+
+
+def test_forms_multiply_only_through_poly_mul():
+    # a form has no * operator: products are poly_mul or sum_of_products, constants are scale
+    f = HomogPoly.linear(1, 2)
+    for attempt in (lambda: 2 * f, lambda: f * 2, lambda: f * BETA, lambda: Fraction(1, 2) * f):
+        with pytest.raises(TypeError):
+            attempt()
+    assert poly_mul(f, BETA) == sum_of_products([(f, BETA)], 2) == HomogPoly(2, {(1, 1): 1, (0, 2): 2})
+    assert f.scale(2) == f + f
 
 
 def test_gaussian_division_is_exact():

@@ -22,7 +22,6 @@ from cayleygr.weightmodel import (
     WEYL_GROUP,
     Weight,
     g2_irrep_dim,
-    g2_irrep_dim_character_oracle,
     gl7_schur_dim,
     inner,
     model_bridge,
@@ -31,6 +30,7 @@ from cayleygr.weightmodel import (
 )
 
 from schur_reference import schur_poly
+from weyl_character_reference import g2_irrep_dim_character_oracle
 
 SIMPLE_ROOTS = (ALPHA, BETA - ALPHA)  # the simple roots of the chamber (1, 2)
 
