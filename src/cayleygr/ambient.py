@@ -18,14 +18,15 @@ Also computes the fundamental class cg of the three-form zero locus, the
 image lattice index, and ambient-side pairings of the tangent Chern
 classes, off one cached table of cg tau_1^p, that cross-check the
 localization route.  Series in the four roots are tables over packed
-monomials, a linear unit 1 + L is multiplied in or divided out by one
-integer sweep, and Schur coordinates are read off the antisymmetrizer.
+monomials, a unit 1 + L with L of one degree is multiplied in or divided
+out by one integer sweep, and Schur coordinates are read off the
+antisymmetrizer.
 The Chern roots of Lambda^3 U* give four such units, 1 + e1 - x_l,
 stated once: the zero locus class c_4(Lambda^3 U*) is the degree-4 piece
 of their product, and the tangent Chern classes c(T) = c(U*)^7 /
 (c(U* (x) U) c(Lambda^3 U*)) come from the tautological sequence as a
-table of binomial products divided by 16 units, these four and two for
-each pair of roots.
+table of binomial products divided by 10 units, these four and one
+quadratic unit for each pair of roots.
 
 The restriction onto the 15-class Schubert basis is a ring map, fixed by
 the images of e_1..e_4 of U*: each is localized (the elementary symmetric
@@ -57,8 +58,9 @@ _DELTA = (3, 2, 1, 0)  # staircase of the antisymmetrizer in four variables
 _ANTISYMMETRIZER = tuple((tuple(_DELTA[i] for i in p), permutation_sign(p)) for p in permutations(range(BOX_ROWS)))
 
 
+@cache
 def box_partitions(size=None):
-    """Partitions inside the 4x3 box, optionally of a fixed size."""
+    """Partitions inside the 4x3 box, optionally of a fixed size, as a tuple."""
     out = []
     for a in range(BOX_COLS + 1):
         for b in range(a + 1):
@@ -67,7 +69,7 @@ def box_partitions(size=None):
                     lam = tuple(p for p in (a, b, c, d) if p)
                     if size is None or sum(lam) == size:
                         out.append(lam)
-    return sorted(out, key=lambda l: (sum(l), l))
+    return tuple(sorted(out, key=lambda l: (sum(l), l)))
 
 
 def partition_name(lam):
@@ -107,12 +109,13 @@ _WEDGE3_UNITS = tuple(tuple((y, 1) for y in _X if y != xl) for xl in _X)
 
 
 def _divide_by_unit(series, unit, lower):
-    """Divide a truncated series by the linear unit 1 + L, in place.
+    """Divide a truncated series by the unit 1 + L, in place.
 
     ``series`` maps every packed monomial up to the truncation degree to
-    its coefficient, ``lower`` lists the packed monomials below that
-    degree in increasing degree, and ``unit`` holds (packed variable,
-    coefficient) for the terms of L.  The quotient solves q = series - L q:
+    its coefficient, ``unit`` holds (packed monomial, coefficient) for the
+    terms of L, each of one positive degree d, and ``lower`` lists the
+    packed monomials more than d below the truncation degree in
+    increasing degree.  The quotient solves q = series - L q:
     by the time the sweep reaches m, q_m is final, and c q_m leaves
     q_{m+v} for each term c x^v of L.  Integers only, and no division.
     """
@@ -148,9 +151,8 @@ def _schur_coordinates(piece, size):
             raise ArithmeticError(f"input not symmetric: coefficient {c} at {m}")
     coords = {}
     for nu in box_partitions(size):
-        padded = nu + (0,) * (BOX_ROWS - len(nu))
-        exponents = ((tuple(p + d - s for p, d, s in zip(padded, _DELTA, shift)), sign) for shift, sign in _ANTISYMMETRIZER)
-        coords[nu] = sum(sign * piece.get(m, 0) for m, sign in exponents)
+        n0, n1, n2, n3 = (p + d for p, d in zip(nu + (0,) * (BOX_ROWS - len(nu)), _DELTA))  # nu + delta
+        coords[nu] = sum(sign * piece.get((n0 - s0, n1 - s1, n2 - s2, n3 - s3), 0) for (s0, s1, s2, s3), sign in _ANTISYMMETRIZER)
     return box_class(coords)
 
 
@@ -398,7 +400,8 @@ def image_index_profile():
 
 def _dual_chern_power(monomials, power):
     """c(U*)^power = prod_i (1 + x_i)^power on the packed monomials: prod_i C(power, m_i) at x^m."""
-    return {key: prod(comb(power, e) for e in m) for m, key in monomials}
+    binomials = [comb(power, e) for e in range(DIMENSION + 1)]
+    return {key: prod(map(binomials.__getitem__, m)) for m, key in monomials}
 
 
 @cache
@@ -413,19 +416,19 @@ def tangent_chern_ambient():
                                      * prod_l (1 + e1 - x_l)).
 
     The numerator's coefficient at x^m is prod_i C(7, m_i).  The
-    denominator is 16 linear units: 1 - (x_i - x_j)^2 = (1 - x_i + x_j)
-    (1 + x_i - x_j) for the 6 pairs, and the Chern roots 1 + e1 - x_l of
-    Lambda^3 U* (``_WEDGE3_UNITS``).  The numerator is divided by one unit
-    at a time, truncated at the dimension (``_divide_by_unit``).  Each
-    graded piece is symmetric; its Schur coordinates, read off by
-    ``_schur_coordinates``, give the class.
+    denominator is 10 units: 1 - x_i^2 + 2 x_i x_j - x_j^2 for the 6 pairs,
+    and the Chern roots 1 + e1 - x_l of Lambda^3 U* (``_WEDGE3_UNITS``).
+    The numerator is divided by one unit at a time, truncated at the
+    dimension (``_divide_by_unit``).  Each graded piece is symmetric; its
+    Schur coordinates, read off by ``_schur_coordinates``, give the class.
     """
     monomials = _packed_monomials(BOX_ROWS, DIMENSION)
     series = _dual_chern_power(monomials, BOX_ROWS + BOX_COLS)  # c(U* (x) C^7)
-    lower = [key for m, key in monomials if sum(m) < DIMENSION]
-    pairs = tuple(((xi, s), (xj, -s)) for xi, xj in combinations(_X, 2) for s in (1, -1))  # 1 +- (x_i - x_j)
-    for unit in pairs + _WEDGE3_UNITS:
-        _divide_by_unit(series, unit, lower)
+    lower = {d: [key for m, key in monomials if sum(m) <= DIMENSION - d] for d in (1, 2)}  # by the unit's degree
+    for xi, xj in combinations(_X, 2):
+        _divide_by_unit(series, ((2 * xi, -1), (xi + xj, 2), (2 * xj, -1)), lower[2])
+    for unit in _WEDGE3_UNITS:
+        _divide_by_unit(series, unit, lower[1])
 
     graded = {k: {} for k in range(DIMENSION + 1)}
     for m, key in monomials:

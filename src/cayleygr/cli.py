@@ -15,7 +15,6 @@ is the in-process entry and leaves the heap alone.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
 import json
@@ -482,6 +481,8 @@ def _json(doc):
 
 
 def _csv(rows):
+    import csv  # only CSV output needs the module, so no other process pays for its import
+
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()

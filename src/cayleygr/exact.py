@@ -322,7 +322,9 @@ def _row_reduce(rows, ncols):
     right-hand side) are carried along.  Each step touches only the
     support of the pivot row: the row's entries left of the pivot column
     are already zero, and an entry of another row changes only where the
-    pivot row is nonzero.  Zero entries keep the type they came with.
+    pivot row is nonzero.  A pivot of 1 or -1 divides nothing, so integer
+    entries stay ``int``s; any other rational pivot divides through
+    ``Fraction``.  Zero entries keep the type they came with.
     """
     pivots = []
     r = 0
@@ -332,12 +334,16 @@ def _row_reduce(rows, ncols):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         row = rows[r]
-        inv = row[c]
-        if isinstance(inv, int):
-            inv = Fraction(inv)  # int / int would be a float
+        p = row[c]
         support = [j for j in range(c, len(row)) if row[j]]
-        for j in support:
-            row[j] = row[j] / inv
+        if p == -1:
+            for j in support:
+                row[j] = -row[j]
+        elif p != 1:
+            if isinstance(p, int):
+                p = Fraction(p)  # int / int would be a float
+            for j in support:
+                row[j] = row[j] / p
         for i, other in enumerate(rows):
             f = other[c]
             if f and i != r:
@@ -350,6 +356,11 @@ def _row_reduce(rows, ncols):
     return pivots
 
 
+def _canonical(x):
+    """A reduced entry as returned: a rational in its ``scalar`` form, a Gaussian rational as it is."""
+    return x if isinstance(x, GaussianRational) else scalar(x)
+
+
 def _kernel_basis(reduced, pivots, ncols):
     """Right kernel of a matrix from its reduced rows and pivot columns."""
     pivot_set = set(pivots)
@@ -360,7 +371,7 @@ def _kernel_basis(reduced, pivots, ncols):
         vec = [0] * ncols
         vec[fc] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
+            vec[pc] = _canonical(-reduced[r][fc])
         basis.append(vec)
     return basis
 
@@ -399,7 +410,7 @@ def solve_rational(rows, rhs):
             return LinearSolution("inconsistent")
     particular = [0] * n
     for r, pc in enumerate(pivots):
-        particular[pc] = work[r][n]
+        particular[pc] = _canonical(work[r][n])
     if len(pivots) < n:
         return LinearSolution("family", particular, _kernel_basis(work, pivots, n))
     return LinearSolution("unique", particular)

@@ -109,9 +109,10 @@ _VARS = {
     "b": HomogPoly.linear(0, 1),
     "g": HomogPoly.linear(-1, -1),
 }
-_TERM = re.compile(r"([+-]?)(\d*)((?:(?:[abg]|\([+-]?\d*[abg](?:[+-]\d*[abg])*\))(?:\^\d+)?)*)")
-_FACTOR = re.compile(r"([abg]|\([^)]*\))(?:\^(\d+))?")
-_SUMMAND = re.compile(r"([+-]?)(\d*)([abg])")
+# the patterns of parse_form, compiled on first use through re's own cache
+_TERM = r"([+-]?)(\d*)((?:(?:[abg]|\([+-]?\d*[abg](?:[+-]\d*[abg])*\))(?:\^\d+)?)*)"
+_FACTOR = r"([abg]|\([^)]*\))(?:\^(\d+))?"
+_SUMMAND = r"([+-]?)(\d*)([abg])"
 
 
 def parse_form(expr: str) -> HomogPoly:
@@ -131,17 +132,17 @@ def parse_form(expr: str) -> HomogPoly:
     """
     total, pos = None, 0
     while pos < len(expr) or total is None:
-        m = _TERM.match(expr, pos)
+        m = re.compile(_TERM).match(expr, pos)
         sign, literal, factors = m.groups()
         if not (literal or factors) or (pos and not sign):
             raise ValueError(f"not of the printed shape at character {pos}")
         term = HomogPoly.constant(int(sign + (literal or "1")))
-        for factor, exponent in _FACTOR.findall(factors):
+        for factor, exponent in re.findall(_FACTOR, factors):
             exponent = int(exponent or 1)
             for what, n in (("exponent", exponent), ("degree", term.degree + exponent)):
                 if n > FORM_DEGREE_BOUND:
                     raise ValueError(f"{what} {n} above {FORM_DEGREE_BOUND}")
-            base = sum((_VARS[letter].scale(int(s + (c or "1"))) for s, c, letter in _SUMMAND.findall(factor)), HomogPoly.zero(1))
+            base = sum((_VARS[letter].scale(int(s + (c or "1"))) for s, c, letter in re.findall(_SUMMAND, factor)), HomogPoly.zero(1))
             for _ in range(exponent):
                 term = poly_mul(term, base)
         if total is not None and term.degree != total.degree:

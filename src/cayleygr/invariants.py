@@ -21,21 +21,21 @@ from .weightmodel import g2_irrep_dim, gl7_schur_dim
 def elementary_symmetric(weights):
     """[e_0, ..., e_n] of the linear forms of the n weights.
 
-    The product of the factors (1 + x a + y b) is expanded in one table of
-    the monomials a^p b^q, and e_k is its degree-k part.  Each factor is
-    multiplied in place from the top degree down, so a monomial still
-    holds its value before this factor when it feeds the degree above.
+    The product of the factors (1 + x a + y b) is expanded degree by
+    degree, e_k held as its coefficients at a^p b^(k-p) for p = 0..k.
+    Each factor is multiplied in place from the top degree down, so e_(k-1)
+    still holds its value before this factor when it feeds e_k.
     """
-    table = {(0, 0): 1}
-    for n, (x, y) in enumerate(weights):
-        for d in range(n, -1, -1):
-            for p in range(d + 1):
-                q = d - p
-                c = table.get((p, q))
+    e = [[1]]
+    for x, y in weights:
+        e.append([0] * (len(e) + 1))
+        for k in range(len(e) - 1, 0, -1):
+            row = e[k]
+            for p, c in enumerate(e[k - 1]):
                 if c:
-                    table[p + 1, q] = table.get((p + 1, q), 0) + x * c
-                    table[p, q + 1] = table.get((p, q + 1), 0) + y * c
-    return [HomogPoly(k, {(p, k - p): table.get((p, k - p), 0) for p in range(k + 1)}) for k in range(len(weights) + 1)]
+                    row[p + 1] += x * c
+                    row[p] += y * c
+    return [HomogPoly(k, {(p, k - p): c for p, c in enumerate(row)}) for k, row in enumerate(e)]
 
 
 @cache

@@ -29,19 +29,13 @@ from .exact import (
 FANO_LINES = ((1, 2, 3), (2, 4, 6), (4, 1, 7), (3, 4, 5), (1, 5, 6), (2, 5, 7), (6, 3, 7))
 
 
-def _gi(x):
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x)
-
-
 class Octonion:
     """Octonion with Gaussian-rational coefficients in the basis e0..e7."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(_gi(c) for c in coeffs)
+        coeffs = tuple([c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coeffs])
         if len(coeffs) != 8:
             raise ValueError("an octonion has 8 coefficients")
         object.__setattr__(self, "coeffs", coeffs)
@@ -67,7 +61,6 @@ class Octonion:
         return Octonion(tuple(-a for a in self.coeffs))
 
     def scale(self, c):
-        c = _gi(c)
         return Octonion(tuple(c * a for a in self.coeffs))
 
     def __eq__(self, other):
@@ -143,19 +136,21 @@ _TABLE = fano_table(FANO_LINES)
 
 
 def multiply(x: Octonion, y: Octonion) -> Octonion:
-    """Bilinear product for the oriented Fano table; e0 is the identity."""
-    out = [GI_ZERO] * 8
-    table = _TABLE
+    """Bilinear product for the oriented Fano table; e0 is the identity.
+
+    Real and imaginary parts are summed as exact scalars, so one Gaussian
+    rational is built per nonzero coefficient of the product.
+    """
+    re, im = [0] * 8, [0] * 8
+    ys = [(j, b.re, b.im) for j, b in enumerate(y.coeffs) if b.re or b.im]
     for i, a in enumerate(x.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(y.coeffs):
-            if not b:
-                continue
-            k, s = table[i][j]
-            term = a * b
-            out[k] = out[k] + (term if s > 0 else -term)
-    return Octonion(out)
+        if a.re or a.im:
+            row = _TABLE[i]
+            for j, br, bi in ys:
+                k, s = row[j]
+                re[k] += s * (a.re * br - a.im * bi)
+                im[k] += s * (a.re * bi + a.im * br)
+    return Octonion([GaussianRational(a, b) if a or b else GI_ZERO for a, b in zip(re, im)])
 
 
 def norm(x: Octonion) -> GaussianRational:
@@ -164,11 +159,9 @@ def norm(x: Octonion) -> GaussianRational:
 
 
 def norm_bilinear(x: Octonion, y: Octonion) -> GaussianRational:
-    """Polarization q(x, y) = (q(x+y) - q(x) - q(y)) / 2."""
-    total = GI_ZERO
-    for a, b in zip(x.coeffs, y.coeffs):
-        total = total + a * b
-    return total
+    """Polarization q(x, y) = (q(x+y) - q(x) - q(y)) / 2, the sum of the coefficient products."""
+    pairs = [(a, b) for a, b in zip(x.coeffs, y.coeffs) if a and b]
+    return GaussianRational(sum(a.re * b.re - a.im * b.im for a, b in pairs), sum(a.re * b.im + a.im * b.re for a, b in pairs))
 
 
 def minor(x, y, z, cols):
@@ -209,33 +202,24 @@ def im_product_via_form(x: Octonion, y: Octonion) -> Octonion:
 # ---------------------------------------------------------------------------
 
 
-def _wedge(f, g):
-    out = {}
-    for S, c in f.items():
-        for T, d in g.items():
-            if set(S) & set(T):
-                continue
-            merged = S + T
-            sign = permutation_sign(merged)
-            key = tuple(sorted(merged))
-            out[key] = out.get(key, GI_ZERO) + (c * d if sign > 0 else -(c * d))
-    return {k: v for k, v in out.items() if v}
-
-
 def _contract(x: Octonion, form):
-    """Interior product i(x) in the first slot."""
+    """Interior product i(x) in the first slot, summed in real and imaginary parts.
+
+    The coefficients of ``form`` are integers (the table) or Gaussian
+    rationals (an earlier contraction).
+    """
+    support = {s: (a.re, a.im) for s, a in enumerate(x.coeffs) if a.re or a.im}
     out = {}
     for S, c in form.items():
+        cr, ci = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
         for m, s in enumerate(S):
-            coeff = x.coeffs[s]
-            if not coeff:
-                continue
-            rest = S[:m] + S[m + 1 :]
-            term = coeff * c
-            if m % 2:
-                term = -term
-            out[rest] = out.get(rest, GI_ZERO) + term
-    return {k: v for k, v in out.items() if v}
+            if s in support:
+                ar, ai = support[s]
+                sign = -1 if m % 2 else 1
+                rest = S[:m] + S[m + 1 :]
+                re, im = out.get(rest, (0, 0))
+                out[rest] = (re + sign * (ar * cr - ai * ci), im + sign * (ar * ci + ai * cr))
+    return {k: GaussianRational(re, im) for k, (re, im) in out.items() if re or im}
 
 
 def volume_identity_constant():
@@ -244,15 +228,28 @@ def volume_identity_constant():
     Theta is the standard generator e1^...^e7.  The constant is solved on
     the basis vectors and re-verified on four sums of them, one with a
     complex coefficient; an inconsistency means a broken multiplication
-    table.
+    table.  Only the top coefficient of the right side is formed, in real
+    and imaginary parts: one term f_A f_B Omega_T for each line T of the
+    form and each ordered split of the other four directions into pairs
+    A, B, signed as e_A ^ e_B ^ e_T is against Theta.
     """
     omega = three_form_table()
-    top = tuple(range(1, 8))
+    splits = []
+    for T, c in omega.items():
+        rest = [v for v in range(1, 8) if v not in T]
+        for A in combinations(rest, 2):
+            B = tuple(v for v in rest if v not in A)
+            splits.append((A, B, c * permutation_sign(A + B + T)))
 
     def rhs_coeff(x):
-        ix = _contract(x, omega)
-        w = _wedge(_wedge(ix, ix), omega)
-        return w.get(top, GI_ZERO)
+        ix = {S: (v.re, v.im) for S, v in _contract(x, omega).items()}
+        re = im = 0
+        for A, B, sign in splits:
+            if A in ix and B in ix:
+                (ar, ai), (br, bi) = ix[A], ix[B]
+                re += sign * (ar * br - ai * bi)
+                im += sign * (ar * bi + ai * br)
+        return GaussianRational(re, im)
 
     c = None
     samples = [E[i] for i in range(1, 8)]
@@ -326,8 +323,14 @@ def is_subalgebra(w: Subspace) -> bool:
         raise ValueError("subalgebra test expects a 3-dimensional imaginary subspace")
     if not w.is_imaginary():
         raise ValueError("subspace must consist of imaginary octonions")
-    products = [multiply(x, y).imaginary() for x in w.basis for y in w.basis]
-    return matrix_rank([list(v.coeffs) for v in (*w.basis, *products)]) == w.dim
+    return _closed_under_product(w.basis)
+
+
+@cache
+def _closed_under_product(basis):
+    """True iff Im(x y) lies in the span of the basis for every pair; once per basis."""
+    products = [multiply(x, y).imaginary() for x in basis for y in basis]
+    return matrix_rank([list(v.coeffs) for v in (*basis, *products)]) == len(basis)
 
 
 def gram_rank(w: Subspace) -> int:
@@ -370,73 +373,46 @@ def g2_basis():
     """Basis of {X in End(V7) : X . Omega = 0}; the dimension is 14.
 
     X acts as a derivation: (X.Omega)(u,v,w) = Omega(Xu,v,w) + Omega(u,Xv,w)
-    + Omega(u,v,Xw).  Computed once as an exact rational nullspace of
-    integer rows.
+    + Omega(u,v,Xw).  On the basis, Omega(e_a, e_b, e_p) = s exactly when
+    e_a e_b = s e_p, one of the 42 ordered triples on the lines read off the
+    table, so the equation of a triple i < j < k has one term per slot:
+    s X[p, q] for the slot's index q, the other two a, b in cyclic order
+    and e_a e_b = s e_p.  Computed once as an exact rational nullspace of
+    these integer rows.
     """
-    omega = three_form_table()  # {(i<j<k): sign}
-
-    def om(i, j, k):
-        idx = (i, j, k)
-        key = tuple(sorted(idx))
-        return omega.get(key, 0) * permutation_sign(idx)
-
-    cols = [(p, q) for p in range(1, 8) for q in range(1, 8)]  # X e_q has e_p-coefficient X[p,q]
     rows = []
     for i, j, k in combinations(range(1, 8), 3):
-        row = []
-        for p, q in cols:
-            c = 0
-            if q == i:
-                c += om(p, j, k)
-            if q == j:
-                c += om(i, p, k)
-            if q == k:
-                c += om(i, j, p)
-            row.append(c)
+        row = [0] * 49  # X e_q has e_p-coefficient X[p, q], in column 7 (p - 1) + q - 1
+        for q, a, b in ((i, j, k), (j, k, i), (k, i, j)):
+            p, s = _TABLE[a][b]
+            row[7 * (p - 1) + q - 1] = s
         rows.append(row)
-    kernel = nullspace(rows, len(cols))
-    basis = []
-    for vec in kernel:
-        mat = [[0] * 7 for _ in range(7)]
-        for (p, q), v in zip(cols, vec):
-            mat[p - 1][q - 1] = v
-        basis.append(mat)
+    basis = [[vec[7 * p : 7 * p + 7] for p in range(7)] for vec in nullspace(rows, 49)]
     if len(basis) != 14:
         raise ArithmeticError(f"annihilator of the three-form has dimension {len(basis)}, expected 14")
     return basis
 
 
-def _apply_endo(mat, x: Octonion) -> Octonion:
-    out = [GI_ZERO] * 8
-    support = [q for q in range(7) if x.coeffs[q + 1]]
-    for p in range(7):
-        acc = GI_ZERO
-        for q in support:
-            if mat[p][q]:
-                acc = acc + x.coeffs[q + 1] * mat[p][q]
-        out[p + 1] = acc
-    return Octonion(out)
-
-
 def g2_stabilizer_dim(w: Subspace) -> int:
-    """Dimension of {X in g2 : X W <= W} for a subalgebra imaginary part."""
+    """Dimension of {X in g2 : X W <= W} for a subalgebra imaginary part.
+
+    X stabilizes W iff cov(X v) = sum_(p,q) X[p, q] cov_p v_q vanishes for
+    every basis vector v of W and every functional cov vanishing on W: one
+    row per (v, cov), one column per X, each entry summed over the nonzero
+    entries of X in its real and imaginary parts.
+    """
     if not is_subalgebra(w):
         raise ValueError("stabilizer is only computed for subalgebras")
-    basis = g2_basis()
-    # functionals vanishing on W: right nullspace of the basis matrix
-    wrows = [[v.coeffs[i] for i in range(1, 8)] for v in w.basis]
-    ann = nullspace(wrows, 7)  # 4 covectors
+    entries = [[(p, q, c) for p, row in enumerate(x) for q, c in enumerate(row) if c] for x in g2_basis()]
+    ann = nullspace([list(v.coeffs[1:]) for v in w.basis], 7)  # 4 functionals: the right nullspace of W
     rows = []
-    for wv in w.basis:
-        images = [_apply_endo(mat, wv) for mat in basis]
+    for v in w.basis:
         for cov in ann:
+            prods = {(p, q): a * b for p, a in enumerate(cov) if a for q, b in enumerate(v.coeffs[1:]) if b}
             row = []
-            for img in images:
-                acc = GI_ZERO
-                for i in range(7):
-                    if cov[i] and img.coeffs[i + 1]:
-                        acc = acc + img.coeffs[i + 1] * cov[i]
-                row.append(acc)
+            for xs in entries:
+                hits = [(c, prods[p, q]) for p, q, c in xs if (p, q) in prods]
+                row.append(GaussianRational(sum(c * z.re for c, z in hits), sum(c * z.im for c, z in hits)) if hits else GI_ZERO)
             rows.append(row)
     return 14 - matrix_rank(rows)
 

@@ -611,6 +611,21 @@ def test_divide_by_unit_multiplies_back(case):
     assert _naive_mul(_sweep(_divide_by_unit, nvars, series, linear), _unit(nvars, linear), 8) == series
 
 
+@settings(max_examples=60, deadline=None)
+@given(series_and_units(), st.data())
+def test_divide_by_quadratic_unit_multiplies_back(case, data):
+    # a unit 1 + Q with Q of degree 2 runs over the monomials of degree <= 6
+    nvars, series, _ = case
+    quadratic = data.draw(st.dictionaries(st.sampled_from([m for m, _ in _packed_monomials(nvars, 2) if sum(m) == 2]),
+                                          st.integers(-3, 3).filter(bool), max_size=4))
+    monomials = _packed_monomials(nvars, 8)
+    keys = dict(monomials)
+    dense = {key: series.get(m, 0) for m, key in monomials}
+    _divide_by_unit(dense, [(keys[m], c) for m, c in quadratic.items()], [key for m, key in monomials if sum(m) <= 6])
+    quotient = {m: dense[key] for m, key in monomials if dense[key]}
+    assert _naive_mul(quotient, {(0,) * nvars: 1, **quadratic}, 8) == series
+
+
 def test_divide_by_unit_geometric_series():
     assert _sweep(_divide_by_unit, 1, {(0,): 1}, [-1]) == {(k,): 1 for k in range(9)}
     assert _sweep(_divide_by_unit, 2, {(0, 0): 1}, [0, 2]) == {(0, k): (-2) ** k for k in range(9)}

@@ -818,6 +818,12 @@ def test_cli_import_skips_dataclasses():
     assert "dataclasses" not in _modules_after_cli_import()
 
 
+def test_cli_import_skips_csv():
+    # only CSV output imports csv, about 1 ms that every other process
+    # would pay at start-up
+    assert "csv" not in _modules_after_cli_import()
+
+
 def _identifiers(node, skip=None):
     """Names, attributes and imported names under node, outside skip."""
     if node is skip:

@@ -182,9 +182,14 @@ def test_rank_and_nullspace():
     assert rows[0][0] * v[0] + rows[0][1] * v[1] == 0
 
 
-def _dense_rank_and_kernel(rows, ncols):
-    """Reference Gauss-Jordan elimination that divides and subtracts whole rows."""
-    rows = [list(r) for r in rows]
+def _fraction_gauss_jordan(rows, ncols):
+    """Reference Gauss-Jordan elimination that divides and subtracts whole rows.
+
+    Every rational entry is made a Fraction first and every pivot row is
+    divided through, whatever its pivot; returns the reduced rows and the
+    pivot columns.
+    """
+    rows = [[x if isinstance(x, GaussianRational) else Fraction(x) for x in r] for r in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -193,12 +198,18 @@ def _dense_rank_and_kernel(rows, ncols):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c]
-        rows[r] = [x / (Fraction(inv) if isinstance(inv, int) else inv) for x in rows[r]]
+        rows[r] = [x / inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
+    return rows, pivots
+
+
+def _dense_rank_and_kernel(rows, ncols):
+    """Rank and right kernel by the reference elimination."""
+    rows, pivots = _fraction_gauss_jordan(rows, ncols)
     kernel = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
@@ -245,6 +256,64 @@ def test_rank_and_nullspace_match_dense_elimination(matrix):
     assert len(got) == n - rank
     for v in got:
         assert _apply(rows, v) == [0] * len(rows)
+
+
+# entries that make most pivots 1 or -1, with a few others so both paths run
+_UNIT_RICH_ENTRIES = {
+    "int": st.sampled_from([0, 0, 1, 1, -1, -1, 2, -3]),
+    "gaussian": st.sampled_from([0, GaussianRational(0), GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+                                 GaussianRational(1, 1), GaussianRational(2), GaussianRational(Fraction(1, 2), -1)]),
+}
+
+
+@st.composite
+def unit_pivot_systems(draw):
+    """Systems A x = b over ints or Gaussian rationals whose pivots are mostly 1 or -1."""
+    entries = _UNIT_RICH_ENTRIES[draw(st.sampled_from(sorted(_UNIT_RICH_ENTRIES)))]
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    if m > 2 and draw(st.booleans()):
+        rows[-1] = [a - b for a, b in zip(rows[0], rows[1])]  # a dependent row
+    return rows, [draw(entries) for _ in range(m)], n
+
+
+def _canonical_entry(x):
+    """True iff x is an exact scalar in its canonical form (each part of a Gaussian rational too)."""
+    parts = (x.re, x.im) if isinstance(x, GaussianRational) else (x,)
+    return all(type(scalar(p)) is type(p) for p in parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_pivot_systems())
+def test_unit_pivots_match_fraction_elimination(system):
+    rows, rhs, n = system
+    rank, _ = _dense_rank_and_kernel(rows, n)
+    assert matrix_rank(rows) == rank
+    kernel = nullspace(rows, n)
+    assert len(kernel) == n - rank
+    for v in kernel:
+        assert _apply(rows, v) == [0] * len(rows)
+    reduced, pivots = _fraction_gauss_jordan([[*row, b] for row, b in zip(rows, rhs)], n)
+    sol = solve_rational(rows, rhs)
+    if any(row[n] != 0 for row in reduced[len(pivots):]):
+        assert sol.status == "inconsistent"
+    else:
+        assert sol.status == ("unique" if len(pivots) == n else "family")
+        want = [0] * n
+        for r, pc in enumerate(pivots):
+            want[pc] = reduced[r][n]
+        assert sol.particular == want
+    answers = [kernel, sol.particular or [], list(sol.kernel)]
+    assert all(_canonical_entry(x) for x in _walk(answers)), answers
+
+
+def test_unit_pivots_keep_ints():
+    # pivots 1 and -1 divide nothing; the pivot 2 goes through Fraction, and an integral quotient comes back an int
+    kernel = nullspace([[1, 2, 3], [-1, 0, 1]], 3)
+    assert kernel == [[1, -2, 1]] and all(type(x) is int for x in kernel[0])
+    sol = solve_rational([[-1, 1], [0, 2]], [1, 4])
+    assert sol.particular == [1, 2] and all(type(x) is int for x in sol.particular)
+    assert solve_rational([[2, 0], [0, 1]], [1, 1]).particular == [Fraction(1, 2), 1]
 
 
 def test_smith_normal_form_examples():

@@ -1,9 +1,10 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayleygr import octonions
 from cayleygr.ambient import _ANTISYMMETRIZER
 from cayleygr.exact import GI_ZERO, GaussianRational, matrix_rank, permutation_sign
 from cayleygr.octonions import (
@@ -211,6 +212,62 @@ def test_null_planes():
 
 def test_g2_dimension_is_14():
     assert len(g2_basis()) == 14
+
+
+def _form_on_ordered_triples():
+    """Omega(e_i, e_j, e_k) on the ordered triples where it is nonzero, from three_form."""
+    table = {}
+    for triple in combinations(range(1, 8), 3):
+        value = three_form(*(E[i] for i in triple))
+        if value:
+            for perm in permutations(triple):
+                table[perm] = value * permutation_sign(perm)
+    return table
+
+
+def _annihilates(x, omega):
+    """True iff the endomorphism x kills omega on every basis triple i < j < k.
+
+    x[p - 1][q - 1] is the e_p-coefficient of x e_q, and x acts as a
+    derivation: Omega(x e_i, e_j, e_k) + Omega(e_i, x e_j, e_k) + Omega(e_i, e_j, x e_k).
+    """
+    def om(*triple):
+        return omega.get(triple, 0)
+
+    return all(
+        sum(x[p - 1][i - 1] * om(p, j, k) + x[p - 1][j - 1] * om(i, p, k) + x[p - 1][k - 1] * om(i, j, p) for p in range(1, 8)) == 0
+        for i, j, k in combinations(range(1, 8), 3)
+    )
+
+
+def test_g2_basis_annihilates_the_three_form():
+    omega = _form_on_ordered_triples()
+    assert len(omega) == 42  # the six orderings of each of the 7 lines
+    basis = g2_basis()
+    assert len(basis) == 14
+    assert matrix_rank([[c for row in x for c in row] for x in basis]) == 14
+    assert all(_annihilates(x, omega) for x in basis)
+    # the check sees a wrong sign on any one line (its six orderings flipped, so the copy stays alternating)
+    for line in FANO_LINES:
+        flipped = {**omega, **{perm: -omega[perm] for perm in permutations(line)}}
+        assert not all(_annihilates(x, flipped) for x in basis), line
+
+
+def test_subalgebra_test_runs_once_per_basis(monkeypatch):
+    calls = []
+    monkeypatch.setattr(octonions, "multiply", lambda x, y: calls.append(1) or multiply(x, y))
+    octonions._closed_under_product.cache_clear()
+    w = Subspace([E[1], E[2], E[4]])
+    assert not is_subalgebra(w)
+    assert len(calls) == 9
+    # a later test on the same basis reuses the answer, and the callers still refuse it
+    assert not is_subalgebra(Subspace([E[1], E[2], E[4]]))
+    for call in (classify, g2_stabilizer_dim, lambda v: stratum_membership(v, X, "X1")):
+        with pytest.raises(ValueError):
+            call(w)
+    assert len(calls) == 9
+    with pytest.raises(ValueError):
+        is_subalgebra(Subspace([E[0], E[1], E[2]]))
 
 
 def test_stabilizer_dimensions():
