@@ -5,7 +5,8 @@ Chern roots of the dual tautological bundle U*: the Schur polynomial
 s_lam maps to the Schubert class tau_lam, and partitions outside the 4x3
 box die (``box_class``).  A class is an ``equivariant.SchubertVector``
 keyed by box partitions, the type that carries the subvariety's classes
-keyed by fixed-point labels; its integral is its coefficient at ``TOP``.
+keyed by fixed-point labels; its integral is its coefficient at the full
+box (3, 3, 3, 3).
 Each box class tau_mu is one dual Jacobi-Trudi determinant
 det(e_(mu'_i - i + j)) in e_1..e_4 of U*, kept as its signed terms
 (``jacobi_trudi_terms``).  A Littlewood-Richardson product a b applies
@@ -52,7 +53,6 @@ from .weightmodel import BASIS_WEIGHTS
 
 BOX_ROWS = 4
 BOX_COLS = 3
-TOP = (3, 3, 3, 3)
 _DELTA = (3, 2, 1, 0)  # staircase of the antisymmetrizer in four variables
 # a_delta = sum_sigma sgn(sigma) x^(sigma delta), as (sigma delta, sgn sigma) pairs
 _ANTISYMMETRIZER = tuple((tuple(_DELTA[i] for i in p), permutation_sign(p)) for p in permutations(range(BOX_ROWS)))

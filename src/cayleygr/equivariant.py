@@ -471,7 +471,8 @@ def multiplication_table():
 
     Keys are unordered label pairs (sorted); products of total codimension
     above 8 are zero vectors.  Structure constants are certified integers
-    and non-negative.
+    of the right codimension; their signs are not checked here, the report
+    does that (non-negativity is observed, not proven, for this variety).
     """
     classes = solve_all_classes()
     labels = [p.label for p in enumerate_fixed_points()]
@@ -480,9 +481,7 @@ def multiplication_table():
         for lb in labels[i:]:
             prod = pointwise_product(classes[la], classes[lb])
             vec = top_expansion(prod)
-            for lab, c in vec.items():
-                if c < 0:
-                    raise ArithmeticError(f"negative structure constant in {la}*{lb}")
+            for lab in vec.coeffs:
                 if point_by_label(lab).codim != point_by_label(la).codim + point_by_label(lb).codim:
                     raise ArithmeticError("top expansion produced a wrong-codimension term")
             table[tuple(sorted((la, lb)))] = vec
@@ -592,10 +591,12 @@ def sigma1_powers():
 
 
 def verify_ring_presentation():
-    """Check the two defining relations and the monomial ranks.
+    """The two defining relations and the monomial ranks, for the report to compare.
 
     The degree-2 generator is identified as the codim-2 class for which
-    both relations vanish; returns a report dictionary.
+    both relations vanish; returns a report dictionary.  Raises
+    ArithmeticError when no class qualifies, and not when a monomial rank
+    differs from its Betti number.
     """
     report = {"generator": None, "relations": {}, "ranks": {}}
     h = sigma1_powers()
@@ -620,8 +621,6 @@ def verify_ring_presentation():
         rank = matrix_rank([[mono[lab] for lab in by_codim[k]] for mono in monomials])
         betti = len(by_codim[k])
         report["ranks"][k] = {"rank": rank, "betti": betti}
-        if rank != betti:
-            raise ArithmeticError(f"monomial rank {rank} differs from Betti number {betti} in codim {k}")
     return report
 
 

@@ -2,8 +2,8 @@
 
 Provides the multiplication table, norm and three-form, the classification
 of 4-dimensional subalgebras by the rank of the restricted norm, stabilizer
-dimensions inside the 14-dimensional Lie algebra annihilating the
-three-form, and the boundary-stratum membership predicates.
+dimensions inside the Lie algebra g2 annihilating the three-form, and the
+boundary-stratum membership predicates.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ def null_plane_test(p: Subspace) -> bool:
 
 @cache
 def g2_basis():
-    """Basis of {X in End(V7) : X . Omega = 0}; the dimension is 14.
+    """Basis of {X in End(V7) : X . Omega = 0}, the Lie algebra g2.
 
     X acts as a derivation: (X.Omega)(u,v,w) = Omega(Xu,v,w) + Omega(u,Xv,w)
     + Omega(u,v,Xw).  On the basis, Omega(e_a, e_b, e_p) = s exactly when
@@ -378,7 +378,8 @@ def g2_basis():
     table, so the equation of a triple i < j < k has one term per slot:
     s X[p, q] for the slot's index q, the other two a, b in cyclic order
     and e_a e_b = s e_p.  Computed once as an exact rational nullspace of
-    these integer rows.
+    these integer rows.  Its length is not compared with 14 here: the
+    report does that.
     """
     rows = []
     for i, j, k in combinations(range(1, 8), 3):
@@ -387,10 +388,7 @@ def g2_basis():
             p, s = _TABLE[a][b]
             row[7 * (p - 1) + q - 1] = s
         rows.append(row)
-    basis = [[vec[7 * p : 7 * p + 7] for p in range(7)] for vec in nullspace(rows, 49)]
-    if len(basis) != 14:
-        raise ArithmeticError(f"annihilator of the three-form has dimension {len(basis)}, expected 14")
-    return basis
+    return [[vec[7 * p : 7 * p + 7] for p in range(7)] for vec in nullspace(rows, 49)]
 
 
 def g2_stabilizer_dim(w: Subspace) -> int:
@@ -414,7 +412,7 @@ def g2_stabilizer_dim(w: Subspace) -> int:
                 hits = [(c, prods[p, q]) for p, q, c in xs if (p, q) in prods]
                 row.append(GaussianRational(sum(c * z.re for c, z in hits), sum(c * z.im for c, z in hits)) if hits else GI_ZERO)
             rows.append(row)
-    return 14 - matrix_rank(rows)
+    return len(g2_basis()) - matrix_rank(rows)
 
 
 # ---------------------------------------------------------------------------

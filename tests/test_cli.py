@@ -785,6 +785,80 @@ def _modules_after_cli_import():
     return set(proc.stdout.split())
 
 
+# A wrong but self-consistent value put into the engine upstream of a report
+# check whose paper number the engine does not re-assert: (topic, set-up).
+_WRONG_VALUES = {
+    "koszul-and-closed-form-shifted": (
+        "hilbert",
+        "from math import prod\n"
+        "from cayleygr import invariants\n"
+        "value, closed = invariants.hilbert_value, invariants.closed_form_value\n"
+        "shift = lambda k: prod(k + j for j in range(1, 9)) // 40320  # binom(k + 8, 8)\n"
+        "invariants.hilbert_value = lambda k: value(k) + shift(k)\n"
+        "invariants.closed_form_value = lambda k: closed(k) + shift(k)\n",
+    ),
+    "c1-perturbed": (
+        "chern",
+        "from cayleygr import equivariant, invariants\n"
+        "top = invariants.top_by_duality\n"
+        "h = equivariant.basis_vector(equivariant.hyperplane_label())\n"
+        "invariants.top_by_duality = lambda v: top(v) + h if next(iter(v.values())).degree == 1 else top(v)\n",
+    ),
+    "dim-V(2w2)-plus-one": (
+        "series",
+        "from cayleygr import invariants\n"
+        "dim = invariants.g2_irrep_dim\n"
+        "invariants.g2_irrep_dim = lambda a, b: dim(a, b) + ((a, b) == (0, 2))\n",
+    ),
+    "g2-vector-dropped": (
+        "octonion",
+        "from cayleygr import octonions\n"
+        "null = octonions.nullspace\n"
+        "octonions.nullspace = lambda rows, n: null(rows, n)[: -1 if n == 49 else None]\n",
+    ),
+    "structure-constant-negated": (
+        "mult",
+        "from cayleygr import equivariant\n"
+        "top, calls = equivariant.top_expansion, []\n"
+        "def negated_first(values):  # the first product the table expands\n"
+        "    calls.append(1)\n"
+        "    return top(values).scale(-1 if len(calls) == 1 else 1)\n"
+        "equivariant.top_expansion = negated_first\n",
+    ),
+    "monomial-rank-minus-one": (
+        "ring",
+        "from cayleygr import equivariant\n"
+        "rank = equivariant.matrix_rank\n"
+        "equivariant.matrix_rank = lambda rows: rank(rows) - 1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "check_id, case",
+    [
+        ("hilbert.leading-degree", "koszul-and-closed-form-shifted"),
+        ("hilbert.P1", "koszul-and-closed-form-shifted"),
+        ("hilbert.quadrics", "koszul-and-closed-form-shifted"),
+        ("chern.c1", "c1-perturbed"),
+        ("series.identity", "dim-V(2w2)-plus-one"),
+        ("octonion.g2-dimension", "g2-vector-dropped"),
+        ("mult.non-negative", "structure-constant-negated"),
+        ("ring.monomial-ranks", "monomial-rank-minus-one"),
+    ],
+)
+def test_a_wrong_paper_number_is_a_fail_line(check_id, case):
+    # the engine computes the value without comparing it with the paper, so
+    # the report prints its FAIL line and exits 1 instead of a traceback;
+    # a fresh process starts with every stage's cache empty
+    topic, setup = _WRONG_VALUES[case]
+    script = f"import sys\nfrom cayleygr import cli\n{setup}sys.exit(cli.main(['verify', {topic!r}]))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env())
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+    assert any(line.startswith(f"[{'FAIL':>17}] {check_id}  computed=") for line in proc.stdout.splitlines()), proc.stdout
+
+
 @pytest.mark.parametrize("topic", ["chern", "dual"])
 def test_fresh_topic_builds_no_multiplication_table(topic):
     # the bundle classes take their coordinates by Poincare duality, and
@@ -838,26 +912,42 @@ def _identifiers(node, skip=None):
         yield from _identifiers(child, skip)
 
 
+def _top_level_names(tree):
+    """(name, node) of each top-level function, class and assigned constant of a module, dunders left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not (name.id.startswith("__") and name.id.endswith("__")):
+                        yield name.id, node
+
+
+def test_top_level_names_cover_constants():
+    tree = ast.parse("__version__ = '1'\nA, _B = 1, 2\nC: int = 3\ndef f(): pass\nclass K: pass\nprint(A)\n")
+    assert [name for name, _ in _top_level_names(tree)] == ["A", "_B", "C", "f", "K"]
+
+
 def test_src_names_are_reached():
-    # every top-level function or class in src/, private ones included, is
-    # reached by the engine, the CLI or the benchmark; a helper that only
-    # tests call lives beside its test
+    # every top-level function, class or constant in src/, private ones
+    # included, is reached by the engine, the CLI or the benchmark; a helper
+    # that only tests read lives beside its test
     root = Path(__file__).resolve().parents[1]
     perfbench = "\n".join(path.read_text(encoding="utf-8") for path in sorted((root / "perfbench").glob("*.py")))
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in (root / "src" / "cayleygr").glob("*.py")}
     used = {module: set(_identifiers(tree)) for module, tree in trees.items()}
     unreached = set()
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for name, node in _top_level_names(tree):
             reached = (
-                any(node.name in names for other, names in used.items() if other != module)
-                or node.name in set(_identifiers(tree, skip=node))
-                or re.search(rf"\b{node.name}\b", perfbench)
+                any(name in names for other, names in used.items() if other != module)
+                or name in set(_identifiers(tree, skip=node))
+                or re.search(rf"\b{name}\b", perfbench)
             )
             if not reached:
-                unreached.add(f"{module}.{node.name}")
+                unreached.add(f"{module}.{name}")
     assert unreached == set()
 
 

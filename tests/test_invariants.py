@@ -1,8 +1,9 @@
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
+from cayleygr import invariants
 from cayleygr.cayley import enumerate_fixed_points
 from cayleygr.equivariant import SchubertVector
 from cayleygr.exact import HomogPoly, poly_mul
@@ -114,6 +115,17 @@ def test_hilbert_polynomial():
         assert closed_form_value(k).denominator == 1
     with pytest.raises(ValueError):
         hilbert_value(-1)
+
+
+def test_hilbert_certificate_does_not_assume_degree_8(monkeypatch):
+    # a Koszul count off by prod_(j=0..10) (k - j) agrees with the closed form
+    # on the returned k = 0..10; the comparison on 0..15 must see it
+    value = invariants.hilbert_value
+    monkeypatch.setattr(invariants, "hilbert_value", lambda k: value(k) + prod(k - j for j in range(11)))
+    assert all(invariants.hilbert_value(k) == closed_form_value(k) for k in range(11))
+    hilbert_polynomial.cache_clear()
+    with pytest.raises(ArithmeticError, match="disagree at 11"):
+        hilbert_polynomial()
 
 
 def test_quadric_and_linear_form_counts():
