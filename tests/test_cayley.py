@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cayleygr import cayley
 from cayleygr.cayley import (
     betti_profile,
     codim_of_point,
@@ -148,6 +149,14 @@ def test_gkm_graph():
         pmap = point_permutation(w)
         mapped = {frozenset((pmap[a], pmap[b])) for a, b in by_pair}
         assert mapped == set(frozenset(k) for k in by_pair)
+
+
+def test_gkm_edges_certify_the_connecting_curves(monkeypatch):
+    # a curve whose spans leave the variety is a broken certificate, not a verdict
+    enumerate_fixed_points()  # the points are read before membership is patched
+    monkeypatch.setattr(cayley, "is_cg_member", lambda rows: all(sum(map(bool, row)) == 1 for row in rows))
+    with pytest.raises(ArithmeticError, match="leaves the variety"):
+        gkm_edges.__wrapped__()
 
 
 def test_duality_is_the_central_symmetry():

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -15,11 +16,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleygr import ambient, cli, equivariant, invariants
+from cayleygr import ambient, cayley, cli, equivariant, invariants
 from cayleygr.cli import main, run
 from cayleygr.exact import HomogPoly, poly_mul
 from cayleygr.cayley import DIMENSION
 from cayleygr.fixtures import FORM_DEGREE_BOUND, fixtures_dir, parse_form
+from cayleygr.weightmodel import CHAMBER
 
 
 def run_cli(capsys, *argv):
@@ -63,36 +65,82 @@ def test_csv_format(capsys):
     assert any("betti.profile,pass" in l for l in lines)
 
 
-def test_chamber_flag(capsys):
-    code, out = run_cli(capsys, "verify", "betti", "--chamber", "2,1", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["chamber"] == [2, 1]
-    by_id = {r["id"]: r for r in doc["results"]}
-    assert by_id["betti.profile"]["status"] == "pass"
+@pytest.mark.parametrize("argv", [["verify", "betti", "--chamber", "2,1"], ["verify", "all", "--chamber=1,2"]])
+def test_chamber_is_not_an_option(tmp_path, capsys, argv):
+    # one chamber, weightmodel.CHAMBER, serves the whole report
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    # parsing reads no fixture, so a fresh process over an empty fixture directory fails the same way
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleygr.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "CAYLEY_FIXTURES": str(tmp_path)},
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr and "Traceback" not in proc.stderr
+    assert not hasattr(cli.build_parser().parse_args(["verify", "betti"]), "chamber")
+    assert list(inspect.signature(cli.render).parameters) == ["results", "fmt"]
 
 
-def test_off_chamber_report_skips_only_the_label_check(capsys):
-    # off the default chamber, betti.profile and betti.total come out the
-    # same and betti.codim-equals-label is skipped: one result fewer
-    _, default = run_cli(capsys, "verify", "all", "--format", "json")
-    code, off = run_cli(capsys, "verify", "all", "--chamber", "2,1", "--format", "json")
-    assert code == 0
-    default, off = json.loads(default), json.loads(off)
-    assert (default.pop("chamber"), off.pop("chamber")) == ([1, 2], [2, 1])
-    skipped = [r for r in default["results"] if r["id"] == "betti.codim-equals-label"]
-    assert len(skipped) == 1
-    default["results"].remove(skipped[0])
-    assert off == default
-    assert len(off["results"]) == 86
+def test_betti_profile_reads_every_weyl_chamber(capsys, monkeypatch):
+    # a profile that differs in one transported chamber fails the check
+    original = cayley.betti_profile
+    seen = []
+
+    def skewed(l):
+        seen.append(l)
+        profile = original(l)
+        return [*profile[:3], profile[3] - 1, profile[4] + 1, *profile[5:]] if l == (2, 1) else profile
+
+    monkeypatch.setattr(cayley, "betti_profile", skewed)
+    code, out = run_cli(capsys, "verify", "betti", "--format", "json")
+    assert code == 1
+    by_id = {r["id"]: r for r in json.loads(out)["results"]}
+    assert by_id["betti.profile"]["status"] == "fail"
+    assert by_id["betti.profile"]["computed"] == [[1, 1, 2, 1, 4, 2, 2, 1, 1], [1, 1, 2, 2, 3, 2, 2, 1, 1]]
+    assert by_id["betti.codim-equals-label"]["status"] == "pass"
+    assert len(set(seen)) == 12 and seen[0] == CHAMBER
+
+
+def test_gkm_edge_directions_can_fail():
+    # with b no longer a root, the engine still builds the graph and the
+    # report prints the verdict; a fresh process computes the edges anew
+    script = (
+        "from cayleygr import cayley, cli; from cayleygr.weightmodel import BETA; "
+        "cayley.SHORT_AND_LONG_ROOTS -= {BETA}; raise SystemExit(cli.main(['verify', 'gkm']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "[             FAIL] gkm.edge-directions" in proc.stdout
+    assert "[               ok] gkm.connected" in proc.stdout
+
+
+def test_gkm_connected_can_fail(capsys, monkeypatch):
+    # the report walks the edges it reads; cut off the vertex 8
+    edges = tuple(e for e in cayley.gkm_edges() if "8" not in e.labels)
+    monkeypatch.setattr(cayley, "gkm_edges", lambda: edges)
+    code, out = run_cli(capsys, "verify", "gkm")
+    assert code == 1
+    assert "[             FAIL] gkm.connected  computed=False expected=True" in out
+
+
+def test_readme_cli_examples_parse():
+    # every example of the README's CLI block names only options that exist
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    examples = [line.partition("#")[0].split() for line in block.splitlines() if line.startswith("cayleygr ")]
+    assert len(examples) >= 5
+    for argv in examples:
+        cli.build_parser().parse_args(argv[1:])
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "betti", "--chamber", "x"],
-        ["verify", "betti", "--chamber", "1,1"],
-        ["verify", "betti", "--chamber", "0,0"],
         ["verify", "series", "--kmax", "-1"],
         ["verify", "hilbert", "--kmax", "-1"],
         ["dump", "hilbert", "--kmax", "-1"],
@@ -101,7 +149,7 @@ def test_off_chamber_report_skips_only_the_label_check(capsys):
         ["dump", "hilbert", "--kmax", "101"],
     ],
     ids=[
-        "chamber-x", "chamber-1-1", "chamber-0-0", "series-kmax-neg", "hilbert-kmax-neg", "dump-kmax-neg",
+        "series-kmax-neg", "hilbert-kmax-neg", "dump-kmax-neg",
         "series-kmax-101", "hilbert-kmax-101", "dump-kmax-101",
     ],
 )
@@ -344,12 +392,6 @@ _fixed_points_renamed_label = _fixture_case(
 )
 
 
-def _chamber_fixed_points_malformed(tmp_path):
-    # checking that the chamber is generic reads the fixed points while the arguments are parsed
-    fixtures, bad = _edited_fixtures(tmp_path, "fixed_points", lambda text: "{not json")
-    return fixtures, ["verify", "betti", "--chamber", "2,1"], [str(bad), "line 1 column 2"]
-
-
 _mult_row_not_object = _fixture_case(
     "mult_table", "mult", lambda text: text.replace('{"left": "2",  "right": "2",  "result": {"4": 1, "4\'": 2, "4\'\'": 2}}', "[1]"), ["rows[0] is not an object"]
 )
@@ -461,7 +503,6 @@ def test_parse_form_reads_printed_shape(case):
         _fixed_points_unknown_weight,
         _fixed_points_missing_row,
         _fixed_points_renamed_label,
-        _chamber_fixed_points_malformed,
     ],
     ids=[
         "missing-directory",
@@ -490,7 +531,6 @@ def test_parse_form_reads_printed_shape(case):
         "fixed-points-unknown-weight",
         "fixed-points-missing-row",
         "fixed-points-renamed-label",
-        "chamber-fixed-points-malformed",
     ],
 )
 def test_missing_fixtures_exit_2(tmp_path, capsys, monkeypatch, setup):
