@@ -437,23 +437,13 @@ def tangent_chern_ambient():
 
 
 def tangent_chern_pairings():
-    """Ambient-side integrals of c_k of the tangent sheaf of the zero locus.
+    """Ambient-side degrees of the Chern classes c_k of the tangent sheaf of the zero locus.
 
-    Returns {k: {"h": int, "t11": int, "t2": int, ...}} with pairings
-    against sigma_1^(8-k) and against the natural dual-basis probes, all
-    computed by Littlewood-Richardson arithmetic only: each probe tau_lam
-    multiplies c_k, and the product is paired with cg tau_1^(8-k-|lam|)
-    (``cg_hyperplane_powers``) by Poincare duality.
+    Returns {k: int}, the integral of c_k sigma_1^(8-k): the k-th piece of
+    ``tangent_chern_ambient`` paired with cg tau_1^(8-k)
+    (``cg_hyperplane_powers``) by Poincare duality, with no
+    Littlewood-Richardson product.
     """
     pieces = tangent_chern_ambient()
     cut = cg_hyperplane_powers()
-    probes = {"h": (), "t11": (1, 1), "t2": (2,), "t111": (1, 1, 1), "t3": (3,)}
-    out = {}
-    for k in range(DIMENSION + 1):
-        row = {}
-        for name, lam in probes.items():
-            power = DIMENSION - k - sum(lam)
-            if power >= 0:
-                row[name] = duality_pairing(lr_multiply(pieces[k], basis_vector(lam)), cut[power])
-        out[k] = row
-    return out
+    return {k: duality_pairing(pieces[k], cut[DIMENSION - k]) for k in range(DIMENSION + 1)}

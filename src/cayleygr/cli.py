@@ -377,7 +377,7 @@ def run_chern(args):
 
     def meets_ambient(k, row):
         # the ambient intersection number c_k . H^(8-k) is the degree of the row, whose labels must be fixed points
-        return row.coeffs.keys() <= degs.keys() and pairs[k]["h"] == equivariant.degree_of(row)
+        return row.coeffs.keys() <= degs.keys() and pairs[k] == equivariant.degree_of(row)
 
     for k in range(1, 9):
         want = equivariant.SchubertVector(int_table("chern", printed.get(str(k)), f"classes[{str(k)!r}]"))

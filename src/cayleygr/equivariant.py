@@ -49,7 +49,7 @@ from .cayley import (
     point_by_label,
     repelling_weights,
 )
-from .exact import HomogPoly, divide_by_linear, matrix_rank, nullspace, poly_mul, solve_rational, sum_of_products
+from .exact import HomogPoly, divide_by_linear, matrix_rank, nullspace, packed_sum_of_products, poly_mul, solve_rational, sum_of_products
 from .weightmodel import Weight
 
 
@@ -334,26 +334,30 @@ def _integrate(values, weights, extra) -> Fraction:
     """sum_q f(q) w_q / L over vertex weights w_q of degree deg C_q + ``extra``, certified to be a constant.
 
     L is the integral common denominator of ``_localization_denominator``,
-    and N = sum_q f(q) w_q is one ``sum_of_products``.  N = 0 below degree 8;
-    in degree 8, where N and L have one degree, L divides N exactly when
-    N = c L, with c read off one monomial of L and certified by comparing
-    N with c L.  Anything else raises, and so does a vertex that is no
-    fixed point.  Vertices missing from the input count as zero.
+    and N = sum_q f(q) w_q is one ``packed_sum_of_products``: the integer
+    coefficients of D N, D clearing the input's denominators.  N = 0 below
+    degree 8; in degree 8, where N and L have one degree, L divides N
+    exactly when N = c L, with c read off one monomial of L and certified
+    by comparing D N with D c L coefficient by coefficient.  Anything else
+    raises, and so does a vertex that is no fixed point or a weight of
+    another degree.  Vertices missing from the input count as zero.
     """
     deg = _degree(values) + extra
     if deg > DIMENSION:
         raise ValueError(f"integration expects degree at most {DIMENSION}")
     denominator = _localization_denominator()[0]
-    numerator = sum_of_products(((val, weights[lab]) for lab, val in values.items()), deg + denominator.degree - DIMENSION)
-    if numerator.is_zero():
+    top = deg + denominator.degree - DIMENSION
+    scale, numerator = packed_sum_of_products(zip(values.values(), map(weights.__getitem__, values)), top)
+    if not any(numerator):
         return Fraction(0)
     if deg < DIMENSION:
         raise ArithmeticError("integral of under-degree data failed to vanish")
-    mono = next(iter(denominator.coeffs))
-    c = Fraction(numerator.coeffs.get(mono, 0), denominator.coeffs[mono])
-    if numerator != denominator.scale(c):
-        raise ArithmeticError("fixed-point sum is not a polynomial")
-    return c
+    (p, _), d = next(iter(denominator.coeffs.items()))
+    c = numerator[p]
+    for i, n in enumerate(numerator):
+        if n * d != c * denominator.coeffs.get((i, top - i), 0):
+            raise ArithmeticError("fixed-point sum is not a polynomial")
+    return Fraction(c, d * scale)
 
 
 def expand_in_basis(values):

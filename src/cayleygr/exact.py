@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 
 def scalar(x):
@@ -247,6 +248,59 @@ def sum_of_products(pairs, degree) -> HomogPoly:
                 k = (p1 + p2, q1 + q2)
                 acc[k] = acc.get(k, 0) + c1 * c2
     return HomogPoly(degree, acc)
+
+
+def packed_sum_of_products(pairs, degree):
+    """sum_i a_i b_i of degree ``degree`` by Kronecker substitution, as (D, [N_0, ..., N_degree]).
+
+    N = D sum_i a_i b_i has the integer coefficient N_p at a^p b^(degree - p);
+    D is the common denominator of the first factors' coefficients, and
+    the second factors must have integer coefficients.  Each form is
+    packed into one integer, its value at a = 2^s, b = 1 (the first
+    factors scaled by D), so N(2^s) is a sum of integer products.  Every
+    |N_p| is at most B = D sum_i min(#a_i, #b_i) max|a_i| max|b_i|, # being
+    the number of terms, and s is the least with 2^(s-1) > B, so each N_p
+    is one balanced base-2^s digit (``_balanced_digits``).  A pair with a
+    zero factor adds nothing; a product of another degree raises
+    ``ValueError``.
+    """
+    terms, bound = [], 0
+    for f, g in pairs:
+        a, b = f.coeffs, g.coeffs
+        if a and b:
+            if f.degree + g.degree != degree:
+                raise ValueError(f"a product of degree {f.degree + g.degree} in a sum of degree {degree}")
+            terms.append((a, b))
+            bound += min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    scale = lcm(*(c.denominator for a, _ in terms for c in a.values()))
+    shift = int(scale * bound).bit_length() + 1  # D clears the denominator of every max|a_i|
+    packed = 0
+    for a, b in terms:
+        first = second = 0
+        for (p, _), c in a.items():
+            first += (c * scale).numerator << shift * p
+        for (p, _), c in b.items():
+            second += c << shift * p
+        packed += first * second
+    return scale, _balanced_digits(packed, shift, degree + 1)
+
+
+def _balanced_digits(x, shift, count):
+    """The ``count`` lowest digits of x in balanced base 2^shift, lowest first, each in [-2^(shift-1), 2^(shift-1)).
+
+    Each digit is x modulo 2^shift taken in that range, and x then becomes
+    (x - digit) / 2^shift; anything left after the top digit raises
+    ``ArithmeticError``.
+    """
+    half, mask = 1 << shift - 1, (1 << shift) - 1
+    digits = []
+    for _ in range(count):
+        digit = ((x + half) & mask) - half
+        digits.append(digit)
+        x = (x - digit) >> shift
+    if x:
+        raise ArithmeticError("packed sum left a remainder above its top digit")
+    return digits
 
 
 def poly_mul(a: HomogPoly, b: HomogPoly) -> HomogPoly:

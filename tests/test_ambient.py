@@ -37,6 +37,7 @@ from cayleygr.equivariant import SchubertVector, basis_vector, multiplication_ta
 from cayleygr.exact import HomogPoly, poly_mul
 from cayleygr.fixtures import load_fixture
 from cayleygr.weightmodel import BASIS_WEIGHTS
+from chern_probes import PROBES, probe_pairings
 from schur_reference import schur_poly
 
 t = basis_vector
@@ -460,20 +461,22 @@ def test_ambient_chern_pairings_match_localization():
     degs = degrees()
     for k in range(1, 9):
         loc = sum(c * degs[lab] for lab, c in chern[k].items())
-        assert pairs[k]["h"] == loc, k
+        assert pairs[k] == loc, k
     # dual-basis probes pin the individual coefficients of c5 and c6
-    assert pairs[5]["t111"] == chern[5]["5"] == 160
-    assert pairs[5]["t3"] == chern[5]["5'"] == 76
-    assert pairs[6]["t2"] == chern[6]["6"] == 151
-    assert pairs[6]["t11"] == chern[6]["6'"] == 193
-    assert pairs[8]["h"] == 15
+    probes = probe_pairings()
+    assert probes[5]["t111"] == chern[5]["5"] == 160
+    assert probes[5]["t3"] == chern[5]["5'"] == 76
+    assert probes[6]["t2"] == chern[6]["6"] == 151
+    assert probes[6]["t11"] == chern[6]["6'"] == 193
+    assert pairs[8] == 15
 
 
 def test_ambient_chern_pairings_against_the_lift():
     # reference route: cg lifted by each whole Chern piece, paired with probe times tau_1^p
     pieces = tangent_chern_ambient()
-    probes = {"h": (), "t11": (1, 1), "t2": (2,), "t111": (1, 1, 1), "t3": (3,)}
+    probes = {"h": (), **PROBES}
     pairs = tangent_chern_pairings()
+    rows = probe_pairings()
     reference = {}
     for k in range(9):
         lift = lr_multiply(cg_class(), pieces[k])
@@ -482,7 +485,7 @@ def test_ambient_chern_pairings_against_the_lift():
             for name, lam in probes.items()
             if 8 - k - sum(lam) >= 0
         }
-    assert pairs == reference
+    assert {k: {"h": pairs[k], **rows[k]} for k in range(9)} == reference
     assert sum(len(row) for row in reference.values()) == 35
 
 

@@ -40,6 +40,7 @@ from cayleygr.fixtures import load_fixture, parse_form
 from cayleygr.invariants import chern_classes, elementary_symmetric, hilbert_polynomial
 from cayleygr.octonions import g2_basis
 from cayleygr.weightmodel import ALPHA, BETA
+from integration_reference import reference_integrate
 
 
 def vec(d):
@@ -455,6 +456,87 @@ def test_integration_entries_share_one_body(values, stray):
     for route in (ab_integrate, against_one, lambda data: integrate_against(data, complement)):
         with pytest.raises(KeyError):
             route(strayed)
+
+
+_BIG = 2**200
+_big_scalars = st.one_of(
+    st.just(0),
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def integration_cases(draw):
+    """(vertex map, weighting, stray vertex or None) for the packed numerator and its reference.
+
+    The weighting is None for ``ab_integrate``'s C_q and a label Y for
+    ``integrate_against``'s sigma_Y(q) C_q.  The map is either random (degree
+    0-8, coefficients up to 2^200 or fractions of them, zero forms
+    included) or a sum of scaled products of the classes of the degree
+    complementary to Y, whose integral is a value.
+    """
+    labels = [p.label for p in enumerate_fixed_points()]
+    against = draw(st.one_of(st.none(), st.sampled_from(labels)))
+    if draw(st.integers(0, 2)) == 0:
+        degree = draw(st.integers(0, 8))
+        support = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+        values = {lab: HomogPoly(degree, {(p, degree - p): draw(_big_scalars) for p in range(degree + 1)}) for lab in support}
+    else:
+        classes = solve_all_classes()
+        degree = 8 - (point_by_label(against).codim if against else 0)
+        values = {lab: HomogPoly.zero(degree) for lab in labels}
+        for _ in range(draw(st.integers(1, 2))):
+            factors, codim = [], 0
+            for p in draw(st.lists(st.sampled_from(enumerate_fixed_points()), max_size=3)):
+                if codim + p.codim <= degree:
+                    factors.append(classes[p.label])
+                    codim += p.codim
+            product = pointwise_product(fundamental_class(), *factors, *[hyperplane_class()] * (degree - codim))
+            c = draw(_big_scalars)
+            values = {lab: values[lab] + product[lab].scale(c) for lab in labels}
+    stray = draw(st.sampled_from([None, None, None, "9", "0''"]))
+    return values, against, stray
+
+
+def _value_or_error(route, *args):
+    """The value of an integration route, or the type of the error it raises."""
+    try:
+        return route(*args)
+    except (ArithmeticError, ValueError, KeyError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integration_cases())
+def test_packed_numerator_matches_the_reference(case):
+    # the packed numerator and certificate against the coefficient table, value for value and error for error
+    values, against, stray = case
+    if against is None:
+        args = (values, equivariant._localization_denominator()[1], 0)
+    else:
+        args = (values, equivariant._weighted_class(against), point_by_label(against).codim)
+    if stray is not None:
+        args = (values | {stray: next(iter(values.values()))}, *args[1:])
+    got = _value_or_error(equivariant._integrate, *args)
+    assert got == _value_or_error(reference_integrate, *args)
+    assert type(got) is Fraction or got in (ArithmeticError, ValueError, KeyError)
+
+
+@pytest.mark.parametrize(
+    "route, message",
+    [
+        (lambda: ab_integrate({"0": HomogPoly(9, {(9, 0): 1})}), "at most 8"),
+        (lambda: integrate_against(solve_all_classes()["2"], "7"), "at most 8"),
+        (lambda: equivariant._integrate(hyperplane_class(), equivariant._localization_denominator()[1] | {"4": parse_form("a^5")}, 0),
+         "product of degree 6 in a sum of degree 5"),
+    ],
+    ids=["degree-9", "against-over-degree", "weight-degree"],
+)
+def test_integration_rejects_degrees_that_do_not_fit(route, message):
+    # data above degree 8, and a vertex weight whose degree does not fit the numerator's, raise ValueError
+    with pytest.raises(ValueError, match=message):
+        route()
 
 
 def test_schubert_vector_arithmetic_is_one_sum():

@@ -1,7 +1,7 @@
 import operator
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from cayleygr.exact import (
     GaussianRational,
     HomogPoly,
+    _balanced_digits,
     divide_by_linear,
     format_gaussian,
     matrix_rank,
     nullspace,
+    packed_sum_of_products,
     poly_mul,
     scalar,
     smith_normal_form,
@@ -572,3 +574,75 @@ def test_int_and_fraction_backed_values_agree(f, c):
     assert z == w and hash(z) == hash(w)
     assert HomogPoly.constant(c) == HomogPoly.constant(Fraction(c))
     assert hash(HomogPoly.constant(c)) == hash(HomogPoly.constant(Fraction(c)))
+
+
+_BIG = 2**200
+
+
+@st.composite
+def packed_sums(draw):
+    """(degree, pairs) with rational first factors up to 2^200 and integer second factors, zero forms included."""
+    degree = draw(st.integers(0, 12))
+    big = st.one_of(st.just(0), st.integers(-_BIG, _BIG), st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 10**12)))
+    pairs = []
+    for _ in range(draw(st.integers(0, 15))):
+        d = draw(st.integers(0, degree))
+        a = HomogPoly(d, {(p, d - p): draw(big) for p in range(d + 1)})
+        b = HomogPoly(degree - d, {(p, degree - d - p): draw(st.integers(-_BIG, _BIG)) for p in range(degree - d + 1)})
+        pairs.append((a, b))
+    if draw(st.booleans()):
+        pairs.append((HomogPoly.zero(degree + 3), draw(mixed_polys(2))))
+    return degree, pairs
+
+
+def _unpacked(scale, digits):
+    """The form sum_p (N_p / D) a^p b^(degree - p) of ``packed_sum_of_products``'s (D, digits)."""
+    degree = len(digits) - 1
+    return HomogPoly(degree, {(p, degree - p): Fraction(n, scale) for p, n in enumerate(digits)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_sums())
+def test_packed_sum_of_products_matches_the_table(case):
+    degree, pairs = case
+    scale, digits = packed_sum_of_products(pairs, degree)
+    assert _unpacked(scale, digits) == sum_of_products(pairs, degree)
+    assert len(digits) == degree + 1 and all(type(n) is int for n in digits)
+    # D clears the first factors of the pairs that add something
+    assert scale == lcm(*(c.denominator for a, b in pairs if b.coeffs for c in a.coeffs.values()))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("first", [_BIG, Fraction(_BIG, 3)], ids=["int", "fraction"])
+def test_packed_sum_of_products_at_its_bound(first, sign):
+    # 15 products of 9 and 5 equal terms: each middle coefficient of D N sums 15 * 5
+    # products of the largest terms with no cancellation, so it reaches the bound B itself
+    a = HomogPoly(8, {(p, 8 - p): sign * first for p in range(9)})
+    b = HomogPoly(4, {(p, 4 - p): 2**60 for p in range(5)})
+    pairs = [(a, b)] * 15
+    scale, digits = packed_sum_of_products(pairs, 12)
+    bound = scale * 15 * 5 * abs(first) * 2**60
+    assert digits[4:9] == [sign * bound] * 5
+    assert _unpacked(scale, digits) == sum_of_products(pairs, 12)
+
+
+def test_packed_sum_of_products_rejects_a_degree_mismatch():
+    f, g = HomogPoly(2, {(2, 0): 1, (0, 2): -3}), HomogPoly(1, {(1, 0): 2})
+    with pytest.raises(ValueError, match="product of degree 3 in a sum of degree 4"):
+        packed_sum_of_products([(f, g)], 4)
+    with pytest.raises(ValueError, match="product of degree 3 in a sum of degree 2"):
+        packed_sum_of_products([(f, HomogPoly.constant(1)), (g, f)], 2)
+    # a zero factor adds nothing, whatever its degree
+    assert packed_sum_of_products([(HomogPoly.zero(5), g), (f, HomogPoly.constant(2))], 2) == (1, [-6, 0, 2])
+
+
+@pytest.mark.parametrize("shift", [1, 2, 7, 64])
+def test_balanced_digits_read_back_and_reject_a_leftover(shift):
+    half = 1 << shift - 1
+    digits = [-half, half - 1, 0, -1, 0]
+    x = sum(d << shift * p for p, d in enumerate(digits))
+    assert _balanced_digits(x, shift, len(digits)) == digits
+    # a digit above the top place, of either sign, or a top digit outside the balanced range, is left over
+    for extra in (1 << shift * len(digits), -(1 << shift * len(digits)), half << shift * (len(digits) - 1)):
+        with pytest.raises(ArithmeticError, match="left a remainder"):
+            _balanced_digits(x + extra, shift, len(digits))
