@@ -598,7 +598,8 @@ def verify_ring_presentation():
     """The two defining relations and the monomial ranks, for the report to compare.
 
     The degree-2 generator is identified as the codim-2 class for which
-    both relations vanish; returns a report dictionary.  Raises
+    both relations vanish; returns a report dictionary whose "ranks" maps
+    each codimension to the rank of its monomials.  Raises
     ArithmeticError when no class qualifies, and not when a monomial rank
     differs from its Betti number.
     """
@@ -622,9 +623,7 @@ def verify_ring_presentation():
     by_codim = labels_by_codim()
     for k in range(DIMENSION + 1):
         monomials = [schubert_product(h[k - 2 * b], gen_powers[b]) for b in range(k // 2 + 1)]
-        rank = matrix_rank([[mono[lab] for lab in by_codim[k]] for mono in monomials])
-        betti = len(by_codim[k])
-        report["ranks"][k] = {"rank": rank, "betti": betti}
+        report["ranks"][k] = matrix_rank([[mono[lab] for lab in by_codim[k]] for mono in monomials])
     return report
 
 

@@ -710,6 +710,19 @@ def test_tangent_row_discrepancy_needs_a_duplicate_of_row_0(tmp_path):
     assert status == {"tangents.matching-rows": "fail", "tangents.row-5": "fail", "tangents.row-5-symmetry": "pass"}
 
 
+def test_a_misprinted_row_other_than_row_5_fails_the_row_count(tmp_path):
+    # the report alone compares the printed rows: one more wrong row is a FAIL, row 5 stays documented
+    row_8 = '"tangent": ["-a", "-b", "-2a", "-2b", "g-a", "g-b", "g", "g"]'
+    fixtures, _ = _edited_fixtures(tmp_path, "fixed_points", lambda text: text.replace(row_8, row_8.replace('"g"]', '"2g"]')))
+    env = {**_src_env(), "CAYLEY_FIXTURES": str(fixtures)}
+    proc = subprocess.run([sys.executable, "-m", "cayleygr.cli", "verify", "tangents", "--format", "json"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    by_id = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
+    rows = by_id["tangents.matching-rows"]
+    assert (rows["status"], rows["computed"], rows["expected"]) == ("fail", 13, 14)
+    assert by_id["tangents.row-5"]["status"] == "paper-discrepancy"
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -1001,3 +1014,21 @@ def test_src_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_a_failing_hypothesis_test_shows_its_report(tmp_path):
+    # with every warning an error, a deprecation that the hypothesis plugin
+    # raises in its report hook would end the session in INTERNALERROR and
+    # hide the falsifying example; run such a test under this repository's ini options
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "def test_passes():\n    pass\n\n\n"
+        "@given(st.integers())\ndef test_fails(n):\n    assert n < 10\n",
+        encoding="utf-8",
+    )
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    argv = [sys.executable, "-m", "pytest", "-c", str(ini), "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_falsified.py"]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path)
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in out and "Falsifying example" in out
