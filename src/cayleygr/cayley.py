@@ -87,16 +87,12 @@ def is_cg_member(rows) -> bool:
     return True
 
 
-def coordinate_member(indices) -> bool:
-    return is_cg_member([tuple(int(j == i) for j in range(7)) for i in indices])
-
-
 def _tangent_weights(label, four_space):
     """Sorted tangent weights at the point whose 4-space is spanned by four_space.
 
     Sub-quotient weights of Hom(V7/U, U) minus the four triple-sums of U;
     this orientation reproduces the reference table (codimension = number
-    of chamber-negative weights).
+    of ``repelling_weights``).
     """
     u_weights = [BASIS_WEIGHTS[i] for i in four_space]
     quot_weights = [BASIS_WEIGHTS[i] for i in range(7) if i not in four_space]
@@ -113,6 +109,11 @@ def _tangent_weights(label, four_space):
     if len(out) != DIMENSION:
         raise ArithmeticError(f"{len(out)} tangent weights at {label}, expected {DIMENSION}")
     return out
+
+
+def repelling_weights(tangent, l=CHAMBER):
+    """The tangent weights negative on l, normal to the attracting cell: their number is its codimension."""
+    return [w for w in tangent if w.pair(l) < 0]
 
 
 def _weight_names(names, size):
@@ -174,14 +175,14 @@ def enumerate_fixed_points():
     points = []
     for triple in combinations(range(7), 3):
         four = _complement_four_space(triple)
-        if not coordinate_member(four):
+        if not is_cg_member([tuple(int(j == i) for j in range(7)) for i in four]):
             continue
         label = label_by_triple.get(frozenset(triple))
         if label is None:
             names = ", ".join(weight_str(BASIS_WEIGHTS[i]) for i in triple)
             raise FixtureError(f"malformed fixture {fixture_path('fixed_points')}: 'points' has no row for the member triple ({names})")
         tangent = _tangent_weights(label, four)
-        points.append(FixedPoint(label, triple, four, tangent, _codim(tangent)))
+        points.append(FixedPoint(label, triple, four, tangent, len(repelling_weights(tangent))))
     if len(points) != 15:
         raise ArithmeticError(f"expected 15 fixed points, found {len(points)}")
     return tuple(sorted(points, key=lambda p: (p.codim, p.label)))
@@ -196,11 +197,6 @@ def point_by_label(label: str) -> FixedPoint:
     return _points_by_label()[label]
 
 
-def tangent_weights(p: FixedPoint):
-    """Tangent weight multiset at a fixed point, as a Counter."""
-    return Counter(p.tangent)
-
-
 def tangent_weight_list(p: FixedPoint):
     return list(p.tangent)
 
@@ -212,27 +208,13 @@ def assert_generic(l) -> None:
                 raise ValueError(f"one-parameter subgroup {l} is not generic at {p.label}")
 
 
-def _codim(tangent, l=CHAMBER) -> int:
-    return sum(1 for w in tangent if w.pair(l) < 0)
-
-
-def codim_of_point(p: FixedPoint, l=CHAMBER) -> int:
-    """Number of chamber-negative tangent weights (the attracting codim)."""
-    return _codim(p.tangent, l)
-
-
 def betti_profile(l=CHAMBER):
     """Counts of fixed points per attracting codimension 0..8."""
     assert_generic(l)
     counts = [0] * (DIMENSION + 1)
     for p in enumerate_fixed_points():
-        counts[codim_of_point(p, l)] += 1
+        counts[len(repelling_weights(p.tangent, l))] += 1
     return counts
-
-
-def repelling_weights(p: FixedPoint):
-    """The chamber-negative tangent weights (normal to the attracting cell)."""
-    return [w for w in p.tangent if w.pair(CHAMBER) < 0]
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def hyperplane_class():
 def normal_weight_product(label) -> HomogPoly:
     """Product of the repelling tangent weights at the vertex."""
     out = HomogPoly.constant(1)
-    for w in repelling_weights(point_by_label(label)):
+    for w in repelling_weights(point_by_label(label).tangent):
         out = poly_mul(out, w.poly())
     return out
 
@@ -223,10 +223,10 @@ def _solve_class(p_label, next_classes):
         if any(row) or mono in target.coeffs:
             rows.append(row)
             rhs.append(target.coeffs.get(mono, 0))
-    sol = solve_rational(rows, rhs)
-    if sol.status != "unique":
-        raise ArithmeticError(f"class solve at vertex {p_label} is {sol.status}")
-    t = sol.particular
+    try:
+        t = solve_rational(rows, rhs)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"class solve at vertex {p_label}: {exc}") from exc
     values = {q.label: HomogPoly.zero(k) for q in enumerate_fixed_points()}
     values[p_label] = n_p
     for q in lines:
@@ -378,7 +378,7 @@ def expand_in_basis(values):
         if val.is_zero():
             continue
         quotient = val
-        for w in repelling_weights(p):
+        for w in repelling_weights(p.tangent):
             quotient = divide_by_linear(quotient, w[0], w[1])
             if quotient is None:
                 raise ArithmeticError(f"expansion fails: value at {p.label} not divisible by the normal weights")

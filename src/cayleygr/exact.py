@@ -12,7 +12,6 @@ values are immutable; every function is pure.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -443,31 +442,22 @@ def nullspace(rows, ncols):
     return _kernel_basis(work, _row_reduce(work, ncols), ncols)
 
 
-class LinearSolution(namedtuple("LinearSolution", "status particular kernel", defaults=(None, ()))):
-    """Outcome of an exact linear solve: status "unique", "family" or "inconsistent"."""
-
-    __slots__ = ()
-
-
 def solve_rational(rows, rhs):
-    """Solve A x = b by exact Gauss-Jordan elimination over the entries' field.
+    """The unique solution of A x = b, by exact Gauss-Jordan elimination over the entries' field.
 
-    Entries may be ints, Fractions or GaussianRationals.
+    Entries may be ints, Fractions or GaussianRationals.  An inconsistent
+    system, or one whose solutions form a family, raises ArithmeticError.
     """
     if len(rows) != len(rhs):
         raise ValueError("matrix/vector size mismatch")
     n = len(rows[0]) if rows else 0
     work = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
     pivots = _row_reduce(work, n)
-    for row in work[len(pivots):]:
-        if row[n] != 0:
-            return LinearSolution("inconsistent")
-    particular = [0] * n
-    for r, pc in enumerate(pivots):
-        particular[pc] = _canonical(work[r][n])
+    if any(row[n] != 0 for row in work[len(pivots):]):
+        raise ArithmeticError("the linear system is inconsistent")
     if len(pivots) < n:
-        return LinearSolution("family", particular, _kernel_basis(work, pivots, n))
-    return LinearSolution("unique", particular)
+        raise ArithmeticError(f"the solutions form a family of dimension {n - len(pivots)}")
+    return [_canonical(row[n]) for row in work[:n]]
 
 
 # ---------------------------------------------------------------------------

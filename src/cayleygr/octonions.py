@@ -333,15 +333,10 @@ def _closed_under_product(basis):
     return matrix_rank([list(v.coeffs) for v in (*basis, *products)]) == len(basis)
 
 
-def gram_rank(w: Subspace) -> int:
-    rows = [[norm_bilinear(x, y) for y in w.basis] for x in w.basis]
-    return matrix_rank(rows)
-
-
 def classify(w: Subspace) -> OrbitType:
     if not is_subalgebra(w):
         raise ValueError("not the imaginary part of a subalgebra")
-    r = gram_rank(w)
+    r = matrix_rank([[norm_bilinear(x, y) for y in w.basis] for x in w.basis])  # rank of the norm on w
     if r == 3:
         return OrbitType.NON_DEGENERATE
     if r == 1:

@@ -138,6 +138,18 @@ def test_readme_cli_examples_parse():
         cli.build_parser().parse_args(argv[1:])
 
 
+def test_readme_engine_names_exist():
+    # every `module.name` the README names for an engine module resolves,
+    # so a retired name cannot linger in the documentation
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    modules = {path.stem for path in (root / "src" / "cayleygr").glob("*.py")}
+    refs = {(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)[`(]", readme) if m in modules}
+    assert len(refs) >= 5, refs
+    missing = [f"{m}.{n}" for m, n in sorted(refs) if not hasattr(importlib.import_module(f"cayleygr.{m}"), n)]
+    assert missing == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -590,6 +602,29 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert str(target) in lines[0] and "No such file or directory" in lines[0]
 
 
+def _assert_one_error_line(proc, reason):
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [f"cayleygr: error: cannot write standard output: {reason}"]
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_full_stdout_exits_2():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "cayleygr.cli", "verify", "octonion"], stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env())
+    _assert_one_error_line(proc, "No space left on device")
+
+
+def test_closed_stdout_pipe_exits_2():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cayleygr.cli", "dump", "classes"], stdout=write_end, stderr=subprocess.PIPE, text=True, env=_src_env())
+    finally:
+        os.close(write_end)
+    _assert_one_error_line(proc, "Broken pipe")
+
+
 def test_sigma2_figure_counts_matches(tmp_path, capsys, monkeypatch):
     # a second wrong printed row besides 4'
     fixtures, _ = _edited_fixtures(tmp_path, "gkm_sigma2", lambda text: text.replace('"4": "b(b-g)"', '"4": "2b(b-g)"'))
@@ -818,6 +853,33 @@ def test_traced_names_resolve():
             module = importlib.import_module(f"cayleygr.{short}")
             for name in names:
                 assert callable(getattr(module, name, None)), f"{short}.{name}"
+
+
+def _perfbench_engine_reads():
+    """{(module, attribute)} read in perfbench/*.py on a name bound by `from cayleygr import <module> [as <alias>]`."""
+    reads = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "cayleygr"
+            for alias in node.names
+        }
+        reads |= {
+            (bound[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound
+        }
+    return reads
+
+
+def test_perfbench_engine_names_resolve():
+    # the benchmark's workers call engine names the tracer's tables do not
+    # list; a removal that misses one would fail every benchmark operation
+    reads = _perfbench_engine_reads()
+    assert {("equivariant", "integrate_vector"), ("equivariant", "labels_by_codim"), ("cli", "TOPICS")} <= reads
+    missing = [f"{m}.{a}" for m, a in sorted(reads) if not hasattr(importlib.import_module(f"cayleygr.{m}"), a)]
+    assert missing == []
 
 
 def _src_env():

@@ -227,7 +227,7 @@ def _expand_by_subtraction(values):
         quotient = remaining[p.label]
         if quotient.is_zero():
             continue
-        for w in repelling_weights(p):
+        for w in repelling_weights(p.tangent):
             quotient = divide_by_linear(quotient, w[0], w[1])
         out[p.label] = quotient
         for lab, value in classes[p.label].items():
@@ -637,6 +637,14 @@ def test_class_solve_needs_separating_hyperplane_weight(monkeypatch):
     original = equivariant.hyperplane_weight
     monkeypatch.setattr(equivariant, "hyperplane_weight", lambda label: original("7" if label == "8" else label))
     with pytest.raises(ArithmeticError, match="vertex 8 from vertex 7"):
+        equivariant._class_solve.__wrapped__()
+
+
+def test_class_solve_names_the_vertex_of_a_non_unique_solve(monkeypatch):
+    # a repeated kernel vector gives the pushforward rows two equal columns:
+    # the first step, at the codimension-7 vertex, has a family of solutions
+    monkeypatch.setattr(equivariant, "nullspace", lambda rows, ncols: 2 * exact.nullspace(rows, ncols))
+    with pytest.raises(ArithmeticError, match="^class solve at vertex 7: the solutions form a family of dimension 1$"):
         equivariant._class_solve.__wrapped__()
 
 

@@ -97,22 +97,17 @@ def _apply(rows, x):
 
 def test_solve_rational_unique_family_inconsistent():
     one = Fraction(1)
-    sol = solve_rational([[one, 0], [0, one]], [Fraction(2), Fraction(3)])
-    assert sol.status == "unique" and sol.particular == [2, 3]
+    assert solve_rational([[one, 0], [0, one]], [Fraction(2), Fraction(3)]) == [2, 3]
 
-    sol = solve_rational([[one, one]], [Fraction(0)])
-    assert sol.status == "family" and len(sol.kernel) == 1
-    assert _apply([[one, one]], sol.kernel[0]) == [0]
+    with pytest.raises(ArithmeticError, match="a family of dimension 1"):
+        solve_rational([[one, one]], [Fraction(0)])
 
     rows = [[one, 2, 0, Fraction(1, 2)], [2, 4, one, 3], [3, 6, one, Fraction(7, 2)]]
-    sol = solve_rational(rows, [Fraction(1), Fraction(5), Fraction(6)])
-    assert sol.status == "family" and len(sol.kernel) == 2
-    assert _apply(rows, sol.particular) == [1, 5, 6]
-    for k in sol.kernel:
-        assert _apply(rows, k) == [0, 0, 0]
+    with pytest.raises(ArithmeticError, match="a family of dimension 2"):
+        solve_rational(rows, [Fraction(1), Fraction(5), Fraction(6)])
 
-    sol = solve_rational([[one], [one]], [Fraction(0), Fraction(1)])
-    assert sol.status == "inconsistent"
+    with pytest.raises(ArithmeticError, match="inconsistent"):
+        solve_rational([[one], [one]], [Fraction(0), Fraction(1)])
 
 
 small_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -140,16 +135,17 @@ def rational_systems(draw):
 @given(rational_systems())
 def test_solve_rational_matches_exact_elimination(system):
     rows, rhs = system
-    sol = solve_rational(rows, rhs)
     n = len(rows[0])
     rank = matrix_rank(rows)
     augmented = matrix_rank([[*row, b] for row, b in zip(rows, rhs)])
-    assert sol.status == ("inconsistent" if augmented > rank else "unique" if rank == n else "family")
-    if sol.status != "inconsistent":
-        assert len(sol.kernel) == n - rank
-        assert _apply(rows, sol.particular) == rhs
-    for k in sol.kernel:
-        assert _apply(rows, k) == [0] * len(rows)
+    if augmented > rank:
+        with pytest.raises(ArithmeticError, match="inconsistent"):
+            solve_rational(rows, rhs)
+    elif rank < n:
+        with pytest.raises(ArithmeticError, match=f"a family of dimension {n - rank}$"):
+            solve_rational(rows, rhs)
+    else:
+        assert _apply(rows, solve_rational(rows, rhs)) == rhs
 
 
 @settings(max_examples=40, deadline=None)
@@ -165,14 +161,12 @@ def test_large_solution_is_exact(upper, others, big, den):
     rows = [[Fraction(1) if i == j else Fraction(upper[i][j]) if j > i else Fraction(0) for j in range(3)] for i in range(3)]
     x = [Fraction(big, den), *map(Fraction, others)]
     rhs = _apply(rows, x)
-    sol = solve_rational(rows, rhs)
-    assert sol.status == "unique" and sol.particular == x
+    assert solve_rational(rows, rhs) == x
 
 
 def test_solve_over_gaussian_rationals():
     i = GaussianRational(0, 1)
-    sol = solve_rational([[i]], [GaussianRational(1)])
-    assert sol.status == "unique" and sol.particular[0] == -i
+    assert solve_rational([[i]], [GaussianRational(1)]) == [-i]
 
 
 def test_rank_and_nullspace():
@@ -296,16 +290,17 @@ def test_unit_pivots_match_fraction_elimination(system):
     for v in kernel:
         assert _apply(rows, v) == [0] * len(rows)
     reduced, pivots = _fraction_gauss_jordan([[*row, b] for row, b in zip(rows, rhs)], n)
-    sol = solve_rational(rows, rhs)
+    solution = []
     if any(row[n] != 0 for row in reduced[len(pivots):]):
-        assert sol.status == "inconsistent"
+        with pytest.raises(ArithmeticError, match="inconsistent"):
+            solve_rational(rows, rhs)
+    elif len(pivots) < n:
+        with pytest.raises(ArithmeticError, match=f"a family of dimension {n - len(pivots)}$"):
+            solve_rational(rows, rhs)
     else:
-        assert sol.status == ("unique" if len(pivots) == n else "family")
-        want = [0] * n
-        for r, pc in enumerate(pivots):
-            want[pc] = reduced[r][n]
-        assert sol.particular == want
-    answers = [kernel, sol.particular or [], list(sol.kernel)]
+        solution = solve_rational(rows, rhs)
+        assert solution == [reduced[r][n] for r in range(n)]
+    answers = [kernel, solution]
     assert all(_canonical_entry(x) for x in _walk(answers)), answers
 
 
@@ -314,8 +309,8 @@ def test_unit_pivots_keep_ints():
     kernel = nullspace([[1, 2, 3], [-1, 0, 1]], 3)
     assert kernel == [[1, -2, 1]] and all(type(x) is int for x in kernel[0])
     sol = solve_rational([[-1, 1], [0, 2]], [1, 4])
-    assert sol.particular == [1, 2] and all(type(x) is int for x in sol.particular)
-    assert solve_rational([[2, 0], [0, 1]], [1, 1]).particular == [Fraction(1, 2), 1]
+    assert sol == [1, 2] and all(type(x) is int for x in sol)
+    assert solve_rational([[2, 0], [0, 1]], [1, 1]) == [Fraction(1, 2), 1]
 
 
 def test_smith_normal_form_examples():
@@ -402,13 +397,12 @@ def test_int_rows_stay_exact():
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     assert matrix_rank([[2, 1], [1, 1]]) == 2
     unique = solve_rational([[2, 1], [1, 1]], [3, 2])
-    assert unique.status == "unique" and unique.particular == [1, 1]
-    family = solve_rational([[1, 2], [2, 4]], [3, 6])
-    assert family.status == "family"
-    assert family.particular == [3, 0] and family.kernel == [[-2, 1]]
+    assert unique == [1, 1]
+    with pytest.raises(ArithmeticError, match="a family of dimension 1"):
+        solve_rational([[1, 2], [2, 4]], [3, 6])
     thirds = solve_rational([[3, 0], [0, 6]], [1, 2])
-    assert thirds.particular == [Fraction(1, 3), Fraction(1, 3)]
-    for answer in (ker, unique.particular, family.particular, family.kernel, thirds.particular):
+    assert thirds == [Fraction(1, 3), Fraction(1, 3)]
+    for answer in (ker, unique, thirds):
         assert all(isinstance(x, (int, Fraction)) for x in _walk(answer)), answer
 
 
