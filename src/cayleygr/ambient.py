@@ -369,14 +369,9 @@ def check_restriction(table):
         raise ArithmeticError("restriction table fails its checks: " + "; ".join(failures))
 
 
-def image_index() -> int:
-    """Index of the restriction image lattice, as a product over codimension."""
-    return prod(image_index_profile().values())
-
-
 @cache
 def image_index_profile():
-    """Index of the restriction image lattice in each codimension.
+    """Index of the restriction image lattice in each codimension; the lattice's index is their product.
 
     In codimension k: the product of the invariant factors of the images
     of the ambient classes of size k, which must all be nonzero.

@@ -9,12 +9,12 @@ require the discrepancies to be surfaced by the reporting layer.
 """
 
 from collections import Counter
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from cayleygr import ambient, cayley, equivariant, invariants, octonions
-from cayleygr.cli import DISCREPANCY, TOPICS
+from cayleygr.cli import DISCREPANCY, RING_RELATIONS, TOPICS
 from cayleygr.equivariant import SchubertVector
 from cayleygr.fixtures import load_fixture, parse_form
 from cayleygr.weightmodel import ALPHA, BETA, CHAMBER, GAMMA, parse_weight
@@ -137,12 +137,13 @@ def test_criterion_07_multiplication_table():
 
 
 def test_criterion_08_ring_presentation():
-    rep = equivariant.verify_ring_presentation()
-    assert rep["generator"] == "2"
-    assert rep["relations"]["2"]["rel1"].is_zero()
-    assert rep["relations"]["2"]["rel2"].is_zero()
+    checks = {c.id: c for c in TOPICS["ring"](None)}
+    assert checks["ring.generator"].computed == "2"
+    monomials = equivariant.ring_monomials("2")
+    for terms in RING_RELATIONS.values():
+        assert equivariant.schubert_sum((c, monomials[i, j]) for c, i, j in terms).is_zero()
     betti = {k: len(labels) for k, labels in equivariant.labels_by_codim().items()}
-    assert rep["ranks"] == betti
+    assert checks["ring.monomial-ranks"].computed == betti
     note(8, "both relations vanish on sigma_2; monomial ranks reproduce the Betti numbers")
 
 
@@ -165,7 +166,7 @@ def test_criterion_09_restriction_and_index():
     assert lhs == equivariant.schubert_product(table[(1, 1)], table[(1, 1)])
     assert table[(1, 1)] == SchubertVector({"2'": 1})
     assert table[(2,)] == SchubertVector({"2": 1})
-    assert ambient.image_index() == 16
+    assert prod(ambient.image_index_profile().values()) == 16
     assert "restriction.level-2-swap" in _flagged("restriction")
     note(9, "25 of 27 printed entries verbatim, level-2 pair provably swapped in print; index 16")
 

@@ -610,9 +610,14 @@ def _assert_one_error_line(proc, reason):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
 def test_full_stdout_exits_2():
-    with open("/dev/full", "wb") as full:
-        proc = subprocess.run([sys.executable, "-m", "cayleygr.cli", "verify", "octonion"], stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env())
-    _assert_one_error_line(proc, "No space left on device")
+    # argparse drops a failed write of its help, whether or not stdout is
+    # buffered, so the --help outputs are checked both ways
+    for argv in (["verify", "octonion"], ["--help"], ["verify", "--help"], ["dump", "--help"]):
+        for unbuffered in ("", "1"):
+            env = {**_src_env(), "PYTHONUNBUFFERED": unbuffered}
+            with open("/dev/full", "wb") as full:
+                proc = subprocess.run([sys.executable, "-m", "cayleygr.cli", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+            _assert_one_error_line(proc, "No space left on device")
 
 
 def test_closed_stdout_pipe_exits_2():
@@ -942,9 +947,15 @@ _WRONG_VALUES = {
     ),
     "monomial-rank-minus-one": (
         "ring",
+        "from cayleygr import exact\n"
+        "rank = exact.matrix_rank\n"
+        "exact.matrix_rank = lambda rows: rank(rows) - 1\n",
+    ),
+    "sigma1-squared-perturbed": (
+        "ring",
         "from cayleygr import equivariant\n"
-        "rank = equivariant.matrix_rank\n"
-        "equivariant.matrix_rank = lambda rows: rank(rows) - 1\n",
+        "# 2 s2 + s2' in place of s2 + s2': neither codimension-2 class satisfies R1 or R2\n"
+        "equivariant.multiplication_table()[('1', '1')] = equivariant.SchubertVector({'2': 2, \"2'\": 1})\n",
     ),
 }
 
@@ -960,6 +971,9 @@ _WRONG_VALUES = {
         ("octonion.g2-dimension", "g2-vector-dropped"),
         ("mult.non-negative", "structure-constant-negated"),
         ("ring.monomial-ranks", "monomial-rank-minus-one"),
+        ("ring.generator", "sigma1-squared-perturbed"),
+        ("ring.relation-degree-5", "sigma1-squared-perturbed"),
+        ("ring.relation-degree-6", "sigma1-squared-perturbed"),
     ],
 )
 def test_a_wrong_paper_number_is_a_fail_line(check_id, case):

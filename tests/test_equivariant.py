@@ -26,13 +26,13 @@ from cayleygr.equivariant import (
     point_class,
     pointwise_product,
     poincare_pairing,
+    ring_monomials,
     schubert_product,
     schubert_sum,
     sigma1_powers,
     solve_all_classes,
     top_by_duality,
     top_expansion,
-    verify_ring_presentation,
 )
 from cayleygr import cli, equivariant, exact
 from cayleygr.exact import HomogPoly, divide_by_linear, poly_mul
@@ -555,14 +555,22 @@ def test_top_by_duality_rejects_a_non_integral_coordinate():
 
 
 def test_ring_presentation():
-    rep = verify_ring_presentation()
-    assert rep["generator"] == "2"
-    rel = rep["relations"]["2"]
-    assert rel["rel1"].is_zero() and rel["rel2"].is_zero()
-    # the other codimension-2 class does not satisfy the relations
-    other = rep["relations"]["2'"]
-    assert not (other["rel1"].is_zero() and other["rel2"].is_zero())
-    assert rep["ranks"] == {k: len(labels) for k, labels in labels_by_codim().items()}
+    checks = {c.id: c for c in cli.run_ring(None)}
+    assert checks["ring.generator"].computed == "2"
+    assert checks["ring.relation-degree-5"].computed == checks["ring.relation-degree-6"].computed == "0"
+    # the other codimension-2 class does not satisfy both relations
+    assert not all(rel.is_zero() for rel in cli._ring_relations("2'").values())
+    assert checks["ring.monomial-ranks"].computed == {k: len(labels) for k, labels in labels_by_codim().items()}
+
+
+def test_ring_monomials():
+    monomials = ring_monomials("2")
+    assert len(monomials) == 25
+    assert all(point_by_label(lab).codim == i + 2 * j for (i, j), m in monomials.items() for lab in m.coeffs)
+    assert [monomials[i, 0] for i in range(9)] == list(sigma1_powers())
+    assert monomials[0, 1] == vec({"2": 1})
+    assert monomials[0, 2] == vec({"4": 1, "4'": 2, "4''": 2})
+    assert monomials[0, 4] == vec({"8": 9})  # 1 + 4 + 4: the codimension-4 classes are self-dual
 
 
 def test_lefschetz_report():
@@ -656,6 +664,16 @@ def test_monk_coefficients_by_expansion():
     assert len(classes) == 15
     for lab, cls in classes.items():
         assert top_expansion(pointwise_product(cls, h)) == vec(monk[lab]), lab
+
+
+def test_class_solve_rejects_a_system_with_no_equations(monkeypatch):
+    # with zero complements every pushforward row drops out, which leaves
+    # the Monk coefficients free rather than solved
+    denominator, complements = equivariant._localization_denominator()
+    zero = {q: c.scale(0) for q, c in complements.items()}
+    monkeypatch.setattr(equivariant, "_localization_denominator", lambda: (denominator, zero))
+    with pytest.raises(ArithmeticError, match="^class solve at vertex 7: the solutions form a family of dimension 1$"):
+        equivariant._class_solve.__wrapped__()
 
 
 def test_class_solve_checks_every_class(monkeypatch):
