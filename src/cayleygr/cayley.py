@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .fixtures import FixtureError, fixture_entry, fixture_path
 from .octonions import minor, three_form
-from .weightmodel import BASIS_WEIGHTS, CHAMBER, INDEX_OF_WEIGHT, LONG_ROOTS, SHORT_ROOTS, U, Weight, parse_weight, weight_str
+from .weightmodel import BASIS_WEIGHTS, CHAMBER, INDEX_OF_WEIGHT, LONG_ROOTS, SHORT_ROOTS, U, parse_weight, weight_str
 
 DIMENSION = 8  # complex dimension; enumeration checks it against every tangent space
 
@@ -43,12 +43,6 @@ class FixedPoint(namedtuple("FixedPoint", "label triple four_space tangent codim
     @property
     def triple_weights(self):
         return tuple(BASIS_WEIGHTS[i] for i in self.triple)
-
-    def omega_weight(self) -> Weight:
-        w = Weight(0, 0)
-        for i in self.triple:
-            w = w + BASIS_WEIGHTS[i]
-        return w
 
     def __repr__(self):
         names = ",".join(weight_str(BASIS_WEIGHTS[i]) for i in self.triple)
@@ -222,15 +216,8 @@ def betti_profile(l=CHAMBER):
 # ---------------------------------------------------------------------------
 
 
-class GkmEdge(namedtuple("GkmEdge", "labels weight")):
-    """A GKM edge: the frozenset of its two end labels and its
-    tangent-direction weight, defined up to sign."""
-
-    __slots__ = ()
-
-    def primitive(self) -> Weight:
-        """The primitive direction; divisibility only sees this."""
-        return self.weight.primitive()
+# a GKM edge: the frozenset of its two end labels and its tangent-direction weight, defined up to sign
+GkmEdge = namedtuple("GkmEdge", "labels weight")
 
 
 @cache

@@ -51,7 +51,7 @@ from .cayley import (
     repelling_weights,
 )
 from .exact import HomogPoly, divide_by_linear, matrix_rank, nullspace, packed_sum_of_products, poly_mul, solve_rational, sum_of_products
-from .weightmodel import Weight
+from .weightmodel import Weight, weight_str
 
 
 @cache
@@ -87,15 +87,10 @@ def _degree(values) -> int:
 
 
 @cache
-def _hyperplane_weights():
-    """{label: f_H(q)}, computed once; callers read it through ``hyperplane_weight``."""
-    base = point_by_label(base_label()).omega_weight()
-    return {p.label: p.omega_weight() - base for p in enumerate_fixed_points()}
-
-
-def hyperplane_weight(label) -> Weight:
-    """f_H(q) = omega(q) - omega(0) as an integral weight."""
-    return _hyperplane_weights()[label]
+def hyperplane_weights():
+    """{label: f_H(q)}: f_H(q) = omega(q) - omega(0), omega(q) the sum of the weights spanning q's 3-space."""
+    omega = {p.label: sum(p.triple_weights, Weight(0, 0)) for p in enumerate_fixed_points()}
+    return {lab: w - omega[base_label()] for lab, w in omega.items()}
 
 
 def fundamental_class():
@@ -104,7 +99,7 @@ def fundamental_class():
 
 
 def hyperplane_class():
-    return {p.label: hyperplane_weight(p.label).poly() for p in enumerate_fixed_points()}
+    return {lab: w.poly() for lab, w in hyperplane_weights().items()}
 
 
 def normal_weight_product(label) -> HomogPoly:
@@ -120,16 +115,20 @@ def point_class():
     return {p.label: HomogPoly.zero(DIMENSION) for p in enumerate_fixed_points()} | {top: normal_weight_product(top)}
 
 
-def check_gkm_divisibility(cls) -> None:
-    """All edge congruences: value differences divisible by the direction."""
+def check_gkm_divisibility(cls) -> list[str]:
+    """The edges whose congruence fails, as "a-b (weight w)"; empty when every edge holds.
+
+    The value difference along an edge must be divisible by the edge
+    weight; a binary form is divisible by the linear form x*alpha + y*beta
+    exactly when it vanishes on its zero line, at (-y, x).
+    """
+    failures = []
     for e in gkm_edges():
-        a, b = tuple(e.labels)
-        diff = cls[a] - cls[b]
-        if diff.is_zero():
-            continue
-        w = e.primitive()
-        if divide_by_linear(diff, w[0], w[1]) is None:
-            raise ArithmeticError(f"divisibility fails on edge {a}-{b} (weight {w})")
+        a, b = sorted(e.labels)
+        x, y = e.weight
+        if (cls[a] - cls[b]).evaluate(-y, x):
+            failures.append(f"{a}-{b} (weight {weight_str(e.weight)})")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ def _solve_class(p_label, next_classes):
     ``_class_solve`` checks them on every solved class.
     """
     k = point_by_label(p_label).codim
-    f_h = {q.label: hyperplane_weight(q.label) for q in enumerate_fixed_points()}
+    f_h = hyperplane_weights()
     n_p = normal_weight_product(p_label)
     lines = {}
     for q in enumerate_fixed_points():
@@ -266,7 +265,9 @@ def _class_solve():
     h = hyperplane_class()
     degs = {}
     for lab, cls in classes.items():
-        check_gkm_divisibility(cls)
+        failures = check_gkm_divisibility(cls)
+        if failures:
+            raise ArithmeticError(f"divisibility fails on edge {failures[0]}")
         # re-verify the pushforward conditions by fixed-point integration
         data = cls
         for j in range(DIMENSION - point_by_label(lab).codim):

@@ -139,7 +139,7 @@ def test_gkm_graph():
     assert ("0", "8") not in by_pair
     roots = {parse_weight(n) for n in ("a", "-a", "b", "-b", "g", "-g", "a-b", "b-a", "a-g", "g-a", "b-g", "g-b")}
     for e in edges:
-        assert e.primitive() in roots
+        assert e.weight.primitive() in roots
         # the curve direction appears among the tangent weights at both ends
         for lab in e.labels:
             tw = Counter(point_by_label(lab).tangent)

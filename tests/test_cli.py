@@ -592,14 +592,13 @@ def test_swapped_fixed_point_labels_are_reported(tmp_path):
 
 @pytest.mark.parametrize("argv", [["verify", "betti"], ["dump", "degrees"]])
 def test_unwritable_out_exits_2(tmp_path, capsys, argv):
-    target = tmp_path / "nonexistent" / "dir" / "x.json"
-    code = main([*argv, "--out", str(target)])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert str(target) in lines[0] and "No such file or directory" in lines[0]
+    # an empty path names no file: it is no way to ask for standard output
+    for target in (str(tmp_path / "nonexistent" / "dir" / "x.json"), ""):
+        code = main([*argv, "--out", target])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"cayleygr: error: cannot write {target!r}: No such file or directory"]
 
 
 def _assert_one_error_line(proc, reason):
@@ -784,10 +783,22 @@ def test_sigma2_discrepancy_needs_a_copy_of_vertex_6(tmp_path, capsys, monkeypat
 def test_sigma2_discrepancy_needs_the_broken_congruences(capsys, monkeypatch):
     # with every vertex map passing the edge congruences, the copy of vertex 6 alone is no evidence
     equivariant.solve_all_classes()  # solved first: the solve's own checks stay as they are
-    monkeypatch.setattr(equivariant, "check_gkm_divisibility", lambda values: None)
+    monkeypatch.setattr(equivariant, "check_gkm_divisibility", lambda values: [])
     code, status = _statuses(capsys, "classes")
     assert code == 1
     assert status["classes.sigma2-at-4'"] == "fail" and status["classes.sigma2-figure"] == "fail"
+
+
+def test_gkm_divisibility_verdict_reads_the_predicate(capsys, monkeypatch):
+    # the solve is cached before the patch, so only the report sees the failing edge
+    equivariant.solve_all_classes()
+    monkeypatch.setattr(equivariant, "check_gkm_divisibility", lambda values: ["1-4 (weight b-g)"])
+    code = main(["verify", "classes"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in out + err
+    line = next(line for line in out.splitlines() if "classes.gkm-divisibility" in line)
+    assert line.startswith("[             FAIL] classes.gkm-divisibility") and "1-4 (weight b-g)" in line
 
 
 def test_restriction_swap_discrepancy_needs_the_interchanged_pair(tmp_path, capsys, monkeypatch):
@@ -885,6 +896,20 @@ def test_perfbench_engine_names_resolve():
     assert {("equivariant", "integrate_vector"), ("equivariant", "labels_by_codim"), ("cli", "TOPICS")} <= reads
     missing = [f"{m}.{a}" for m, a in sorted(reads) if not hasattr(importlib.import_module(f"cayleygr.{m}"), a)]
     assert missing == []
+
+
+def test_no_literal_verdicts():
+    # a check whose verdict is a constant can never print FAIL; index.profile
+    # reports the per-codimension profile with no verdict to compute (ROADMAP item 20)
+    allowed = {"index.profile"}
+    tree = ast.parse(Path(inspect.getfile(cli)).read_text(encoding="utf-8"))
+    literal = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "check":
+            verdict = node.args[1] if len(node.args) > 1 else next((kw.value for kw in node.keywords if kw.arg == "ok"), None)
+            if isinstance(verdict, ast.Constant):
+                literal.append(getattr(node.args[0], "value", ast.unparse(node.args[0])))
+    assert [id for id in literal if id not in allowed] == []
 
 
 def _src_env():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,7 +52,7 @@ def test_fundamental_and_point_class():
     one = fundamental_class()
     assert not one["0"].is_zero() and one["0"].evaluate(1, 1) == 1
     assert one["8"] == one["0"]
-    check_gkm_divisibility(one)
+    assert check_gkm_divisibility(one) == []
     pc = point_class()
     assert pc["0"].is_zero()
     assert pc["8"] == parse_form("4a^2b^2g^2(g-a)(g-b)")
@@ -63,7 +64,7 @@ def test_hyperplane_class_values():
     assert h["0"].is_zero()
     assert h["8"] == parse_form("4g")   # the figure prints -4g: one global sign
     assert h["4"] == parse_form("2g")
-    check_gkm_divisibility(h)
+    assert check_gkm_divisibility(h) == []
 
 
 def test_solver_reproduces_base_cases():
@@ -77,11 +78,33 @@ def test_all_classes_satisfy_gkm_conditions():
     classes = solve_all_classes()
     by_codim = labels_by_codim()
     for lab, cls in classes.items():
-        check_gkm_divisibility(cls)
+        assert check_gkm_divisibility(cls) == []
         # support vanishing: zero at strictly lower codimension vertices
         for p in enumerate_fixed_points():
             if p.codim < point_by_label(lab).codim:
                 assert cls[p.label].is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(lambda d: st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)),
+    st.sampled_from([p.label for p in enumerate_fixed_points()]),
+)
+def test_congruence_predicate_is_exact_division(coeffs, label):
+    # the predicate decides each edge on the zero line of its weight; for
+    # binary forms, nonzero constants included, that is divisibility by the
+    # weight, and by twice it; the form sits at one vertex, zero elsewhere
+    d = len(coeffs) - 1
+    g = HomogPoly(d, {(d - i, i): c for i, c in enumerate(coeffs)})
+    for factor in (1, 2):
+        edges = tuple(e._replace(weight=e.weight * factor) for e in gkm_edges())
+        with patch.object(equivariant, "gkm_edges", lambda: edges):
+            for f in (g, *(poly_mul(g, e.weight.poly()) for e in edges if label in e.labels)):
+                cls = {p.label: HomogPoly.zero(f.degree) for p in enumerate_fixed_points()} | {label: f}
+                failing = {failure.split()[0] for failure in check_gkm_divisibility(cls)}
+                assert failing == {
+                    "-".join(sorted(e.labels)) for e in edges if label in e.labels and divide_by_linear(f, *e.weight) is None
+                }
 
 
 def test_sigma1_figure_matches_up_to_global_sign():
@@ -103,8 +126,12 @@ def test_sigma2_figure_matches_except_one_misprint():
         if "4'" in e.labels:
             (other,) = e.labels - {"4'"}
             diff = bad - classes["2"][other]
-            w = e.primitive()
+            w = e.weight.primitive()
             assert divide_by_linear(diff, w[0], w[1]) is None
+    # the predicate the report reads names exactly those four edges
+    assert check_gkm_divisibility(classes["2"] | {"4'": bad}) == [
+        "1-4' (weight b-g)", "3'-4' (weight b-a)", "4'-5' (weight b-a)", "4'-7 (weight b-g)",
+    ]
     assert classes["2"]["4'"] == parse_form("g(g-b)")
 
 
@@ -642,9 +669,15 @@ def test_class_solve_is_one_small_solve_per_vertex(monkeypatch):
 
 def test_class_solve_needs_separating_hyperplane_weight(monkeypatch):
     # the values are quotients by f_H(q) - f_H(p), so f_H must separate codimensions
-    original = equivariant.hyperplane_weight
-    monkeypatch.setattr(equivariant, "hyperplane_weight", lambda label: original("7" if label == "8" else label))
+    weights = equivariant.hyperplane_weights()
+    monkeypatch.setattr(equivariant, "hyperplane_weights", lambda: weights | {"8": weights["7"]})
     with pytest.raises(ArithmeticError, match="vertex 8 from vertex 7"):
+        equivariant._class_solve.__wrapped__()
+
+
+def test_class_solve_raises_on_a_failed_congruence(monkeypatch):
+    monkeypatch.setattr(equivariant, "check_gkm_divisibility", lambda cls: ["1-4 (weight b-g)"])
+    with pytest.raises(ArithmeticError, match=r"^divisibility fails on edge 1-4 \(weight b-g\)$"):
         equivariant._class_solve.__wrapped__()
 
 
@@ -682,7 +715,7 @@ def test_class_solve_checks_every_class(monkeypatch):
 
     def record(cls):
         checked.append(cls)
-        check_gkm_divisibility(cls)
+        return check_gkm_divisibility(cls)
 
     monkeypatch.setattr(equivariant, "check_gkm_divisibility", record)
     classes, _, _ = equivariant._class_solve.__wrapped__()
