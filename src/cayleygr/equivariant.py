@@ -301,11 +301,27 @@ def monk_matrix():
 
 
 def pointwise_product(*classes):
-    """Vertexwise product of vertex maps; returns {label: form}."""
+    """Vertexwise product of vertex maps; returns {label: form}.
+
+    Each vertex of the first map multiplies its factors in one (p, q)
+    coefficient table and builds one form; degrees add even where a factor
+    vanishes, and a vertex missing from a later map raises ``KeyError``.
+    """
     first, *rest = classes
-    out = dict(first)
-    for cls in rest:
-        out = {lab: poly_mul(out[lab], cls[lab]) for lab in out}
+    out = {}
+    for lab, form in first.items():
+        degree, table = form.degree, form.coeffs
+        for cls in rest:
+            factor = cls[lab]
+            degree += factor.degree
+            if table:
+                acc = {}
+                for (p1, q1), c1 in table.items():
+                    for (p2, q2), c2 in factor.coeffs.items():
+                        k = (p1 + p2, q1 + q2)
+                        acc[k] = acc.get(k, 0) + c1 * c2
+                table = acc
+        out[lab] = HomogPoly(degree, table)
     return out
 
 

@@ -1,10 +1,25 @@
-"""Fixed-point integration in one coefficient table: the integration reference of the test suite."""
+"""The integration references of the test suite: vertexwise products as a fold, integration in one coefficient table."""
 
 from fractions import Fraction
 
 from cayleygr.cayley import DIMENSION
 from cayleygr.equivariant import _degree, _localization_denominator
-from cayleygr.exact import sum_of_products
+from cayleygr.exact import poly_mul, sum_of_products
+
+
+def reference_pointwise_product(*classes):
+    """The vertexwise product of vertex maps as a fold of ``exact.poly_mul``, one form per factor and vertex.
+
+    The same contract as ``equivariant.pointwise_product``: the vertices
+    are those of the first map, each form's degree is the sum of its
+    factors' degrees (a zero factor included), and a vertex missing from
+    a later map raises ``KeyError``.
+    """
+    first, *rest = classes
+    out = dict(first)
+    for cls in rest:
+        out = {lab: poly_mul(out[lab], cls[lab]) for lab in out}
+    return out
 
 
 def reference_integrate(values, weights, extra):

@@ -41,7 +41,7 @@ from cayleygr.fixtures import load_fixture, parse_form
 from cayleygr.invariants import chern_classes, elementary_symmetric, hilbert_polynomial
 from cayleygr.octonions import g2_basis
 from cayleygr.weightmodel import ALPHA, BETA
-from integration_reference import reference_integrate
+from integration_reference import reference_integrate, reference_pointwise_product
 
 
 def vec(d):
@@ -564,6 +564,62 @@ def test_integration_rejects_degrees_that_do_not_fit(route, message):
     # data above degree 8, and a vertex weight whose degree does not fit the numerator's, raise ValueError
     with pytest.raises(ValueError, match=message):
         route()
+
+
+_WIDE = 2**64
+_wide_scalars = st.one_of(
+    st.just(0),
+    st.integers(-_WIDE, _WIDE),
+    st.builds(Fraction, st.integers(-_WIDE, _WIDE), st.integers(1, _WIDE)),
+)
+
+
+@st.composite
+def factor_maps(draw):
+    """1-9 vertex maps on the 15 fixed points, each of one degree 0-3, with zero forms at drawn vertices.
+
+    Each map assigns every vertex one of a few drawn forms, or the zero
+    form of its degree; the first map has no zero form in about half the
+    cases, so zeros in a later map only are drawn too.
+    """
+    labels = [p.label for p in enumerate_fixed_points()]
+    maps = []
+    for i in range(draw(st.integers(1, 9))):
+        degree = draw(st.integers(0, 3))
+        pool = draw(st.lists(st.lists(_wide_scalars, min_size=degree + 1, max_size=degree + 1), min_size=1, max_size=3))
+        forms = [HomogPoly(degree, {(p, degree - p): c for p, c in enumerate(cs)}) for cs in pool]
+        zeros = set() if i == 0 and draw(st.booleans()) else draw(st.sets(st.sampled_from(labels)))
+        maps.append({lab: HomogPoly.zero(degree) if lab in zeros else draw(st.sampled_from(forms)) for lab in labels})
+    return maps
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_maps())
+def test_pointwise_product_matches_the_fold(maps):
+    # form for form against a fold of poly_mul; a plain == counts every zero form equal, so compare degree and coefficients
+    got, want = pointwise_product(*maps), reference_pointwise_product(*maps)
+    assert list(got) == list(want)
+    for lab, form in want.items():
+        assert (got[lab].degree, got[lab].coeffs) == (form.degree, form.coeffs), lab
+
+
+def test_pointwise_product_builds_one_form_per_vertex(monkeypatch):
+    # one validated form per vertex whatever the number of factors, and no poly_mul
+    classes, h = solve_all_classes(), hyperplane_class()
+    cases = [[h, classes["2"]], [classes["2"], h, classes["3'"]], [h] * 6]
+    wants = [reference_pointwise_product(*maps) for maps in cases]
+    built, multiplied = [], []
+    monkeypatch.setattr(equivariant, "HomogPoly", lambda *args: built.append(args) or HomogPoly(*args))
+    monkeypatch.setattr(equivariant, "poly_mul", lambda *args: multiplied.append(args) or poly_mul(*args))
+    for maps, want in zip(cases, wants):
+        built.clear()
+        got = pointwise_product(*maps)
+        assert len(built) == 15 and not multiplied
+        assert {lab: (f.degree, f.coeffs) for lab, f in got.items()} == {lab: (f.degree, f.coeffs) for lab, f in want.items()}
+    # a vertex missing from a later map raises, also where an earlier factor vanishes there (H at 0)
+    for missing in ("0", "4"):
+        with pytest.raises(KeyError):
+            pointwise_product(h, classes["2"], {lab: f for lab, f in h.items() if lab != missing})
 
 
 def test_schubert_vector_arithmetic_is_one_sum():
