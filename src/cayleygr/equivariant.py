@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import gcd, lcm, prod
 
 from .cayley import (
@@ -50,7 +50,7 @@ from .cayley import (
     point_by_label,
     repelling_weights,
 )
-from .exact import HomogPoly, divide_by_linear, matrix_rank, nullspace, packed_sum_of_products, poly_mul, solve_rational, sum_of_products
+from .exact import HomogPoly, divide_by_linear, kronecker_value, matrix_rank, nullspace, packed_sum_of_products, poly_mul, solve_rational, sum_of_products
 from .weightmodel import Weight, weight_str
 
 
@@ -331,43 +331,66 @@ def ab_integrate(values) -> Fraction:
     The input is a vertex map of uniform degree <= 8, weighted by the
     C_q of ``_localization_denominator`` (see ``_integrate``).
     """
-    return _integrate(values, _localization_denominator()[1], 0)
+    return _integrate(values, None, 0)
 
 
 def integrate_against(values, label) -> Fraction:
     """The integral of a vertex map times sigma_label, as ``ab_integrate`` gives it.
 
     The input is weighted by the cached sigma_label(q) C_q
-    (``_weighted_class``), with no product map built.
+    (``_vertex_weights``), with no product map built.
     """
-    return _integrate(values, _weighted_class(label), point_by_label(label).codim)
+    return _integrate(values, label, point_by_label(label).codim)
 
 
 @cache
-def _weighted_class(label):
-    """{q: sigma_label(q) C_q} at every vertex, C_q as in ``_localization_denominator``; zero off the support."""
+def _vertex_weights(weighting):
+    """The vertex weights w_q of an integral, as ({q: w_q}, their one degree, {q: (#w_q, max|w_q|)}).
+
+    The weighting is None for the C_q of ``_localization_denominator`` and a
+    label Y for sigma_Y(q) C_q, zero off the support of sigma_Y; # is the
+    number of terms, and a zero weight has sizes (0, 0).  Nonzero weights
+    of mixed degrees raise ``ValueError``.
+    """
     _, complements = _localization_denominator()
-    return {q: form if form.is_zero() else poly_mul(form, complements[q]) for q, form in solve_all_classes()[label].items()}
+    if weighting is None:
+        forms = complements
+    else:
+        forms = {q: form if form.is_zero() else poly_mul(form, complements[q]) for q, form in solve_all_classes()[weighting].items()}
+    sizes = {q: (len(w.coeffs), max(map(abs, w.coeffs.values()), default=0)) for q, w in forms.items()}
+    return forms, _degree({q: w for q, w in forms.items() if w.coeffs}), sizes
 
 
-def _integrate(values, weights, extra) -> Fraction:
-    """sum_q f(q) w_q / L over vertex weights w_q of degree deg C_q + ``extra``, certified to be a constant.
+@cache
+def _packed_weights(weighting, shift):
+    """{q: w_q(2^shift)}: the vertex weights of ``_vertex_weights`` packed at a = 2^shift, b = 1."""
+    return {q: kronecker_value(w, shift) for q, w in _vertex_weights(weighting)[0].items()}
+
+
+def _integrate(values, weighting, extra) -> Fraction:
+    """sum_q f(q) w_q / L over the vertex weights w_q of a weighting, of degree deg C_q + ``extra``, certified to be a constant.
 
     L is the integral common denominator of ``_localization_denominator``,
-    and N = sum_q f(q) w_q is one ``packed_sum_of_products``: the integer
-    coefficients of D N, D clearing the input's denominators.  N = 0 below
-    degree 8; in degree 8, where N and L have one degree, L divides N
-    exactly when N = c L, with c read off one monomial of L and certified
-    by comparing D N with D c L coefficient by coefficient.  Anything else
-    raises, and so does a vertex that is no fixed point or a weight of
-    another degree.  Vertices missing from the input count as zero.
+    and N = sum_q f(q) w_q is one ``packed_sum_of_products`` against the
+    weights of ``_vertex_weights``, packed once per shift
+    (``_packed_weights``): the integer coefficients of D N, D clearing the
+    input's denominators.  N = 0 below degree 8; in degree 8, where N and
+    L have one degree, L divides N exactly when N = c L, with c read off
+    one monomial of L and certified by comparing D N with D c L
+    coefficient by coefficient.  Anything else raises, and so does a
+    vertex that is no fixed point or weights of another degree.  Vertices
+    missing from the input count as zero.
     """
-    deg = _degree(values) + extra
+    degree = _degree(values)
+    deg = degree + extra
     if deg > DIMENSION:
         raise ValueError(f"integration expects degree at most {DIMENSION}")
     denominator = _localization_denominator()[0]
     top = deg + denominator.degree - DIMENSION
-    scale, numerator = packed_sum_of_products(zip(values.values(), map(weights.__getitem__, values)), top)
+    _, weight_degree, sizes = _vertex_weights(weighting)
+    if degree + weight_degree != top:
+        raise ValueError(f"a product of degree {degree + weight_degree} in a sum of degree {top}")
+    scale, numerator = packed_sum_of_products(values, sizes, partial(_packed_weights, weighting), top)
     if not any(numerator):
         return Fraction(0)
     if deg < DIMENSION:

@@ -249,39 +249,46 @@ def sum_of_products(pairs, degree) -> HomogPoly:
     return HomogPoly(degree, acc)
 
 
-def packed_sum_of_products(pairs, degree):
-    """sum_i a_i b_i of degree ``degree`` by Kronecker substitution, as (D, [N_0, ..., N_degree]).
+def kronecker_value(form, shift, scale=1) -> int:
+    """scale * form at a = 2^shift, b = 1, as one integer; ``scale`` must clear every denominator of the form."""
+    value = 0
+    for (p, _), c in form.coeffs.items():
+        value += (c * scale).numerator << shift * p
+    return value
 
-    N = D sum_i a_i b_i has the integer coefficient N_p at a^p b^(degree - p);
-    D is the common denominator of the first factors' coefficients, and
-    the second factors must have integer coefficients.  Each form is
-    packed into one integer, its value at a = 2^s, b = 1 (the first
-    factors scaled by D), so N(2^s) is a sum of integer products.  Every
-    |N_p| is at most B = D sum_i min(#a_i, #b_i) max|a_i| max|b_i|, # being
-    the number of terms, and s is the least with 2^(s-1) > B, so each N_p
-    is one balanced base-2^s digit (``_balanced_digits``).  A pair with a
-    zero factor adds nothing; a product of another degree raises
-    ``ValueError``.
+
+def packed_sum_of_products(firsts, sizes, packed, degree):
+    """sum_k a_k b_k of degree ``degree`` by Kronecker substitution, as (D, [N_0, ..., N_degree]).
+
+    ``firsts`` maps keys k to forms a_k.  The second factors b_k are forms
+    with integer coefficients, given by sizes[k] = (#b_k, max|b_k|), #
+    being the number of terms, and by packed(s)[k], the value of b_k at
+    a = 2^s, b = 1 (``kronecker_value``), so a caller can pack them once
+    per s.  Each product a_k b_k must be of degree ``degree``; the caller
+    checks that.  N = D sum_k a_k b_k has the integer coefficient N_p at
+    a^p b^(degree - p); D is the common denominator of the a_k met by a
+    nonzero b_k, and N(2^s) is a sum of integer products.  Every |N_p| is
+    at most B = D sum_k min(#a_k, #b_k) max|a_k| max|b_k|, and s is the
+    least power of two with 2^(s-1) > B, so each N_p is one balanced
+    base-2^s digit (``_balanced_digits``) and one packing serves every B
+    below 2^(s-1).  A pair with a zero factor adds nothing; a key missing
+    from ``sizes`` raises ``KeyError``.
     """
     terms, bound = [], 0
-    for f, g in pairs:
-        a, b = f.coeffs, g.coeffs
-        if a and b:
-            if f.degree + g.degree != degree:
-                raise ValueError(f"a product of degree {f.degree + g.degree} in a sum of degree {degree}")
-            terms.append((a, b))
-            bound += min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    scale = lcm(*(c.denominator for a, _ in terms for c in a.values()))
-    shift = int(scale * bound).bit_length() + 1  # D clears the denominator of every max|a_i|
-    packed = 0
-    for a, b in terms:
-        first = second = 0
-        for (p, _), c in a.items():
-            first += (c * scale).numerator << shift * p
-        for (p, _), c in b.items():
-            second += c << shift * p
-        packed += first * second
-    return scale, _balanced_digits(packed, shift, degree + 1)
+    for k, f in firsts.items():
+        n, m = sizes[k]
+        a = f.coeffs
+        if a and m:
+            terms.append((k, f))
+            bound += min(len(a), n) * max(map(abs, a.values())) * m
+    scale = lcm(*(c.denominator for _, f in terms for c in f.coeffs.values()))
+    need = int(scale * bound).bit_length() + 1  # D clears the denominator of every max|a_k|
+    shift = 1 << (need - 1).bit_length()
+    seconds = packed(shift)
+    total = 0
+    for k, f in terms:
+        total += kronecker_value(f, shift, scale) * seconds[k]
+    return scale, _balanced_digits(total, shift, degree + 1)
 
 
 def _balanced_digits(x, shift, count):

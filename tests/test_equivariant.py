@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from unittest.mock import patch
 
 import pytest
@@ -491,6 +492,12 @@ _big_scalars = st.one_of(
     st.integers(-_BIG, _BIG),
     st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 10**12)),
 )
+_WIDE = 2**64
+_wide_scalars = st.one_of(
+    st.just(0),
+    st.integers(-_WIDE, _WIDE),
+    st.builds(Fraction, st.integers(-_WIDE, _WIDE), st.integers(1, _WIDE)),
+)
 
 
 @st.composite
@@ -499,16 +506,18 @@ def integration_cases(draw):
 
     The weighting is None for ``ab_integrate``'s C_q and a label Y for
     ``integrate_against``'s sigma_Y(q) C_q.  The map is either random (degree
-    0-8, coefficients up to 2^200 or fractions of them, zero forms
+    0-8, coefficients up to 2^64 or 2^200 or fractions of them, zero forms
     included) or a sum of scaled products of the classes of the degree
-    complementary to Y, whose integral is a value.
+    complementary to Y, whose integral is a value; the coefficient sizes
+    make the packing shift range over several powers of two.
     """
     labels = [p.label for p in enumerate_fixed_points()]
     against = draw(st.one_of(st.none(), st.sampled_from(labels)))
     if draw(st.integers(0, 2)) == 0:
         degree = draw(st.integers(0, 8))
         support = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
-        values = {lab: HomogPoly(degree, {(p, degree - p): draw(_big_scalars) for p in range(degree + 1)}) for lab in support}
+        scalars = draw(st.sampled_from([_wide_scalars, _big_scalars]))
+        values = {lab: HomogPoly(degree, {(p, degree - p): draw(scalars) for p in range(degree + 1)}) for lab in support}
     else:
         classes = solve_all_classes()
         degree = 8 - (point_by_label(against).codim if against else 0)
@@ -520,7 +529,7 @@ def integration_cases(draw):
                     factors.append(classes[p.label])
                     codim += p.codim
             product = pointwise_product(fundamental_class(), *factors, *[hyperplane_class()] * (degree - codim))
-            c = draw(_big_scalars)
+            c = draw(st.one_of(_wide_scalars, _big_scalars))
             values = {lab: values[lab] + product[lab].scale(c) for lab in labels}
     stray = draw(st.sampled_from([None, None, None, "9", "0''"]))
     return values, against, stray
@@ -539,15 +548,28 @@ def _value_or_error(route, *args):
 def test_packed_numerator_matches_the_reference(case):
     # the packed numerator and certificate against the coefficient table, value for value and error for error
     values, against, stray = case
-    if against is None:
-        args = (values, equivariant._localization_denominator()[1], 0)
-    else:
-        args = (values, equivariant._weighted_class(against), point_by_label(against).codim)
+    extra = point_by_label(against).codim if against else 0
     if stray is not None:
-        args = (values | {stray: next(iter(values.values()))}, *args[1:])
-    got = _value_or_error(equivariant._integrate, *args)
-    assert got == _value_or_error(reference_integrate, *args)
+        values = values | {stray: next(iter(values.values()))}
+    got = _value_or_error(equivariant._integrate, values, against, extra)
+    assert got == _value_or_error(reference_integrate, values, equivariant._vertex_weights(against)[0], extra)
     assert type(got) is Fraction or got in (ArithmeticError, ValueError, KeyError)
+
+
+def _clear_weight_caches():
+    equivariant._vertex_weights.cache_clear()
+    equivariant._packed_weights.cache_clear()
+
+
+def _integrate_h_against_complements(complements):
+    """ab_integrate's body on H with the C_q replaced at their source, the weight caches cleared before and after."""
+    denominator = equivariant._localization_denominator()[0]
+    with patch.object(equivariant, "_localization_denominator", lambda: (denominator, complements)):
+        _clear_weight_caches()
+        try:
+            return equivariant._integrate(hyperplane_class(), None, 0)
+        finally:
+            _clear_weight_caches()
 
 
 @pytest.mark.parametrize(
@@ -555,23 +577,54 @@ def test_packed_numerator_matches_the_reference(case):
     [
         (lambda: ab_integrate({"0": HomogPoly(9, {(9, 0): 1})}), "at most 8"),
         (lambda: integrate_against(solve_all_classes()["2"], "7"), "at most 8"),
-        (lambda: equivariant._integrate(hyperplane_class(), equivariant._localization_denominator()[1] | {"4": parse_form("a^5")}, 0),
+        (lambda: _integrate_h_against_complements({p.label: parse_form("a^5") for p in enumerate_fixed_points()}),
          "product of degree 6 in a sum of degree 5"),
+        (lambda: _integrate_h_against_complements(equivariant._localization_denominator()[1] | {"4": parse_form("a^5")}),
+         r"vertex data of mixed degrees \[4, 5\]"),
     ],
-    ids=["degree-9", "against-over-degree", "weight-degree"],
+    ids=["degree-9", "against-over-degree", "weight-degree", "mixed-weight-degrees"],
 )
 def test_integration_rejects_degrees_that_do_not_fit(route, message):
-    # data above degree 8, and a vertex weight whose degree does not fit the numerator's, raise ValueError
+    # data above degree 8, vertex weights whose degree does not fit the numerator's, and weights of mixed degrees raise ValueError
     with pytest.raises(ValueError, match=message):
         route()
 
 
-_WIDE = 2**64
-_wide_scalars = st.one_of(
-    st.just(0),
-    st.integers(-_WIDE, _WIDE),
-    st.builds(Fraction, st.integers(-_WIDE, _WIDE), st.integers(1, _WIDE)),
-)
+def _is_power_of_two(n):
+    return n > 0 and not n & (n - 1)
+
+
+def test_integral_weights_are_packed_once_per_shift(monkeypatch):
+    # each integral packs only its integrand; the weights are packed once per power-of-two shift
+    classes, labels = solve_all_classes(), [p.label for p in enumerate_fixed_points()]
+    products = [pointwise_product(classes[a], classes[b]) for i, a in enumerate(labels) for b in labels[i:]]
+    assert len(products) == 120
+    weights, _, sizes = equivariant._vertex_weights(None)
+    packer, shifts = equivariant._packed_weights, []
+    packer.cache_clear()
+    monkeypatch.setattr(equivariant, "_packed_weights", lambda weighting, shift: shifts.append(shift) or packer(weighting, shift))
+
+    def integrate_all():
+        for values in products:
+            shifts.clear()
+            if next(iter(values.values())).degree > 8:
+                with pytest.raises(ValueError, match="at most 8"):
+                    ab_integrate(values)
+                assert not shifts
+                continue
+            assert ab_integrate(values) == reference_integrate(values, weights, 0)
+            # at least the least s with 2^(s-1) above the bound D sum_q min(#f_q, #w_q) max|f_q| max|w_q|
+            nonzero = {q: f.coeffs for q, f in values.items() if f.coeffs and weights[q].coeffs}
+            scale = lcm(*(c.denominator for a in nonzero.values() for c in a.values()))
+            bound = sum(min(len(a), sizes[q][0]) * max(map(abs, a.values())) * sizes[q][1] for q, a in nonzero.items())
+            need = int(scale * bound).bit_length() + 1
+            assert len(shifts) == 1 and _is_power_of_two(shifts[0]) and shifts[0] >= need
+
+    integrate_all()
+    assert packer.cache_info().currsize <= 2
+    misses = packer.cache_info().misses
+    integrate_all()
+    assert packer.cache_info().misses == misses
 
 
 @st.composite

@@ -12,6 +12,7 @@ from cayleygr.exact import (
     _balanced_digits,
     divide_by_linear,
     format_gaussian,
+    kronecker_value,
     matrix_rank,
     nullspace,
     packed_sum_of_products,
@@ -595,15 +596,33 @@ def _unpacked(scale, digits):
     return HomogPoly(degree, {(p, degree - p): Fraction(n, scale) for p, n in enumerate(digits)})
 
 
+def _packed_sum(pairs, degree, shifts=None):
+    """``packed_sum_of_products`` over (a_k, b_k) pairs keyed by position, each b_k sized and packed from its form.
+
+    Each shift the kernel packs the second factors at is appended to ``shifts``.
+    """
+    seconds = dict(enumerate(b for _, b in pairs))
+    sizes = {k: (len(b.coeffs), max(map(abs, b.coeffs.values()), default=0)) for k, b in seconds.items()}
+
+    def packed(shift):
+        if shifts is not None:
+            shifts.append(shift)
+        return {k: kronecker_value(b, shift) for k, b in seconds.items()}
+
+    return packed_sum_of_products(dict(enumerate(a for a, _ in pairs)), sizes, packed, degree)
+
+
 @settings(max_examples=80, deadline=None)
 @given(packed_sums())
 def test_packed_sum_of_products_matches_the_table(case):
     degree, pairs = case
-    scale, digits = packed_sum_of_products(pairs, degree)
+    shifts = []
+    scale, digits = _packed_sum(pairs, degree, shifts)
     assert _unpacked(scale, digits) == sum_of_products(pairs, degree)
     assert len(digits) == degree + 1 and all(type(n) is int for n in digits)
-    # D clears the first factors of the pairs that add something
+    # D clears the first factors of the pairs that add something, and the second factors are packed once, at a power of two
     assert scale == lcm(*(c.denominator for a, b in pairs if b.coeffs for c in a.coeffs.values()))
+    assert len(shifts) == 1 and shifts[0] & (shifts[0] - 1) == 0
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -614,20 +633,39 @@ def test_packed_sum_of_products_at_its_bound(first, sign):
     a = HomogPoly(8, {(p, 8 - p): sign * first for p in range(9)})
     b = HomogPoly(4, {(p, 4 - p): 2**60 for p in range(5)})
     pairs = [(a, b)] * 15
-    scale, digits = packed_sum_of_products(pairs, 12)
-    bound = scale * 15 * 5 * abs(first) * 2**60
+    shifts = []
+    scale, digits = _packed_sum(pairs, 12, shifts)
+    bound = int(scale * 15 * 5 * abs(first) * 2**60)
     assert digits[4:9] == [sign * bound] * 5
     assert _unpacked(scale, digits) == sum_of_products(pairs, 12)
+    # B = 75 * 2^260 has 267 bits, so the least power of two s with 2^(s-1) > B is 512
+    assert bound.bit_length() == 267 and shifts == [512]
 
 
-def test_packed_sum_of_products_rejects_a_degree_mismatch():
+@pytest.mark.parametrize("bits, shift", [(1, 2), (2, 4), (3, 4), (255, 256), (256, 512)])
+def test_packed_sum_of_products_rounds_the_shift_up_to_a_power_of_two(bits, shift):
+    # B = 2^bits - 1 has ``bits`` bits and needs s > bits; a digit at -B and one at +B read back
+    big = 2**bits - 1
+    shifts = []
+    pairs = [(HomogPoly(1, {(1, 0): -big, (0, 1): big}), HomogPoly.constant(1))]
+    assert _packed_sum(pairs, 1, shifts) == (1, [big, -big])
+    assert shifts == [shift]
+
+
+def test_packed_sum_of_products_skips_zero_factors():
+    # a zero factor adds nothing, whatever its degree, and its pair's first factor adds no denominator
     f, g = HomogPoly(2, {(2, 0): 1, (0, 2): -3}), HomogPoly(1, {(1, 0): 2})
-    with pytest.raises(ValueError, match="product of degree 3 in a sum of degree 4"):
-        packed_sum_of_products([(f, g)], 4)
-    with pytest.raises(ValueError, match="product of degree 3 in a sum of degree 2"):
-        packed_sum_of_products([(f, HomogPoly.constant(1)), (g, f)], 2)
-    # a zero factor adds nothing, whatever its degree
-    assert packed_sum_of_products([(HomogPoly.zero(5), g), (f, HomogPoly.constant(2))], 2) == (1, [-6, 0, 2])
+    pairs = [(HomogPoly.zero(5), g), (f, HomogPoly.constant(2)), (f.scale(Fraction(1, 3)), HomogPoly.zero(7))]
+    assert _packed_sum(pairs, 2) == (1, [-6, 0, 2])
+    # a key missing from the sizes raises
+    with pytest.raises(KeyError):
+        packed_sum_of_products({"x": f}, {}, lambda shift: {}, 2)
+
+
+def test_kronecker_value_scales_and_packs():
+    f = HomogPoly(3, {(3, 0): Fraction(1, 2), (1, 2): -3, (0, 3): Fraction(5, 6)})
+    assert kronecker_value(f, 8, 6) == (3 << 24) - (18 << 8) + 5
+    assert kronecker_value(HomogPoly.zero(4), 16) == 0
 
 
 @pytest.mark.parametrize("shift", [1, 2, 7, 64])
