@@ -304,8 +304,10 @@ def pointwise_product(*classes):
     """Vertexwise product of vertex maps; returns {label: form}.
 
     Each vertex of the first map multiplies its factors in one (p, q)
-    coefficient table and builds one form; degrees add even where a factor
-    vanishes, and a vertex missing from a later map raises ``KeyError``.
+    coefficient table, taken as built (``HomogPoly.of_product_table``);
+    a vertex where the product vanishes gets the shared
+    ``HomogPoly.zero``.  Degrees add even where a factor vanishes, and a
+    vertex missing from a later map raises ``KeyError``.
     """
     first, *rest = classes
     out = {}
@@ -321,7 +323,7 @@ def pointwise_product(*classes):
                         k = (p1 + p2, q1 + q2)
                         acc[k] = acc.get(k, 0) + c1 * c2
                 table = acc
-        out[lab] = HomogPoly(degree, table)
+        out[lab] = HomogPoly.of_product_table(degree, table) if table else HomogPoly.zero(degree)
     return out
 
 

@@ -13,6 +13,7 @@ values are immutable; every function is pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 
@@ -155,8 +156,23 @@ class HomogPoly:
         raise AttributeError("HomogPoly is immutable")
 
     @classmethod
-    def zero(cls, degree=0):
+    @cache
+    def zero(cls, degree):
+        """The zero form of ``degree``, one shared instance per degree (forms are immutable)."""
         return cls(degree, {})
+
+    @classmethod
+    def of_product_table(cls, degree, table):
+        """The form of a coefficient table of products of forms, taken as built.
+
+        Every key of ``table`` is a sum of exponent pairs of validated
+        factors whose degrees sum to ``degree``, so no key is checked; zero
+        entries are dropped and every other scalar is made canonical.
+        """
+        form = object.__new__(cls)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "coeffs", {k: c if type(c) is int else scalar(c) for k, c in table.items() if c})
+        return form
 
     @classmethod
     def constant(cls, c):
@@ -250,10 +266,17 @@ def sum_of_products(pairs, degree) -> HomogPoly:
 
 
 def kronecker_value(form, shift, scale=1) -> int:
-    """scale * form at a = 2^shift, b = 1, as one integer; ``scale`` must clear every denominator of the form."""
+    """scale * form at a = 2^shift, b = 1, as one integer; ``scale`` must clear every denominator of the form.
+
+    Each integer coefficient is shifted as it is, so with ``scale`` 1 the
+    form is taken with no pass over its denominators, and a coefficient
+    left non-integral raises ``TypeError``.
+    """
+    if scale != 1:
+        form = form.scale(scale)
     value = 0
     for (p, _), c in form.coeffs.items():
-        value += (c * scale).numerator << shift * p
+        value += c << shift * p
     return value
 
 
@@ -267,21 +290,24 @@ def packed_sum_of_products(firsts, sizes, packed, degree):
     per s.  Each product a_k b_k must be of degree ``degree``; the caller
     checks that.  N = D sum_k a_k b_k has the integer coefficient N_p at
     a^p b^(degree - p); D is the common denominator of the a_k met by a
-    nonzero b_k, and N(2^s) is a sum of integer products.  Every |N_p| is
+    nonzero b_k, taken only when one of their coefficients is not an
+    ``int`` (scalars are canonical, so D = 1 exactly when all are), and
+    N(2^s) is a sum of integer products.  Every |N_p| is
     at most B = D sum_k min(#a_k, #b_k) max|a_k| max|b_k|, and s is the
     least power of two with 2^(s-1) > B, so each N_p is one balanced
     base-2^s digit (``_balanced_digits``) and one packing serves every B
     below 2^(s-1).  A pair with a zero factor adds nothing; a key missing
     from ``sizes`` raises ``KeyError``.
     """
-    terms, bound = [], 0
+    terms, bound, integral = [], 0, True
     for k, f in firsts.items():
         n, m = sizes[k]
         a = f.coeffs
         if a and m:
             terms.append((k, f))
             bound += min(len(a), n) * max(map(abs, a.values())) * m
-    scale = lcm(*(c.denominator for _, f in terms for c in f.coeffs.values()))
+            integral = integral and all(type(c) is int for c in a.values())
+    scale = 1 if integral else lcm(*(c.denominator for _, f in terms for c in f.coeffs.values()))
     need = int(scale * bound).bit_length() + 1  # D clears the denominator of every max|a_k|
     shift = 1 << (need - 1).bit_length()
     seconds = packed(shift)

@@ -899,9 +899,7 @@ def test_perfbench_engine_names_resolve():
 
 
 def test_no_literal_verdicts():
-    # a check whose verdict is a constant can never print FAIL; index.profile
-    # reports the per-codimension profile with no verdict to compute (ROADMAP item 20)
-    allowed = {"index.profile"}
+    # a check whose verdict is a constant can never print FAIL
     tree = ast.parse(Path(inspect.getfile(cli)).read_text(encoding="utf-8"))
     literal = []
     for node in ast.walk(tree):
@@ -909,7 +907,19 @@ def test_no_literal_verdicts():
             verdict = node.args[1] if len(node.args) > 1 else next((kw.value for kw in node.keywords if kw.arg == "ok"), None)
             if isinstance(verdict, ast.Constant):
                 literal.append(getattr(node.args[0], "value", ast.unparse(node.args[0])))
-    assert [id for id in literal if id not in allowed] == []
+    assert literal == []
+
+
+def test_index_profile_verdict_reads_the_profile(capsys, monkeypatch):
+    # the restriction table is cached before the patch; a codimension of cokernel order 0 fails the profile and the total
+    profile = ambient.image_index_profile()
+    monkeypatch.setattr(ambient, "image_index_profile", lambda: {**profile, 3: 0})
+    code = main(["verify", "index"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in out + err
+    failed = {line.split("] ")[1].split()[0] for line in out.splitlines() if line.startswith("[") and "FAIL]" in line}
+    assert failed == {"index.profile", "index.total"}
 
 
 def _src_env():

@@ -627,6 +627,10 @@ def test_integral_weights_are_packed_once_per_shift(monkeypatch):
     assert packer.cache_info().misses == misses
 
 
+# halves and twos, whose products are integral: a product coefficient built as Fraction(n, 1) shows in its type
+_factor_scalars = st.one_of(_wide_scalars, st.sampled_from([Fraction(1, 2), Fraction(-3, 2), 2]))
+
+
 @st.composite
 def factor_maps(draw):
     """1-9 vertex maps on the 15 fixed points, each of one degree 0-3, with zero forms at drawn vertices.
@@ -639,36 +643,48 @@ def factor_maps(draw):
     maps = []
     for i in range(draw(st.integers(1, 9))):
         degree = draw(st.integers(0, 3))
-        pool = draw(st.lists(st.lists(_wide_scalars, min_size=degree + 1, max_size=degree + 1), min_size=1, max_size=3))
+        pool = draw(st.lists(st.lists(_factor_scalars, min_size=degree + 1, max_size=degree + 1), min_size=1, max_size=3))
         forms = [HomogPoly(degree, {(p, degree - p): c for p, c in enumerate(cs)}) for cs in pool]
         zeros = set() if i == 0 and draw(st.booleans()) else draw(st.sets(st.sampled_from(labels)))
         maps.append({lab: HomogPoly.zero(degree) if lab in zeros else draw(st.sampled_from(forms)) for lab in labels})
     return maps
 
 
+def _typed(form):
+    """(degree, {monomial: (coefficient, its type)}): == alone counts every zero form equal and 1 == Fraction(1)."""
+    return form.degree, {k: (c, type(c)) for k, c in form.coeffs.items()}
+
+
 @settings(max_examples=100, deadline=None)
 @given(factor_maps())
 def test_pointwise_product_matches_the_fold(maps):
-    # form for form against a fold of poly_mul; a plain == counts every zero form equal, so compare degree and coefficients
+    # form for form against a fold of poly_mul, canonical scalar types included
     got, want = pointwise_product(*maps), reference_pointwise_product(*maps)
     assert list(got) == list(want)
     for lab, form in want.items():
-        assert (got[lab].degree, got[lab].coeffs) == (form.degree, form.coeffs), lab
+        assert _typed(got[lab]) == _typed(form), lab
 
 
 def test_pointwise_product_builds_one_form_per_vertex(monkeypatch):
-    # one validated form per vertex whatever the number of factors, and no poly_mul
+    # one product table taken as built per nonzero vertex and the shared zero form elsewhere,
+    # whatever the number of factors; no validating construction and no poly_mul
     classes, h = solve_all_classes(), hyperplane_class()
     cases = [[h, classes["2"]], [classes["2"], h, classes["3'"]], [h] * 6]
     wants = [reference_pointwise_product(*maps) for maps in cases]
-    built, multiplied = [], []
-    monkeypatch.setattr(equivariant, "HomogPoly", lambda *args: built.append(args) or HomogPoly(*args))
+    zeros = {f.degree: HomogPoly.zero(f.degree) for want in wants for f in want.values()}
+    of_product_table, init = HomogPoly.of_product_table, HomogPoly.__init__
+    built, validated, multiplied = [], [], []
+    monkeypatch.setattr(HomogPoly, "of_product_table", lambda *args: built.append(args) or of_product_table(*args))
+    monkeypatch.setattr(HomogPoly, "__init__", lambda self, *args: validated.append(args) or init(self, *args))
     monkeypatch.setattr(equivariant, "poly_mul", lambda *args: multiplied.append(args) or poly_mul(*args))
     for maps, want in zip(cases, wants):
         built.clear()
         got = pointwise_product(*maps)
-        assert len(built) == 15 and not multiplied
-        assert {lab: (f.degree, f.coeffs) for lab, f in got.items()} == {lab: (f.degree, f.coeffs) for lab, f in want.items()}
+        vanishing = [lab for lab, f in want.items() if f.is_zero()]
+        assert 0 < len(vanishing) < 15
+        assert len(built) == 15 - len(vanishing) and not validated and not multiplied
+        assert all(got[lab] is zeros[want[lab].degree] for lab in vanishing)
+        assert {lab: _typed(f) for lab, f in got.items()} == {lab: _typed(f) for lab, f in want.items()}
     # a vertex missing from a later map raises, also where an earlier factor vanishes there (H at 0)
     for missing in ("0", "4"):
         with pytest.raises(KeyError):

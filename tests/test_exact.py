@@ -576,17 +576,27 @@ _BIG = 2**200
 
 @st.composite
 def packed_sums(draw):
-    """(degree, pairs) with rational first factors up to 2^200 and integer second factors, zero forms included."""
+    """(degree, pairs) with first factors up to 2^200 and integer second factors, zero forms included.
+
+    The first factors have integer coefficients, but in about half the
+    cases one of them has a non-integral one too, so one call meets
+    forms that need no denominator beside one that does.
+    """
     degree = draw(st.integers(0, 12))
-    big = st.one_of(st.just(0), st.integers(-_BIG, _BIG), st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 10**12)))
+    big = st.one_of(st.just(0), st.integers(-_BIG, _BIG))
     pairs = []
     for _ in range(draw(st.integers(0, 15))):
         d = draw(st.integers(0, degree))
         a = HomogPoly(d, {(p, d - p): draw(big) for p in range(d + 1)})
         b = HomogPoly(degree - d, {(p, degree - d - p): draw(st.integers(-_BIG, _BIG)) for p in range(degree - d + 1)})
         pairs.append((a, b))
+    if pairs and draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        (a, b), p = pairs[i], draw(st.integers(0, pairs[i][0].degree))
+        odd_half = draw(st.builds(lambda n, m: Fraction(2 * n + 1, 2 * m), st.integers(-_BIG, _BIG), st.integers(1, 10**12)))
+        pairs[i] = (a + HomogPoly(a.degree, {(p, a.degree - p): odd_half}), b)
     if draw(st.booleans()):
-        pairs.append((HomogPoly.zero(degree + 3), draw(mixed_polys(2))))
+        pairs.append((HomogPoly.zero(degree + 3), HomogPoly(2, {(p, 2 - p): draw(st.integers(-_BIG, _BIG)) for p in range(3)})))
     return degree, pairs
 
 
@@ -666,6 +676,10 @@ def test_kronecker_value_scales_and_packs():
     f = HomogPoly(3, {(3, 0): Fraction(1, 2), (1, 2): -3, (0, 3): Fraction(5, 6)})
     assert kronecker_value(f, 8, 6) == (3 << 24) - (18 << 8) + 5
     assert kronecker_value(HomogPoly.zero(4), 16) == 0
+    # with no scale the coefficients are shifted as they are, so a non-integral one raises
+    assert kronecker_value(f.scale(6), 8) == kronecker_value(f, 8, 6)
+    with pytest.raises(TypeError):
+        kronecker_value(f, 8)
 
 
 @pytest.mark.parametrize("shift", [1, 2, 7, 64])
