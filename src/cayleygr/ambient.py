@@ -45,10 +45,9 @@ from itertools import combinations, permutations
 from math import comb, prod
 
 from .cayley import DIMENSION, enumerate_fixed_points
-from .exact import permutation_sign, smith_normal_form
+from .exact import elementary_symmetric, permutation_sign, smith_normal_form
 from . import equivariant
 from .equivariant import SchubertVector, basis_vector, labels_by_codim
-from .invariants import elementary_symmetric
 from .weightmodel import BASIS_WEIGHTS
 
 BOX_ROWS = 4

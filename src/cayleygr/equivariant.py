@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import gcd, lcm, prod
 
 from .cayley import (
@@ -50,7 +50,7 @@ from .cayley import (
     point_by_label,
     repelling_weights,
 )
-from .exact import HomogPoly, divide_by_linear, kronecker_value, matrix_rank, nullspace, packed_sum_of_products, poly_mul, solve_rational, sum_of_products
+from .exact import HomogPoly, PackedForms, divide_by_linear, elementary_symmetric, matrix_rank, nullspace, pointwise_product, poly_mul, solve_rational, sum_of_products
 from .weightmodel import Weight, weight_str
 
 
@@ -103,11 +103,8 @@ def hyperplane_class():
 
 
 def normal_weight_product(label) -> HomogPoly:
-    """Product of the repelling tangent weights at the vertex."""
-    out = HomogPoly.constant(1)
-    for w in repelling_weights(point_by_label(label).tangent):
-        out = poly_mul(out, w.poly())
-    return out
+    """Product of the repelling tangent weights at the vertex, their top elementary symmetric form."""
+    return elementary_symmetric(repelling_weights(point_by_label(label).tangent))[-1]
 
 
 def point_class():
@@ -150,9 +147,8 @@ def _localization_denominator():
     mult = Counter()
     for p in enumerate_fixed_points():
         mult |= Counter(max(w.primitive(), -w.primitive()) for w in p.tangent)
-    denominator = HomogPoly.constant(lcm(*(prod(gcd(*w) for w in p.tangent) for p in enumerate_fixed_points())))
-    for d in sorted(mult.elements()):
-        denominator = poly_mul(denominator, d.poly())
+    directions = elementary_symmetric(sorted(mult.elements()))[-1]
+    denominator = directions.scale(lcm(*(prod(gcd(*w) for w in p.tangent) for p in enumerate_fixed_points())))
     complements = {}
     for p in enumerate_fixed_points():
         c = denominator
@@ -162,6 +158,13 @@ def _localization_denominator():
                 raise ArithmeticError(f"tangent weight {w!r} at vertex {p.label} does not divide the denominator")
         complements[p.label] = c
     return denominator, complements
+
+
+@cache
+def _denominator_coefficients():
+    """[L_0, ..., L_d]: the coefficient of a^p b^(d - p) in the L of ``_localization_denominator``, d its degree."""
+    denominator = _localization_denominator()[0]
+    return [denominator.coefficient(p) for p in range(denominator.degree + 1)]
 
 
 def _solve_class(p_label, next_classes):
@@ -217,12 +220,12 @@ def _solve_class(p_label, next_classes):
     sums = [sum((poly_mul(quotient[q], complements[q]) for q in lines), HomogPoly.zero(target.degree))
             for quotient in quotients]
     rows, rhs = [], []
-    for s in range(target.degree + 1):
-        mono = (target.degree - s, s)
-        row = [form.coeffs.get(mono, 0) for form in sums]
-        if any(row) or mono in target.coeffs:
+    for p in range(target.degree, -1, -1):
+        row = [form.coefficient(p) for form in sums]
+        c = target.coefficient(p)
+        if any(row) or c:
             rows.append(row)
-            rhs.append(target.coeffs.get(mono, 0))
+            rhs.append(c)
     try:
         t = solve_rational(rows, rhs)
         if len(t) < len(kernel):  # no equations at all: the solver sees no unknowns
@@ -300,40 +303,13 @@ def monk_matrix():
 # ---------------------------------------------------------------------------
 
 
-def pointwise_product(*classes):
-    """Vertexwise product of vertex maps; returns {label: form}.
-
-    Each vertex of the first map multiplies its factors in one (p, q)
-    coefficient table, taken as built (``HomogPoly.of_product_table``);
-    a vertex where the product vanishes gets the shared
-    ``HomogPoly.zero``.  Degrees add even where a factor vanishes, and a
-    vertex missing from a later map raises ``KeyError``.
-    """
-    first, *rest = classes
-    out = {}
-    for lab, form in first.items():
-        degree, table = form.degree, form.coeffs
-        for cls in rest:
-            factor = cls[lab]
-            degree += factor.degree
-            if table:
-                acc = {}
-                for (p1, q1), c1 in table.items():
-                    for (p2, q2), c2 in factor.coeffs.items():
-                        k = (p1 + p2, q1 + q2)
-                        acc[k] = acc.get(k, 0) + c1 * c2
-                table = acc
-        out[lab] = HomogPoly.of_product_table(degree, table) if table else HomogPoly.zero(degree)
-    return out
-
-
 def ab_integrate(values) -> Fraction:
     """Fixed-point integration: sum of f(p) / e(p) over the vertices.
 
     The input is a vertex map of uniform degree <= 8, weighted by the
     C_q of ``_localization_denominator`` (see ``_integrate``).
     """
-    return _integrate(values, None, 0)
+    return _integrate(values, None)
 
 
 def integrate_against(values, label) -> Fraction:
@@ -342,65 +318,54 @@ def integrate_against(values, label) -> Fraction:
     The input is weighted by the cached sigma_label(q) C_q
     (``_vertex_weights``), with no product map built.
     """
-    return _integrate(values, label, point_by_label(label).codim)
+    return _integrate(values, label)
 
 
 @cache
 def _vertex_weights(weighting):
-    """The vertex weights w_q of an integral, as ({q: w_q}, their one degree, {q: (#w_q, max|w_q|)}).
+    """The vertex weights w_q of an integral as one ``PackedForms``: C_q for None, sigma_Y(q) C_q for a label Y.
 
-    The weighting is None for the C_q of ``_localization_denominator`` and a
-    label Y for sigma_Y(q) C_q, zero off the support of sigma_Y; # is the
-    number of terms, and a zero weight has sizes (0, 0).  Nonzero weights
-    of mixed degrees raise ``ValueError``.
+    The C_q are those of ``_localization_denominator``; nonzero weights of mixed degrees raise ``ValueError``.
     """
     _, complements = _localization_denominator()
     if weighting is None:
         forms = complements
     else:
         forms = {q: form if form.is_zero() else poly_mul(form, complements[q]) for q, form in solve_all_classes()[weighting].items()}
-    sizes = {q: (len(w.coeffs), max(map(abs, w.coeffs.values()), default=0)) for q, w in forms.items()}
-    return forms, _degree({q: w for q, w in forms.items() if w.coeffs}), sizes
+    return PackedForms(forms, _degree({q: w for q, w in forms.items() if not w.is_zero()}))
 
 
-@cache
-def _packed_weights(weighting, shift):
-    """{q: w_q(2^shift)}: the vertex weights of ``_vertex_weights`` packed at a = 2^shift, b = 1."""
-    return {q: kronecker_value(w, shift) for q, w in _vertex_weights(weighting)[0].items()}
+def _integrate(values, weighting) -> Fraction:
+    """sum_q f(q) w_q / L over the ``_vertex_weights`` w_q of a weighting, certified to be a constant.
 
-
-def _integrate(values, weighting, extra) -> Fraction:
-    """sum_q f(q) w_q / L over the vertex weights w_q of a weighting, of degree deg C_q + ``extra``, certified to be a constant.
-
-    L is the integral common denominator of ``_localization_denominator``,
-    and N = sum_q f(q) w_q is one ``packed_sum_of_products`` against the
-    weights of ``_vertex_weights``, packed once per shift
-    (``_packed_weights``): the integer coefficients of D N, D clearing the
-    input's denominators.  N = 0 below degree 8; in degree 8, where N and
-    L have one degree, L divides N exactly when N = c L, with c read off
-    one monomial of L and certified by comparing D N with D c L
-    coefficient by coefficient.  Anything else raises, and so does a
-    vertex that is no fixed point or weights of another degree.  Vertices
-    missing from the input count as zero.
+    The input's degree plus the weighting's codimension (0 for None) must
+    be at most 8.  L is the integral common denominator of
+    ``_localization_denominator``; ``PackedForms.sum_against`` gives the
+    integer coefficients of D N, N = sum_q f(q) w_q, D clearing the input's
+    denominators.  N = 0 below degree 8; in degree 8 L divides N exactly
+    when N = c L, c read off one monomial of L and certified on every
+    coefficient (``_denominator_coefficients``).  Anything else raises, as
+    does a vertex that is no fixed point.  Missing vertices count as zero.
     """
     degree = _degree(values)
-    deg = degree + extra
+    deg = degree if weighting is None else degree + point_by_label(weighting).codim
     if deg > DIMENSION:
         raise ValueError(f"integration expects degree at most {DIMENSION}")
     denominator = _localization_denominator()[0]
     top = deg + denominator.degree - DIMENSION
-    _, weight_degree, sizes = _vertex_weights(weighting)
-    if degree + weight_degree != top:
-        raise ValueError(f"a product of degree {degree + weight_degree} in a sum of degree {top}")
-    scale, numerator = packed_sum_of_products(values, sizes, partial(_packed_weights, weighting), top)
+    weights = _vertex_weights(weighting)
+    if degree + weights.degree != top:
+        raise ValueError(f"a product of degree {degree + weights.degree} in a sum of degree {top}")
+    scale, numerator = weights.sum_against(values, top)
     if not any(numerator):
         return Fraction(0)
     if deg < DIMENSION:
         raise ArithmeticError("integral of under-degree data failed to vanish")
-    (p, _), d = next(iter(denominator.coeffs.items()))
+    coefficients = _denominator_coefficients()
+    p, d = next((p, d) for p, d in enumerate(coefficients) if d)
     c = numerator[p]
-    for i, n in enumerate(numerator):
-        if n * d != c * denominator.coeffs.get((i, top - i), 0):
+    for n, l in zip(numerator, coefficients):
+        if n * d != c * l:
             raise ArithmeticError("fixed-point sum is not a polynomial")
     return Fraction(c, d * scale)
 
@@ -447,7 +412,7 @@ def top_expansion(values):
     coeffs = {}
     for lab, poly in full.items():
         if poly.degree == 0 and not poly.is_zero():
-            c = poly.coeffs[(0, 0)]
+            c = poly.coefficient(0)
             if c.denominator != 1:
                 raise ArithmeticError(f"non-integral structure constant {c} at {lab}")
             coeffs[lab] = int(c)

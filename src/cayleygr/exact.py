@@ -6,8 +6,10 @@ two torus characters with rational coefficients.  A rational scalar is
 held as an ``int`` when it is integral and as a ``fractions.Fraction``
 otherwise (see ``scalar``); every true division goes through ``Fraction``
 and floats are rejected.  Integer matrices are plain lists of rows, and
-of their Smith normal form only the invariant factors are computed.  All
-values are immutable; every function is pure.
+of their Smith normal form only the invariant factors are computed.  Only
+this module reads or builds a binary form's (p, q) coefficient table.  All
+values are immutable and every function is pure, except that packed
+weights (``PackedForms``) keep a memo of their packings, one per shift.
 """
 
 from __future__ import annotations
@@ -162,19 +164,6 @@ class HomogPoly:
         return cls(degree, {})
 
     @classmethod
-    def of_product_table(cls, degree, table):
-        """The form of a coefficient table of products of forms, taken as built.
-
-        Every key of ``table`` is a sum of exponent pairs of validated
-        factors whose degrees sum to ``degree``, so no key is checked; zero
-        entries are dropped and every other scalar is made canonical.
-        """
-        form = object.__new__(cls)
-        object.__setattr__(form, "degree", degree)
-        object.__setattr__(form, "coeffs", {k: c if type(c) is int else scalar(c) for k, c in table.items() if c})
-        return form
-
-    @classmethod
     def constant(cls, c):
         return cls(0, {(0, 0): c})
 
@@ -185,6 +174,10 @@ class HomogPoly:
 
     def is_zero(self):
         return not self.coeffs
+
+    def coefficient(self, p):
+        """The coefficient of a^p b^(degree - p), 0 when the form has no such term."""
+        return self.coeffs.get((p, self.degree - p), 0)
 
     def __eq__(self, other):
         if not isinstance(other, HomogPoly):
@@ -265,6 +258,38 @@ def sum_of_products(pairs, degree) -> HomogPoly:
     return HomogPoly(degree, acc)
 
 
+def pointwise_product(*classes):
+    """Vertexwise product of vertex maps {label: form}; returns {label: form}.
+
+    Each vertex of the first map multiplies its factors in one (p, q) table,
+    taken as built (its keys sum exponents of validated factors): only zero
+    entries are dropped and scalars made canonical.  A vanishing product is
+    the shared ``HomogPoly.zero``; degrees add even where a factor vanishes,
+    and a vertex missing from a later map raises ``KeyError``.
+    """
+    first, *rest = classes
+    out = {}
+    for lab, form in first.items():
+        degree, table = form.degree, form.coeffs
+        for cls in rest:
+            factor = cls[lab]
+            degree += factor.degree
+            if table:
+                acc = {}
+                for (p1, q1), c1 in table.items():
+                    for (p2, q2), c2 in factor.coeffs.items():
+                        k = (p1 + p2, q1 + q2)
+                        acc[k] = acc.get(k, 0) + c1 * c2
+                table = acc
+        if table:
+            product = out[lab] = object.__new__(HomogPoly)
+            object.__setattr__(product, "degree", degree)
+            object.__setattr__(product, "coeffs", {k: c if type(c) is int else scalar(c) for k, c in table.items() if c})
+        else:
+            out[lab] = HomogPoly.zero(degree)
+    return out
+
+
 def kronecker_value(form, shift, scale=1) -> int:
     """scale * form at a = 2^shift, b = 1, as one integer; ``scale`` must clear every denominator of the form.
 
@@ -280,41 +305,52 @@ def kronecker_value(form, shift, scale=1) -> int:
     return value
 
 
-def packed_sum_of_products(firsts, sizes, packed, degree):
-    """sum_k a_k b_k of degree ``degree`` by Kronecker substitution, as (D, [N_0, ..., N_degree]).
+class PackedForms:
+    """Forms w_k with integer coefficients, keyed and of one ``degree`` (carried, not checked), packed for ``sum_against``.
 
-    ``firsts`` maps keys k to forms a_k.  The second factors b_k are forms
-    with integer coefficients, given by sizes[k] = (#b_k, max|b_k|), #
-    being the number of terms, and by packed(s)[k], the value of b_k at
-    a = 2^s, b = 1 (``kronecker_value``), so a caller can pack them once
-    per s.  Each product a_k b_k must be of degree ``degree``; the caller
-    checks that.  N = D sum_k a_k b_k has the integer coefficient N_p at
-    a^p b^(degree - p); D is the common denominator of the a_k met by a
-    nonzero b_k, taken only when one of their coefficients is not an
-    ``int`` (scalars are canonical, so D = 1 exactly when all are), and
-    N(2^s) is a sum of integer products.  Every |N_p| is
-    at most B = D sum_k min(#a_k, #b_k) max|a_k| max|b_k|, and s is the
-    least power of two with 2^(s-1) > B, so each N_p is one balanced
-    base-2^s digit (``_balanced_digits``) and one packing serves every B
-    below 2^(s-1).  A pair with a zero factor adds nothing; a key missing
-    from ``sizes`` raises ``KeyError``.
+    ``sizes`` holds (#w_k, max|w_k|) per key, # being the number of terms,
+    and ``packings`` the memo {s: {k: w_k(2^s)}} (``kronecker_value``): one
+    packing per power-of-two shift s that a sum has needed.
     """
-    terms, bound, integral = [], 0, True
-    for k, f in firsts.items():
-        n, m = sizes[k]
-        a = f.coeffs
-        if a and m:
-            terms.append((k, f))
-            bound += min(len(a), n) * max(map(abs, a.values())) * m
-            integral = integral and all(type(c) is int for c in a.values())
-    scale = 1 if integral else lcm(*(c.denominator for _, f in terms for c in f.coeffs.values()))
-    need = int(scale * bound).bit_length() + 1  # D clears the denominator of every max|a_k|
-    shift = 1 << (need - 1).bit_length()
-    seconds = packed(shift)
-    total = 0
-    for k, f in terms:
-        total += kronecker_value(f, shift, scale) * seconds[k]
-    return scale, _balanced_digits(total, shift, degree + 1)
+
+    __slots__ = ("forms", "degree", "sizes", "packings")
+
+    def __init__(self, forms, degree):
+        self.forms, self.degree, self.packings = forms, degree, {}
+        self.sizes = {k: (len(w.coeffs), max(map(abs, w.coeffs.values()), default=0)) for k, w in forms.items()}
+
+    def sum_against(self, firsts, degree):
+        """sum_k a_k w_k of degree ``degree`` by Kronecker substitution, as (D, [N_0, ..., N_degree]).
+
+        ``firsts`` maps keys k to forms a_k, and each product a_k w_k must
+        be of degree ``degree`` (the caller checks that).  N = D sum_k a_k w_k
+        has the integer coefficient N_p at a^p b^(degree - p); D is the
+        common denominator of the a_k met by a nonzero w_k, taken only when
+        one of their coefficients is not an ``int``.  Every |N_p| is at most
+        B = D sum_k min(#a_k, #w_k) max|a_k| max|w_k|, and s is the least
+        power of two with 2^(s-1) > B, so each N_p is one balanced base-2^s
+        digit (``_balanced_digits``) of the integer D N(2^s).  A pair with a
+        zero factor adds nothing; a key with no weight raises ``KeyError``.
+        """
+        terms, bound, integral = [], 0, True
+        sizes = self.sizes
+        for k, f in firsts.items():
+            n, m = sizes[k]
+            a = f.coeffs
+            if a and m:
+                terms.append((k, f))
+                bound += min(len(a), n) * max(map(abs, a.values())) * m
+                integral = integral and all(type(c) is int for c in a.values())
+        scale = 1 if integral else lcm(*(c.denominator for _, f in terms for c in f.coeffs.values()))
+        need = int(scale * bound).bit_length() + 1  # D clears the denominator of every max|a_k|
+        shift = 1 << (need - 1).bit_length()
+        seconds = self.packings.get(shift)
+        if seconds is None:
+            seconds = self.packings[shift] = {k: kronecker_value(w, shift) for k, w in self.forms.items()}
+        total = 0
+        for k, f in terms:
+            total += kronecker_value(f, shift, scale) * seconds[k]
+        return scale, _balanced_digits(total, shift, degree + 1)
 
 
 def _balanced_digits(x, shift, count):
@@ -338,6 +374,25 @@ def _balanced_digits(x, shift, count):
 def poly_mul(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     """Exact product; degree(result) = degree(a) + degree(b)."""
     return sum_of_products(((a, b),), a.degree + b.degree)
+
+
+def elementary_symmetric(weights):
+    """[e_0, ..., e_n] of the linear forms of the n weights; e_n is their product.
+
+    The product of the factors (1 + x a + y b) is expanded in place, e_k
+    as its coefficients at a^p b^(k-p), from the top degree down, so
+    e_(k-1) still holds its value before a factor when it feeds e_k.
+    """
+    e = [[1]]
+    for x, y in weights:
+        e.append([0] * (len(e) + 1))
+        for k in range(len(e) - 1, 0, -1):
+            row = e[k]
+            for p, c in enumerate(e[k - 1]):
+                if c:
+                    row[p + 1] += x * c
+                    row[p] += y * c
+    return [HomogPoly(k, {(p, k - p): c for p, c in enumerate(row)}) for k, row in enumerate(e)]
 
 
 def _exact_quotient(c, a):

@@ -14,28 +14,8 @@ from math import comb
 
 from .cayley import DIMENSION, enumerate_fixed_points
 from .equivariant import SchubertVector, base_label, basis_vector, degree_of, point_label, top_by_duality
-from .exact import HomogPoly
+from .exact import elementary_symmetric
 from .weightmodel import g2_irrep_dim, gl7_schur_dim
-
-
-def elementary_symmetric(weights):
-    """[e_0, ..., e_n] of the linear forms of the n weights.
-
-    The product of the factors (1 + x a + y b) is expanded degree by
-    degree, e_k held as its coefficients at a^p b^(k-p) for p = 0..k.
-    Each factor is multiplied in place from the top degree down, so e_(k-1)
-    still holds its value before this factor when it feeds e_k.
-    """
-    e = [[1]]
-    for x, y in weights:
-        e.append([0] * (len(e) + 1))
-        for k in range(len(e) - 1, 0, -1):
-            row = e[k]
-            for p, c in enumerate(e[k - 1]):
-                if c:
-                    row[p + 1] += x * c
-                    row[p] += y * c
-    return [HomogPoly(k, {(p, k - p): c for p, c in enumerate(row)}) for k, row in enumerate(e)]
 
 
 @cache

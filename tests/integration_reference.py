@@ -1,10 +1,12 @@
-"""The integration references of the test suite: vertexwise products as a fold, integration in one coefficient table."""
+"""The integration references of the test suite: products as folds of ``poly_mul``, integration in one coefficient table."""
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm, prod
 
-from cayleygr.cayley import DIMENSION
+from cayleygr.cayley import DIMENSION, enumerate_fixed_points, point_by_label, repelling_weights
 from cayleygr.equivariant import _degree, _localization_denominator
-from cayleygr.exact import poly_mul, sum_of_products
+from cayleygr.exact import HomogPoly, poly_mul, sum_of_products
 
 
 def reference_pointwise_product(*classes):
@@ -20,6 +22,25 @@ def reference_pointwise_product(*classes):
     for cls in rest:
         out = {lab: poly_mul(out[lab], cls[lab]) for lab in out}
     return out
+
+
+def reference_normal_weight_product(label):
+    """The product of the repelling tangent weights at a vertex, as a fold of ``exact.poly_mul``."""
+    out = HomogPoly.constant(1)
+    for w in repelling_weights(point_by_label(label).tangent):
+        out = poly_mul(out, w.poly())
+    return out
+
+
+def reference_localization_denominator():
+    """The L of ``equivariant._localization_denominator``: lcm(m_q) times the directions, as a fold of ``exact.poly_mul``."""
+    mult = Counter()
+    for p in enumerate_fixed_points():
+        mult |= Counter(max(w.primitive(), -w.primitive()) for w in p.tangent)
+    denominator = HomogPoly.constant(lcm(*(prod(gcd(*w) for w in p.tangent) for p in enumerate_fixed_points())))
+    for d in sorted(mult.elements()):
+        denominator = poly_mul(denominator, d.poly())
+    return denominator
 
 
 def reference_integrate(values, weights, extra):

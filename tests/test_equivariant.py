@@ -37,12 +37,17 @@ from cayleygr.equivariant import (
     top_expansion,
 )
 from cayleygr import cli, equivariant, exact
-from cayleygr.exact import HomogPoly, divide_by_linear, poly_mul
+from cayleygr.exact import HomogPoly, divide_by_linear, elementary_symmetric, poly_mul
 from cayleygr.fixtures import load_fixture, parse_form
-from cayleygr.invariants import chern_classes, elementary_symmetric, hilbert_polynomial
+from cayleygr.invariants import chern_classes, hilbert_polynomial
 from cayleygr.octonions import g2_basis
 from cayleygr.weightmodel import ALPHA, BETA
-from integration_reference import reference_integrate, reference_pointwise_product
+from integration_reference import (
+    reference_integrate,
+    reference_localization_denominator,
+    reference_normal_weight_product,
+    reference_pointwise_product,
+)
 
 
 def vec(d):
@@ -173,6 +178,13 @@ def test_localization_denominator_is_integral_and_exact():
     for p in enumerate_fixed_points():
         assert all(type(c) is int for c in complements[p.label].coeffs.values()), p.label
         assert poly_mul(complements[p.label], _euler_class(p)) == denominator, p.label
+
+
+def test_products_of_weights_match_the_poly_mul_folds():
+    # normal_weight_product and L are e_n of their linear forms; the old folds give the same forms, scalar types included
+    for p in enumerate_fixed_points():
+        assert _typed(equivariant.normal_weight_product(p.label)) == _typed(reference_normal_weight_product(p.label)), p.label
+    assert _typed(equivariant._localization_denominator()[0]) == _typed(reference_localization_denominator())
 
 
 def test_localization_denominator_raises_on_an_inexact_division(monkeypatch):
@@ -551,25 +563,20 @@ def test_packed_numerator_matches_the_reference(case):
     extra = point_by_label(against).codim if against else 0
     if stray is not None:
         values = values | {stray: next(iter(values.values()))}
-    got = _value_or_error(equivariant._integrate, values, against, extra)
-    assert got == _value_or_error(reference_integrate, values, equivariant._vertex_weights(against)[0], extra)
+    got = _value_or_error(equivariant._integrate, values, against)
+    assert got == _value_or_error(reference_integrate, values, equivariant._vertex_weights(against).forms, extra)
     assert type(got) is Fraction or got in (ArithmeticError, ValueError, KeyError)
 
 
-def _clear_weight_caches():
-    equivariant._vertex_weights.cache_clear()
-    equivariant._packed_weights.cache_clear()
-
-
 def _integrate_h_against_complements(complements):
-    """ab_integrate's body on H with the C_q replaced at their source, the weight caches cleared before and after."""
+    """ab_integrate's body on H with the C_q replaced at their source, the weight cache cleared before and after."""
     denominator = equivariant._localization_denominator()[0]
     with patch.object(equivariant, "_localization_denominator", lambda: (denominator, complements)):
-        _clear_weight_caches()
+        equivariant._vertex_weights.cache_clear()
         try:
-            return equivariant._integrate(hyperplane_class(), None, 0)
+            return equivariant._integrate(hyperplane_class(), None)
         finally:
-            _clear_weight_caches()
+            equivariant._vertex_weights.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -599,10 +606,11 @@ def test_integral_weights_are_packed_once_per_shift(monkeypatch):
     classes, labels = solve_all_classes(), [p.label for p in enumerate_fixed_points()]
     products = [pointwise_product(classes[a], classes[b]) for i, a in enumerate(labels) for b in labels[i:]]
     assert len(products) == 120
-    weights, _, sizes = equivariant._vertex_weights(None)
-    packer, shifts = equivariant._packed_weights, []
-    packer.cache_clear()
-    monkeypatch.setattr(equivariant, "_packed_weights", lambda weighting, shift: shifts.append(shift) or packer(weighting, shift))
+    equivariant._vertex_weights.cache_clear()
+    weights = equivariant._vertex_weights(None)
+    assert weights.packings == {}
+    digits, shifts = exact._balanced_digits, []
+    monkeypatch.setattr(exact, "_balanced_digits", lambda x, shift, count: shifts.append(shift) or digits(x, shift, count))
 
     def integrate_all():
         for values in products:
@@ -612,19 +620,20 @@ def test_integral_weights_are_packed_once_per_shift(monkeypatch):
                     ab_integrate(values)
                 assert not shifts
                 continue
-            assert ab_integrate(values) == reference_integrate(values, weights, 0)
+            assert ab_integrate(values) == reference_integrate(values, weights.forms, 0)
             # at least the least s with 2^(s-1) above the bound D sum_q min(#f_q, #w_q) max|f_q| max|w_q|
-            nonzero = {q: f.coeffs for q, f in values.items() if f.coeffs and weights[q].coeffs}
+            nonzero = {q: f.coeffs for q, f in values.items() if f.coeffs and weights.forms[q].coeffs}
             scale = lcm(*(c.denominator for a in nonzero.values() for c in a.values()))
-            bound = sum(min(len(a), sizes[q][0]) * max(map(abs, a.values())) * sizes[q][1] for q, a in nonzero.items())
+            bound = sum(min(len(a), weights.sizes[q][0]) * max(map(abs, a.values())) * weights.sizes[q][1] for q, a in nonzero.items())
             need = int(scale * bound).bit_length() + 1
-            assert len(shifts) == 1 and _is_power_of_two(shifts[0]) and shifts[0] >= need
+            assert len(shifts) == 1 and _is_power_of_two(shifts[0]) and shifts[0] >= need and shifts[0] in weights.packings
 
     integrate_all()
-    assert packer.cache_info().currsize <= 2
-    misses = packer.cache_info().misses
+    assert 0 < len(weights.packings) <= 2
+    packings = dict(weights.packings)
     integrate_all()
-    assert packer.cache_info().misses == misses
+    assert weights.packings == packings and all(weights.packings[s] is packed for s, packed in packings.items())
+    assert equivariant._vertex_weights(None) is weights
 
 
 # halves and twos, whose products are integral: a product coefficient built as Fraction(n, 1) shows in its type
@@ -672,18 +681,17 @@ def test_pointwise_product_builds_one_form_per_vertex(monkeypatch):
     cases = [[h, classes["2"]], [classes["2"], h, classes["3'"]], [h] * 6]
     wants = [reference_pointwise_product(*maps) for maps in cases]
     zeros = {f.degree: HomogPoly.zero(f.degree) for want in wants for f in want.values()}
-    of_product_table, init = HomogPoly.of_product_table, HomogPoly.__init__
-    built, validated, multiplied = [], [], []
-    monkeypatch.setattr(HomogPoly, "of_product_table", lambda *args: built.append(args) or of_product_table(*args))
+    init = HomogPoly.__init__
+    validated, multiplied = [], []
     monkeypatch.setattr(HomogPoly, "__init__", lambda self, *args: validated.append(args) or init(self, *args))
-    monkeypatch.setattr(equivariant, "poly_mul", lambda *args: multiplied.append(args) or poly_mul(*args))
+    monkeypatch.setattr(exact, "poly_mul", lambda *args: multiplied.append(args) or poly_mul(*args))
     for maps, want in zip(cases, wants):
-        built.clear()
         got = pointwise_product(*maps)
         vanishing = [lab for lab, f in want.items() if f.is_zero()]
         assert 0 < len(vanishing) < 15
-        assert len(built) == 15 - len(vanishing) and not validated and not multiplied
+        assert not validated and not multiplied
         assert all(got[lab] is zeros[want[lab].degree] for lab in vanishing)
+        assert len({id(got[lab]) for lab in want if lab not in vanishing} - {id(f) for f in zeros.values()}) == 15 - len(vanishing)
         assert {lab: _typed(f) for lab, f in got.items()} == {lab: _typed(f) for lab, f in want.items()}
     # a vertex missing from a later map raises, also where an earlier factor vanishes there (H at 0)
     for missing in ("0", "4"):

@@ -1,21 +1,27 @@
+import json
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cayleygr.exact import (
     GaussianRational,
     HomogPoly,
+    PackedForms,
     _balanced_digits,
     divide_by_linear,
+    elementary_symmetric,
     format_gaussian,
     kronecker_value,
     matrix_rank,
     nullspace,
-    packed_sum_of_products,
     poly_mul,
     scalar,
     smith_normal_form,
@@ -601,25 +607,22 @@ def packed_sums(draw):
 
 
 def _unpacked(scale, digits):
-    """The form sum_p (N_p / D) a^p b^(degree - p) of ``packed_sum_of_products``'s (D, digits)."""
+    """The form sum_p (N_p / D) a^p b^(degree - p) of ``PackedForms.sum_against``'s (D, digits)."""
     degree = len(digits) - 1
     return HomogPoly(degree, {(p, degree - p): Fraction(n, scale) for p, n in enumerate(digits)})
 
 
 def _packed_sum(pairs, degree, shifts=None):
-    """``packed_sum_of_products`` over (a_k, b_k) pairs keyed by position, each b_k sized and packed from its form.
+    """``PackedForms.sum_against`` over (a_k, b_k) pairs keyed by position, the b_k held by a fresh ``PackedForms``.
 
-    Each shift the kernel packs the second factors at is appended to ``shifts``.
+    Each shift the b_k are packed at is appended to ``shifts``.  The b_k
+    may differ in degree: the weights' degree is carried, not read.
     """
-    seconds = dict(enumerate(b for _, b in pairs))
-    sizes = {k: (len(b.coeffs), max(map(abs, b.coeffs.values()), default=0)) for k, b in seconds.items()}
-
-    def packed(shift):
-        if shifts is not None:
-            shifts.append(shift)
-        return {k: kronecker_value(b, shift) for k, b in seconds.items()}
-
-    return packed_sum_of_products(dict(enumerate(a for a, _ in pairs)), sizes, packed, degree)
+    seconds = PackedForms(dict(enumerate(b for _, b in pairs)), None)
+    out = seconds.sum_against(dict(enumerate(a for a, _ in pairs)), degree)
+    if shifts is not None:
+        shifts.extend(seconds.packings)
+    return out
 
 
 @settings(max_examples=80, deadline=None)
@@ -667,9 +670,41 @@ def test_packed_sum_of_products_skips_zero_factors():
     f, g = HomogPoly(2, {(2, 0): 1, (0, 2): -3}), HomogPoly(1, {(1, 0): 2})
     pairs = [(HomogPoly.zero(5), g), (f, HomogPoly.constant(2)), (f.scale(Fraction(1, 3)), HomogPoly.zero(7))]
     assert _packed_sum(pairs, 2) == (1, [-6, 0, 2])
-    # a key missing from the sizes raises
+    # a key with no weight raises
     with pytest.raises(KeyError):
-        packed_sum_of_products({"x": f}, {}, lambda shift: {}, 2)
+        PackedForms({}, None).sum_against({"x": f}, 2)
+
+
+def test_packed_forms_keep_one_packing_per_shift():
+    # sizes are (number of terms, largest |coefficient|); a second sum at the same shift packs nothing
+    w = PackedForms({"x": HomogPoly(2, {(2, 0): 3, (0, 2): -7}), "z": HomogPoly.zero(2)}, 2)
+    assert w.sizes == {"x": (2, 7), "z": (0, 0)} and w.packings == {}
+    f = HomogPoly.constant(5)
+    assert w.sum_against({"x": f, "z": f}, 2) == (1, [-35, 0, 15])
+    (shift, packed), = w.packings.items()
+    assert packed == {"x": kronecker_value(w.forms["x"], shift), "z": 0}
+    assert w.sum_against({"x": f.scale(-1)}, 2) == (1, [35, 0, -15])
+    assert list(w.packings) == [shift] and w.packings[shift] is packed
+
+
+# small pairs repeat often; (0, 0) is the zero linear form
+_weight_pairs = st.one_of(
+    st.just((0, 0)), st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_weight_pairs, max_size=10))
+@example([(1, 2), (1, 2), (0, 0), (-1, -1)])
+@example([])
+def test_elementary_symmetric_top_form_is_the_product_of_linear_forms(weights):
+    # e_n of n integer pairs is the poly_mul fold of their linear forms, of degree n, with int coefficients
+    fold = HomogPoly.constant(1)
+    for x, y in weights:
+        fold = poly_mul(fold, HomogPoly.linear(x, y))
+    top = elementary_symmetric(weights)[-1]
+    assert top.degree == fold.degree == len(weights)
+    assert top.coeffs == fold.coeffs and all(type(c) is int for c in top.coeffs.values())
 
 
 def test_kronecker_value_scales_and_packs():
@@ -692,3 +727,51 @@ def test_balanced_digits_read_back_and_reject_a_leftover(shift):
     for extra in (1 << shift * len(digits), -(1 << shift * len(digits)), half << shift * (len(digits) - 1)):
         with pytest.raises(ArithmeticError, match="left a remainder"):
             _balanced_digits(x + extra, shift, len(digits))
+
+
+# Records the module of every frame that reads a form's coefficient table
+# (the ``coeffs`` slot) or builds a form from a non-empty one, over a whole
+# ``verify all --format json`` and the six dumps, and prints them as JSON.
+_LAYOUT_SPY = r"""
+import contextlib, io, json, sys
+from cayleygr import cli
+from cayleygr.exact import HomogPoly
+
+callers = set()
+slot, init = HomogPoly.__dict__["coeffs"], HomogPoly.__init__
+
+
+class Spy:
+    def __get__(self, form, owner=None):
+        if form is None:
+            return self
+        callers.add(("reads", sys._getframe(1).f_globals["__name__"]))
+        return slot.__get__(form, owner)
+
+    def __set__(self, form, value):
+        slot.__set__(form, value)
+
+
+def spied_init(self, degree, coeffs=None):
+    if coeffs:
+        callers.add(("builds", sys._getframe(1).f_globals["__name__"]))
+    init(self, degree, coeffs)
+
+
+HomogPoly.coeffs, HomogPoly.__init__ = Spy(), spied_init
+for argv in (["verify", "all", "--format", "json"], *(["dump", what] for what in sorted(cli.DUMPS))):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"{argv} failed")
+print(json.dumps(sorted(callers)))
+"""
+
+
+def test_only_exact_reads_or_builds_a_coefficient_table():
+    # the binary form's (p, q) layout has one owner: every other module goes through exact's functions and methods
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LAYOUT_SPY], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    callers = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(callers) == [["builds", "cayleygr.exact"], ["reads", "cayleygr.exact"]]

@@ -6,13 +6,12 @@ import pytest
 from cayleygr import invariants
 from cayleygr.cayley import enumerate_fixed_points
 from cayleygr.equivariant import SchubertVector
-from cayleygr.exact import HomogPoly, poly_mul
+from cayleygr.exact import HomogPoly, elementary_symmetric, poly_mul
 from cayleygr.fixtures import load_fixture
 from cayleygr.invariants import (
     chern_classes,
     closed_form_value,
     dual_degree,
-    elementary_symmetric,
     equivariant_series_check,
     hilbert_polynomial,
     hilbert_value,
