@@ -162,9 +162,10 @@ def _localization_denominator():
 
 @cache
 def _denominator_coefficients():
-    """[L_0, ..., L_d]: the coefficient of a^p b^(d - p) in the L of ``_localization_denominator``, d its degree."""
+    """(p, L_p, (L_0, ..., L_d)): L_i the coefficient of a^i b^(d - i) in the L of ``_localization_denominator``, L_p the first nonzero one."""
     denominator = _localization_denominator()[0]
-    return [denominator.coefficient(p) for p in range(denominator.degree + 1)]
+    coefficients = tuple(denominator.coefficient(i) for i in range(denominator.degree + 1))
+    return next((p, c, coefficients) for p, c in enumerate(coefficients) if c)
 
 
 def _solve_class(p_label, next_classes):
@@ -340,19 +341,20 @@ def _integrate(values, weighting) -> Fraction:
 
     The input's degree plus the weighting's codimension (0 for None) must
     be at most 8.  L is the integral common denominator of
-    ``_localization_denominator``; ``PackedForms.sum_against`` gives the
-    integer coefficients of D N, N = sum_q f(q) w_q, D clearing the input's
-    denominators.  N = 0 below degree 8; in degree 8 L divides N exactly
-    when N = c L, c read off one monomial of L and certified on every
-    coefficient (``_denominator_coefficients``).  Anything else raises, as
-    does a vertex that is no fixed point.  Missing vertices count as zero.
+    ``_localization_denominator`` (``_denominator_coefficients``);
+    ``PackedForms.sum_against`` gives the integer coefficients of D N,
+    N = sum_q f(q) w_q, D clearing the input's denominators.  N = 0 below
+    degree 8; in degree 8 L divides N exactly when N = c L, c read off L's
+    first nonzero coefficient and certified on every coefficient.  Anything
+    else raises, as does a vertex that is no fixed point.  Missing vertices
+    count as zero.
     """
     degree = _degree(values)
     deg = degree if weighting is None else degree + point_by_label(weighting).codim
     if deg > DIMENSION:
         raise ValueError(f"integration expects degree at most {DIMENSION}")
-    denominator = _localization_denominator()[0]
-    top = deg + denominator.degree - DIMENSION
+    p, d, coefficients = _denominator_coefficients()
+    top = deg + len(coefficients) - 1 - DIMENSION
     weights = _vertex_weights(weighting)
     if degree + weights.degree != top:
         raise ValueError(f"a product of degree {degree + weights.degree} in a sum of degree {top}")
@@ -361,8 +363,6 @@ def _integrate(values, weighting) -> Fraction:
         return Fraction(0)
     if deg < DIMENSION:
         raise ArithmeticError("integral of under-degree data failed to vanish")
-    coefficients = _denominator_coefficients()
-    p, d = next((p, d) for p, d in enumerate(coefficients) if d)
     c = numerator[p]
     for n, l in zip(numerator, coefficients):
         if n * d != c * l:

@@ -32,13 +32,18 @@ def reference_normal_weight_product(label):
     return out
 
 
-def reference_localization_denominator():
-    """The L of ``equivariant._localization_denominator``: lcm(m_q) times the directions, as a fold of ``exact.poly_mul``."""
+def localization_directions():
+    """The primitive root directions of L, sorted, each as often as its largest multiplicity at one vertex."""
     mult = Counter()
     for p in enumerate_fixed_points():
         mult |= Counter(max(w.primitive(), -w.primitive()) for w in p.tangent)
+    return sorted(mult.elements())
+
+
+def reference_localization_denominator():
+    """The L of ``equivariant._localization_denominator``: lcm(m_q) times the directions, as a fold of ``exact.poly_mul``."""
     denominator = HomogPoly.constant(lcm(*(prod(gcd(*w) for w in p.tangent) for p in enumerate_fixed_points())))
-    for d in sorted(mult.elements()):
+    for d in localization_directions():
         denominator = poly_mul(denominator, d.poly())
     return denominator
 

@@ -609,8 +609,18 @@ def test_integral_weights_are_packed_once_per_shift(monkeypatch):
     equivariant._vertex_weights.cache_clear()
     weights = equivariant._vertex_weights(None)
     assert weights.packings == {}
+    held = {id(w) for w in weights.forms.values()}
     digits, shifts = exact._balanced_digits, []
     monkeypatch.setattr(exact, "_balanced_digits", lambda x, shift, count: shifts.append(shift) or digits(x, shift, count))
+    pack, packed = exact.kronecker_value, []
+
+    def spied_pack(form, *args):
+        # records every packing of a weight form, as opposed to an integrand's
+        if id(form) in held:
+            packed.append(args)
+        return pack(form, *args)
+
+    monkeypatch.setattr(exact, "kronecker_value", spied_pack)
 
     def integrate_all():
         for values in products:
@@ -629,10 +639,12 @@ def test_integral_weights_are_packed_once_per_shift(monkeypatch):
             assert len(shifts) == 1 and _is_power_of_two(shifts[0]) and shifts[0] >= need and shifts[0] in weights.packings
 
     integrate_all()
+    # one full set of weight packings per shift met, each packed with no scale
     assert 0 < len(weights.packings) <= 2
-    packings = dict(weights.packings)
+    assert sorted(packed) == sorted((s,) for s in weights.packings for _ in weights.forms)
+    packed.clear()
     integrate_all()
-    assert weights.packings == packings and all(weights.packings[s] is packed for s, packed in packings.items())
+    assert not packed
     assert equivariant._vertex_weights(None) is weights
 
 
@@ -681,17 +693,29 @@ def test_pointwise_product_builds_one_form_per_vertex(monkeypatch):
     cases = [[h, classes["2"]], [classes["2"], h, classes["3'"]], [h] * 6]
     wants = [reference_pointwise_product(*maps) for maps in cases]
     zeros = {f.degree: HomogPoly.zero(f.degree) for want in wants for f in want.values()}
-    init = HomogPoly.__init__
-    validated, multiplied = [], []
+    init, slot = HomogPoly.__init__, HomogPoly.__dict__["coeffs"]
+    built, validated, multiplied = [], [], []
+
+    class CountedSlot:
+        # the coeffs slot, recording each form that is given a table: every build, trusted or validating
+        def __get__(self, form, owner=None):
+            return slot.__get__(form, owner)
+
+        def __set__(self, form, value):
+            built.append(form)
+            slot.__set__(form, value)
+
+    monkeypatch.setattr(HomogPoly, "coeffs", CountedSlot())
     monkeypatch.setattr(HomogPoly, "__init__", lambda self, *args: validated.append(args) or init(self, *args))
     monkeypatch.setattr(exact, "poly_mul", lambda *args: multiplied.append(args) or poly_mul(*args))
     for maps, want in zip(cases, wants):
+        built.clear()
         got = pointwise_product(*maps)
         vanishing = [lab for lab, f in want.items() if f.is_zero()]
         assert 0 < len(vanishing) < 15
-        assert not validated and not multiplied
+        assert len(built) == 15 - len(vanishing) and not validated and not multiplied
         assert all(got[lab] is zeros[want[lab].degree] for lab in vanishing)
-        assert len({id(got[lab]) for lab in want if lab not in vanishing} - {id(f) for f in zeros.values()}) == 15 - len(vanishing)
+        assert {id(f) for f in built} == {id(got[lab]) for lab in want if lab not in vanishing}
         assert {lab: _typed(f) for lab, f in got.items()} == {lab: _typed(f) for lab, f in want.items()}
     # a vertex missing from a later map raises, also where an earlier factor vanishes there (H at 0)
     for missing in ("0", "4"):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import operator
 import os
@@ -7,17 +8,18 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cayleygr import exact
 from cayleygr.exact import (
     GaussianRational,
     HomogPoly,
     PackedForms,
     _balanced_digits,
     divide_by_linear,
-    elementary_symmetric,
     format_gaussian,
     kronecker_value,
     matrix_rank,
@@ -612,14 +614,37 @@ def _unpacked(scale, digits):
     return HomogPoly(degree, {(p, degree - p): Fraction(n, scale) for p, n in enumerate(digits)})
 
 
+@contextlib.contextmanager
+def _weight_packings(forms):
+    """Spies on ``exact.kronecker_value``: yields the list of the arguments after the form of every packing of one of ``forms``.
+
+    A packing of a weight is told from one of an integrand by the form's
+    identity, so the weights' packings are counted however the packed
+    values are kept.
+    """
+    held, packed = {id(w) for w in forms.values()}, []
+
+    def spied_pack(form, *args):
+        if id(form) in held:
+            packed.append(args)
+        return kronecker_value(form, *args)
+
+    with patch.object(exact, "kronecker_value", spied_pack):
+        yield packed
+
+
 def _packed_sum(pairs, degree, shifts=None):
     """``PackedForms.sum_against`` over (a_k, b_k) pairs keyed by position, the b_k held by a fresh ``PackedForms``.
 
-    Each shift the b_k are packed at is appended to ``shifts``.  The b_k
-    may differ in degree: the weights' degree is carried, not read.
+    Every packing of a b_k is recorded: there must be one per key at each
+    shift in the object's ``packings``, with no scale, and each such
+    shift is appended to ``shifts``.  The b_k may differ in degree: the
+    weights' degree is carried, not read.
     """
     seconds = PackedForms(dict(enumerate(b for _, b in pairs)), None)
-    out = seconds.sum_against(dict(enumerate(a for a, _ in pairs)), degree)
+    with _weight_packings(seconds.forms) as packed:
+        out = seconds.sum_against(dict(enumerate(a for a, _ in pairs)), degree)
+    assert sorted(packed) == sorted((s,) for s in seconds.packings for _ in seconds.forms)
     if shifts is not None:
         shifts.extend(seconds.packings)
     return out
@@ -676,35 +701,17 @@ def test_packed_sum_of_products_skips_zero_factors():
 
 
 def test_packed_forms_keep_one_packing_per_shift():
-    # sizes are (number of terms, largest |coefficient|); a second sum at the same shift packs nothing
+    # sizes are (number of terms, largest |coefficient|); a second sum at the same shift packs no weight
     w = PackedForms({"x": HomogPoly(2, {(2, 0): 3, (0, 2): -7}), "z": HomogPoly.zero(2)}, 2)
     assert w.sizes == {"x": (2, 7), "z": (0, 0)} and w.packings == {}
     f = HomogPoly.constant(5)
-    assert w.sum_against({"x": f, "z": f}, 2) == (1, [-35, 0, 15])
-    (shift, packed), = w.packings.items()
-    assert packed == {"x": kronecker_value(w.forms["x"], shift), "z": 0}
-    assert w.sum_against({"x": f.scale(-1)}, 2) == (1, [35, 0, -15])
-    assert list(w.packings) == [shift] and w.packings[shift] is packed
-
-
-# small pairs repeat often; (0, 0) is the zero linear form
-_weight_pairs = st.one_of(
-    st.just((0, 0)), st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_weight_pairs, max_size=10))
-@example([(1, 2), (1, 2), (0, 0), (-1, -1)])
-@example([])
-def test_elementary_symmetric_top_form_is_the_product_of_linear_forms(weights):
-    # e_n of n integer pairs is the poly_mul fold of their linear forms, of degree n, with int coefficients
-    fold = HomogPoly.constant(1)
-    for x, y in weights:
-        fold = poly_mul(fold, HomogPoly.linear(x, y))
-    top = elementary_symmetric(weights)[-1]
-    assert top.degree == fold.degree == len(weights)
-    assert top.coeffs == fold.coeffs and all(type(c) is int for c in top.coeffs.values())
+    with _weight_packings(w.forms) as packed:
+        assert w.sum_against({"x": f, "z": f}, 2) == (1, [-35, 0, 15])
+    (shift, values), = w.packings.items()
+    assert values == {"x": kronecker_value(w.forms["x"], shift), "z": 0} and packed == [(shift,), (shift,)]
+    with _weight_packings(w.forms) as packed:
+        assert w.sum_against({"x": f.scale(-1)}, 2) == (1, [35, 0, -15])
+    assert not packed and list(w.packings) == [shift] and w.packings[shift] is values
 
 
 def test_kronecker_value_scales_and_packs():
@@ -730,7 +737,8 @@ def test_balanced_digits_read_back_and_reject_a_leftover(shift):
 
 
 # Records the module of every frame that reads a form's coefficient table
-# (the ``coeffs`` slot) or builds a form from a non-empty one, over a whole
+# (the ``coeffs`` slot) or builds a form from a non-empty one (through the
+# constructor, or by setting the slot as a trusted build does), over a whole
 # ``verify all --format json`` and the six dumps, and prints them as JSON.
 _LAYOUT_SPY = r"""
 import contextlib, io, json, sys
@@ -749,6 +757,9 @@ class Spy:
         return slot.__get__(form, owner)
 
     def __set__(self, form, value):
+        # a trusted build sets the slot with no constructor call, so it is recorded here too
+        if value:
+            callers.add(("builds", sys._getframe(1).f_globals["__name__"]))
         slot.__set__(form, value)
 
 

@@ -2,6 +2,7 @@ from itertools import combinations
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleygr import invariants
 from cayleygr.cayley import enumerate_fixed_points
@@ -19,6 +20,7 @@ from cayleygr.invariants import (
     quadric_count,
 )
 from cayleygr.weightmodel import BASIS_WEIGHTS, g2_irrep_dim
+from integration_reference import localization_directions
 
 
 def test_chern_classes_against_reference():
@@ -59,23 +61,40 @@ def test_chern_recurrence_against_subset_sum():
 
 
 def _elementary_by_recurrence(weights):
-    """The chain that elementary_symmetric replaces: e_k <- e_k + e_(k-1) w, one form at a time."""
+    """The chain that elementary_symmetric replaces: e_k <- e_k + e_(k-1) w, one form at a time; e_n is the poly_mul fold."""
     e = [HomogPoly.constant(1)] + [HomogPoly.zero(k) for k in range(1, len(weights) + 1)]
-    for n, w in enumerate(weights, 1):
+    for n, (x, y) in enumerate(weights, 1):
         for k in range(n, 0, -1):
-            e[k] = e[k] + poly_mul(e[k - 1], w.poly())
+            e[k] = e[k] + poly_mul(e[k - 1], HomogPoly.linear(x, y))
     return e
 
 
 def test_elementary_symmetric_against_the_recurrence():
-    # no weight, the 4 tautological weights and the 8 tangent weights at every fixed point
+    # no weight, the 4 tautological weights and the 8 tangent weights at every fixed point, and L's directions (repeats included)
     assert elementary_symmetric([]) == [HomogPoly.constant(1)]
-    for p in enumerate_fixed_points():
-        for weights in ([BASIS_WEIGHTS[i] for i in p.four_space], p.tangent):
-            assert len(weights) in (4, 8)
-            e = elementary_symmetric(weights)
-            assert e == _elementary_by_recurrence(weights), p.label
-            assert [form.degree for form in e] == list(range(len(weights) + 1))
+    directions = localization_directions()
+    assert len(set(directions)) < len(directions)
+    lists = [weights for p in enumerate_fixed_points() for weights in ([BASIS_WEIGHTS[i] for i in p.four_space], p.tangent)]
+    for weights in [*lists, directions]:
+        assert len(weights) in (4, 8, len(directions))
+        e = elementary_symmetric(weights)
+        assert e == _elementary_by_recurrence(weights), weights
+        assert [form.degree for form in e] == list(range(len(weights) + 1))
+
+
+# small pairs repeat often; (0, 0) is the zero linear form
+_weight_pairs = st.one_of(
+    st.just((0, 0)), st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_weight_pairs, max_size=10))
+def test_elementary_symmetric_of_drawn_pairs(weights):
+    # 0-10 integer pairs, repeats and (0, 0) included: every e_k, e_n the poly_mul fold among them, with int coefficients
+    e = elementary_symmetric(weights)
+    assert e == _elementary_by_recurrence(weights)
+    assert all(type(c) is int for form in e for c in form.coeffs.values())
 
 
 def test_euler_characteristic_is_fixed_point_count():
