@@ -307,8 +307,8 @@ def monk_matrix():
 def ab_integrate(values) -> Fraction:
     """Fixed-point integration: sum of f(p) / e(p) over the vertices.
 
-    The input is a vertex map of uniform degree <= 8, weighted by the
-    C_q of ``_localization_denominator`` (see ``_integrate``).
+    The input is an integer vertex map of uniform degree <= 8, weighted
+    by the C_q of ``_localization_denominator`` (see ``_integrate``).
     """
     return _integrate(values, None)
 
@@ -342,8 +342,8 @@ def _integrate(values, weighting) -> Fraction:
     The input's degree plus the weighting's codimension (0 for None) must
     be at most 8.  L is the integral common denominator of
     ``_localization_denominator`` (``_denominator_coefficients``);
-    ``PackedForms.sum_against`` gives the integer coefficients of D N,
-    N = sum_q f(q) w_q, D clearing the input's denominators.  N = 0 below
+    ``PackedForms.sum_against`` gives the coefficients of N = sum_q f(q) w_q,
+    and an input coefficient that is no integer raises ``TypeError``.  N = 0 below
     degree 8; in degree 8 L divides N exactly when N = c L, c read off L's
     first nonzero coefficient and certified on every coefficient.  Anything
     else raises, as does a vertex that is no fixed point.  Missing vertices
@@ -358,7 +358,7 @@ def _integrate(values, weighting) -> Fraction:
     weights = _vertex_weights(weighting)
     if degree + weights.degree != top:
         raise ValueError(f"a product of degree {degree + weights.degree} in a sum of degree {top}")
-    scale, numerator = weights.sum_against(values, top)
+    numerator = weights.sum_against(values, top)
     if not any(numerator):
         return Fraction(0)
     if deg < DIMENSION:
@@ -367,7 +367,7 @@ def _integrate(values, weighting) -> Fraction:
     for n, l in zip(numerator, coefficients):
         if n * d != c * l:
             raise ArithmeticError("fixed-point sum is not a polynomial")
-    return Fraction(c, d * scale)
+    return Fraction(c, d)
 
 
 def expand_in_basis(values):

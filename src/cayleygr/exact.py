@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from operator import index
 
 
 def scalar(x):
@@ -97,7 +97,7 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)  # a real value equals, so hashes as, its real part
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -290,15 +290,12 @@ def pointwise_product(*classes):
     return out
 
 
-def kronecker_value(form, shift, scale=1) -> int:
-    """scale * form at a = 2^shift, b = 1, as one integer; ``scale`` must clear every denominator of the form.
+def kronecker_value(form, shift) -> int:
+    """The form at a = 2^shift, b = 1, as one integer.
 
-    Each integer coefficient is shifted as it is, so with ``scale`` 1 the
-    form is taken with no pass over its denominators, and a coefficient
-    left non-integral raises ``TypeError``.
+    Each coefficient is shifted as it is, so a non-integral one raises
+    ``TypeError``.
     """
-    if scale != 1:
-        form = form.scale(scale)
     value = 0
     for (p, _), c in form.coeffs.items():
         value += c << shift * p
@@ -320,19 +317,18 @@ class PackedForms:
         self.sizes = {k: (len(w.coeffs), max(map(abs, w.coeffs.values()), default=0)) for k, w in forms.items()}
 
     def sum_against(self, firsts, degree):
-        """sum_k a_k w_k of degree ``degree`` by Kronecker substitution, as (D, [N_0, ..., N_degree]).
+        """sum_k a_k w_k of degree ``degree`` by Kronecker substitution, as its coefficients [N_0, ..., N_degree].
 
-        ``firsts`` maps keys k to forms a_k, and each product a_k w_k must
-        be of degree ``degree`` (the caller checks that).  N = D sum_k a_k w_k
-        has the integer coefficient N_p at a^p b^(degree - p); D is the
-        common denominator of the a_k met by a nonzero w_k, taken only when
-        one of their coefficients is not an ``int``.  Every |N_p| is at most
-        B = D sum_k min(#a_k, #w_k) max|a_k| max|w_k|, and s is the least
+        ``firsts`` maps keys k to forms a_k with integer coefficients, and
+        each product a_k w_k must be of degree ``degree`` (the caller checks
+        that).  N_p is the coefficient of N at a^p b^(degree - p).  Every |N_p| is at
+        most B = sum_k min(#a_k, #w_k) max|a_k| max|w_k|, and s is the least
         power of two with 2^(s-1) > B, so each N_p is one balanced base-2^s
-        digit (``_balanced_digits``) of the integer D N(2^s).  A pair with a
-        zero factor adds nothing; a key with no weight raises ``KeyError``.
+        digit (``_balanced_digits``) of the integer N(2^s).  A pair with a
+        zero factor adds nothing, a non-integral coefficient of an a_k with
+        a nonzero w_k raises ``TypeError`` and a key with no weight ``KeyError``.
         """
-        terms, bound, integral = [], 0, True
+        terms, bound = [], 0
         sizes = self.sizes
         for k, f in firsts.items():
             n, m = sizes[k]
@@ -340,17 +336,15 @@ class PackedForms:
             if a and m:
                 terms.append((k, f))
                 bound += min(len(a), n) * max(map(abs, a.values())) * m
-                integral = integral and all(type(c) is int for c in a.values())
-        scale = 1 if integral else lcm(*(c.denominator for _, f in terms for c in f.coeffs.values()))
-        need = int(scale * bound).bit_length() + 1  # D clears the denominator of every max|a_k|
+        need = index(bound).bit_length() + 1  # a non-integral max|a_k| leaves B a Fraction, which raises here
         shift = 1 << (need - 1).bit_length()
         seconds = self.packings.get(shift)
         if seconds is None:
             seconds = self.packings[shift] = {k: kronecker_value(w, shift) for k, w in self.forms.items()}
         total = 0
         for k, f in terms:
-            total += kronecker_value(f, shift, scale) * seconds[k]
-        return scale, _balanced_digits(total, shift, degree + 1)
+            total += kronecker_value(f, shift) * seconds[k]
+        return _balanced_digits(total, shift, degree + 1)
 
 
 def _balanced_digits(x, shift, count):
@@ -559,9 +553,9 @@ def smith_normal_form(rows):
     These are the diagonal entries d_1, ..., d_min(m,n) of its Smith normal
     form: non-negative, d_i | d_(i+1), zeros last.  Unimodular row and
     column operations reduce a copy of the matrix; the transforms are
-    not kept, because only the diagonal is read.
+    not kept, because only the diagonal is read.  Entries go through ``operator.index``.
     """
-    A = [list(map(int, row)) for row in rows]
+    A = [list(map(index, row)) for row in rows]
     m = len(A)
     n = len(A[0]) if A else 0
     if any(len(row) != n for row in A):

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import gcd, prod
+from operator import index
 
 from . import octonions
 from .exact import HomogPoly, matrix_rank
 
 
 class Weight(tuple):
-    """Integer pair (x, y) for the character x*a + y*b; g = -a - b."""
+    """Integer pair (x, y), each read by ``operator.index``, for the character x*a + y*b; g = -a - b."""
 
     __slots__ = ()
 
     def __new__(cls, x, y):
-        return super().__new__(cls, (int(x), int(y)))
+        return super().__new__(cls, (index(x), index(y)))
 
     def __add__(self, other):
         return Weight(self[0] + other[0], self[1] + other[1])
@@ -194,16 +195,16 @@ def gl7_schur_dim(shape) -> int:
 
     Weyl dimension formula for GL7: with the shape padded to seven parts,
     the product of (l_i - l_j + j - i) over the 21 pairs i < j divided by
-    the product of (j - i), as one exact integer quotient.  The shape is
-    a weakly decreasing tuple of non-negative integers, and more than 7
-    parts give 0.
+    the product of (j - i), as one exact integer quotient.  The shape,
+    checked as given, is a weakly decreasing tuple of non-negative integers
+    (``operator.index``), and more than 7 nonzero parts give 0.
     """
     n = 7
-    shape = tuple(int(p) for p in shape if p)
+    shape = tuple(map(index, shape))
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)) or any(p < 0 for p in shape):
         raise ValueError(f"not a partition: {shape}")
-    if len(shape) > n:
+    if len(shape) > n and shape[n]:
         return 0
-    lam = shape + (0,) * (n - len(shape))
+    lam = (shape + (0,) * n)[:n]
     pairs = list(combinations(range(n), 2))
     return _exact_quotient(prod(lam[i] - lam[j] + j - i for i, j in pairs), prod(j - i for i, j in pairs))

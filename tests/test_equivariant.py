@@ -1,5 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from math import lcm
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -499,29 +503,24 @@ def test_integration_entries_share_one_body(values, stray):
 
 
 _BIG = 2**200
-_big_scalars = st.one_of(
-    st.just(0),
-    st.integers(-_BIG, _BIG),
-    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 10**12)),
-)
+_big_scalars = st.one_of(st.just(0), st.integers(-_BIG, _BIG))
 _WIDE = 2**64
-_wide_scalars = st.one_of(
-    st.just(0),
-    st.integers(-_WIDE, _WIDE),
-    st.builds(Fraction, st.integers(-_WIDE, _WIDE), st.integers(1, _WIDE)),
-)
+_wide_scalars = st.one_of(st.just(0), st.integers(-_WIDE, _WIDE))
 
 
 @st.composite
 def integration_cases(draw):
-    """(vertex map, weighting, stray vertex or None) for the packed numerator and its reference.
+    """(vertex map, weighting, stray vertex or None, non-integral or not) for the packed numerator and its reference.
 
     The weighting is None for ``ab_integrate``'s C_q and a label Y for
     ``integrate_against``'s sigma_Y(q) C_q.  The map is either random (degree
-    0-8, coefficients up to 2^64 or 2^200 or fractions of them, zero forms
-    included) or a sum of scaled products of the classes of the degree
-    complementary to Y, whose integral is a value; the coefficient sizes
-    make the packing shift range over several powers of two.
+    0-8, integer coefficients up to 2^64 or 2^200, zero forms included) or
+    a sum of scaled products of the classes of the degree complementary to
+    Y, whose integral is a value; the coefficient sizes make the packing
+    shift range over several powers of two.  In half the cases one vertex
+    of nonzero weight then gets an odd number of halves as a coefficient,
+    the largest |coefficient| of its form in one of those cases and a
+    smaller one in the other (the largest in degree 0).
     """
     labels = [p.label for p in enumerate_fixed_points()]
     against = draw(st.one_of(st.none(), st.sampled_from(labels)))
@@ -543,29 +542,109 @@ def integration_cases(draw):
             product = pointwise_product(fundamental_class(), *factors, *[hyperplane_class()] * (degree - codim))
             c = draw(st.one_of(_wide_scalars, _big_scalars))
             values = {lab: values[lab] + product[lab].scale(c) for lab in labels}
+    kind = draw(st.sampled_from([None, None, "largest", "smaller"]))
+    if kind is not None:
+        weights = equivariant._vertex_weights(against).forms
+        q = draw(st.sampled_from([lab for lab in labels if not weights[lab].is_zero()]))
+        coeffs = [values[q].coefficient(p) if q in values else 0 for p in range(degree + 1)]
+        p, sign = draw(st.integers(0, degree)), draw(st.sampled_from([1, -1]))
+        if kind == "smaller" and degree:
+            coeffs[p], coeffs[p - 1] = Fraction(sign, 2), max(map(abs, coeffs)) + 1
+        else:
+            coeffs[p] = Fraction(sign * (2 * max(map(abs, coeffs)) + 1), 2)
+        values = values | {q: HomogPoly(degree, {(i, degree - i): c for i, c in enumerate(coeffs)})}
     stray = draw(st.sampled_from([None, None, None, "9", "0''"]))
-    return values, against, stray
+    return values, against, stray, kind is not None
 
 
 def _value_or_error(route, *args):
     """The value of an integration route, or the type of the error it raises."""
     try:
         return route(*args)
-    except (ArithmeticError, ValueError, KeyError) as exc:
+    except (ArithmeticError, ValueError, KeyError, TypeError) as exc:
         return type(exc)
 
 
 @settings(max_examples=150, deadline=None)
 @given(integration_cases())
 def test_packed_numerator_matches_the_reference(case):
-    # the packed numerator and certificate against the coefficient table, value for value and error for error
-    values, against, stray = case
+    # the packed numerator and certificate against the coefficient table, value for value and error for error;
+    # a non-integral coefficient gives no value and no certificate error, only TypeError
+    values, against, stray, non_integral = case
     extra = point_by_label(against).codim if against else 0
     if stray is not None:
         values = values | {stray: next(iter(values.values()))}
     got = _value_or_error(equivariant._integrate, values, against)
-    assert got == _value_or_error(reference_integrate, values, equivariant._vertex_weights(against).forms, extra)
-    assert type(got) is Fraction or got in (ArithmeticError, ValueError, KeyError)
+    want = _value_or_error(reference_integrate, values, equivariant._vertex_weights(against).forms, extra)
+    if non_integral and want not in (ValueError, KeyError):
+        want = TypeError
+    assert got == want
+    assert type(got) is Fraction or got in (ArithmeticError, ValueError, KeyError, TypeError)
+
+
+# Counts, in a fresh process, the certified integrals (``equivariant._integrate``
+# calls) of one source and those whose integrand has a coefficient that is not
+# an ``int``, and prints both as JSON.  The sources are a whole ``verify all
+# --format json``, the six dumps, and the benchmark's ``integrate`` worker: its
+# set-up (class solve, multiplication table, the warm-up integral of H^8) and
+# the first pass of seed 1, drawn by ``pass_monomials`` of perfbench/bench.py.
+_INTEGRAND_SPY = r"""
+import contextlib, importlib.util, io, json, sys
+from cayleygr import cli, equivariant as eq
+
+integrals, non_int = 0, 0
+integrate = eq._integrate
+
+
+def spied_integrate(values, weighting):
+    global integrals, non_int
+    integrals += 1
+    non_int += any(type(c) is not int for form in values.values() for c in form.coeffs.values())
+    return integrate(values, weighting)
+
+
+eq._integrate = spied_integrate
+source, bench_path = sys.argv[1:]
+if source == "verify-all":
+    runs = [["verify", "all", "--format", "json"]]
+elif source == "dumps":
+    runs = [["dump", what] for what in sorted(cli.DUMPS)]
+else:
+    runs = []
+    classes = eq.solve_all_classes()
+    eq.multiplication_table()
+    h = eq.hyperplane_class()
+    assert eq.ab_integrate(eq.pointwise_product(classes["0"], *[h] * 8)) == 182
+    spec = importlib.util.spec_from_file_location("perfbench_bench", bench_path)
+    bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def table_integral(mono):
+        vec = eq.basis_vector("0")
+        for lab in mono:
+            vec = eq.schubert_product(vec, eq.basis_vector(lab))
+        return eq.integrate_vector(vec)
+
+    for mono, expected in bench.pass_monomials(1, 0, table_integral):
+        assert eq.ab_integrate(eq.pointwise_product(*[classes[lab] for lab in mono])) == expected, mono
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"{argv} failed")
+print(json.dumps({"integrals": integrals, "non_int": non_int}))
+"""
+
+
+@pytest.mark.parametrize("source", ["verify-all", "dumps", "integrate"])
+def test_every_certified_integrand_has_integer_coefficients(source):
+    # the packed kernel takes integer forms only; the traffic it serves must bring nothing else
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", _INTEGRAND_SPY, source, str(root / "perfbench" / "bench.py")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["integrals"] > 0 and counts["non_int"] == 0, counts
 
 
 def _integrate_h_against_complements(complements):
@@ -631,15 +710,14 @@ def test_integral_weights_are_packed_once_per_shift(monkeypatch):
                 assert not shifts
                 continue
             assert ab_integrate(values) == reference_integrate(values, weights.forms, 0)
-            # at least the least s with 2^(s-1) above the bound D sum_q min(#f_q, #w_q) max|f_q| max|w_q|
+            # at least the least s with 2^(s-1) above the bound sum_q min(#f_q, #w_q) max|f_q| max|w_q|
             nonzero = {q: f.coeffs for q, f in values.items() if f.coeffs and weights.forms[q].coeffs}
-            scale = lcm(*(c.denominator for a in nonzero.values() for c in a.values()))
             bound = sum(min(len(a), weights.sizes[q][0]) * max(map(abs, a.values())) * weights.sizes[q][1] for q, a in nonzero.items())
-            need = int(scale * bound).bit_length() + 1
+            need = bound.bit_length() + 1
             assert len(shifts) == 1 and _is_power_of_two(shifts[0]) and shifts[0] >= need and shifts[0] in weights.packings
 
     integrate_all()
-    # one full set of weight packings per shift met, each packed with no scale
+    # one full set of weight packings per shift met
     assert 0 < len(weights.packings) <= 2
     assert sorted(packed) == sorted((s,) for s in weights.packings for _ in weights.forms)
     packed.clear()
@@ -648,8 +726,12 @@ def test_integral_weights_are_packed_once_per_shift(monkeypatch):
     assert equivariant._vertex_weights(None) is weights
 
 
-# halves and twos, whose products are integral: a product coefficient built as Fraction(n, 1) shows in its type
-_factor_scalars = st.one_of(_wide_scalars, st.sampled_from([Fraction(1, 2), Fraction(-3, 2), 2]))
+# wide fractions, and halves and twos, whose products are integral: a product coefficient built as Fraction(n, 1) shows in its type
+_factor_scalars = st.one_of(
+    _wide_scalars,
+    st.builds(Fraction, st.integers(-_WIDE, _WIDE), st.integers(1, _WIDE)),
+    st.sampled_from([Fraction(1, 2), Fraction(-3, 2), 2]),
+)
 
 
 @st.composite
@@ -732,10 +814,12 @@ def test_schubert_vector_arithmetic_is_one_sum():
         u.scale(Fraction(1, 2))
 
 
-def test_top_by_duality_rejects_a_non_integral_coordinate():
-    half = {lab: form.scale(Fraction(1, 2)) for lab, form in hyperplane_class().items()}
-    with pytest.raises(ArithmeticError, match="non-integral coordinate 1/2"):
-        top_by_duality(half)
+def test_top_by_duality_rejects_a_non_integral_coordinate(monkeypatch):
+    # the integral of H against the dual of sigma_1 is 1; halved, it is no coordinate
+    integral = equivariant.integrate_against
+    monkeypatch.setattr(equivariant, "integrate_against", lambda values, label: integral(values, label) / 2)
+    with pytest.raises(ArithmeticError, match="non-integral coordinate 1/2 at 1"):
+        top_by_duality(hyperplane_class())
 
 
 def test_ring_presentation():

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, prod
 from pathlib import Path
 from unittest.mock import patch
 
@@ -329,6 +329,13 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[1, 1], [1, 3]]) == [1, 2]
 
 
+def test_smith_normal_form_rejects_entries_that_are_no_integers():
+    # each entry is read with operator.index: a float or a Fraction raises, none is truncated
+    for rows in ([[2.5, 0], [0, Fraction(7, 2)]], [[2, 0], [0, Fraction(7, 2)]], [[1.0]]):
+        with pytest.raises(TypeError):
+            smith_normal_form(rows)
+
+
 def test_smith_transforms_and_divisibility():
     d = smith_normal_form([[6, 4, 2], [4, 8, 6], [2, 6, 10]])
     assert d == [2, 2, 42]
@@ -579,6 +586,15 @@ def test_int_and_fraction_backed_values_agree(f, c):
     assert hash(HomogPoly.constant(c)) == hash(HomogPoly.constant(Fraction(c)))
 
 
+def test_real_gaussian_rationals_hash_as_their_real_part():
+    # a value with no imaginary part equals its real part, so it must hash like it and find it as a key
+    for re in (2, Fraction(1, 2), 0, -7):
+        z = GaussianRational(re)
+        assert z == re and hash(z) == hash(re)
+        assert {re: "x"}.get(z) == "x" and {z: "y"}.get(re) == "y"
+    assert {2: "x"}.get(GaussianRational(2, 1)) is None
+
+
 _BIG = 2**200
 
 
@@ -587,8 +603,9 @@ def packed_sums(draw):
     """(degree, pairs) with first factors up to 2^200 and integer second factors, zero forms included.
 
     The first factors have integer coefficients, but in about half the
-    cases one of them has a non-integral one too, so one call meets
-    forms that need no denominator beside one that does.
+    cases one of them has a non-integral one too, an odd number of
+    halves that is at times the largest coefficient of its form and at
+    times a smaller one.
     """
     degree = draw(st.integers(0, 12))
     big = st.one_of(st.just(0), st.integers(-_BIG, _BIG))
@@ -608,10 +625,10 @@ def packed_sums(draw):
     return degree, pairs
 
 
-def _unpacked(scale, digits):
-    """The form sum_p (N_p / D) a^p b^(degree - p) of ``PackedForms.sum_against``'s (D, digits)."""
+def _unpacked(digits):
+    """The form sum_p N_p a^p b^(degree - p) of ``PackedForms.sum_against``'s digits."""
     degree = len(digits) - 1
-    return HomogPoly(degree, {(p, degree - p): Fraction(n, scale) for p, n in enumerate(digits)})
+    return HomogPoly(degree, {(p, degree - p): n for p, n in enumerate(digits)})
 
 
 @contextlib.contextmanager
@@ -637,7 +654,7 @@ def _packed_sum(pairs, degree, shifts=None):
     """``PackedForms.sum_against`` over (a_k, b_k) pairs keyed by position, the b_k held by a fresh ``PackedForms``.
 
     Every packing of a b_k is recorded: there must be one per key at each
-    shift in the object's ``packings``, with no scale, and each such
+    shift in the object's ``packings``, and each such
     shift is appended to ``shifts``.  The b_k may differ in degree: the
     weights' degree is carried, not read.
     """
@@ -655,27 +672,38 @@ def _packed_sum(pairs, degree, shifts=None):
 def test_packed_sum_of_products_matches_the_table(case):
     degree, pairs = case
     shifts = []
-    scale, digits = _packed_sum(pairs, degree, shifts)
-    assert _unpacked(scale, digits) == sum_of_products(pairs, degree)
+    if any(type(c) is not int for a, b in pairs if b.coeffs for c in a.coeffs.values()):
+        # a non-integral first factor of a pair that adds something gives no value
+        with pytest.raises(TypeError):
+            _packed_sum(pairs, degree)
+        return
+    digits = _packed_sum(pairs, degree, shifts)
+    assert _unpacked(digits) == sum_of_products(pairs, degree)
     assert len(digits) == degree + 1 and all(type(n) is int for n in digits)
-    # D clears the first factors of the pairs that add something, and the second factors are packed once, at a power of two
-    assert scale == lcm(*(c.denominator for a, b in pairs if b.coeffs for c in a.coeffs.values()))
+    # the second factors are packed once, at a power of two
     assert len(shifts) == 1 and shifts[0] & (shifts[0] - 1) == 0
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("first", [_BIG, Fraction(_BIG, 3)], ids=["int", "fraction"])
 def test_packed_sum_of_products_at_its_bound(first, sign):
-    # 15 products of 9 and 5 equal terms: each middle coefficient of D N sums 15 * 5
+    # 15 products of 9 and 5 equal terms: each middle coefficient of N sums 15 * 5
     # products of the largest terms with no cancellation, so it reaches the bound B itself
     a = HomogPoly(8, {(p, 8 - p): sign * first for p in range(9)})
     b = HomogPoly(4, {(p, 4 - p): 2**60 for p in range(5)})
     pairs = [(a, b)] * 15
+    if type(first) is not int:
+        # a non-integral largest coefficient makes B non-integral, which raises before any weight is packed
+        weights = PackedForms(dict(enumerate(b for _, b in pairs)), None)
+        with _weight_packings(weights.forms) as packed, pytest.raises(TypeError):
+            weights.sum_against(dict(enumerate(a for a, _ in pairs)), 12)
+        assert not packed and weights.packings == {}
+        return
     shifts = []
-    scale, digits = _packed_sum(pairs, 12, shifts)
-    bound = int(scale * 15 * 5 * abs(first) * 2**60)
+    digits = _packed_sum(pairs, 12, shifts)
+    bound = 15 * 5 * first * 2**60
     assert digits[4:9] == [sign * bound] * 5
-    assert _unpacked(scale, digits) == sum_of_products(pairs, 12)
+    assert _unpacked(digits) == sum_of_products(pairs, 12)
     # B = 75 * 2^260 has 267 bits, so the least power of two s with 2^(s-1) > B is 512
     assert bound.bit_length() == 267 and shifts == [512]
 
@@ -686,15 +714,15 @@ def test_packed_sum_of_products_rounds_the_shift_up_to_a_power_of_two(bits, shif
     big = 2**bits - 1
     shifts = []
     pairs = [(HomogPoly(1, {(1, 0): -big, (0, 1): big}), HomogPoly.constant(1))]
-    assert _packed_sum(pairs, 1, shifts) == (1, [big, -big])
+    assert _packed_sum(pairs, 1, shifts) == [big, -big]
     assert shifts == [shift]
 
 
 def test_packed_sum_of_products_skips_zero_factors():
-    # a zero factor adds nothing, whatever its degree, and its pair's first factor adds no denominator
+    # a zero factor adds nothing, whatever its degree, and a non-integral first factor against it is not packed
     f, g = HomogPoly(2, {(2, 0): 1, (0, 2): -3}), HomogPoly(1, {(1, 0): 2})
     pairs = [(HomogPoly.zero(5), g), (f, HomogPoly.constant(2)), (f.scale(Fraction(1, 3)), HomogPoly.zero(7))]
-    assert _packed_sum(pairs, 2) == (1, [-6, 0, 2])
+    assert _packed_sum(pairs, 2) == [-6, 0, 2]
     # a key with no weight raises
     with pytest.raises(KeyError):
         PackedForms({}, None).sum_against({"x": f}, 2)
@@ -706,22 +734,33 @@ def test_packed_forms_keep_one_packing_per_shift():
     assert w.sizes == {"x": (2, 7), "z": (0, 0)} and w.packings == {}
     f = HomogPoly.constant(5)
     with _weight_packings(w.forms) as packed:
-        assert w.sum_against({"x": f, "z": f}, 2) == (1, [-35, 0, 15])
+        assert w.sum_against({"x": f, "z": f}, 2) == [-35, 0, 15]
     (shift, values), = w.packings.items()
     assert values == {"x": kronecker_value(w.forms["x"], shift), "z": 0} and packed == [(shift,), (shift,)]
     with _weight_packings(w.forms) as packed:
-        assert w.sum_against({"x": f.scale(-1)}, 2) == (1, [35, 0, -15])
+        assert w.sum_against({"x": f.scale(-1)}, 2) == [35, 0, -15]
     assert not packed and list(w.packings) == [shift] and w.packings[shift] is values
 
 
 def test_kronecker_value_scales_and_packs():
     f = HomogPoly(3, {(3, 0): Fraction(1, 2), (1, 2): -3, (0, 3): Fraction(5, 6)})
-    assert kronecker_value(f, 8, 6) == (3 << 24) - (18 << 8) + 5
+    assert kronecker_value(f.scale(6), 8) == (3 << 24) - (18 << 8) + 5
     assert kronecker_value(HomogPoly.zero(4), 16) == 0
-    # with no scale the coefficients are shifted as they are, so a non-integral one raises
-    assert kronecker_value(f.scale(6), 8) == kronecker_value(f, 8, 6)
+    # the coefficients are shifted as they are, so a non-integral one raises
     with pytest.raises(TypeError):
         kronecker_value(f, 8)
+
+
+@pytest.mark.parametrize("largest", [True, False], ids=["largest", "smaller"])
+def test_packed_sum_rejects_a_non_integral_first_factor(largest):
+    # a non-integral coefficient raises wherever it sits: as the largest |a_k| it makes B
+    # non-integral before any weight is packed, as a smaller one it raises when a_k is packed
+    half = Fraction(7, 2) if largest else Fraction(1, 2)
+    w = PackedForms({"x": HomogPoly.constant(3), "y": HomogPoly.constant(-5)}, 0)
+    firsts = {"x": HomogPoly(1, {(1, 0): 2}), "y": HomogPoly(1, {(1, 0): half, (0, 1): 3})}
+    with pytest.raises(TypeError):
+        w.sum_against(firsts, 1)
+    assert (w.packings == {}) is largest
 
 
 @pytest.mark.parametrize("shift", [1, 2, 7, 64])

@@ -42,6 +42,16 @@ def test_weight_arithmetic_and_names():
     assert (ALPHA - BETA).pair((1, 2)) == -1
 
 
+def test_weight_coordinates_are_integers():
+    # each coordinate is read with operator.index: a float or a Fraction raises, none is truncated
+    for x, y in ((2.5, 0), (Fraction(3, 2), 1), (0, 1.0), (Fraction(2), 0)):
+        with pytest.raises(TypeError):
+            Weight(x, y)
+    with pytest.raises(TypeError):
+        ALPHA * 0.5
+    assert Weight(2, -1) * 3 == Weight(6, -3) and type(Weight(True, 0)[0]) is int
+
+
 def test_norm_pairs_each_weight_with_its_negative():
     # cayley._complement_four_space reads the orthogonal 4-space off this pattern
     for i, v in enumerate(BASIS_WEIGHTS):
@@ -131,6 +141,20 @@ def test_gl7_schur_dims():
     assert gl7_schur_dim(()) == 1
     with pytest.raises(ValueError):
         gl7_schur_dim((1, 2))
+
+
+def test_gl7_schur_dim_checks_the_shape_as_given():
+    # trailing zeros, as the Koszul shapes carry them, are a partition; a zero before a part is not
+    assert gl7_schur_dim((1, 0, 0, 0)) == gl7_schur_dim((1,)) == 7
+    assert gl7_schur_dim((2, 1, 0, 0)) == gl7_schur_dim((2, 1))
+    assert gl7_schur_dim((1,) * 8 + (0,)) == 0
+    for shape in ((0, 1), (1, 0, 1), (2, 0, 1, 0), (1, -1)):
+        with pytest.raises(ValueError, match="not a partition"):
+            gl7_schur_dim(shape)
+    # a part that is no integer is not truncated
+    for shape in ((1.5,), (2, 1.0), (Fraction(3, 2),), (Fraction(2),)):
+        with pytest.raises(TypeError):
+            gl7_schur_dim(shape)
 
 
 def test_gl7_schur_dim_against_branching_rule():
