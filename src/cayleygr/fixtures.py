@@ -32,18 +32,28 @@ def fixture_path(name: str) -> Path:
     return fixtures_dir() / f"{name}.json"
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key raises ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_fixture(name: str):
     path = fixture_path(name)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise FixtureError(f"cannot read fixture {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(f"malformed fixture {path}: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
     except UnicodeDecodeError as exc:
         raise FixtureError(f"malformed fixture {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
-    except ValueError as exc:  # an integer beyond sys.get_int_max_str_digits()
+    except ValueError as exc:  # a repeated key, or an integer beyond sys.get_int_max_str_digits()
         raise FixtureError(f"malformed fixture {path}: {exc}") from exc
     except RecursionError as exc:
         raise FixtureError(f"malformed fixture {path}: JSON nested too deeply") from exc
@@ -58,45 +68,52 @@ def fixture_entry(name: str, key: str, valid, description: str):
     return entry
 
 
-def fixture_object(name: str, key: str) -> dict:
-    """The entry ``key`` of the named fixture, which must be a JSON object."""
-    return fixture_entry(name, key, lambda entry: isinstance(entry, dict), "an object")
+def keyed_table(name: str, key: str, keys, what: str, read) -> dict:
+    """The object at ``key`` of the named fixture as {k: read(value, where)}, ``where`` naming the value.
+
+    Its keys must be exactly ``keys``: a key that is not ``what``, or else
+    the least missing key, raises FixtureError.
+    """
+    table = fixture_entry(name, key, lambda entry: isinstance(entry, dict), "an object")
+    for k in table:
+        if k not in keys:
+            raise FixtureError(f"malformed fixture {fixture_path(name)}: {key} key {k!r} is not {what}")
+    missing = set(keys) - set(table)
+    if missing:
+        raise FixtureError(f"malformed fixture {fixture_path(name)}: {key} has no key {min(missing)!r}")
+    return {k: read(value, f"{key}[{k!r}]") for k, value in table.items()}
 
 
-def int_table(name: str, table, where: str) -> dict:
-    """``table``, found at ``where`` in the named fixture, as {label: JSON integer}."""
+def int_table(name: str, table, where: str, labels) -> dict:
+    """``table``, found at ``where`` in the named fixture, as {label: JSON integer}, each label in ``labels``."""
     path = fixture_path(name)
     if not isinstance(table, dict):
         raise FixtureError(f"malformed fixture {path}: {where} is not an object")
     for label, c in table.items():
+        if label not in labels:
+            raise FixtureError(f"malformed fixture {path}: {where} key {label!r} is not a point label")
         if type(c) is not int:
             raise FixtureError(f"malformed fixture {path}: {where}[{label!r}] = {c!r} is not an integer")
     return table
 
 
-def form_table(name: str, labels) -> tuple:
-    """The printed 'values' of the named figure fixture and their parsed forms.
+def form_table(name: str, labels) -> dict:
+    """The printed 'values' of the named figure fixture as {label: (text, parsed form)}.
 
     The keys must be exactly ``labels`` and each value a form expression
     (see ``parse_form``); otherwise FixtureError names the bad or missing key.
     """
-    values = fixture_object(name, "values")
-    path = fixture_path(name)
-    missing = set(labels) - set(values)
-    if missing:
-        raise FixtureError(f"malformed fixture {path}: values has no key {min(missing)!r}")
-    forms = {}
-    for label, expr in values.items():
-        if label not in labels:
-            raise FixtureError(f"malformed fixture {path}: values key {label!r} is not a point label")
+
+    def read(expr, where):
         try:
             if not isinstance(expr, str):
                 raise ValueError("not a string")
-            forms[label] = parse_form(expr)
+            return expr, parse_form(expr)
         except ValueError as exc:
             shown = expr[:57] + "..." if isinstance(expr, str) and len(expr) > 60 else expr
-            raise FixtureError(f"malformed fixture {path}: values[{label!r}] = {shown!r} is not a form expression ({exc})") from exc
-    return values, forms
+            raise FixtureError(f"malformed fixture {fixture_path(name)}: {where} = {shown!r} is not a form expression ({exc})") from exc
+
+    return keyed_table(name, "values", labels, "a point label", read)
 
 
 # The figures hold classes of the complex dimension's degree at most;

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleygr import ambient, cayley, cli, equivariant, invariants
+from cayleygr import ambient, cayley, cli, equivariant, invariants, octonions
 from cayleygr.cli import main, run
 from cayleygr.exact import HomogPoly, poly_mul
 from cayleygr.cayley import DIMENSION
@@ -427,6 +427,33 @@ _LITERAL_PRODUCT = " ".join(["9" * 4000] * 50)
 _figure_literal_product = _fixture_case(
     "gkm_sigma1", "classes", lambda text: text.replace('"7": "b-3g"', f'"7": "{_LITERAL_PRODUCT}"'), ["values['7']", "not of the printed shape"]
 )
+# every keyed table has exactly its keys, every coordinate row is keyed by point labels, and no object repeats a key
+_monk_unknown_label = _fixture_case(
+    "bruhat_monk", "monk", lambda text: text.replace('"2": {"3": 1,', '"2": {"9": 1, "3": 1,'), ["monk['2'] key '9'", "not a point label"]
+)
+_chern_unknown_label = _fixture_case(
+    "chern", "chern", lambda text: text.replace('"1": {"1": 4}', '"1": {"1": 4, "9": 1}'), ["classes['1'] key '9'", "not a point label"]
+)
+_chern_extra_row = _fixture_case(
+    "chern", "chern", lambda text: text.replace('"8": {"8": 15}', '"8": {"8": 15}, "9": {"8": 1}'), ["classes key '9'", "not a codimension 1 to 8"]
+)
+_restriction_unknown_label = _restriction_case(
+    lambda text: text.replace('"1": {"1": 1}', '"1": {"1": 1, "9": 1}'), ["table['1'] key '9'", "not a point label"]
+)
+_restriction_zero_key = _restriction_case(
+    lambda text: text.replace('"1": {"1": 1},', '"0": {"0": 1}, "1": {"1": 1},'), ["table key '0'", "not a box partition of size 1 to 8"]
+)
+_mult_unknown_label = _fixture_case(
+    "mult_table", "mult", lambda text: text.replace('"result": {"4": 1, "4\'": 2, "4\'\'": 2}', '"result": {"4": 1, "4\'": 2, "4\'\'": 2, "9": 0}', 1),
+    ["rows[0]['result'] key '9'", "not a point label"],
+)
+_degrees_unknown_label = _fixture_case(
+    "degrees", "degrees", lambda text: text.replace('"8": 1', '"8": 1, "9": 1'), ["degrees key '9'", "not a point label"]
+)
+_degrees_missing_label = _fixture_case("degrees", "degrees", lambda text: text.replace(', "8": 1', ""), ["degrees has no key '8'"])
+_figure_duplicate_key = _fixture_case(
+    "gkm_sigma2", "classes", lambda text: text.replace('"8": "4g(g-b)"', '"8": "4g(g-b)", "8": "4g(g-b)"'), ["duplicate key '8'"]
+)
 
 
 @pytest.mark.parametrize(
@@ -515,6 +542,15 @@ def test_parse_form_reads_printed_shape(case):
         _fixed_points_unknown_weight,
         _fixed_points_missing_row,
         _fixed_points_renamed_label,
+        _monk_unknown_label,
+        _chern_unknown_label,
+        _chern_extra_row,
+        _restriction_unknown_label,
+        _restriction_zero_key,
+        _mult_unknown_label,
+        _degrees_unknown_label,
+        _degrees_missing_label,
+        _figure_duplicate_key,
     ],
     ids=[
         "missing-directory",
@@ -543,6 +579,15 @@ def test_parse_form_reads_printed_shape(case):
         "fixed-points-unknown-weight",
         "fixed-points-missing-row",
         "fixed-points-renamed-label",
+        "monk-unknown-label",
+        "chern-unknown-label",
+        "chern-extra-row",
+        "restriction-unknown-label",
+        "restriction-zero-key",
+        "mult-unknown-label",
+        "degrees-unknown-label",
+        "degrees-missing-label",
+        "figure-duplicate-key",
     ],
 )
 def test_missing_fixtures_exit_2(tmp_path, capsys, monkeypatch, setup):
@@ -899,15 +944,29 @@ def test_perfbench_engine_names_resolve():
 
 
 def test_no_literal_verdicts():
-    # a check whose verdict is a constant can never print FAIL
+    # a check whose verdict is a constant can never print FAIL, and one
+    # whose computed value is a constant prints the same text when it fails
     tree = ast.parse(Path(inspect.getfile(cli)).read_text(encoding="utf-8"))
     literal = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "check":
-            verdict = node.args[1] if len(node.args) > 1 else next((kw.value for kw in node.keywords if kw.arg == "ok"), None)
-            if isinstance(verdict, ast.Constant):
-                literal.append(getattr(node.args[0], "value", ast.unparse(node.args[0])))
+            for i, name in ((1, "ok"), (2, "computed")):
+                arg = node.args[i] if len(node.args) > i else next((kw.value for kw in node.keywords if kw.arg == name), None)
+                if isinstance(arg, ast.Constant):
+                    literal.append((getattr(node.args[0], "value", ast.unparse(node.args[0])), name))
     assert literal == []
+
+
+def test_a_failing_product_check_prints_the_product(capsys, monkeypatch):
+    # with e1 e2 negated, octonion.e1e2 fails and reports the product it computed
+    E, multiply = octonions.E, octonions.multiply
+    monkeypatch.setattr(octonions, "multiply", lambda x, y: -multiply(x, y) if (x, y) == (E[1], E[2]) else multiply(x, y))
+    code, out = run_cli(capsys, "verify", "octonion", "--format", "json")
+    assert code == 1
+    failed = {r["id"]: r for r in json.loads(out)["results"] if r["status"] == "fail"}
+    assert "octonion.e1e2" in failed
+    assert failed["octonion.e1e2"]["computed"] == "(-1)e3"
+    assert all(r["computed"] != r["expected"] for r in failed.values())
 
 
 def test_index_profile_verdict_reads_the_profile(capsys, monkeypatch):
